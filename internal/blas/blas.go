@@ -5,12 +5,17 @@
 // matricizations of the paper (column-major X_(0:n), row-major X_(n)
 // blocks) are multiplied in place without reordering tensor entries.
 //
-// Parallel GEMM splits the M (and, for wide outputs, N) dimension across
-// workers and never splits the K dimension. This deliberately reproduces
-// the behaviour the paper observed in MKL: inner-product-shaped
-// multiplications (small M·N, huge K) do not scale, because scaling them
-// requires temporary per-thread output buffers and a reduction — the exact
-// optimization the paper's 1-step algorithm performs at a higher level.
+// Parallel GEMM splits only the M dimension across workers, one
+// contiguous stripe of rows each, and never splits N or K. Not splitting
+// K deliberately reproduces the behaviour the paper observed in MKL:
+// inner-product-shaped multiplications (small M·N, huge K) do not scale,
+// because scaling them requires temporary per-thread output buffers and a
+// reduction — the exact optimization the paper's 1-step algorithm
+// performs at a higher level.
+//
+// Packing A reads the tensor itself, once per GEMM, so the packers have
+// unit-stride paths for column-major and row-major sources (DESIGN §12).
+// Every path is a pure copy: the output bits never depend on the layout.
 package blas
 
 import (

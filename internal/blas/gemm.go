@@ -288,26 +288,81 @@ func gemmStripe(alpha float64, a, b, c mat.View, bl Blocking, ar *parallel.Arena
 // packA copies an mc×kc block of A into micro-panels of mr rows stored
 // column-by-column: panel p, column q, row r lives at
 // ap[p*mr*kc + q*mr + r]. Rows beyond mc are zero-padded so the
-// micro-kernel never branches.
+// micro-kernel never branches. Packing is a pure copy, so every path
+// yields the same panel bits; the unit-stride paths exist because A is
+// the tensor itself and this copy streams every entry once per GEMM.
 func packA(a mat.View, ap []float64) {
+	switch {
+	case a.RS == 1:
+		packAColMajor(a, ap)
+	case a.CS == 1:
+		packARowMajor(a, ap)
+	default:
+		packAStrided(a, ap)
+	}
+}
+
+// packAColMajor packs a unit-row-stride A (X_(0), the 2-step X_(0:n)):
+// each column is one contiguous mc-run, read in memory order and
+// scattered in groups of mr into the panels.
+func packAColMajor(a mat.View, ap []float64) {
+	mc, kc := a.R, a.C
+	full := mc / mr
+	rem := mc - full*mr
+	panel := mr * kc
+	for q := 0; q < kc; q++ {
+		col := a.Data[q*a.CS : q*a.CS+mc]
+		off := q * mr
+		for p := 0; p < full; p++ {
+			s := col[p*mr : p*mr+mr : p*mr+mr]
+			d := ap[off : off+mr : off+mr]
+			d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
+			off += panel
+		}
+		if rem > 0 {
+			d := ap[off : off+mr]
+			copy(d, col[full*mr:])
+			clear(d[rem:])
+		}
+	}
+}
+
+// packARowMajor packs a unit-column-stride A (X_(N-1), the 2-step
+// X_(0:n-1)ᵀ, mode blocks): the mr source rows of a panel are sliced once
+// so the column loop runs without bounds checks.
+func packARowMajor(a mat.View, ap []float64) {
+	mc, kc := a.R, a.C
+	full := mc / mr
+	for p := 0; p < full; p++ {
+		base := p * mr * a.RS
+		r0 := a.Data[base : base+kc]
+		r1 := a.Data[base+a.RS:][:len(r0)]
+		r2 := a.Data[base+2*a.RS:][:len(r0)]
+		r3 := a.Data[base+3*a.RS:][:len(r0)]
+		dst := ap[p*mr*kc:][:mr*len(r0)]
+		for q := range r0 {
+			d := dst[q*mr : q*mr+mr : q*mr+mr]
+			d[0], d[1], d[2], d[3] = r0[q], r1[q], r2[q], r3[q]
+		}
+	}
+	if rem := mc - full*mr; rem > 0 {
+		dst := ap[full*mr*kc:][:mr*kc]
+		clear(dst)
+		for r := 0; r < rem; r++ {
+			off := (full*mr + r) * a.RS
+			for q, v := range a.Data[off : off+kc] {
+				dst[q*mr+r] = v
+			}
+		}
+	}
+}
+
+// packAStrided is the generic packer for views with no unit stride.
+func packAStrided(a mat.View, ap []float64) {
 	mc, kc := a.R, a.C
 	idx := 0
 	for p := 0; p < mc; p += mr {
 		rows := min(mr, mc-p)
-		if a.CS == 1 {
-			// Row-major source: gather rows, then interleave.
-			base := p * a.RS
-			for q := 0; q < kc; q++ {
-				for r := 0; r < rows; r++ {
-					ap[idx+r] = a.Data[base+r*a.RS+q]
-				}
-				for r := rows; r < mr; r++ {
-					ap[idx+r] = 0
-				}
-				idx += mr
-			}
-			continue
-		}
 		for q := 0; q < kc; q++ {
 			for r := 0; r < rows; r++ {
 				ap[idx+r] = a.At(p+r, q)
@@ -322,7 +377,9 @@ func packA(a mat.View, ap []float64) {
 
 // packB copies a kc×nc block of B into micro-panels of nr columns stored
 // row-by-row: panel p, row q, column cidx lives at
-// bp[p*nr*kc + q*nr + cidx], zero-padded to nr columns.
+// bp[p*nr*kc + q*nr + cidx], zero-padded to nr columns. Every B that
+// MTTKRP passes (KRP blocks, K_L, K_R) is row-major, so the unit
+// column-stride case copies nr contiguous entries per row.
 func packB(b mat.View, bp []float64) {
 	kc, nc := b.R, b.C
 	idx := 0
@@ -331,11 +388,13 @@ func packB(b mat.View, bp []float64) {
 		if b.CS == 1 {
 			for q := 0; q < kc; q++ {
 				base := q*b.RS + p
-				for cidx := 0; cidx < cols; cidx++ {
-					bp[idx+cidx] = b.Data[base+cidx]
-				}
-				for cidx := cols; cidx < nr; cidx++ {
-					bp[idx+cidx] = 0
+				d := bp[idx : idx+nr : idx+nr]
+				if cols == nr {
+					s := b.Data[base : base+nr : base+nr]
+					d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
+				} else {
+					copy(d, b.Data[base:base+cols])
+					clear(d[cols:])
 				}
 				idx += nr
 			}
@@ -361,7 +420,31 @@ func microKernel(kc int, ap, bp []float64, acc *[mr * nr]float64) {
 	simd.Gemm4x4(kc, ap, bp, acc)
 }
 
+// writeBack adds alpha times the mrr×nrr corner of acc into C at (ir, jr).
+// With alpha == 1 (every MTTKRP call) it adds acc directly into contiguous
+// C rows (the 1-step outputs) or columns (the 2-step column-major
+// intermediate); 1*x == x exactly, so the bits match the generic loop.
 func writeBack(alpha float64, acc *[mr * nr]float64, c mat.View, ir, jr, mrr, nrr int) {
+	switch {
+	case alpha == 1 && c.CS == 1:
+		for r := 0; r < mrr; r++ {
+			off := (ir+r)*c.RS + jr
+			row := c.Data[off : off+nrr]
+			for q := range row {
+				row[q] += acc[r*nr+q]
+			}
+		}
+		return
+	case alpha == 1 && c.RS == 1:
+		for q := 0; q < nrr; q++ {
+			off := (jr+q)*c.CS + ir
+			col := c.Data[off : off+mrr]
+			for r := range col {
+				col[r] += acc[r*nr+q]
+			}
+		}
+		return
+	}
 	for r := 0; r < mrr; r++ {
 		for q := 0; q < nrr; q++ {
 			c.Add(ir+r, jr+q, alpha*acc[r*nr+q])
