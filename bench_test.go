@@ -113,8 +113,8 @@ func BenchmarkFig5MTTKRP(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Pool runtime: persistent workers + reusable workspaces vs the
-// spawn-per-call baseline, on the Figure 4/5 shapes.
+// Pool runtime: persistent workers + reusable workspaces on the
+// Figure 4/5 shapes.
 // ---------------------------------------------------------------------
 
 // benchPoolThreads is the worker count for the runtime-comparison
@@ -123,35 +123,27 @@ func BenchmarkFig5MTTKRP(b *testing.B) {
 // is still meaningful; the kernels' correctness does not depend on cores).
 var benchPoolThreads = max(benchThreads, 4)
 
-// BenchmarkMTTKRPRuntime compares the persistent pool runtime against
-// spawn-per-call goroutine dispatch for whole MTTKRP calls. The pooled
-// series uses the steady-state entry point (retained dst + pool) and must
-// report 0 allocs/op; the spawn series allocates per region and per call.
+// BenchmarkMTTKRPRuntime measures whole MTTKRP calls on the persistent
+// pool runtime through the steady-state entry point (retained dst + pool),
+// which must report 0 allocs/op.
 func BenchmarkMTTKRPRuntime(b *testing.B) {
 	const c = 25
 	for _, order := range []int{3, 4, 5} {
 		x, u := fig5Problem(order, c)
 		modes := []int{0, order / 2} // one external, one internal mode
 		for _, n := range modes {
-			for _, rt := range []string{"pooled", "spawn"} {
-				b.Run(fmt.Sprintf("N=%d/n=%d/%s", order, n, rt), func(b *testing.B) {
-					var pool *parallel.Pool
-					if rt == "pooled" {
-						pool = parallel.NewPool(benchPoolThreads)
-						defer pool.Close()
-					} else {
-						pool = parallel.NewSpawnPool()
-					}
-					dst := mat.NewDense(x.Dim(n), c)
-					opts := core.Options{Threads: benchPoolThreads, Pool: pool}
-					core.ComputeInto(dst, core.MethodAuto, x, u, n, opts) // warm the workspaces
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						core.ComputeInto(dst, core.MethodAuto, x, u, n, opts)
-					}
-				})
-			}
+			b.Run(fmt.Sprintf("N=%d/n=%d/pooled", order, n), func(b *testing.B) {
+				pool := parallel.NewPool(benchPoolThreads)
+				defer pool.Close()
+				dst := mat.NewDense(x.Dim(n), c)
+				opts := core.Options{Threads: benchPoolThreads, Pool: pool}
+				core.ComputeInto(dst, core.MethodAuto, x, u, n, opts) // warm the workspaces
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					core.ComputeInto(dst, core.MethodAuto, x, u, n, opts)
+				}
+			})
 		}
 	}
 }
@@ -181,9 +173,8 @@ func BenchmarkMTTKRPAllocVsInto(b *testing.B) {
 	})
 }
 
-// BenchmarkMTTKRPKRPRuntime is the Figure 4 KRP kernel on both runtimes:
-// the paper's reuse algorithm streaming ~1M output rows, dispatched on the
-// persistent pool vs freshly spawned goroutines.
+// BenchmarkMTTKRPKRPRuntime is the Figure 4 KRP kernel on the persistent
+// pool: the paper's reuse algorithm streaming ~1M output rows.
 func BenchmarkMTTKRPKRPRuntime(b *testing.B) {
 	const c = 25
 	const j = 1 << 20
@@ -197,26 +188,19 @@ func BenchmarkMTTKRPKRPRuntime(b *testing.B) {
 			rows *= per
 		}
 		out := mat.NewDense(rows, c)
-		for _, rt := range []string{"pooled", "spawn"} {
-			b.Run(fmt.Sprintf("Z=%d/%s", z, rt), func(b *testing.B) {
-				var pool *parallel.Pool
-				if rt == "pooled" {
-					pool = parallel.NewPool(benchPoolThreads)
-					defer pool.Close()
-				} else {
-					pool = parallel.NewSpawnPool()
-				}
-				ws := pool.Acquire()
-				defer ws.Release()
+		b.Run(fmt.Sprintf("Z=%d/pooled", z), func(b *testing.B) {
+			pool := parallel.NewPool(benchPoolThreads)
+			defer pool.Close()
+			ws := pool.Acquire()
+			defer ws.Release()
+			krp.ParallelOn(pool, ws, benchPoolThreads, mats, out)
+			b.ReportAllocs()
+			b.SetBytes(int64(rows) * c * 8)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				krp.ParallelOn(pool, ws, benchPoolThreads, mats, out)
-				b.ReportAllocs()
-				b.SetBytes(int64(rows) * c * 8)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					krp.ParallelOn(pool, ws, benchPoolThreads, mats, out)
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -388,25 +372,6 @@ func BenchmarkAblationTwoStepOrder(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBlockGrain compares static contiguous partitioning of
-// the internal-mode 1-step block loop against dynamic chunking.
-func BenchmarkAblationBlockGrain(b *testing.B) {
-	x, u := fig5Problem(5, 25)
-	n := 2
-	b.Run("static", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			core.OneStep(x, u, n, core.Options{Threads: benchThreads})
-		}
-	})
-	for _, grain := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("dynamic/grain=%d", grain), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.OneStep(x, u, n, core.Options{Threads: benchThreads, DynamicGrain: grain})
-			}
-		})
-	}
-}
-
 // BenchmarkAblationGemmBlocking sweeps the GEMM cache-blocking parameters.
 func BenchmarkAblationGemmBlocking(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
@@ -453,23 +418,6 @@ func BenchmarkExtMultiSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%d/sweep-all", order), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				core.SweepAll(x, u, core.Options{Threads: benchThreads}, noop)
-			}
-		})
-	}
-}
-
-// BenchmarkExtKRPChunking measures the memory-bounded external-mode
-// 1-step: chunked KRP streaming vs full per-worker blocks.
-func BenchmarkExtKRPChunking(b *testing.B) {
-	x, u := fig5Problem(3, 25)
-	for _, chunk := range []int{0, 256, 4096, 65536} {
-		name := "full"
-		if chunk > 0 {
-			name = fmt.Sprintf("chunk=%d", chunk)
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				core.OneStep(x, u, 0, core.Options{Threads: benchThreads, KRPChunkRows: chunk})
 			}
 		})
 	}

@@ -9,7 +9,7 @@
 //	mttkrp-bench -fig 7 -paper             # paper-sized (needs a big server)
 //	mttkrp-bench -serve                    # serving load generator, conc 1/4/16
 //	mttkrp-bench -serve -conc 4 -requests 256 -sdims 60x50x40 -rank 16
-//	mttkrp-bench -serve -mix small:8,large:1   # heterogeneous mix: cost-aware vs even-split, per-class p99
+//	mttkrp-bench -serve -mix small:8,large:1   # heterogeneous mix: per-class p99 under cost-aware admission
 //	mttkrp-bench -serve -sparse -density 0.01  # COO workload through the nnz-partitioned sparse path
 //	mttkrp-bench -serve -fuse=off              # A/B half: batch-level KRP fusion disabled
 //	mttkrp-bench -serve -simd=off              # A/B half: scalar reference kernels
@@ -77,7 +77,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	requests := fs.Int("requests", 64, "serving: requests per concurrency level")
 	sdims := fs.String("sdims", "48x40x36", "serving: tensor dims, e.g. 60x50x40")
 	rank := fs.Int("rank", 16, "serving: CP rank / factor columns")
-	mixSpec := fs.String("mix", "", "serving: heterogeneous workload mix, e.g. small:8,large:1 (classes small, medium, large scaled from -sdims/-rank; -serve compares cost-aware vs even-split admission per class with p99)")
+	mixSpec := fs.String("mix", "", "serving: heterogeneous workload mix, e.g. small:8,large:1 (classes small, medium, large scaled from -sdims/-rank; reports per-class p99)")
 	sparse := fs.Bool("sparse", false, "serving: generate COO tensors instead of dense ones (nnz-partitioned kernel, nnz-priced admission; -serve-http ships the v2 sparse wire format)")
 	mmap := fs.Bool("mmap", false, "serve-http: ship by-reference requests (wire v3, /v1/mttkrp-ref) against an in-process listener with a tensor root — the tensor file is mapped server-side and only factors cross the wire (A/B against full payloads via the decode-share column)")
 	density := fs.Float64("density", 0.01, "serving: fill fraction of the sparse tensors (with -sparse)")

@@ -63,9 +63,8 @@ func TestRunServeLoadTiny(t *testing.T) {
 	}
 }
 
-// TestRunServeMixTiny drives the heterogeneous-workload policy comparison
-// end to end: per-class rows for both admission policies with a p99
-// column.
+// TestRunServeMixTiny drives the mixed-workload run end to end: per-class
+// rows with a p99 column.
 func TestRunServeMixTiny(t *testing.T) {
 	var out, errOut bytes.Buffer
 	err := run([]string{"-serve", "-mix", "small:4,large:1", "-conc", "2", "-requests", "12", "-sdims", "16x12x10", "-rank", "8"}, &out, &errOut)
@@ -73,7 +72,7 @@ func TestRunServeMixTiny(t *testing.T) {
 		t.Fatalf("run: %v (stderr: %s)", err, errOut.String())
 	}
 	s := out.String()
-	for _, want := range []string{"Mixed serving load", "cost-aware", "even-split", "small", "large", "p99 ms", "OBS mix conc=2", "# done in"} {
+	for _, want := range []string{"Mixed serving load", "small", "large", "p99 ms", "OBS mix conc=2", "# done in"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q:\n%s", want, s)
 		}

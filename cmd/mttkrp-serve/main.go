@@ -29,17 +29,15 @@
 //
 // Usage:
 //
-//	mttkrp-serve [-workers N] [-minworkers N] [-maxactive N] [-nobatch] [-evensplit] [-maxshare F] [-numa on|off]
+//	mttkrp-serve [-workers N] [-minworkers N] [-maxactive N] [-nobatch] [-maxshare F] [-numa on|off]
 //	mttkrp-serve -listen :8080 [-rps R] [-burst B] [-maxinflight BYTES] [-maxpayload BYTES] [-maxqueuedelay D] [-tensor-root DIR]
 //
-// Admission is cost-aware by default: budgets are weighted by request
-// cost (tensor size × rank), the queue ages so small requests are not
-// convoyed behind large ones, and running leases are rebalanced at
-// kernel phase boundaries; -evensplit restores the historical
-// width ÷ active FIFO policy. HTTP clients may send X-Cost-Hint and
-// X-Priority (low|normal|high) headers; with -maxqueuedelay the daemon
-// sheds (429 + Retry-After) requests whose projected queue delay
-// exceeds it.
+// Admission is cost-aware: budgets are weighted by request cost (tensor
+// size × rank), the queue ages so small requests are not convoyed behind
+// large ones, and running leases are rebalanced at kernel phase
+// boundaries. HTTP clients may send X-Cost-Hint and X-Priority
+// (low|normal|high) headers; with -maxqueuedelay the daemon sheds (429 +
+// Retry-After) requests whose projected queue delay exceeds it.
 package main
 
 import (
@@ -72,7 +70,7 @@ type request struct {
 	Dims   []int  `json:"dims"`   // tensor shape
 	Rank   int    `json:"rank"`   // C
 	Mode   int    `json:"mode"`   // MTTKRP mode n
-	Method string `json:"method"` // "auto" (default), "1step", "2step", "reorder"
+	Method string `json:"method"` // "auto" (default), "1step", "2step", "reorder" (see cli.ParseMethod)
 	Seed   int64  `json:"seed"`   // tensor/factor generator seed
 	Iters  int    `json:"iters"`  // CP sweeps (default 10)
 	// Density in (0, 1] makes the generated tensor sparse (COO) at that
@@ -171,20 +169,6 @@ func (c *problemCache) get(dims []int, rank int, seed int64, density float64) (*
 // determines a problem, so a load generator and a checker agree on sums.
 func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-func parseMethod(s string) (repro.Method, error) {
-	switch strings.ToLower(s) {
-	case "", "auto":
-		return repro.MethodAuto, nil
-	case "1step", "onestep", "1-step":
-		return repro.MethodOneStep, nil
-	case "2step", "twostep", "2-step":
-		return repro.MethodTwoStep, nil
-	case "reorder":
-		return repro.MethodReorder, nil
-	}
-	return 0, fmt.Errorf("unknown method %q", s)
-}
-
 // run is the daemon body with explicit streams so tests can drive it.
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("mttkrp-serve", flag.ContinueOnError)
@@ -196,7 +180,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	noFuse := fs.Bool("nofuse", false, "disable batch-level KRP fusion (coalesced batches recompute the Khatri-Rao intermediate per member; the measured baseline)")
 	noSIMD := fs.Bool("nosimd", false, "force the scalar reference kernels for this process (equivalent to MTTKRP_NOSIMD=1; the -simd A/B's served half)")
 	numa := fs.String("numa", "off", "topology-aware placement, on or off (on builds the worker pool over the detected host topology — NUMA-node domains from sysfs, MTTKRP_TOPOLOGY override — so leases pack into domains and buffers are first-touched locally; results are bit-identical either way, and single-domain hosts fall back to the flat model)")
-	evenSplit := fs.Bool("evensplit", false, "revert admission to the even-split FIFO policy (baseline; default is cost-aware with an aging queue)")
 	maxShare := fs.Float64("maxshare", 0, "cost-aware admission: cap one request's share of the pool width, 0 < v <= 1 (0 = no cap)")
 	maxQueueDelay := fs.Duration("maxqueuedelay", 0, "HTTP: shed requests (429) whose projected queue delay exceeds this (0 = queue everything)")
 	listen := fs.String("listen", "", "serve the binary HTTP transport on this address (e.g. :8080) instead of stdin-jsonl")
@@ -232,7 +215,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		MaxActive:       *maxActive,
 		DisableBatching: *noBatch,
 		DisableFusion:   *noFuse,
-		EvenSplit:       *evenSplit,
 		MaxShare:        *maxShare,
 	}
 	if *numa == "on" {
@@ -290,7 +272,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			st := srv.Stats()
 			emit(response{ID: req.ID, OK: true, Stats: &st})
 		case "mttkrp":
-			method, err := parseMethod(req.Method)
+			method, err := cli.ParseMethod(req.Method)
 			if err != nil {
 				emit(response{ID: req.ID, Err: err.Error()})
 				continue

@@ -35,11 +35,13 @@ func TestServeDaemonEndToEnd(t *testing.T) {
 		`{"id":"m1","op":"mttkrp","dims":[12,10,8],"rank":5,"mode":1,"seed":3}`,
 		`{"id":"m2","op":"mttkrp","dims":[12,10,8],"rank":5,"mode":1,"seed":3}`,
 		`{"id":"m3","op":"mttkrp","dims":[12,10,8],"rank":5,"mode":1,"seed":3,"method":"2step"}`,
+		`{"id":"m4","op":"mttkrp","dims":[12,10,8],"rank":5,"mode":1,"seed":3,"method":"two-step"}`,
 		`{"id":"c1","op":"cp","dims":[9,8,7],"rank":3,"iters":3,"seed":1}`,
 		`{"id":"sp1","op":"mttkrp","dims":[12,10,8],"rank":5,"mode":1,"seed":3,"density":0.1}`,
 		`{"id":"bad-op","op":"frobnicate"}`,
 		`{"id":"bad-dims","op":"mttkrp","dims":[12],"rank":5,"mode":0,"seed":3}`,
 		`{"id":"bad-density","op":"mttkrp","dims":[12,10,8],"rank":5,"mode":1,"seed":3,"density":2}`,
+		`{"id":"bad-method","op":"mttkrp","dims":[12,10,8],"rank":5,"mode":1,"seed":3,"method":"fft"}`,
 		``,
 		`# comments and blank lines are ignored`,
 		`{"id":"s1","op":"stats"}`,
@@ -50,8 +52,8 @@ func TestServeDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
 	}
 	got := decodeAll(t, stdout.String())
-	if len(got) != 9 {
-		t.Fatalf("got %d responses, want 9:\n%s", len(got), stdout.String())
+	if len(got) != 11 {
+		t.Fatalf("got %d responses, want 11:\n%s", len(got), stdout.String())
 	}
 
 	// Reference checksum computed directly on the same deterministic
@@ -65,7 +67,7 @@ func TestServeDaemonEndToEnd(t *testing.T) {
 	m := repro.MTTKRP(x, u, 1, repro.MTTKRPOptions{Threads: 2})
 	want := matSum(m)
 
-	for _, id := range []string{"m1", "m2", "m3"} {
+	for _, id := range []string{"m1", "m2", "m3", "m4"} {
 		r := got[id]
 		if !r.OK {
 			t.Fatalf("%s failed: %s", id, r.Err)
@@ -102,7 +104,7 @@ func TestServeDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("sp1: sum %v, want %v", sp.Sum, sparseWant)
 	}
 
-	for _, id := range []string{"bad-op", "bad-dims", "bad-density"} {
+	for _, id := range []string{"bad-op", "bad-dims", "bad-density", "bad-method"} {
 		if r := got[id]; r.OK || r.Err == "" {
 			t.Fatalf("%s: expected an error response, got %+v", id, r)
 		}

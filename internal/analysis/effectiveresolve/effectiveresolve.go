@@ -7,9 +7,9 @@
 //     Workers reports the current team width, which is neither a cap nor
 //     the width a t = 0 dispatch resolves to;
 //   - a raw Threads configuration field used directly to size a parallel
-//     region (the t argument of For/Run/ForDynamic/ReduceSum/Split/
-//     BlockRange) or a make() — an unresolved t <= 0 silently yields a
-//     zero-width region or an empty buffer set.
+//     region (the t argument of For/Run/ReduceSum/Split/BlockRange) or
+//     a make() — an unresolved t <= 0 silently yields a zero-width
+//     region or an empty buffer set.
 //
 // Everywhere outside the runtime itself it also flags direct
 // runtime.GOMAXPROCS reads: parallel.DefaultThreads (or Effective) is the
@@ -52,7 +52,7 @@ func isKernelPkg(path string) bool {
 // tArgIndex maps region-sizing callables to the position of their t
 // argument.
 var tArgIndex = map[string]int{
-	"For": 0, "Run": 0, "ForDynamic": 0, "ReduceSum": 0,
+	"For": 0, "Run": 0, "ReduceSum": 0,
 	"Split": 1, "BlockRange": 1,
 }
 

@@ -11,7 +11,7 @@
 // construction.
 //
 // The analysis is lexical: it inspects function literals passed directly
-// as the body argument of Run/For/ForDynamic on the parallel runtime
+// as the body argument of Run/For on the parallel runtime
 // (package-level or executor methods). Bodies passed as bound methods
 // (the kernels' pre-bound frame workers) are out of lexical reach and are
 // covered by the runtime's race tests instead. Goroutines launched from
@@ -35,7 +35,7 @@ var Analyzer = &analysis.Analyzer{
 
 // bodyArgIndex maps dispatch functions to the position of their body
 // argument.
-var bodyArgIndex = map[string]int{"Run": 1, "For": 2, "ForDynamic": 3}
+var bodyArgIndex = map[string]int{"Run": 1, "For": 2}
 
 func run(pass *analysis.Pass) error {
 	if analysis.PkgPathHasSuffix(pass.Pkg.Path(), "internal/parallel") {
@@ -144,7 +144,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 		return
 	}
 	switch callee.Name() {
-	case "Run", "For", "ForDynamic", "ReduceSum":
+	case "Run", "For", "ReduceSum":
 		pass.Reportf(call.Pos(), "nested dispatch inside a region body deadlocks the executing pool; use the sequential arena helpers instead")
 	case "Reconcile":
 		pass.Reportf(call.Pos(), "Reconcile blocks for the region barrier; call it at phase boundaries, never inside a region body")

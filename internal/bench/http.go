@@ -40,8 +40,7 @@ type HTTPLoadConfig struct {
 	// Mix, when non-empty, ships a heterogeneous workload instead of one
 	// shape: a weighted class mix like "small:8,large:1" (classes scaled
 	// from Dims/Rank, as in ServeLoadConfig.Mix), with per-class
-	// p50/p95/p99 rows. The served policy is whatever the listener runs;
-	// the policy A/B comparison lives in the in-process -serve mode.
+	// p50/p95/p99 rows.
 	Mix string
 	// Sparse ships COO tensors at Density over the sparse wire format
 	// (version 2, /v1/sparse-mttkrp) instead of dense payloads — the

@@ -33,11 +33,11 @@ type ServeLoadConfig struct {
 	Requests int
 	// Workers sizes the server pool (0 = GOMAXPROCS).
 	Workers int
-	// Mix, when non-empty, switches to the heterogeneous-workload
-	// comparison: a weighted class mix like "small:8,large:1" (classes
-	// small, medium, large, scaled from Dims/Rank) driven through both
-	// the cost-aware and the even-split admission policies, tabulating
-	// per-class p50/p95/p99 — the convoy/tail-latency measurement.
+	// Mix, when non-empty, switches to a mixed-workload run: a weighted
+	// class mix like "small:8,large:1" (classes small, medium, large,
+	// scaled from Dims/Rank) driven through cost-aware admission,
+	// tabulating per-class p50/p95/p99 — the convoy/tail-latency
+	// measurement.
 	Mix string
 	// Sparse switches the generated workload to COO tensors at Density,
 	// driving the nnz-partitioned sparse kernel and nnz-priced admission.
@@ -132,8 +132,7 @@ func layoutTag(sparse bool, density float64, x tensor.Interface) string {
 // same-shape MTTKRP requests — and tabulates aggregate throughput and
 // latency percentiles. It is the reproducible form of the serving
 // acceptance comparison (EXPERIMENTS.md, "Serving throughput"). With a
-// Mix, it instead runs the heterogeneous-workload policy comparison (see
-// ServeLoadConfig.Mix).
+// Mix, it instead drives the mixed workload (see ServeLoadConfig.Mix).
 func ServeLoad(cfg ServeLoadConfig) (*Table, error) {
 	cfg.withDefaults()
 	if cfg.NoSIMD {
@@ -268,7 +267,7 @@ type mixClass struct {
 }
 
 // classSequence draws a deterministic weighted class index per request, so
-// both policies (and reruns) see the identical arrival sequence.
+// reruns see the identical arrival sequence.
 func classSequence(mix []MixEntry, n int, seed int64) []int {
 	total := 0
 	for _, m := range mix {
@@ -288,12 +287,11 @@ func classSequence(mix []MixEntry, n int, seed int64) []int {
 	return seq
 }
 
-// serveMixLoad is the heterogeneous-workload policy comparison: the same
-// weighted small/large arrival sequence driven through cost-aware
-// admission (aging queue, cost-share budgets) and through the historical
-// even-split FIFO policy, tabulated per class. Small-request p99 is the
-// convoy fingerprint; large-request throughput bounds the cost of fixing
-// it.
+// serveMixLoad is the mixed-workload run: a weighted small/large arrival
+// sequence driven through cost-aware admission (aging queue, cost-share
+// budgets), tabulated per class. Small-request p99 is
+// the convoy fingerprint; large-request throughput bounds the cost of
+// keeping it low.
 func serveMixLoad(cfg ServeLoadConfig) (*Table, error) {
 	mix, err := ParseMix(cfg.Mix)
 	if err != nil {
@@ -321,37 +319,32 @@ func serveMixLoad(cfg ServeLoadConfig) (*Table, error) {
 	tb := NewTable(
 		fmt.Sprintf("Mixed serving load — %s base %v rank %d, mix %s, %d requests per level, fusion %s, simd %s, numa %s",
 			layoutTag(cfg.Sparse, cfg.Density, nil), cfg.Dims, cfg.Rank, cfg.Mix, cfg.Requests, onOff(!cfg.NoFusion), onOff(!cfg.NoSIMD), onOff(cfg.NUMA)),
-		"conc", "policy", "class", "req/s", "p50 ms", "p95 ms", "p99 ms")
+		"conc", "class", "req/s", "p50 ms", "p95 ms", "p99 ms")
 
 	for _, conc := range cfg.Conc {
 		seq := classSequence(mix, cfg.Requests, int64(conc))
-		for _, policy := range []struct {
-			name      string
-			evenSplit bool
-		}{{"even-split", true}, {"cost-aware", false}} {
-			perClass, wall, st := runMixPolicy(cfg, classes, seq, conc, policy.evenSplit)
-			for c, lats := range perClass {
-				if len(lats) == 0 {
-					continue
-				}
-				r := summarize(lats, wall)
-				tb.Add(fmt.Sprintf("%d", conc), policy.name, classes[c].name,
-					fmt.Sprintf("%.1f", r.throughput),
-					fmt.Sprintf("%.3f", ms(r.p50)), fmt.Sprintf("%.3f", ms(r.p95)), fmt.Sprintf("%.3f", ms(r.p99)))
+		perClass, wall, st := runMix(cfg, classes, seq, conc)
+		for c, lats := range perClass {
+			if len(lats) == 0 {
+				continue
 			}
-			cfg.Out("OBS mix conc=%d policy=%s: peak queue %d, max queue wait %.3f ms, %d aged reorders, %d/%d batches fused\n",
-				conc, policy.name, st.PeakQueued, st.MaxQueueWaitMs, st.Reordered, st.Fused, st.Batches)
+			r := summarize(lats, wall)
+			tb.Add(fmt.Sprintf("%d", conc), classes[c].name,
+				fmt.Sprintf("%.1f", r.throughput),
+				fmt.Sprintf("%.3f", ms(r.p50)), fmt.Sprintf("%.3f", ms(r.p95)), fmt.Sprintf("%.3f", ms(r.p99)))
 		}
+		cfg.Out("OBS mix conc=%d: peak queue %d, max queue wait %.3f ms, %d aged reorders, %d/%d batches fused\n",
+			conc, st.PeakQueued, st.MaxQueueWaitMs, st.Reordered, st.Fused, st.Batches)
 	}
 	return tb, nil
 }
 
-// runMixPolicy drives one (concurrency, policy) cell: conc submitters pull
-// the shared arrival sequence and submit each request's class problem,
-// recording latency per class. It returns the scheduler's counter snapshot
-// taken after the load drains (queue-wait highs and aging reorders).
-func runMixPolicy(cfg ServeLoadConfig, classes []mixClass, seq []int, conc int, evenSplit bool) ([][]time.Duration, time.Duration, serve.Stats) {
-	srv := serve.New(serve.Config{Workers: cfg.Workers, EvenSplit: evenSplit, DisableFusion: cfg.NoFusion, Topology: cfg.topology()})
+// runMix drives one concurrency level: conc submitters pull the shared
+// arrival sequence and submit each request's class problem, recording
+// latency per class. It returns the scheduler's counter snapshot taken
+// after the load drains (queue-wait highs and aging reorders).
+func runMix(cfg ServeLoadConfig, classes []mixClass, seq []int, conc int) ([][]time.Duration, time.Duration, serve.Stats) {
+	srv := serve.New(serve.Config{Workers: cfg.Workers, DisableFusion: cfg.NoFusion, Topology: cfg.topology()})
 	defer srv.Close()
 	// Warm every class's shape-keyed workspace set (and the scheduler's
 	// service-rate estimate) before timing.

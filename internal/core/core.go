@@ -65,22 +65,11 @@ type Options struct {
 	Threads int
 	// Breakdown, when non-nil, receives per-phase wall times (Figure 6).
 	Breakdown *Breakdown
-	// DynamicGrain, when positive, switches the internal-mode 1-step block
-	// loop from static contiguous partitioning to dynamic chunks of this
-	// many blocks (ablation knob).
-	DynamicGrain int
 	// BlasOnlyParallel restricts MethodReorder to parallelism inside the
 	// GEMM call only, the way Matlab Tensor Toolbox on a multithreaded
 	// BLAS behaves: the tensor permute and the KRP formation run on a
 	// single thread. Used by the Figure 7 comparator.
 	BlasOnlyParallel bool
-	// KRPChunkRows, when positive, bounds the temporary memory of the
-	// 1-step algorithm's external modes: each worker streams its KRP row
-	// block in chunks of at most this many rows, GEMMing each chunk
-	// immediately (the blocking idea of Vannieuwenhoven et al. [25],
-	// cited in the paper's related work). Zero materializes the whole
-	// per-worker block, as in Algorithm 3. The result is identical.
-	KRPChunkRows int
 	// Pool, when non-nil, selects the execution context that runs the
 	// kernels: a *parallel.Pool (a persistent worker team with reusable
 	// per-worker workspaces) or a *parallel.Lease (a scheduler-granted
@@ -113,17 +102,6 @@ type Options struct {
 	// AutoTileRows derives a value from a byte budget. Zero disables
 	// tiling; MethodReorder and MethodNaive ignore it.
 	TileRows int
-
-	// DropBehind, when set with TileRows on a mapped tensor, advises the
-	// OS (MADV_DONTNEED) that each tile's source pages are disposable as
-	// soon as the tile has been consumed, so a single-pass scan's resident
-	// set stays near one tile instead of growing to the whole slab. Pages
-	// are re-faulted from the page cache or disk if touched again, so the
-	// hint is opt-in: callers that re-run kernels over the same mapping
-	// (for example CP-ALS sweeps or the serving map cache) should leave it
-	// off and let the OS keep warm pages. No effect on heap tensors or
-	// untiled calls; results are bit-identical either way.
-	DropBehind bool
 
 	// plan, when non-nil, is a prebuilt shared Khatri-Rao intermediate the
 	// kernels may consume instead of recomputing their partial KRPs (batch

@@ -65,20 +65,6 @@ func TestOneStepParallelMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestOneStepDynamicGrainMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	x, u := randomProblem(rng, []int{3, 4, 5, 2}, 4)
-	for n := 1; n <= 2; n++ {
-		want := Naive(x, u, n)
-		for _, grain := range []int{1, 2, 7} {
-			got := OneStep(x, u, n, Options{Threads: 3, DynamicGrain: grain})
-			if !mat.ApproxEqual(got, want, 1e-11) {
-				t.Errorf("n=%d grain=%d: mismatch", n, grain)
-			}
-		}
-	}
-}
-
 func TestTwoStepMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, dims := range testShapes {
@@ -283,36 +269,6 @@ func TestGemmBaselineRuns(t *testing.T) {
 		t.Errorf("baseline dims wrong: %dx%d, %dx%d", g2.a.R, g2.a.C, g2.b.R, g2.b.C)
 	}
 	g2.Run(1, nil) // nil breakdown must be fine
-}
-
-func TestOneStepKRPChunkRowsMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	x, u := randomProblem(rng, []int{6, 5, 7}, 4)
-	for _, n := range []int{0, 2} { // external modes use the chunked path
-		want := Naive(x, u, n)
-		for _, chunk := range []int{1, 3, 7, 1000} {
-			for _, threads := range []int{1, 2, 3} {
-				got := OneStep(x, u, n, Options{Threads: threads, KRPChunkRows: chunk})
-				if !mat.ApproxEqual(got, want, 1e-11) {
-					t.Errorf("n=%d chunk=%d threads=%d: mismatch %g",
-						n, chunk, threads, mat.MaxAbsDiff(got, want))
-				}
-			}
-		}
-	}
-}
-
-func TestOneStepKRPChunkBoundsMemory(t *testing.T) {
-	// With chunking the per-worker KRP buffer is chunk×C, so even a
-	// pathologically small chunk must produce correct results while the
-	// full block would be SizeOther(n) rows.
-	rng := rand.New(rand.NewSource(21))
-	x, u := randomProblem(rng, []int{4, 8, 8}, 3)
-	want := Naive(x, u, 0)
-	got := OneStep(x, u, 0, Options{Threads: 2, KRPChunkRows: 1})
-	if !mat.ApproxEqual(got, want, 1e-11) {
-		t.Error("chunk=1 external mode wrong")
-	}
 }
 
 func TestReorderBlasOnlyParallelMatchesNaive(t *testing.T) {

@@ -80,7 +80,6 @@ type oneStepExtFrame struct {
 	in, c    int
 	classIn  int // GEMM size-class rows: the full mode-n extent when tiled
 	t, other int
-	chunk    int
 	kBufs    []mat.View
 	mBufs    []mat.View
 	parts    [][]float64
@@ -100,39 +99,27 @@ func newOneStepExtFrame() any {
 
 //mttkrp:noalloc
 func (f *oneStepExtFrame) runWorker(w int) {
-	lo0, hi0 := parallel.BlockRange(f.other, f.t, w)
-	if lo0 >= hi0 {
+	lo, hi := parallel.BlockRange(f.other, f.t, w)
+	if lo >= hi {
 		return
 	}
-	ar := f.ws.Arena(w)
-	var dKRP, dGEMM time.Duration
-	beta := 0.0 // first chunk overwrites the private accumulator
-	for lo := lo0; lo < hi0; lo += f.chunk {
-		hi := lo + f.chunk
-		if hi > hi0 {
-			hi = hi0
-		}
-		var kt mat.View
-		if f.planK.Data != nil {
-			// Batch fusion: the full KRP is prebuilt; GEMM straight
-			// against its row block. The chunk walk is kept identical to
-			// the unfused path so the accumulation order (and hence the
-			// bit pattern) matches it exactly.
-			kt = f.planK.Slice(lo, hi, 0, f.c)
-		} else {
-			kt = f.kBufs[w].Slice(0, hi-lo, 0, f.c)
-			sw := startWatch()
-			krp.RowsIter(&f.its[w], f.ops, lo, hi, kt)
-			dKRP += sw.elapsed()
-		}
-
+	var kt mat.View
+	var dKRP time.Duration
+	if f.planK.Data != nil {
+		// Batch fusion: the full KRP is prebuilt; GEMM straight against
+		// its row block, exactly as the unfused path does with its own.
+		kt = f.planK.Slice(lo, hi, 0, f.c)
+	} else {
+		kt = f.kBufs[w].Slice(0, hi-lo, 0, f.c)
 		sw := startWatch()
-		blas.GemmArenaClass(ar, f.classIn, 1, f.xn.Slice(0, f.in, lo, hi), kt, beta, f.mBufs[w])
-		dGEMM += sw.elapsed()
-		beta = 1
+		krp.RowsIter(&f.its[w], f.ops, lo, hi, kt)
+		dKRP = sw.elapsed()
 	}
+	sw := startWatch()
+	// beta = 0: the GEMM overwrites the private accumulator.
+	blas.GemmArenaClass(f.ws.Arena(w), f.classIn, 1, f.xn.Slice(0, f.in, lo, hi), kt, 0, f.mBufs[w])
 	f.bd.addMax(PhaseFullKRP, f.baseKRP, dKRP)
-	f.bd.addMax(PhaseGEMM, f.baseGEMM, dGEMM)
+	f.bd.addMax(PhaseGEMM, f.baseGEMM, sw.elapsed())
 }
 
 // release clears caller references so the pooled workspace does not retain
@@ -174,16 +161,11 @@ func oneStepExternal(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts Op
 
 	// Per-worker private buffers come from the workspace arenas, hoisted
 	// out of the timed phases exactly as a C implementation would hoist
-	// them out of the benchmark loop. With KRPChunkRows set, each worker's
-	// KRP buffer shrinks to the chunk size (Vannieuwenhoven-style memory
-	// bounding). Worker 0 accumulates directly into dst. A plan hit needs
-	// neither KRP buffers nor iterators: workers read the plan's rows.
+	// them out of the benchmark loop. Every KRP buffer is sized to worker
+	// 0's block, the widest. Worker 0 accumulates directly into dst. A plan
+	// hit needs neither KRP buffers nor iterators: workers read the plan's
+	// rows.
 	_, hi0 := parallel.BlockRange(other, t, 0)
-	chunk := opts.KRPChunkRows
-	if chunk <= 0 || chunk > hi0 {
-		chunk = hi0
-	}
-	f.chunk = chunk
 	if f.planK.Data == nil {
 		for len(f.its) < t {
 			f.its = append(f.its, krp.Iter{})
@@ -192,7 +174,7 @@ func oneStepExternal(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts Op
 	for w := 0; w < t; w++ {
 		ar := ws.Arena(w)
 		if f.planK.Data == nil {
-			f.kBufs = append(f.kBufs, arenaMat(ar, "core.1s.k", chunk, c))
+			f.kBufs = append(f.kBufs, arenaMat(ar, "core.1s.k", hi0, c))
 		}
 		mb := dst
 		if w > 0 {
@@ -344,11 +326,7 @@ func oneStepInternal(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts Op
 
 	f.baseKRP = bd.Get(PhaseLRKRP)
 	f.baseGEMM = bd.Get(PhaseGEMM)
-	if opts.DynamicGrain > 0 {
-		p.ForDynamic(t, nblk, opts.DynamicGrain, f.worker)
-	} else {
-		p.For(t, nblk, f.worker)
-	}
+	p.For(t, nblk, f.worker)
 
 	sw = startWatch()
 	p.ReduceSum(t, f.parts)

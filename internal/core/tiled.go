@@ -15,14 +15,14 @@ import (
 // kicks readahead for each tile before it is touched.
 //
 // Output rows of distinct tiles are disjoint, and within a tile row the
-// kernels run the same worker partition, chunk walk and accumulation order
-// as the untiled call (the GEMM size class is pinned to the full mode-n
+// kernels run the same worker partition and accumulation order as the
+// untiled call (the GEMM size class is pinned to the full mode-n
 // extent — blas.GemmArenaClass), so tiled results are bit-identical to
 // untiled ones for every tile size; TestTiledBitIdentical pins this.
 
 // DefaultTileBytes is the tile byte budget used when callers do not pick
 // one: sized to a typical last-level-cache slice so a streamed tile (plus
-// the KRP chunk and output block) stays cache-resident.
+// the KRP block and output block) stays cache-resident.
 const DefaultTileBytes = 8 << 20
 
 // AutoTileRows returns a TileRows value for a tensor with the given dims
@@ -172,9 +172,6 @@ func tiledInto(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts Options,
 		f.x.Reslice(tile, f.dims)
 		f.u[n] = u[n].Slice(r0, r1, 0, c)
 		inner(dst.Slice(r0, r1, 0, c), f.x, f.u, n, innerOpts)
-		if opts.DropBehind {
-			dropTile(x, il, in, ir, r0, r1)
-		}
 		r0 = r1
 	}
 	f.release()
@@ -199,26 +196,5 @@ func adviseTile(x *tensor.Dense, il, in, ir, r0, r1 int) {
 	for r := 0; r < ir; r++ {
 		lo := (r*in + r0) * il
 		x.AdviseWillNeed(lo, lo+(r1-r0)*il)
-	}
-}
-
-// dropTile releases the pages backing the consumed tile [r0, r1) of a
-// mapped tensor (Options.DropBehind). Same run structure and syscall-cost
-// cutoff as adviseTile; the advice layer trims each run inward to whole
-// pages so a boundary page shared with the next tile survives.
-func dropTile(x *tensor.Dense, il, in, ir, r0, r1 int) {
-	if !x.Mapped() {
-		return
-	}
-	if ir == 1 {
-		x.DropBehind(r0*il, r1*il)
-		return
-	}
-	if ir > 64 {
-		return // runs too small and many for per-run syscalls
-	}
-	for r := 0; r < ir; r++ {
-		lo := (r*in + r0) * il
-		x.DropBehind(lo, lo+(r1-r0)*il)
 	}
 }

@@ -37,30 +37,6 @@ func TestTiledBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTiledBitIdenticalChunked runs the sweep with KRPChunkRows set, the
-// configuration where GEMM path flips would surface first (beta=1 chunks).
-func TestTiledBitIdenticalChunked(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	x := tensor.Random(rng, 12, 10, 8)
-	const c = 4
-	u := make([]mat.View, x.Order())
-	for k := range u {
-		u[k] = mat.RandomDense(x.Dim(k), c, rng)
-	}
-	pool := parallel.NewPool(2)
-	defer pool.Close()
-	for n := 0; n < x.Order(); n++ {
-		base := Options{Threads: 2, Pool: pool, KRPChunkRows: 7}
-		want := Compute(MethodOneStep, x, u, n, base)
-		for _, tile := range []int{2, 3, 5} {
-			opts := base
-			opts.TileRows = tile
-			got := ComputeInto(mat.NewDense(x.Dim(n), c), MethodOneStep, x, u, n, opts)
-			bitsEqual(t, got, want, "tiled vs untiled")
-		}
-	}
-}
-
 // TestTiledMappedLargerThanBudget maps a file-backed tensor more than 2×
 // larger than the tile budget and checks the streamed result is
 // bit-identical to the untiled kernel run on a RAM-resident copy of the
@@ -197,46 +173,6 @@ func BenchmarkTiledMTTKRP(b *testing.B) {
 					ComputeInto(dst, MethodAuto, m.Dense, u, n, opts)
 				}
 			})
-		}
-	}
-}
-
-// TestTiledDropBehindBitIdentical runs the streamed kernels with
-// drop-behind advice on a mapped tensor and pins two properties: results
-// are bit-identical to the untiled heap run (the advice is invisible to
-// arithmetic), and a second pass over the same mapping — the pattern the
-// knob's documentation warns is advice-defeating but must stay correct —
-// re-faults the dropped pages to the same bits.
-func TestTiledDropBehindBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	heap := tensor.Random(rng, 24, 18, 20)
-	path := filepath.Join(t.TempDir(), "drop.dsnt")
-	if err := tensor.WriteDenseFile(path, heap); err != nil {
-		t.Fatalf("WriteDenseFile: %v", err)
-	}
-	m, err := tensor.OpenDense(path)
-	if err != nil {
-		t.Fatalf("OpenDense: %v", err)
-	}
-	defer m.Close()
-
-	const c = 6
-	u := make([]mat.View, heap.Order())
-	for k := range u {
-		u[k] = mat.RandomDense(heap.Dim(k), c, rng)
-	}
-	pool := parallel.NewPool(3)
-	defer pool.Close()
-
-	for n := 0; n < heap.Order(); n++ {
-		tile := AutoTileRows(heap.Dims(), n, 16<<10)
-		for _, method := range []Method{MethodOneStep, MethodTwoStep} {
-			want := Compute(method, heap, u, n, Options{Threads: 3, Pool: pool})
-			opts := Options{Threads: 3, Pool: pool, TileRows: tile, DropBehind: true}
-			for pass := 0; pass < 2; pass++ {
-				got := ComputeInto(mat.NewDense(heap.Dim(n), c), method, m.Dense, u, n, opts)
-				bitsEqual(t, got, want, "drop-behind vs untiled")
-			}
 		}
 	}
 }

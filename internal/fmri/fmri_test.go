@@ -240,9 +240,6 @@ func (seqExec) Run(t int, body func(int)) {
 		body(w)
 	}
 }
-func (seqExec) For(t, n int, body func(w, lo, hi int)) { body(0, 0, n) }
-func (seqExec) ForDynamic(t, n, chunk int, body func(w, lo, hi int)) {
-	body(0, 0, n)
-}
+func (seqExec) For(t, n int, body func(w, lo, hi int))       { body(0, 0, n) }
 func (seqExec) ReduceSum(t int, parts [][]float64) []float64 { return parts[0] }
 func (seqExec) Acquire() *parallel.Workspace                 { panic("seqExec: no workspace") }

@@ -7,9 +7,9 @@ import (
 )
 
 // BenchmarkDispatch measures the fixed cost of one parallel region on the
-// persistent pool vs the spawn-per-call baseline, across region widths and
-// per-worker grain sizes. This is the overhead class the pool runtime
-// exists to eliminate: CP-ALS issues thousands of such regions per sweep.
+// persistent pool across region widths and per-worker grain sizes. This is
+// the overhead class the pool runtime exists to keep small: CP-ALS issues
+// thousands of such regions per sweep.
 func BenchmarkDispatch(b *testing.B) {
 	for _, tw := range []int{2, 4, 8} {
 		for _, grain := range []int{0, 1 << 10, 1 << 16} {
@@ -31,18 +31,11 @@ func BenchmarkDispatch(b *testing.B) {
 					p.For(tw, tw, body)
 				}
 			})
-			b.Run(name+"/spawn", func(b *testing.B) {
-				p := NewSpawnPool()
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					p.For(tw, tw, body)
-				}
-			})
 		}
 	}
 }
 
-// BenchmarkReduceSum measures the parallel reduction on both runtimes.
+// BenchmarkReduceSum measures the parallel reduction on a persistent pool.
 func BenchmarkReduceSum(b *testing.B) {
 	const n = 1 << 18
 	parts := make([][]float64, 8)
@@ -52,14 +45,6 @@ func BenchmarkReduceSum(b *testing.B) {
 	b.Run("pooled", func(b *testing.B) {
 		p := NewPool(8)
 		defer p.Close()
-		b.ReportAllocs()
-		b.SetBytes(8 * n * int64(len(parts)))
-		for i := 0; i < b.N; i++ {
-			p.ReduceSum(8, parts)
-		}
-	})
-	b.Run("spawn", func(b *testing.B) {
-		p := NewSpawnPool()
 		b.ReportAllocs()
 		b.SetBytes(8 * n * int64(len(parts)))
 		for i := 0; i < b.N; i++ {

@@ -24,9 +24,6 @@ type Executor interface {
 	// For executes body over [0, n) with t workers under the static block
 	// schedule.
 	For(t, n int, body func(worker, lo, hi int))
-	// ForDynamic executes body over [0, n) with t workers pulling chunks
-	// from a shared counter.
-	ForDynamic(t, n, chunk int, body func(worker, lo, hi int))
 	// ReduceSum accumulates parts[1:] into parts[0] in parallel.
 	ReduceSum(t int, parts [][]float64) []float64
 	// Acquire leases a reusable Workspace; pair with Release.
@@ -72,18 +69,10 @@ type Lease struct {
 	mu     sync.Mutex   // serializes dispatches and reservation changes
 	slots  []leaseSlot
 	wg     sync.WaitGroup
-	next   atomic.Int64        // dynamic-schedule chunk counter
 	perr   atomic.Pointer[any] // first worker panic of the current region
 	wsKey  string              // workspace shape key ("" = the pool's general list)
 	domain int                 // home placement domain (0 on flat pools)
-	// physCap caps the goroutines a dispatch uses (caller included)
-	// without narrowing the logical width or the slot reservation: the
-	// first physCap-1 slots stride over the remaining logical indices. A
-	// placement-aware scheduler sets it to keep a wide budget's work on
-	// one domain — results are untouched because logical worker indices,
-	// not goroutine count, decide them. 0 means uncapped.
-	physCap atomic.Int32
-	closed  bool
+	closed bool
 }
 
 // Lease reserves up to width-1 of the pool's persistent workers as a
@@ -93,12 +82,8 @@ type Lease struct {
 // dispatch after other leases release workers. On a placed pool the
 // reservation prefers a single placement domain — the lease's home domain
 // — spilling into other domains only when the home cannot cover the
-// width. Close the lease to return its workers. Spawn-mode pools cannot
-// be leased.
+// width. Close the lease to return its workers.
 func (p *Pool) Lease(width int) *Lease {
-	if p.spawn {
-		panic("parallel: cannot lease a spawn-mode pool")
-	}
 	width = Effective(width)
 	l := &Lease{parent: p}
 	l.target.Store(int32(width))
@@ -170,24 +155,6 @@ func (l *Lease) reconcile() {
 func (l *Lease) Resize(width int) {
 	l.target.Store(int32(Effective(width)))
 	l.reconcile()
-}
-
-// SetSlotCap caps the physical goroutines the lease's dispatches use —
-// caller slot included — at k, or removes the cap when k <= 0. The cap is
-// purely physical: the lease still reserves (and accounts for) its full
-// target width, Effective and Width still report the logical budget, and
-// every logical worker still executes — the first k-1 reserved slots
-// stride over the extra logical indices. A placement-aware scheduler uses
-// this to pin a budget wider than one domain onto domain-local workers:
-// the bytes stay on one socket while the kernel-visible width — and
-// therefore every result bit — matches the uncapped grant. Safe to call
-// concurrently with dispatches; a mid-region change applies at the next
-// region boundary.
-func (l *Lease) SetSlotCap(k int) {
-	if k < 0 {
-		k = 0
-	}
-	l.physCap.Store(int32(k))
 }
 
 // Reconcile applies any pending budget change (a Resize issued by the
@@ -293,8 +260,8 @@ func (l *Lease) migrateLocked() {
 		p.releaseLocked(l.slots[i : i+1])
 		l.slots[i] = t
 	}
-	// Home slots lead the slice after a migration so a physical slot cap
-	// (which dispatches on the slot prefix) lands on domain-local workers.
+	// Home slots lead the slice after a migration so a dispatch narrower
+	// than the reservation (which uses the slot prefix) stays domain-local.
 	l.packSlotsLocked()
 	p.mu.Unlock()
 }
@@ -353,14 +320,8 @@ func (l *Lease) dispatch(j job) {
 		l.applyTargetLocked()
 	}
 	pw := 1 + len(l.slots)
-	if cap := int(l.physCap.Load()); cap > 0 && pw > cap {
-		pw = cap
-	}
 	if pw > j.t {
 		pw = j.t
-	}
-	if j.kind == jobForDynamic {
-		j.next.Store(0)
 	}
 	l.perr.Store(nil)
 	j.perr = &l.perr
@@ -413,28 +374,6 @@ func (l *Lease) For(t, n int, body func(worker, lo, hi int)) {
 		return
 	}
 	l.dispatch(job{kind: jobFor, body3: body, n: n, t: t})
-}
-
-// ForDynamic executes body over [0, n) with t workers pulling chunks of
-// the given size from the lease's shared counter.
-//
-//mttkrp:noalloc
-func (l *Lease) ForDynamic(t, n, chunk int, body func(worker, lo, hi int)) {
-	if t <= 0 {
-		t = l.Effective(0)
-	}
-	t = Clamp(t, n)
-	if n <= 0 {
-		return
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	if t == 1 {
-		body(0, 0, n)
-		return
-	}
-	l.dispatch(job{kind: jobForDynamic, body3: body, n: n, t: t, chunk: chunk, next: &l.next})
 }
 
 // ReduceSum accumulates parts[1:] into parts[0] in parallel on the lease

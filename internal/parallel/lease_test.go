@@ -171,20 +171,6 @@ func TestLeaseBasics(t *testing.T) {
 		t.Fatalf("Run reached %d workers, want 4", len(seen))
 	}
 
-	cells := make([]int64, 8)
-	l.ForDynamic(4, 300, 7, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			cells[w] += int64(i)
-		}
-	})
-	total := int64(0)
-	for _, c := range cells {
-		total += c
-	}
-	if int(total) != 299*300/2 {
-		t.Fatalf("ForDynamic sum = %d, want %d", total, 299*300/2)
-	}
-
 	parts := [][]float64{{1, 2}, {10, 20}, {100, 200}}
 	got := l.ReduceSum(4, parts)
 	if got[0] != 111 || got[1] != 222 {

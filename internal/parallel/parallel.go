@@ -7,9 +7,9 @@
 // Execution is built on persistent worker pools (see Pool): workers are
 // spawned once and reused across parallel regions, and kernels lease
 // per-worker scratch arenas from reusable Workspaces, so steady-state
-// dispatch allocates nothing. The package-level For, Run, ForDynamic and
-// ReduceSum are thin wrappers over a lazily-created default pool, which
-// keeps every historical call site working unchanged.
+// dispatch allocates nothing. The package-level For, Run and ReduceSum are
+// thin wrappers over a lazily-created default pool, which keeps every
+// historical call site working unchanged.
 package parallel
 
 import "runtime"
@@ -149,14 +149,6 @@ func Split(n, t int) []Range {
 // cost. Parallel execution happens on the default persistent pool.
 func For(t, n int, body func(worker, lo, hi int)) {
 	Default().For(t, n, body)
-}
-
-// ForDynamic executes body over [0, n) with t workers pulling indices in
-// chunks of the given size from a shared counter. It is used where block
-// work is irregular (for example internal-mode 1-step MTTKRP when I^R_n is
-// barely larger than the worker count).
-func ForDynamic(t, n, chunk int, body func(worker, lo, hi int)) {
-	Default().ForDynamic(t, n, chunk, body)
 }
 
 // Run launches t copies of body concurrently, one per worker, and waits.

@@ -137,25 +137,6 @@ func TestForWorkerIDsDistinct(t *testing.T) {
 	}
 }
 
-func TestForDynamicVisitsEachIndexOnce(t *testing.T) {
-	for _, threads := range []int{1, 2, 5} {
-		for _, chunk := range []int{1, 3, 17, 1000} {
-			n := 237
-			seen := make([]int32, n)
-			ForDynamic(threads, n, chunk, func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&seen[i], 1)
-				}
-			})
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("threads=%d chunk=%d: index %d visited %d times", threads, chunk, i, c)
-				}
-			}
-		}
-	}
-}
-
 func TestRunAllWorkersExecute(t *testing.T) {
 	for _, threads := range []int{1, 2, 6} {
 		var count int32

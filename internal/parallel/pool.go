@@ -32,8 +32,6 @@ type Pool struct {
 	topo    *Topology  // placement domains (nil: flat slot model); immutable
 	nleased int
 	wg      sync.WaitGroup
-	next    atomic.Int64 // shared chunk counter for dynamic scheduling
-	spawn   bool         // spawn-per-call baseline mode (benchmarks)
 	closed  bool
 
 	wsMu  sync.Mutex
@@ -47,7 +45,6 @@ type jobKind uint8
 const (
 	jobRun jobKind = iota
 	jobFor
-	jobForDynamic
 	jobReduce
 )
 
@@ -70,8 +67,6 @@ type job struct {
 	t      int // logical width of the region
 	widx   int // this copy's first logical worker index
 	stride int // physical width: distance between owned logical indices
-	chunk  int
-	next   *atomic.Int64
 	parts  [][]float64
 	wg     *sync.WaitGroup
 	perr   *atomic.Pointer[any] // lease dispatches: first worker panic, rethrown at the barrier
@@ -81,13 +76,6 @@ type job struct {
 //
 //mttkrp:noalloc
 func (j *job) run() {
-	if j.kind == jobForDynamic {
-		// Dynamic regions self-balance through the shared chunk counter;
-		// the logical index only names the worker's private state, so each
-		// goroutine pulls chunks once under its first logical id.
-		j.runDynamic(j.widx)
-		return
-	}
 	for w := j.widx; w < j.t; w += j.stride {
 		j.exec(w)
 	}
@@ -111,23 +99,6 @@ func (j *job) exec(w int) {
 		for _, p := range j.parts[1:] {
 			simd.Add(p[lo:hi], dst[lo:hi])
 		}
-	}
-}
-
-// runDynamic pulls chunks from the shared counter until the range drains.
-//
-//mttkrp:noalloc
-func (j *job) runDynamic(w int) {
-	for {
-		hi := int(j.next.Add(int64(j.chunk)))
-		lo := hi - j.chunk
-		if lo >= j.n {
-			return
-		}
-		if hi > j.n {
-			hi = j.n
-		}
-		j.body3(w, lo, hi)
 	}
 }
 
@@ -207,44 +178,13 @@ func (p *Pool) SlotDomain(w int) int {
 	return p.topo.SlotDomain(w)
 }
 
-// MaxDomainWidth returns the widest lease (including the caller slot)
-// whose reserved workers can all sit in one placement domain given the
-// current team — the scheduler's packing bound: budgets at or below it
-// never pay cross-domain traffic. Flat pools return the team width.
-func (p *Pool) MaxDomainWidth() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.topo == nil {
-		return len(p.chans)
-	}
-	counts := make([]int, p.topo.Domains())
-	for w := 1; w < len(p.chans); w++ {
-		counts[p.topo.SlotDomain(w)]++
-	}
-	widest := 0
-	for _, c := range counts {
-		if c > widest {
-			widest = c
-		}
-	}
-	return widest + 1
-}
-
-// NewSpawnPool creates a pool that spawns fresh goroutines on every
-// dispatch instead of keeping a persistent team. It is the spawn-per-call
-// baseline the benchmarks compare the persistent runtime against; the
-// workspace machinery behaves identically.
-func NewSpawnPool() *Pool {
-	return &Pool{spawn: true}
-}
-
 var defaultPool struct {
 	once sync.Once
 	p    *Pool
 }
 
 // Default returns the lazily-created process-wide pool used by the
-// package-level For, Run, ForDynamic and ReduceSum wrappers. It is sized to
+// package-level For, Run and ReduceSum wrappers. It is sized to
 // DefaultThreads and never closed.
 func Default() *Pool {
 	defaultPool.once.Do(func() { defaultPool.p = NewPool(0) })
@@ -257,9 +197,6 @@ func Default() *Pool {
 // GOMAXPROCS regardless of the current team size, growing the team on
 // demand (TestEffectiveResolution pins this relationship).
 func (p *Pool) Workers() int {
-	if p.spawn {
-		return DefaultThreads()
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.chans)
@@ -278,9 +215,6 @@ func (p *Pool) Effective(t int) int { return Effective(t) }
 // and Resize serialize on the region mutex. A later wider dispatch re-grows
 // the team on demand.
 func (p *Pool) Resize(n int) {
-	if p.spawn {
-		return // spawn pools have no persistent team to size
-	}
 	n = Effective(n)
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -495,21 +429,9 @@ func runWorkerJob(j *job) {
 //
 //mttkrp:noalloc
 func (p *Pool) dispatch(j job) {
-	if p.spawn {
-		// Kept out of line so that j only escapes to the heap on the
-		// spawn-per-call baseline, not on pooled dispatches.
-		dispatchSpawn(j)
-		return
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.grow(j.t)
-	if j.kind == jobForDynamic {
-		// The shared chunk counter is reset here, under the dispatch
-		// mutex: a concurrent ForDynamic on the same pool must not observe
-		// (or clobber) another region's counter.
-		j.next.Store(0)
-	}
 	j.stride = j.t
 	p.wg.Add(j.t - 1)
 	j.wg = &p.wg
@@ -524,25 +446,6 @@ func (p *Pool) dispatch(j job) {
 	defer p.wg.Wait()
 	j.widx = 0
 	j.run()
-}
-
-// dispatchSpawn runs the job with freshly spawned goroutines — the
-// per-call worker creation the persistent pool exists to avoid.
-func dispatchSpawn(j job) {
-	var wg sync.WaitGroup
-	wg.Add(j.t - 1)
-	j.stride = j.t
-	for w := 1; w < j.t; w++ {
-		jw := j
-		jw.widx = w
-		go func() {
-			defer wg.Done()
-			jw.run()
-		}()
-	}
-	j.widx = 0
-	j.run()
-	wg.Wait()
 }
 
 // Close terminates the persistent workers and drops the pool's cached
@@ -562,8 +465,8 @@ func (p *Pool) Close() {
 	p.free = nil // drop cached workspaces so their arenas can be collected
 	p.keyed = nil
 	p.wsMu.Unlock()
-	if p.closed || len(p.chans) == 0 {
-		return // spawn pools (and already-closed pools) have no workers
+	if p.closed {
+		return
 	}
 	p.closed = true
 	for _, ch := range p.chans[1:] {
@@ -601,30 +504,6 @@ func (p *Pool) For(t, n int, body func(worker, lo, hi int)) {
 		return
 	}
 	p.dispatch(job{kind: jobFor, body3: body, n: n, t: t})
-}
-
-// ForDynamic executes body over [0, n) with t workers pulling chunks of the
-// given size from a shared atomic counter (the dynamic schedule).
-func (p *Pool) ForDynamic(t, n, chunk int, body func(worker, lo, hi int)) {
-	t = Clamp(t, n)
-	if n <= 0 {
-		return
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	if t == 1 {
-		body(0, 0, n)
-		return
-	}
-	if p.spawn {
-		var next atomic.Int64
-		p.dispatch(job{kind: jobForDynamic, body3: body, n: n, t: t, chunk: chunk, next: &next})
-		return
-	}
-	// The shared counter lives on the pool (allocation-free); dispatch
-	// resets it under the region mutex.
-	p.dispatch(job{kind: jobForDynamic, body3: body, n: n, t: t, chunk: chunk, next: &p.next})
 }
 
 // ReduceSum accumulates parts[1:] into parts[0] in parallel and returns

@@ -1,21 +1,18 @@
 package parallel
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 )
 
-// poolsUnderTest returns a persistent pool, a spawn-per-call pool and the
-// default pool, so every dispatch primitive is exercised on all three
-// runtimes.
+// poolsUnderTest returns a persistent pool and the default pool, so every
+// dispatch primitive is exercised on both.
 func poolsUnderTest(t *testing.T) map[string]*Pool {
 	t.Helper()
 	p := NewPool(4)
 	t.Cleanup(p.Close)
 	return map[string]*Pool{
 		"persistent": p,
-		"spawn":      NewSpawnPool(),
 		"default":    Default(),
 	}
 }
@@ -33,26 +30,6 @@ func TestPoolForCoversRangeOnce(t *testing.T) {
 				for i, h := range hits {
 					if h != 1 {
 						t.Fatalf("%s: For(t=%d,n=%d): index %d visited %d times", name, tw, n, i, h)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestPoolForDynamicCoversRangeOnce(t *testing.T) {
-	for name, p := range poolsUnderTest(t) {
-		for _, n := range []int{0, 1, 7, 64, 501} {
-			for _, chunk := range []int{0, 1, 3, 100} {
-				hits := make([]int32, n)
-				p.ForDynamic(4, n, chunk, func(_, lo, hi int) {
-					for i := lo; i < hi; i++ {
-						atomic.AddInt32(&hits[i], 1)
-					}
-				})
-				for i, h := range hits {
-					if h != 1 {
-						t.Fatalf("%s: ForDynamic(n=%d,chunk=%d): index %d visited %d times", name, n, chunk, i, h)
 					}
 				}
 			}
@@ -235,53 +212,8 @@ func TestPoolDispatchSteadyStateAllocFree(t *testing.T) {
 	if a := testing.AllocsPerRun(50, func() { p.Run(4, runBody) }); a > 0 {
 		t.Errorf("Pool.Run allocates %.1f/op with a pre-bound body", a)
 	}
-	if a := testing.AllocsPerRun(50, func() { p.ForDynamic(4, 64, 8, body) }); a > 0 {
-		t.Errorf("Pool.ForDynamic allocates %.1f/op with a pre-bound body", a)
-	}
 	if a := testing.AllocsPerRun(50, func() { p.ReduceSum(4, parts) }); a > 0 {
 		t.Errorf("Pool.ReduceSum allocates %.1f/op", a)
-	}
-}
-
-func TestForDynamicConcurrentDispatches(t *testing.T) {
-	// Two goroutines issuing ForDynamic on the same pool: the shared chunk
-	// counter is reset under the dispatch mutex, so each region must visit
-	// its full range exactly once (a reset outside the lock would let one
-	// region observe the other's exhausted counter and do nothing).
-	p := NewPool(4)
-	defer p.Close()
-	const n = 257
-	var wg sync.WaitGroup
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for iter := 0; iter < 50; iter++ {
-				hits := make([]int32, n)
-				p.ForDynamic(4, n, 16, func(_, lo, hi int) {
-					for i := lo; i < hi; i++ {
-						atomic.AddInt32(&hits[i], 1)
-					}
-				})
-				for i, h := range hits {
-					if h != 1 {
-						t.Errorf("index %d visited %d times", i, h)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-func TestCloseSpawnPoolIsNoOp(t *testing.T) {
-	p := NewSpawnPool()
-	p.Close() // must not panic: spawn pools have no persistent workers
-	var ran atomic.Int32
-	p.Run(2, func(int) { ran.Add(1) })
-	if ran.Load() != 2 {
-		t.Fatalf("spawn pool ran %d workers after Close", ran.Load())
 	}
 }
 

@@ -113,8 +113,14 @@ func parseSysfsTopology(root string) (*Topology, error) {
 	return newTopology(domains, ids)
 }
 
+// maxCPUID bounds the CPU ids a cpulist may name. It sits above any linux
+// NR_CPUS, and it keeps a range such as "0-4000000000" from allocating
+// gigabytes before the topology can be validated.
+const maxCPUID = 1 << 16
+
 // parseCPUList parses the kernel cpulist format: comma-separated CPU ids
-// and inclusive ranges ("0-3,8,10-11").
+// and inclusive ranges ("0-3,8,10-11"). Ids at or above maxCPUID are an
+// error, and so is a list longer than the id space, which must repeat ids.
 func parseCPUList(s string) ([]int, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
@@ -125,14 +131,17 @@ func parseCPUList(s string) ([]int, error) {
 		tok = strings.TrimSpace(tok)
 		lo, hi, ok := strings.Cut(tok, "-")
 		a, err := strconv.Atoi(strings.TrimSpace(lo))
-		if err != nil || a < 0 {
+		if err != nil || a < 0 || a >= maxCPUID {
 			return nil, fmt.Errorf("bad cpulist token %q", tok)
 		}
 		b := a
 		if ok {
-			if b, err = strconv.Atoi(strings.TrimSpace(hi)); err != nil || b < a {
+			if b, err = strconv.Atoi(strings.TrimSpace(hi)); err != nil || b < a || b >= maxCPUID {
 				return nil, fmt.Errorf("bad cpulist range %q", tok)
 			}
+		}
+		if len(cpus)+b-a+1 > maxCPUID {
+			return nil, fmt.Errorf("cpulist %q repeats CPU ids", s)
 		}
 		for c := a; c <= b; c++ {
 			cpus = append(cpus, c)

@@ -3,7 +3,9 @@ package parallel
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -44,11 +46,54 @@ func TestTopologyParseSpec(t *testing.T) {
 		"3-1",     // inverted range
 		"a-b",     // not numbers
 		"-2",      // negative
+		"0-65536", // range reaches the CPU id ceiling
+		"70000",   // id above the ceiling
 	} {
 		if _, err := ParseTopology(bad); err == nil {
 			t.Errorf("ParseTopology(%q): want error, got none", bad)
 		}
 	}
+}
+
+// FuzzParseTopology checks that no spec panics or allocates without bound,
+// that an accepted spec names only CPU ids below the ceiling, and that its
+// domains' cpulists, joined by semicolons, parse back to the same domains.
+func FuzzParseTopology(f *testing.F) {
+	for _, seed := range []string{
+		"0-3;4-7", "8,0-2;5,3-4", "0", " 1 - 2 , 4 ;3", "0-3;", "3-1", "-2",
+		"0-65535", "0-65535,0-1", "0-4000000000", "0-9223372036854775807", "70000",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		topo, err := ParseTopology(spec)
+		if err != nil {
+			return
+		}
+		if topo.CPUs() > maxCPUID {
+			t.Fatalf("ParseTopology(%q) accepted %d CPUs", spec, topo.CPUs())
+		}
+		lists := make([]string, topo.Domains())
+		for d := range lists {
+			cpus := topo.DomainCPUs(d)
+			if cpus[len(cpus)-1] >= maxCPUID {
+				t.Fatalf("ParseTopology(%q) accepted CPU %d", spec, cpus[len(cpus)-1])
+			}
+			lists[d] = formatCPUList(cpus)
+		}
+		again, err := ParseTopology(strings.Join(lists, ";"))
+		if err != nil {
+			t.Fatalf("re-parse of %q (from %q): %v", strings.Join(lists, ";"), spec, err)
+		}
+		if again.Domains() != topo.Domains() {
+			t.Fatalf("re-parse of %q: %d domains, want %d", spec, again.Domains(), topo.Domains())
+		}
+		for d := range lists {
+			if !slices.Equal(again.DomainCPUs(d), topo.DomainCPUs(d)) {
+				t.Fatalf("re-parse of %q: domain %d = %v, want %v", spec, d, again.DomainCPUs(d), topo.DomainCPUs(d))
+			}
+		}
+	})
 }
 
 // writeNodeTree materializes a fake /sys/devices/system/node tree: one

@@ -308,32 +308,3 @@ func TestCostModel(t *testing.T) {
 		t.Fatal("MTTKRPMapped degenerate budgets must collapse to the dense estimate")
 	}
 }
-
-// TestAdmissionEvenSplitBaseline pins that the EvenSplit policy keeps the
-// historical behavior: FIFO admission order (no aging reorders) and
-// width ÷ active budgets regardless of cost.
-func TestAdmissionEvenSplitBaseline(t *testing.T) {
-	s := New(Config{Workers: 2, MaxActive: 1, EvenSplit: true})
-	defer s.Close()
-
-	release := make(chan struct{})
-	started := make(chan struct{})
-	blocker := s.submitFunc("", 0, 0, func(parallel.Executor) {
-		close(started)
-		<-release
-	})
-	<-started
-	order := make(chan string, 2)
-	s.submitFunc("", 1e9, 0, func(parallel.Executor) { order <- "large" })
-	small := s.submitFunc("", 1, 0, func(parallel.Executor) { order <- "small" })
-	close(release)
-	blocker.Err()
-	small.Err()
-	if first := <-order; first != "large" {
-		t.Fatalf("even-split admitted %q first, want FIFO (large)", first)
-	}
-	<-order
-	if st := s.Stats(); st.Reordered != 0 {
-		t.Fatalf("even-split recorded %d reorders, want 0", st.Reordered)
-	}
-}

@@ -18,58 +18,28 @@ import (
 // problems are bandwidth-bound, which is why bytes carry an independent
 // weight instead of folding into a pure flop count.
 //
-// The byte term is also where placement plugs in: a worker budget that
-// spans NUMA domains moves part of its working set over the interconnect,
-// so the model prices a domain-spanning grant by scaling bytes with
-// CrossDomainPenalty (see SpillFactor). Flops are placement-blind.
-//
-// The zero value is the default model (FlopWeight 1, ByteWeight 4,
-// CrossDomainPenalty 1.5).
+// The zero value is the default model (FlopWeight 1, ByteWeight 4).
 type CostModel struct {
 	// FlopWeight and ByteWeight convert the flop and byte estimates into
 	// one scalar; zero selects the defaults (1 and 4).
 	FlopWeight, ByteWeight float64
-	// CrossDomainPenalty is the factor the byte term pays when a request's
-	// workers span placement domains — the bandwidth/latency ratio of
-	// remote to local memory access. Zero selects 1.5, a conservative
-	// two-socket figure; 1 disables the penalty. It only matters on
-	// servers built with a multi-domain Config.Topology.
-	CrossDomainPenalty float64
 }
 
-func (m CostModel) weights() (fw, bw float64) {
-	fw, bw = m.FlopWeight, m.ByteWeight
+// combine folds flop and byte estimates into the admission scalar.
+func (m CostModel) combine(flops, bytes float64) float64 {
+	fw, bw := m.FlopWeight, m.ByteWeight
 	if fw == 0 {
 		fw = 1
 	}
 	if bw == 0 {
 		bw = 4
 	}
-	return fw, bw
-}
-
-// crossPenalty resolves the cross-domain byte penalty (0 selects 1.5; any
-// value below 1 is clamped to 1 — remote access is never cheaper).
-func (m CostModel) crossPenalty() float64 {
-	p := m.CrossDomainPenalty
-	if p == 0 {
-		p = 1.5
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
-
-// combine folds flop and byte estimates into the admission scalar.
-func (m CostModel) combine(flops, bytes float64) float64 {
-	fw, bw := m.weights()
 	return fw*flops + bw*bytes
 }
 
-// mttkrpParts is the dense shape model: flop and byte estimates for one
-// MTTKRP over a dims-shaped tensor with rank factor columns.
-func mttkrpParts(dims []int, rank int) (flops, bytes float64) {
+// MTTKRP estimates the cost of one MTTKRP over a dims-shaped tensor with
+// rank factor columns.
+func (m CostModel) MTTKRP(dims []int, rank int) float64 {
 	entries, rows := 1.0, 0.0
 	for _, d := range dims {
 		entries *= float64(d)
@@ -78,42 +48,7 @@ func mttkrpParts(dims []int, rank int) (flops, bytes float64) {
 	r := float64(rank)
 	// The destination matrix counts like one more factor (I_n·rank ≤
 	// rows·rank), folded into the 2× on the factor term.
-	return 2 * entries * r, 8 * (entries + 2*rows*r)
-}
-
-// sparseParts is the nnz-keyed model for COO tensors (see SparseMTTKRP).
-func sparseParts(nnz int64, dims []int, rank int) (flops, bytes float64) {
-	rows := 0.0
-	for _, d := range dims {
-		rows += float64(d)
-	}
-	r := float64(rank)
-	nz := float64(nnz)
-	order := float64(len(dims))
-	return 2 * nz * r * (order - 1), 12*nz + 8*(nz*r+2*rows*r)
-}
-
-// mappedParts is the resident-byte model for file-backed tensors (see
-// MTTKRPMapped). residentBytes ≤ 0 (or beyond the tensor) falls back to
-// the full dense extent.
-func mappedParts(dims []int, rank int, residentBytes int64) (flops, bytes float64) {
-	entries, rows := 1.0, 0.0
-	for _, d := range dims {
-		entries *= float64(d)
-		rows += float64(d)
-	}
-	r := float64(rank)
-	resident := float64(residentBytes)
-	if resident <= 0 || resident > 8*entries {
-		resident = 8 * entries
-	}
-	return 2 * entries * r, resident + 8*2*rows*r
-}
-
-// MTTKRP estimates the cost of one MTTKRP over a dims-shaped tensor with
-// rank factor columns.
-func (m CostModel) MTTKRP(dims []int, rank int) float64 {
-	return m.combine(mttkrpParts(dims, rank))
+	return m.combine(2*entries*r, 8*(entries+2*rows*r))
 }
 
 // SparseMTTKRP estimates the cost of one sparse MTTKRP with nnz stored
@@ -130,7 +65,14 @@ func (m CostModel) MTTKRP(dims []int, rank int) float64 {
 // folded to the order-3 common case, plus the 8-byte value; the factor
 // and output terms mirror the dense model.)
 func (m CostModel) SparseMTTKRP(nnz int64, dims []int, rank int) float64 {
-	return m.combine(sparseParts(nnz, dims, rank))
+	rows := 0.0
+	for _, d := range dims {
+		rows += float64(d)
+	}
+	r := float64(rank)
+	nz := float64(nnz)
+	order := float64(len(dims))
+	return m.combine(2*nz*r*(order-1), 12*nz+8*(nz*r+2*rows*r))
 }
 
 // MTTKRPMapped estimates the cost of one MTTKRP over a file-backed
@@ -143,7 +85,17 @@ func (m CostModel) SparseMTTKRP(nnz int64, dims []int, rank int) float64 {
 // bounded by the tile budget. residentBytes ≤ 0 (or larger than the
 // tensor itself) falls back to the full dense estimate.
 func (m CostModel) MTTKRPMapped(dims []int, rank int, residentBytes int64) float64 {
-	return m.combine(mappedParts(dims, rank, residentBytes))
+	entries, rows := 1.0, 0.0
+	for _, d := range dims {
+		entries *= float64(d)
+		rows += float64(d)
+	}
+	r := float64(rank)
+	resident := float64(residentBytes)
+	if resident <= 0 || resident > 8*entries {
+		resident = 8 * entries
+	}
+	return m.combine(2*entries*r, resident+8*2*rows*r)
 }
 
 // costTensor is the tensor surface the model dispatches on.
@@ -153,20 +105,6 @@ type costTensor interface {
 	Layout() tensor.Layout
 }
 
-// PartsFor returns the flop and byte estimates of one MTTKRP request,
-// dispatching on the tensor's layout exactly like MTTKRPFor. The split
-// exists for placement: SpillFactor prices the byte part against the
-// cross-domain penalty, which a single pre-combined scalar cannot.
-func (m CostModel) PartsFor(x costTensor, rank int) (flops, bytes float64) {
-	if x.Layout() == tensor.LayoutCOO {
-		return sparseParts(x.NNZ(), x.Dims(), rank)
-	}
-	if d, ok := x.(interface{ Mapped() bool }); ok && d.Mapped() {
-		return mappedParts(x.Dims(), rank, core.DefaultTileBytes)
-	}
-	return mttkrpParts(x.Dims(), rank)
-}
-
 // MTTKRPFor estimates one MTTKRP request's cost by the tensor's layout:
 // the dense shape model for heap-resident dense tensors, the nnz-keyed
 // model for sparse ones, and the resident-byte model for mapped dense
@@ -174,23 +112,13 @@ func (m CostModel) PartsFor(x costTensor, rank int) (flops, bytes float64) {
 // core.DefaultTileBytes). This is the dispatch point SubmitMTTKRP prices
 // through.
 func (m CostModel) MTTKRPFor(x costTensor, rank int) float64 {
-	return m.combine(m.PartsFor(x, rank))
-}
-
-// SpillFactor is the multiplier a domain-spanning grant pays over a packed
-// one for a request with the given flop/byte estimates: the cost with the
-// byte term scaled by CrossDomainPenalty, relative to the unscaled cost.
-// It is always ≥ 1, approaching 1 for flop-bound requests and the full
-// penalty for bandwidth-bound ones. The scheduler lets a budget spill past
-// one domain only when the extra width beats this factor — spilling must
-// pay for the remote traffic it creates.
-func (m CostModel) SpillFactor(flops, bytes float64) float64 {
-	base := m.combine(flops, bytes)
-	if base <= 0 {
-		return 1
+	if x.Layout() == tensor.LayoutCOO {
+		return m.SparseMTTKRP(x.NNZ(), x.Dims(), rank)
 	}
-	fw, bw := m.weights()
-	return (fw*flops + bw*bytes*m.crossPenalty()) / base
+	if d, ok := x.(interface{ Mapped() bool }); ok && d.Mapped() {
+		return m.MTTKRPMapped(x.Dims(), rank, core.DefaultTileBytes)
+	}
+	return m.MTTKRP(x.Dims(), rank)
 }
 
 // CP estimates a CP-ALS run: sweeps sweeps of one MTTKRP per mode.

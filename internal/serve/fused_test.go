@@ -464,8 +464,7 @@ func TestJoinWindowCapClosesBatch(t *testing.T) {
 // batch B reuses the key; admitting A must not close B's window — a
 // same-key arrival while A executes still joins B.
 func TestJoinWindowSurvivesCapCloseAdmission(t *testing.T) {
-	// EvenSplit: FIFO admission guarantees A (older) pops before B.
-	s := New(Config{Workers: 2, MaxActive: 1, MaxBatch: 2, EvenSplit: true})
+	s := New(Config{Workers: 2, MaxActive: 1, MaxBatch: 2})
 	defer s.Close()
 
 	release := make(chan struct{})
@@ -478,7 +477,9 @@ func TestJoinWindowSurvivesCapCloseAdmission(t *testing.T) {
 
 	gate := make(chan struct{})
 	entered := make(chan struct{})
-	a1 := s.submitFunc("k", 1, 0, func(parallel.Executor) {
+	// Aging weight 8 on A's first member: A (older, two members) outscores
+	// B under any wait, so A pops first.
+	a1 := s.submitFunc("k", 1, 8, func(parallel.Executor) {
 		close(entered)
 		<-gate
 	})

@@ -69,23 +69,13 @@ type Config struct {
 	// behind a continuous stream of small arrivals before its age wins.
 	// 0 selects 1ms.
 	AgeBias time.Duration
-	// EvenSplit reverts admission to the historical policy — FIFO queue
-	// order and worker budgets of width ÷ active regardless of request
-	// cost. It exists as the measured baseline for the cost-aware policy
-	// (mttkrp-bench -serve -mix tabulates both).
-	EvenSplit bool
 
 	// Topology places the server's worker pool: slots carry placement
-	// domains, leases pack into one domain before spilling, arenas
-	// first-touch on their owning worker, and the budget split becomes
-	// domain-aware (a cost-share budget wider than one domain runs on a
-	// single domain's goroutines — striding over the extra logical
-	// indices, so results are untouched — unless the extra width beats
-	// the cost model's cross-domain spill factor). nil — or a
-	// single-domain topology, which is what
+	// domains, leases pack into one domain before spilling, and arenas
+	// first-touch on their owning worker. The budget split itself is
+	// placement-blind. nil — or a single-domain topology, which is what
 	// parallel.DetectTopology returns on non-NUMA hosts — keeps the flat
-	// slot model with zero behavior change. The cost-aware clamp does not
-	// apply under EvenSplit (the historical baseline stays untouched).
+	// slot model with zero behavior change.
 	Topology *parallel.Topology
 }
 
@@ -118,16 +108,8 @@ type Stats struct {
 	// batches and of the admission queue depth.
 	Active, Queued, PeakActive, PeakQueued int
 	// Reordered counts admissions where the aging policy let a request
-	// overtake an older queued one (non-FIFO admissions); it stays 0
-	// under EvenSplit.
+	// overtake an older queued one (non-FIFO admissions).
 	Reordered int
-	// DomainPacked counts batches whose physical workers were packed into
-	// a single placement domain because the cost model's spill factor
-	// said the cross-domain bandwidth penalty would outweigh the extra
-	// goroutines. Packing caps goroutines, not the worker budget — the
-	// kernel-visible width and the results are those of the unpacked
-	// grant. It stays 0 on flat (nil/single-domain topology) servers.
-	DomainPacked int
 	// OldestQueuedMs is the age of the oldest request still waiting for
 	// admission at the snapshot (0 when the queue is empty).
 	OldestQueuedMs float64
@@ -176,15 +158,13 @@ type Server struct {
 	maxBatch   int
 	batching   bool
 	fusion     bool
-	evenSplit  bool
 	cost       CostModel
 	shareCap   int           // precomputed MaxShare · width, clamped to [minWorkers, width]
-	domainCap  int           // widest single-domain lease (width on flat pools)
 	ageBias    time.Duration // aging head start (resolved, > 0)
 
 	mu       sync.Mutex
 	open     map[string]*batch // same-shape batches still accepting joiners
-	queue    []*batch          // admission queue (aging-scored; FIFO under EvenSplit)
+	queue    []*batch          // admission queue (aging-scored)
 	active   map[*batch]*grant
 	planFP   map[string]uint64 // shape key → factor fingerprint of its last batch (plan LRU)
 	planAge  []string          // planFP keys in recency order, oldest first
@@ -206,7 +186,6 @@ type batch struct {
 	items    []*item
 	cost     float64   // per-item admission cost (max over joined items)
 	weight   float64   // aging priority weight (max over joined items)
-	spill    float64   // cross-domain spill factor ≥ 1 (max over joined items)
 	enqueued time.Time // when the batch entered the admission queue
 }
 
@@ -214,22 +193,11 @@ type batch struct {
 // runs back-to-back on the lease.
 func (b *batch) totalCost() float64 { return b.cost * float64(len(b.items)) }
 
-// spillFactor is the batch's cross-domain spill factor (≥ 1); batches
-// submitted before placement existed (or by kinds that never price
-// placement) default to 1, i.e. spilling is free and never clamped.
-func (b *batch) spillFactor() float64 {
-	if b.spill > 1 {
-		return b.spill
-	}
-	return 1
-}
-
 // grant is one active batch's execution state: its lease and the budget
 // the policy most recently assigned it.
 type grant struct {
 	lease   *parallel.Lease
 	budget  int
-	packed  bool // budget was clamped into one placement domain
 	started time.Time
 }
 
@@ -281,17 +249,14 @@ func New(cfg Config) *Server {
 	if maxBatch <= 0 {
 		maxBatch = 32
 	}
-	pool := parallel.NewPoolPlaced(width, cfg.Topology)
 	return &Server{
-		pool:       pool,
-		domainCap:  pool.MaxDomainWidth(),
+		pool:       parallel.NewPoolPlaced(width, cfg.Topology),
 		width:      width,
 		minWorkers: minW,
 		maxActive:  maxActive,
 		maxBatch:   maxBatch,
 		batching:   !cfg.DisableBatching,
 		fusion:     !cfg.DisableBatching && !cfg.DisableFusion,
-		evenSplit:  cfg.EvenSplit,
 		cost:       cfg.Cost,
 		shareCap:   shareCap,
 		ageBias:    ageBias,
@@ -352,12 +317,7 @@ func (s *Server) SubmitMTTKRP(req MTTKRPRequest) *Ticket {
 		return failedTicket(err)
 	}
 	it := &item{mt: &req, tk: newTicket()}
-	flops, bytes := s.cost.PartsFor(req.X, req.Factors[0].C)
-	cost := costOf(req.CostHint, s.cost.combine(flops, bytes))
-	// The spill factor comes from the model's flop/byte split even when an
-	// explicit CostHint overrides the scalar: the hint re-prices the
-	// request's magnitude, not the shape of its bandwidth sensitivity.
-	spill := s.cost.SpillFactor(flops, bytes)
+	cost := costOf(req.CostHint, s.cost.MTTKRPFor(req.X, req.Factors[0].C))
 	if _, dense := req.X.(*tensor.Dense); dense && s.fusion && core.PlanFusable(req.Method) {
 		// Fingerprint the factors the mode-n KRP is built from, by
 		// value. Batches coalesce by shape alone (amortizing lease and
@@ -372,7 +332,7 @@ func (s *Server) SubmitMTTKRP(req MTTKRPRequest) *Ticket {
 			it.fp = fp
 		}
 	}
-	s.enqueue(shapeKey(req), "mttkrp", it, cost, weightOf(req.Weight), spill)
+	s.enqueue(shapeKey(req), "mttkrp", it, cost, weightOf(req.Weight))
 	return it.tk
 }
 
@@ -385,10 +345,7 @@ func (s *Server) SubmitCP(req CPRequest) *Ticket {
 	}
 	it := &item{cp: &req, tk: newTicket()}
 	cost := costOf(req.CostHint, s.cost.CP(req.X.Dims(), req.Config.Rank, req.Config.MaxIters))
-	// A CP run is sweeps × modes MTTKRPs of one shape, so its bandwidth
-	// sensitivity — and therefore its spill factor — is the per-MTTKRP one.
-	spill := s.cost.SpillFactor(mttkrpParts(req.X.Dims(), req.Config.Rank))
-	s.enqueue("", "cp", it, cost, weightOf(req.Weight), spill)
+	s.enqueue("", "cp", it, cost, weightOf(req.Weight))
 	return it.tk
 }
 
@@ -397,7 +354,7 @@ func (s *Server) SubmitCP(req CPRequest) *Ticket {
 // deterministically.
 func (s *Server) submitFunc(key string, cost, weight float64, fn func(parallel.Executor)) *Ticket {
 	it := &item{fn: fn, tk: newTicket()}
-	s.enqueue(key, "func", it, costOf(0, cost), weightOf(weight), 1)
+	s.enqueue(key, "func", it, costOf(0, cost), weightOf(weight))
 	return it.tk
 }
 
@@ -407,7 +364,7 @@ func (s *Server) submitFunc(key string, cost, weight float64, fn func(parallel.E
 // pops it for execution, so a join after the batch has been granted a
 // lease is impossible: the executor goroutine is spawned while the lock
 // is still held, after which no path can append to b.items.
-func (s *Server) enqueue(key, kind string, it *item, cost, weight, spill float64) {
+func (s *Server) enqueue(key, kind string, it *item, cost, weight float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining || s.closed {
@@ -434,9 +391,6 @@ func (s *Server) enqueue(key, kind string, it *item, cost, weight, spill float64
 			if cost > b.cost {
 				b.cost = cost
 			}
-			if spill > b.spill {
-				b.spill = spill
-			}
 			s.stats.Coalesced++
 			if len(b.items) >= s.maxBatch {
 				// Full: close the join window so the batch's aging score
@@ -447,7 +401,7 @@ func (s *Server) enqueue(key, kind string, it *item, cost, weight, spill float64
 			return
 		}
 	}
-	b := &batch{key: key, kind: kind, items: []*item{it}, cost: cost, weight: weight, spill: spill, enqueued: time.Now()}
+	b := &batch{key: key, kind: kind, items: []*item{it}, cost: cost, weight: weight, enqueued: time.Now()}
 	if key != "" && s.batching && s.maxBatch > 1 {
 		// A fresh batch already holds one item, so it only opens a join
 		// window when the cap leaves room for a second.
@@ -458,23 +412,6 @@ func (s *Server) enqueue(key, kind string, it *item, cost, weight, spill float64
 		s.stats.PeakQueued = len(s.queue)
 	}
 	s.scheduleLocked()
-}
-
-// evenBudgetLocked is the historical admission policy: the pool's width
-// divided evenly across `active` concurrent requests, floored at
-// MinWorkers and capped at the full width.
-func (s *Server) evenBudgetLocked(active int) int {
-	if active < 1 {
-		active = 1
-	}
-	b := s.width / active
-	if b < s.minWorkers {
-		b = s.minWorkers
-	}
-	if b > s.width {
-		b = s.width
-	}
-	return b
 }
 
 // ageScore is the aging priority of a queued batch: cost-weighted deficit
@@ -493,17 +430,14 @@ func (s *Server) ageScore(b *batch, now time.Time) float64 {
 	return b.weight * age.Seconds() / b.totalCost()
 }
 
-// pickLocked removes and returns the next batch to admit: the oldest under
-// EvenSplit (FIFO), the highest aging score otherwise. Callers hold s.mu
-// and guarantee the queue is non-empty.
+// pickLocked removes and returns the next batch to admit: the one with the
+// highest aging score (the oldest on ties). Callers hold s.mu and
+// guarantee the queue is non-empty.
 func (s *Server) pickLocked(now time.Time) *batch {
-	best := 0
-	if !s.evenSplit {
-		bestScore := s.ageScore(s.queue[0], now)
-		for i := 1; i < len(s.queue); i++ {
-			if score := s.ageScore(s.queue[i], now); score > bestScore {
-				best, bestScore = i, score
-			}
+	best, bestScore := 0, s.ageScore(s.queue[0], now)
+	for i := 1; i < len(s.queue); i++ {
+		if score := s.ageScore(s.queue[i], now); score > bestScore {
+			best, bestScore = i, score
 		}
 	}
 	b := s.queue[best]
@@ -550,20 +484,11 @@ func (s *Server) scheduleLocked() {
 }
 
 // rebalanceLocked retargets every active lease to the admission policy's
-// budget: an even width ÷ active split under EvenSplit, otherwise each
-// request's cost share of the width, floored at MinWorkers and capped at
-// MaxShare. Width changes apply at each lease's next phase/region
-// boundary; workers freed by a shrinking lease are picked up by growing
-// ones on their next reconcile. Callers hold s.mu.
+// budget: each request's cost share of the width, floored at MinWorkers
+// and capped at MaxShare. Width changes apply at each lease's next
+// phase/region boundary; workers freed by a shrinking lease are picked up
+// by growing ones on their next reconcile. Callers hold s.mu.
 func (s *Server) rebalanceLocked() {
-	if s.evenSplit {
-		budget := s.evenBudgetLocked(len(s.active))
-		for _, g := range s.active {
-			g.budget = budget
-			g.lease.Resize(budget)
-		}
-		return
-	}
 	total := 0.0
 	for b := range s.active {
 		total += b.totalCost()
@@ -578,23 +503,6 @@ func (s *Server) rebalanceLocked() {
 		}
 		if w > s.shareCap {
 			w = s.shareCap
-		}
-		// Domain-aware packing: a budget wider than one placement domain
-		// forces the lease to spill across the interconnect, which the
-		// cost model prices as a byte-term penalty. Spill only when the
-		// relative width gain beats the batch's spill factor — otherwise
-		// cap the lease's physical goroutines at the widest single-domain
-		// grant and keep the bytes local. The cap is physical only: the
-		// lease still reserves and reports the full budget w, and the
-		// domain-local workers stride over the extra logical indices, so
-		// the kernel-visible width — and every result bit — matches the
-		// unpacked grant (placement moves work and pages, never
-		// accumulation order).
-		if s.domainCap < w && float64(w) < float64(s.domainCap)*b.spillFactor() {
-			g.lease.SetSlotCap(s.domainCap)
-			g.packed = true
-		} else {
-			g.lease.SetSlotCap(0)
 		}
 		g.budget = w
 		g.lease.Resize(w)
@@ -623,7 +531,7 @@ func (s *Server) ProjectedWait(cost float64) time.Duration {
 		// Aging scores by total service estimate, so a batch can only be
 		// overtaken by the new request when its full backlog — per-item
 		// cost × coalesced items — exceeds the request's cost.
-		if s.evenSplit || b.totalCost() <= cost {
+		if b.totalCost() <= cost {
 			ahead += b.totalCost()
 		}
 	}
@@ -689,9 +597,6 @@ func (s *Server) run(b *batch, g *grant) {
 	}
 	if fellBack {
 		s.stats.FusedFallbacks++
-	}
-	if g.packed {
-		s.stats.DomainPacked++
 	}
 	if b.kind == "mttkrp" && b.key != "" && s.fusion {
 		if fp := batchFP(b, seed); fp != 0 {

@@ -194,20 +194,13 @@ func TestServeCP(t *testing.T) {
 	}
 }
 
-// TestServeAdmissionControl checks that MaxActive bounds concurrency and
-// that the admission budget math divides the pool with a floor.
+// TestServeAdmissionControl checks that MaxActive defaults to
+// Workers / MinWorkers and bounds concurrency.
 func TestServeAdmissionControl(t *testing.T) {
 	s := New(Config{Workers: 8, MinWorkers: 2})
 	defer s.Close()
 	if s.maxActive != 4 {
 		t.Fatalf("default MaxActive = %d, want 4 (workers/minworkers)", s.maxActive)
-	}
-	for _, tc := range []struct{ active, want int }{
-		{1, 8}, {2, 4}, {3, 2}, {4, 2}, {100, 2},
-	} {
-		if got := s.evenBudgetLocked(tc.active); got != tc.want {
-			t.Fatalf("budget(%d) = %d, want %d", tc.active, got, tc.want)
-		}
 	}
 
 	// Saturate the scheduler with blockers; verify the cap holds and

@@ -26,12 +26,10 @@ type Dense struct {
 	data    []float64
 
 	// mapped marks data as a read-only file mapping (set by OpenDense);
-	// mutating methods must not be called on a mapped tensor. advise and
-	// drop are the page-hint hooks for the mapping (readahead and
-	// drop-behind), nil for heap tensors.
+	// mutating methods must not be called on a mapped tensor. advise is
+	// the mapping's readahead hook, nil for heap tensors.
 	mapped bool
 	advise func(lo, hi int)
-	drop   func(lo, hi int)
 }
 
 // Mapped reports whether the data slab is a read-only mapped file region
@@ -46,19 +44,6 @@ func (d *Dense) Mapped() bool { return d.mapped }
 func (d *Dense) AdviseWillNeed(lo, hi int) {
 	if d.advise != nil {
 		d.advise(lo, hi)
-	}
-}
-
-// DropBehind hints the OS that elements [lo, hi) of the slab have been
-// consumed and their backing pages may be reclaimed (MADV_DONTNEED on a
-// read-only file mapping: the pages drop from the process; a later access
-// re-faults them from the page cache or disk). Single-pass tiled scans use
-// it to keep a huge tensor's resident set near one tile instead of letting
-// consumed tiles accumulate until memory pressure evicts something less
-// disposable. No-op for heap tensors; never required for correctness.
-func (d *Dense) DropBehind(lo, hi int) {
-	if d.drop != nil {
-		d.drop(lo, hi)
 	}
 }
 
@@ -83,7 +68,6 @@ func (d *Dense) Reslice(data []float64, dims []int) {
 	d.data = data
 	d.mapped = false
 	d.advise = nil
-	d.drop = nil
 }
 
 // New allocates a zero tensor with the given dimensions. Every dimension

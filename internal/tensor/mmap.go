@@ -84,7 +84,6 @@ func (m *Map) Close() error {
 	m.Dense.data = nil
 	m.Dense.mapped = false
 	m.Dense.advise = nil
-	m.Dense.drop = nil
 	if m.raw == nil {
 		return nil
 	}
@@ -285,9 +284,6 @@ func OpenDense(path string) (*Map, error) {
 		m.Dense.advise = func(lo, hi int) {
 			adviseWillNeedRange(raw, h.dataOffset, lo, hi)
 		}
-		m.Dense.drop = func(lo, hi int) {
-			adviseDontNeedRange(raw, h.dataOffset, lo, hi)
-		}
 		adviseSequential(raw)
 	}
 	return m, nil
@@ -346,25 +342,4 @@ func adviseWillNeedRange(raw []byte, dataOffset int64, lo, hi int) {
 		return
 	}
 	adviseWillNeed(raw[b0:b1])
-}
-
-// adviseDontNeedRange issues MADV_DONTNEED for the pages backing elements
-// [lo, hi) of a mapping whose data section starts at dataOffset. The
-// advice layer aligns the range inward (unlike WILLNEED's outward
-// rounding): a page straddling the range boundary is shared with data a
-// neighboring tile still needs, and dropping it would force an immediate
-// re-fault.
-func adviseDontNeedRange(raw []byte, dataOffset int64, lo, hi int) {
-	if lo < 0 {
-		lo = 0
-	}
-	b0 := dataOffset + 8*int64(lo)
-	b1 := dataOffset + 8*int64(hi)
-	if b1 > int64(len(raw)) {
-		b1 = int64(len(raw))
-	}
-	if b0 >= b1 {
-		return
-	}
-	adviseDontNeed(raw[b0:b1])
 }

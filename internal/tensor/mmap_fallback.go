@@ -37,5 +37,3 @@ func unmapFile([]byte) error { return nil }
 func adviseSequential([]byte) {}
 
 func adviseWillNeed([]byte) {}
-
-func adviseDontNeed([]byte) {}

@@ -43,9 +43,19 @@ func TestMapRoundTrip(t *testing.T) {
 	if m.Stale() {
 		t.Fatal("freshly opened map reports stale")
 	}
-	// Advice must be safe on any element range.
+	// Advice must be safe on any element range, and a no-op on heap tensors.
 	m.AdviseWillNeed(0, m.Size())
 	m.AdviseWillNeed(7, 9)
+	m.AdviseWillNeed(-5, m.Size()+100)
+	want.AdviseWillNeed(0, want.Size())
+
+	// A reslice re-points the slab: the hook is detached rather than left
+	// aimed at the mapping.
+	m.Dense.Reslice(want.Data(), want.Dims())
+	if m.Mapped() || m.Dense.advise != nil {
+		t.Fatal("resliced tensor keeps the mapping's advice hook")
+	}
+	m.AdviseWillNeed(0, want.Size())
 
 	if err := m.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -237,39 +247,5 @@ func TestResliceReusesStorage(t *testing.T) {
 	}
 	if testing.AllocsPerRun(100, func() { d.Reslice(buf, []int{3, 2}); d.Reslice(buf, []int{2, 3}) }) != 0 {
 		t.Fatal("Reslice allocates in steady state")
-	}
-}
-
-// TestMapDropBehind pins the drop-behind contract: advising consumed
-// ranges away on a mapped tensor is safe on any element range — page
-// rounding is inward, so partial boundary pages survive — and dropped
-// pages re-fault from the page cache with the same bits, never losing
-// data (the mapping is a read-only view of the file).
-func TestMapDropBehind(t *testing.T) {
-	want := Random(rand.New(rand.NewSource(44)), 16, 9, 8)
-	path := writeTempTensor(t, want)
-	m, err := OpenDense(path)
-	if err != nil {
-		t.Fatalf("OpenDense: %v", err)
-	}
-	defer m.Close()
-
-	for _, r := range [][2]int{{0, m.Size()}, {7, 9}, {0, 1}, {m.Size() - 3, m.Size()}, {-5, m.Size() + 100}} {
-		m.Dense.DropBehind(r[0], r[1])
-	}
-	for i, v := range want.Data() {
-		if got := m.Data()[i]; math.Float64bits(got) != math.Float64bits(v) {
-			t.Fatalf("entry %d after drop-behind: got %v, want %v", i, got, v)
-		}
-	}
-
-	// Heap tensors have no drop hook: the call is a no-op, never a panic.
-	want.DropBehind(0, want.Size())
-	// A reslice of the mapped tensor re-points the slab; the advice hooks
-	// are detached rather than left aimed at the old window.
-	m.Dense.Reslice(want.Data(), []int{16, 9, 8})
-	m.Dense.DropBehind(0, want.Size())
-	if math.Float64bits(m.Dense.At(3, 2, 1)) != math.Float64bits(want.At(3, 2, 1)) {
-		t.Fatal("resliced tensor mangled by DropBehind")
 	}
 }

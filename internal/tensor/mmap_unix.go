@@ -41,34 +41,6 @@ func adviseSequential(raw []byte) {
 	}
 }
 
-// adviseDontNeed hints that the given byte range has been consumed and its
-// pages may be reclaimed (drop-behind for single-pass scans). The range is
-// shrunk inward to whole pages — start rounded up, end rounded down — so a
-// boundary page shared with still-needed neighboring data is never
-// dropped. On a read-only MAP_SHARED file mapping DONTNEED only releases
-// the process's resident pages; a later access re-faults from the page
-// cache or disk, so the hint is always safe, merely wasteful if wrong.
-func adviseDontNeed(b []byte) {
-	if len(b) == 0 {
-		return
-	}
-	page := uintptr(os.Getpagesize())
-	p := unsafe.Pointer(&b[0])
-	if fwd := uintptr(p) % page; fwd != 0 {
-		skip := int(page - fwd)
-		if skip >= len(b) {
-			return
-		}
-		b = b[skip:]
-	}
-	if tail := len(b) % int(page); tail != 0 {
-		b = b[:len(b)-tail]
-	}
-	if len(b) > 0 {
-		_ = syscall.Madvise(b, syscall.MADV_DONTNEED)
-	}
-}
-
 // adviseWillNeed hints that the given byte range is about to be read (start
 // readahead now). Madvise wants page-aligned starts; round down, best effort.
 func adviseWillNeed(b []byte) {

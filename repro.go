@@ -159,8 +159,8 @@ func NewPool(workers int) *Pool { return parallel.NewPool(workers) }
 
 // Topology describes the host's placement domains (NUMA nodes and their
 // CPUs). Hand one to ServerConfig.Topology to make the server's pool,
-// lease placement, first-touch buffers and budget split domain-aware;
-// results stay bit-identical with placement on or off.
+// lease placement and first-touch buffers domain-aware; results stay
+// bit-identical with placement on or off.
 type Topology = parallel.Topology
 
 // DetectTopology discovers the host topology: the MTTKRP_TOPOLOGY
@@ -185,9 +185,8 @@ func ParseTopology(spec string) (*Topology, error) { return parallel.ParseTopolo
 type Server = serve.Server
 
 // ServerConfig sizes a Server (worker count, per-request floor, admission
-// cap, batching) and selects its admission policy: cost-aware budgets with
-// an aging queue by default (CostModel, MaxShare, AgeBias knobs), or the
-// even-split FIFO baseline via EvenSplit.
+// cap, batching) and tunes its cost-aware admission policy: budgets by
+// cost share with an aging queue (CostModel, MaxShare, AgeBias knobs).
 type ServerConfig = serve.Config
 
 // CostModel estimates a request's admission cost from its problem shape
