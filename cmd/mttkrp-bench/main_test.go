@@ -200,7 +200,7 @@ func TestRunKernelsTiny(t *testing.T) {
 	}
 	s := out.String()
 	for _, want := range []string{
-		"Kernel micro-benchmarks", "scalar GFLOP/s", "gemm4x4", "hadexpand", "# done in",
+		"Kernel micro-benchmarks", "scalar GFLOP/s", "gemm4x4", "gemm12x4", "hadexpand", "# done in",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q:\n%s", want, s)

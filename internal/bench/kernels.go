@@ -93,6 +93,14 @@ func kernelCases(rng *rand.Rand) []kernelCase {
 			}
 			return float64(2 * 16 * kc * iters)
 		}})
+		ap12 := mk(12 * kc)
+		acc12 := new([48]float64)
+		cases = append(cases, kernelCase{"gemm12x4", fmt.Sprintf("kc=%d", kc), func(impl *simd.Impl, iters int) float64 {
+			for i := 0; i < iters; i++ {
+				impl.Gemm12x4(kc, ap12, bp, acc12)
+			}
+			return float64(2 * 48 * kc * iters)
+		}})
 	}
 	for _, shape := range []struct{ rows, c int }{{40, 16}, {256, 16}} {
 		shape := shape

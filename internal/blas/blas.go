@@ -32,7 +32,7 @@ const (
 	kcDefault = 256
 	ncDefault = 2048
 
-	mr = 4 // micro-kernel rows
+	mr = 4 // rows per packed A panel: Gemm4x4 takes one panel, Gemm12x4 three
 	nr = 4 // micro-kernel cols
 )
 

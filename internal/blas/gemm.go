@@ -6,10 +6,6 @@ import (
 	"repro/internal/simd"
 )
 
-// The simd micro-kernel is specialized to the 4×4 tile; this trips at
-// compile time if the blocking constants ever change without it.
-var _ [16]struct{} = [mr * nr]struct{}{}
-
 // smallGemmFlops is the threshold below which the packed path is not worth
 // its setup cost and a direct loop is used instead. The 1-step algorithm's
 // internal modes issue many GEMMs of exactly this size class (I_n × I^L_n
@@ -255,14 +251,21 @@ func gemmNaiveAcc(alpha float64, a, b, c mat.View) {
 // contiguous stripe of rows, sequentially: C += alpha*A*B. Packing
 // buffers are sized to the actual block extents and leased from the
 // worker's arena, so same-shaped stripes reuse one pair of panels.
+//
+// The micro-kernel runs on every group of three A panels (simd.Gemm12x4)
+// and on the one or two panels an mc block leaves over (simd.Gemm4x4).
+// Both compute each C element as one FMA chain in k order, so which tile,
+// group or worker stripe a row lands in never changes its bits.
 func gemmStripe(alpha float64, a, b, c mat.View, bl Blocking, ar *parallel.Arena) {
 	m, n, k := a.R, b.C, a.C
 	ap := ar.Float64("blas.packA", min(bl.MC, roundUp(m, mr))*min(bl.KC, k))
 	bp := ar.Float64("blas.packB", min(bl.KC, k)*min(bl.NC, roundUp(n, nr)))
-	// The micro-kernel accumulator lives in the arena rather than on the
-	// stack: escape analysis cannot see through the simd dispatch pointer,
-	// so a stack local would be moved to the heap on every stripe.
-	acc := (*[mr * nr]float64)(ar.Float64("blas.acc", mr*nr))
+	// The tile accumulators live in the arena rather than on the stack:
+	// escape analysis cannot see through the simd dispatch pointer, so a
+	// stack local would be moved to the heap on every stripe. The 4×4
+	// tile reuses the first 16 entries of the 12×4 one.
+	acc := (*[3 * mr * nr]float64)(ar.Float64("blas.acc", 3*mr*nr))
+	acc4 := (*[mr * nr]float64)(acc[:mr*nr])
 	for jc := 0; jc < n; jc += bl.NC {
 		nc := min(bl.NC, n-jc)
 		for pc := 0; pc < k; pc += bl.KC {
@@ -274,10 +277,15 @@ func gemmStripe(alpha float64, a, b, c mat.View, bl Blocking, ar *parallel.Arena
 				cBlk := c.Slice(ic, ic+mc, jc, jc+nc)
 				for jr := 0; jr < nc; jr += nr {
 					nrr := min(nr, nc-jr)
-					for ir := 0; ir < mc; ir += mr {
-						mrr := min(mr, mc-ir)
-						microKernel(kc, ap[(ir/mr)*mr*kc:], bp[(jr/nr)*nr*kc:], acc)
-						writeBack(alpha, acc, cBlk, ir, jr, mrr, nrr)
+					bPanel := bp[(jr/nr)*nr*kc:]
+					ir := 0
+					for ; ir+2*mr < mc; ir += 3 * mr { // a third panel starts below mc
+						simd.Gemm12x4(kc, ap[ir*kc:], bPanel, acc)
+						writeBack(alpha, acc[:], 1, 3*mr, cBlk, ir, jr, min(3*mr, mc-ir), nrr)
+					}
+					for ; ir < mc; ir += mr {
+						simd.Gemm4x4(kc, ap[ir*kc:], bPanel, acc4)
+						writeBack(alpha, acc4[:], nr, 1, cBlk, ir, jr, min(mr, mc-ir), nrr)
 					}
 				}
 			}
@@ -412,26 +420,20 @@ func packB(b mat.View, bp []float64) {
 	}
 }
 
-// microKernel computes a dense mr×nr = (mr×kc)·(kc×nr) product from packed
-// panels into acc. It is the innermost loop of the whole library and
-// dispatches to internal/simd: four vector accumulators on AVX2 hosts, the
-// bit-identical 16-register scalar reference elsewhere.
-func microKernel(kc int, ap, bp []float64, acc *[mr * nr]float64) {
-	simd.Gemm4x4(kc, ap, bp, acc)
-}
-
-// writeBack adds alpha times the mrr×nrr corner of acc into C at (ir, jr).
-// With alpha == 1 (every MTTKRP call) it adds acc directly into contiguous
-// C rows (the 1-step outputs) or columns (the 2-step column-major
+// writeBack adds alpha times the mrr×nrr corner of a finished tile into C
+// at (ir, jr). Tile element (r, q) sits at acc[r*rs+q*cs]: the 4×4 tile is
+// row-major (rs 4, cs 1), the 12×4 tile column-major (rs 1, cs 12). With
+// alpha == 1 (every MTTKRP call) it adds acc straight into contiguous C
+// rows (the 1-step outputs) or columns (the 2-step column-major
 // intermediate); 1*x == x exactly, so the bits match the generic loop.
-func writeBack(alpha float64, acc *[mr * nr]float64, c mat.View, ir, jr, mrr, nrr int) {
+func writeBack(alpha float64, acc []float64, rs, cs int, c mat.View, ir, jr, mrr, nrr int) {
 	switch {
 	case alpha == 1 && c.CS == 1:
 		for r := 0; r < mrr; r++ {
 			off := (ir+r)*c.RS + jr
 			row := c.Data[off : off+nrr]
 			for q := range row {
-				row[q] += acc[r*nr+q]
+				row[q] += acc[r*rs+q*cs]
 			}
 		}
 		return
@@ -440,14 +442,14 @@ func writeBack(alpha float64, acc *[mr * nr]float64, c mat.View, ir, jr, mrr, nr
 			off := (jr+q)*c.CS + ir
 			col := c.Data[off : off+mrr]
 			for r := range col {
-				col[r] += acc[r*nr+q]
+				col[r] += acc[r*rs+q*cs]
 			}
 		}
 		return
 	}
 	for r := 0; r < mrr; r++ {
 		for q := 0; q < nrr; q++ {
-			c.Add(ir+r, jr+q, alpha*acc[r*nr+q])
+			c.Add(ir+r, jr+q, alpha*acc[r*rs+q*cs])
 		}
 	}
 }

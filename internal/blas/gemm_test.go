@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -304,6 +305,45 @@ func TestGemmDeterministicAcrossThreads(t *testing.T) {
 			if c.Data[i] != ref.Data[i] {
 				t.Fatalf("threads=%d: element %d differs bitwise (%v vs %v)",
 					threads, i, c.Data[i], ref.Data[i])
+			}
+		}
+	}
+}
+
+// TestGemmRowGroupingBitIdentical pins that the row grouping never
+// changes bits: the blocked GEMM runs 12-row groups through simd.Gemm12x4
+// and leftover 4-row panels through simd.Gemm4x4, and splits M into worker
+// stripes, but every C element is one FMA chain in k order whichever tile
+// computes it. Dropping the first off rows of A moves every later row
+// between groups, leftover panels and stripes, so its bits must not move.
+func TestGemmRowGroupingBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	const forceBlocked = 1 << 30
+	const n, k = 25, 257
+	b := mat.RandomDense(k, n, rng)
+	for _, m := range []int{8, 12, 13, 16, 24, 25, 113} {
+		for _, aColMajor := range []bool{true, false} {
+			a := newMatrix(aColMajor, m, k)
+			a.Randomize(rng)
+			for _, cColMajor := range []bool{false, true} {
+				for _, bl := range []Blocking{{}, {MC: 20, KC: 64, NC: 8}} {
+					ref := newMatrix(cColMajor, m, n)
+					gemmBlockedOnClass(nil, 1, forceBlocked, 1, a, b, 0, ref, bl)
+					for _, threads := range []int{1, 2, 3} {
+						for _, off := range []int{0, 4, 8} {
+							got := newMatrix(cColMajor, m-off, n)
+							gemmBlockedOnClass(nil, threads, forceBlocked, 1, a.Slice(off, m, 0, k), b, 0, got, bl)
+							for i := 0; i < m-off; i++ {
+								for j := 0; j < n; j++ {
+									if g, w := got.At(i, j), ref.At(off+i, j); math.Float64bits(g) != math.Float64bits(w) {
+										t.Fatalf("m=%d off=%d A col-major=%v C col-major=%v blocking=%+v threads=%d: C(%d,%d) = %v, full product %v",
+											m, off, aColMajor, cColMajor, bl, threads, off+i, j, g, w)
+									}
+								}
+							}
+						}
+					}
+				}
 			}
 		}
 	}

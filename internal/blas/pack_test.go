@@ -34,7 +34,7 @@ func newMatrix(colMajor bool, r, c int) mat.View {
 func TestGemmPackingBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	const forceBlocked = 1 << 30
-	for _, m := range []int{1, 3, 4, 5, 113} {
+	for _, m := range []int{1, 3, 4, 5, 8, 12, 13, 24, 113} {
 		for _, n := range []int{1, 4, 25} {
 			for _, k := range []int{1, 255, 256, 257, 1000} {
 				b := mat.RandomDense(k, n, rng)

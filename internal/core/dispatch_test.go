@@ -45,6 +45,41 @@ func TestMTTKRPDispatchBitIdentical(t *testing.T) {
 	}
 }
 
+// TestBlockedGemmDispatchBitIdentical is the same contract on a shape
+// whose GEMMs are large enough for the packed, blocked path, so the FMA
+// tiles (simd.Gemm12x4 on whole 12-row groups, simd.Gemm4x4 on leftover
+// panels) run under both dispatches, sequential and parallel, untiled and
+// cache-tiled. The shapes above all take the small-GEMM path.
+func TestBlockedGemmDispatchBitIdentical(t *testing.T) {
+	vec := simd.Vector()
+	if vec == nil {
+		t.Skip("no vectorized implementation on this host")
+	}
+	prev := simd.Active()
+	defer simd.Use(prev)
+
+	rng := rand.New(rand.NewSource(45))
+	x, u := randomProblem(rng, []int{29, 12, 10, 9}, 16)
+	for n := range u {
+		for _, m := range []Method{MethodOneStep, MethodTwoStep} {
+			for _, threads := range []int{1, 3} {
+				simd.Use(simd.Scalar())
+				want := Compute(m, x, u, n, Options{Threads: threads})
+				for _, impl := range []*simd.Impl{simd.Scalar(), vec} {
+					simd.Use(impl)
+					for _, tile := range []int{0, 7} {
+						got := Compute(m, x, u, n, Options{Threads: threads, TileRows: tile})
+						if !bitIdentical(got, want) {
+							t.Fatalf("n=%d method=%v t=%d impl=%s tile=%d: differs from the scalar untiled MTTKRP (max |Δ|=%g)",
+								n, m, threads, impl.Name, tile, mat.MaxAbsDiff(got, want))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func bitIdentical(a, b mat.View) bool {
 	if a.R != b.R || a.C != b.C {
 		return false

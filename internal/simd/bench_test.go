@@ -89,6 +89,14 @@ func BenchmarkKernels(b *testing.B) {
 				}
 				gflops(b, 2*16*kc)
 			})
+			ap12 := mk(12 * kc)
+			var acc12 [48]float64
+			b.Run(fmt.Sprintf("gemm12x4/impl=%s/kc=%d", impl.Name, kc), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					impl.Gemm12x4(kc, ap12, bp, &acc12)
+				}
+				gflops(b, 2*48*kc)
+			})
 		}
 
 		// The KRP block expansion at serving-typical rank 16 and a

@@ -3,10 +3,15 @@
 #include "textflag.h"
 
 // AVX2 float64 kernels. Every kernel is bit-identical to its scalar
-// reference in scalar.go: separate VMULPD/VADDPD (never FMA), and
+// reference in scalar.go. The two GEMM tiles accumulate every element as
+// one VFMADD231PD chain in k order (math.FMA in the reference); every
+// other kernel uses separate VMULPD/VADDPD (a*b + c in the reference), and
 // reductions keep exactly the reference's partial-sum grouping, folded in
 // the same left-to-right order. Tails run in VEX scalar instructions so
 // the upper ymm state stays clean until the single VZEROUPPER before RET.
+//
+// Lengths: the bodies trust their element counts. The Go wrappers in
+// cpu_amd64.go apply the scalar references' length checks first.
 //
 // Aliasing: the elementwise kernels load every operand group before
 // storing the result group, so exact aliasing (z == x, z == y) matches
@@ -311,47 +316,119 @@ sumdone:
 
 // func gemm4x4AVX2(kc int, ap, bp []float64, acc *[16]float64)
 //
-// The 4×4 GEMM micro-kernel on packed panels: accumulator row r lives in
-// Y(r), lane j holding c_rj. Per k step each row does one broadcast, one
-// multiply, one add — per lane exactly the scalar kernel's
-// c_rj += a_r * b_j in the same k order.
+// The 4×4 GEMM micro-kernel on one packed panel: accumulator row r lives
+// in Y(r), lane j holding c_rj. Per k step each row does one broadcast
+// and one FMA — per lane exactly the scalar kernel's
+// c_rj = math.FMA(a_r, b_j, c_rj) in the same k order. Four chains cannot
+// cover the FMA latency, which is why whole 12-row groups go through
+// gemm12x4AVX2 and only leftover panels come here.
 TEXT ·gemm4x4AVX2(SB), NOSPLIT, $0-64
 	MOVQ kc+0(FP), CX
 	MOVQ ap_base+8(FP), SI
 	MOVQ bp_base+32(FP), DI
 	MOVQ acc+56(FP), DX
+	SHLQ $5, CX // 32 bytes per k step in both panels
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
 	XORQ AX, AX
-
-gemmloop:
 	CMPQ AX, CX
 	JGE  gemmdone
-	VMOVUPD      (DI), Y4    // {b0, b1, b2, b3}
-	VBROADCASTSD (SI), Y5
-	VBROADCASTSD 8(SI), Y6
-	VBROADCASTSD 16(SI), Y7
-	VBROADCASTSD 24(SI), Y8
-	VMULPD       Y4, Y5, Y5
-	VADDPD       Y5, Y0, Y0
-	VMULPD       Y4, Y6, Y6
-	VADDPD       Y6, Y1, Y1
-	VMULPD       Y4, Y7, Y7
-	VADDPD       Y7, Y2, Y2
-	VMULPD       Y4, Y8, Y8
-	VADDPD       Y8, Y3, Y3
-	ADDQ         $32, SI
-	ADDQ         $32, DI
-	INCQ         AX
-	JMP          gemmloop
+
+gemmloop:
+	VMOVUPD      (DI)(AX*1), Y4 // {b0, b1, b2, b3}
+	VBROADCASTSD (SI)(AX*1), Y5
+	VBROADCASTSD 8(SI)(AX*1), Y6
+	VBROADCASTSD 16(SI)(AX*1), Y7
+	VBROADCASTSD 24(SI)(AX*1), Y8
+	VFMADD231PD  Y4, Y5, Y0 // row 0 += a0 * b
+	VFMADD231PD  Y4, Y6, Y1
+	VFMADD231PD  Y4, Y7, Y2
+	VFMADD231PD  Y4, Y8, Y3
+	ADDQ         $32, AX
+	CMPQ         AX, CX
+	JLT          gemmloop
 
 gemmdone:
 	VMOVUPD Y0, (DX)
 	VMOVUPD Y1, 32(DX)
 	VMOVUPD Y2, 64(DX)
 	VMOVUPD Y3, 96(DX)
+	VZEROUPPER
+	RET
+
+// func gemm12x4AVX2(kc int, ap, bp []float64, acc *[48]float64)
+//
+// The 12×4 GEMM micro-kernel on three consecutive packed 4-row panels.
+// Lanes run along M: Y(3c+q) holds rows 4q..4q+3 of column c. Per k step
+// three A loads (one column of each panel), four B broadcasts and twelve
+// independent FMA chains, enough to keep two FMA units busy; Y12–Y14 hold
+// the A columns and Y15 the current broadcast, so all sixteen ymm
+// registers are in use. Every lane is the scalar kernel's
+// c = math.FMA(a, b, c) in k order. The tile is stored column-major:
+// column c at acc[c*12:], its panel q at byte offset 96c + 32q.
+TEXT ·gemm12x4AVX2(SB), NOSPLIT, $0-64
+	MOVQ kc+0(FP), CX
+	MOVQ ap_base+8(FP), SI
+	MOVQ bp_base+32(FP), DI
+	MOVQ acc+56(FP), DX
+	SHLQ $5, CX          // 32 bytes per k step in every panel
+	LEAQ (SI)(CX*1), R8  // A panel 1
+	LEAQ (R8)(CX*1), R9  // A panel 2
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+	XORQ AX, AX
+	CMPQ AX, CX
+	JGE  g12done
+
+g12loop:
+	VMOVUPD      (SI)(AX*1), Y12
+	VMOVUPD      (R8)(AX*1), Y13
+	VMOVUPD      (R9)(AX*1), Y14
+	VBROADCASTSD (DI)(AX*1), Y15
+	VFMADD231PD  Y15, Y12, Y0
+	VFMADD231PD  Y15, Y13, Y1
+	VFMADD231PD  Y15, Y14, Y2
+	VBROADCASTSD 8(DI)(AX*1), Y15
+	VFMADD231PD  Y15, Y12, Y3
+	VFMADD231PD  Y15, Y13, Y4
+	VFMADD231PD  Y15, Y14, Y5
+	VBROADCASTSD 16(DI)(AX*1), Y15
+	VFMADD231PD  Y15, Y12, Y6
+	VFMADD231PD  Y15, Y13, Y7
+	VFMADD231PD  Y15, Y14, Y8
+	VBROADCASTSD 24(DI)(AX*1), Y15
+	VFMADD231PD  Y15, Y12, Y9
+	VFMADD231PD  Y15, Y13, Y10
+	VFMADD231PD  Y15, Y14, Y11
+	ADDQ         $32, AX
+	CMPQ         AX, CX
+	JLT          g12loop
+
+g12done:
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	VMOVUPD Y4, 128(DX)
+	VMOVUPD Y5, 160(DX)
+	VMOVUPD Y6, 192(DX)
+	VMOVUPD Y7, 224(DX)
+	VMOVUPD Y8, 256(DX)
+	VMOVUPD Y9, 288(DX)
+	VMOVUPD Y10, 320(DX)
+	VMOVUPD Y11, 352(DX)
 	VZEROUPPER
 	RET
 

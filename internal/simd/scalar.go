@@ -6,7 +6,8 @@ import "math"
 // portable Go, unrolled so the compiler keeps partial results in registers,
 // with explicit reslicing so the inner loops run without bounds checks.
 // The vector kernels must match them bit for bit — see the package comment
-// for the exact contract (mul-then-add ordering, partial-sum grouping).
+// for the exact contract (math.FMA chains in the GEMM tiles, mul-then-add
+// everywhere else, partial-sum grouping).
 
 // dotScalar keeps eight independent partial sums (matching the two 4-lane
 // vector accumulators of the AVX2 kernel), folds them left to right, then
@@ -118,7 +119,7 @@ func sumAbsScalar(x []float64) float64 {
 }
 
 // gemm4x4Scalar is the reference 4×4 micro-kernel: sixteen accumulators,
-// one mul-then-add per (row, column) pair per k step, in k order. The AVX2
+// one math.FMA per (row, column) pair per k step, in k order. The AVX2
 // kernel holds each row's four accumulators in one register; per lane the
 // operation sequence is identical.
 //
@@ -139,27 +140,47 @@ func gemm4x4Scalar(kc int, ap, bp []float64, acc *[16]float64) {
 		b1 := bp[p*4+1]
 		b2 := bp[p*4+2]
 		b3 := bp[p*4+3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c02 += a0 * b2
-		c03 += a0 * b3
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c12 += a1 * b2
-		c13 += a1 * b3
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c22 += a2 * b2
-		c23 += a2 * b3
-		c30 += a3 * b0
-		c31 += a3 * b1
-		c32 += a3 * b2
-		c33 += a3 * b3
+		c00 = math.FMA(a0, b0, c00)
+		c01 = math.FMA(a0, b1, c01)
+		c02 = math.FMA(a0, b2, c02)
+		c03 = math.FMA(a0, b3, c03)
+		c10 = math.FMA(a1, b0, c10)
+		c11 = math.FMA(a1, b1, c11)
+		c12 = math.FMA(a1, b2, c12)
+		c13 = math.FMA(a1, b3, c13)
+		c20 = math.FMA(a2, b0, c20)
+		c21 = math.FMA(a2, b1, c21)
+		c22 = math.FMA(a2, b2, c22)
+		c23 = math.FMA(a2, b3, c23)
+		c30 = math.FMA(a3, b0, c30)
+		c31 = math.FMA(a3, b1, c31)
+		c32 = math.FMA(a3, b2, c32)
+		c33 = math.FMA(a3, b3, c33)
 	}
 	acc[0], acc[1], acc[2], acc[3] = c00, c01, c02, c03
 	acc[4], acc[5], acc[6], acc[7] = c10, c11, c12, c13
 	acc[8], acc[9], acc[10], acc[11] = c20, c21, c22, c23
 	acc[12], acc[13], acc[14], acc[15] = c30, c31, c32, c33
+}
+
+// gemm12x4Scalar is the reference 12×4 micro-kernel. An element's FMA
+// chain depends only on its own row and column, so the reference runs
+// gemm4x4Scalar on each of the three panels and transposes the results
+// into the column-major tile the AVX2 kernel stores.
+//
+//mttkrp:noalloc
+func gemm12x4Scalar(kc int, ap, bp []float64, acc *[48]float64) {
+	ap = ap[: kc*12 : kc*12]
+	bp = bp[: kc*4 : kc*4]
+	var t [16]float64
+	for q := 0; q < 3; q++ {
+		gemm4x4Scalar(kc, ap[q*kc*4:], bp, &t)
+		for r := 0; r < 4; r++ {
+			for c := 0; c < 4; c++ {
+				acc[c*12+q*4+r] = t[r*4+c]
+			}
+		}
+	}
 }
 
 // hadExpandScalar computes out(l, :) = row ∗ kl(l, :) over flat row-major

@@ -1,11 +1,11 @@
 // Package simd provides the vectorized micro-kernels behind the library's
 // flop core: the unit-stride level-1 loops (dot, axpy, Hadamard products),
-// the 4×4 GEMM micro-kernel, the Khatri-Rao row expansion, and the
-// elementwise accumulation used by the parallel reduction. Every kernel
-// exists twice — a portable scalar reference implementation (unrolled,
-// bounds-check-eliminated Go) and, on amd64 with AVX2, a hand-written
-// assembly version — and the package dispatches between them through
-// function pointers selected once at startup.
+// the 12×4 and 4×4 GEMM micro-kernels, the Khatri-Rao row expansion, and
+// the elementwise accumulation used by the parallel reduction. Every
+// kernel exists twice — a portable scalar reference implementation
+// (unrolled, bounds-check-eliminated Go) and, on amd64 with AVX2 and FMA,
+// a hand-written assembly version — and the package dispatches between
+// them through function pointers selected once at startup.
 //
 // # Bit-identity contract
 //
@@ -13,13 +13,24 @@
 // produce bit-identical results for every input, so which machine (or
 // which MTTKRP_NOSIMD setting) served a request can never change the bytes
 // of its response. Concretely that means the vector kernels preserve the
-// scalar's mul-then-add ordering (no FMA contraction — an FMA variant is
-// only admissible if the scalar reference is rewritten to round the same
-// way) and its accumulation grouping: a reduction kernel's scalar
-// reference carries exactly as many independent partial sums as the vector
-// version has lanes, folded in the same order. The property is pinned by
-// TestKernelsBitIdentical across random sizes, tails and aliasing
-// patterns, and at the MTTKRP level by the core and serve dispatch tests.
+// scalar's rounding sequence and its accumulation grouping. The GEMM tiles
+// compute every output element as one fused multiply-add chain in k order
+// (VFMADD231PD, mirrored by math.FMA in the reference), so the 12×4 and
+// the 4×4 tile give an element the same bits; every other kernel rounds
+// each product before its add (separate VMULPD and VADDPD, mirrored by
+// a*b + c in Go, which the compiler does not contract on amd64). A
+// reduction kernel's scalar reference carries exactly as many independent
+// partial sums as the vector version has lanes, folded in the same order.
+// The property is pinned by TestKernelsBitIdentical and the per-tile tests
+// across random sizes, tails and aliasing patterns, and at the MTTKRP
+// level by the core and serve dispatch tests.
+//
+// # Operand lengths
+//
+// Every vector kernel applies its scalar reference's length checks before
+// any assembly runs, so a short operand panics with the same runtime error
+// under either implementation instead of reading or writing past the
+// slice (TestKernelsShortOperandsPanic).
 //
 // # Aliasing
 //
@@ -31,14 +42,15 @@
 // # Dispatch
 //
 // Active kernels are package-level function pointers, assigned once by
-// Use. Startup selects Best(): the AVX2 implementation when the CPU and
-// OS support it and the MTTKRP_NOSIMD environment variable is unset (any
-// value other than "" and "0" forces the scalar path). Use may be called
-// again — tests and the serving A/B flags (-simd=off, -nosimd) do — but
-// only while no kernel is executing: the pointers are written without
-// synchronization, so swapping mid-flight is a data race. The indirection
-// itself is allocation-free; the entry points are annotated
-// //mttkrp:noalloc and mttkrp-lint checks through the pointer call.
+// Use. Startup selects Best(): the AVX2 implementation when the CPU
+// reports AVX2 and FMA, the OS saves ymm state, and the MTTKRP_NOSIMD
+// environment variable is unset (any value other than "" and "0" forces
+// the scalar path). Use may be called again — tests and the serving A/B
+// flags (-simd=off, -nosimd) do — but only while no kernel is executing:
+// the pointers are written without synchronization, so swapping
+// mid-flight is a data race. The indirection itself is allocation-free;
+// the entry points are annotated //mttkrp:noalloc and mttkrp-lint checks
+// through the pointer call.
 package simd
 
 import "os"
@@ -80,11 +92,19 @@ type Impl struct {
 	// left-to-right, then accumulates the tail.
 	SumAbs func(x []float64) float64
 
-	// Gemm4x4 is the GEMM micro-kernel: acc = (4×kc packed panel ap) ·
-	// (kc×4 packed panel bp), accumulators zeroed on entry and written
-	// back row-major. Panels are packed as in blas: ap[p*4+r] is
-	// A(r, p), bp[p*4+c] is B(p, c).
+	// Gemm4x4 is the GEMM micro-kernel for one 4-row panel: acc =
+	// (4×kc packed panel ap) · (kc×4 packed panel bp), accumulators zeroed
+	// on entry and written back row-major (acc[r*4+c] is C(r, c)). Panels
+	// are packed as in blas: ap[p*4+r] is A(r, p), bp[p*4+c] is B(p, c).
+	// Each element is one fused multiply-add chain over p in order.
 	Gemm4x4 func(kc int, ap, bp []float64, acc *[16]float64)
+
+	// Gemm12x4 is the GEMM micro-kernel for three consecutive 4-row
+	// panels: ap holds 12·kc packed elements (panel q of the group at
+	// ap[q*4*kc:]), bp one 4-column panel. The tile is written back
+	// column-major: acc[c*12+r] is C(r, c). Each element is the same
+	// fused multiply-add chain Gemm4x4 computes for it.
+	Gemm12x4 func(kc int, ap, bp []float64, acc *[48]float64)
 
 	// HadExpand computes out(l, :) = row ∗ kl(l, :) over flat row-major
 	// kl and out of len(kl) = rows·len(row) — the 1-step internal-mode
@@ -105,6 +125,7 @@ var (
 	add       func(x, y []float64)
 	sumAbs    func(x []float64) float64
 	gemm4x4   func(kc int, ap, bp []float64, acc *[16]float64)
+	gemm12x4  func(kc int, ap, bp []float64, acc *[48]float64)
 	hadExpand func(row, kl, out []float64)
 )
 
@@ -118,6 +139,7 @@ var scalarImpl = Impl{
 	Add:       addScalar,
 	SumAbs:    sumAbsScalar,
 	Gemm4x4:   gemm4x4Scalar,
+	Gemm12x4:  gemm12x4Scalar,
 	HadExpand: hadExpandScalar,
 }
 
@@ -125,7 +147,8 @@ var scalarImpl = Impl{
 func Scalar() *Impl { return &scalarImpl }
 
 // Vector returns the vectorized implementation for this CPU, or nil when
-// none exists (non-amd64 builds, or amd64 without AVX2/OS ymm support).
+// none exists (non-amd64 builds, or amd64 without AVX2, FMA or OS ymm
+// support).
 // It ignores MTTKRP_NOSIMD — that override gates selection (Best), not
 // existence, so tests and benchmarks can always compare both.
 func Vector() *Impl { return vectorImpl() }
@@ -157,6 +180,7 @@ func Use(impl *Impl) {
 	add = impl.Add
 	sumAbs = impl.SumAbs
 	gemm4x4 = impl.Gemm4x4
+	gemm12x4 = impl.Gemm12x4
 	hadExpand = impl.HadExpand
 }
 
@@ -208,6 +232,13 @@ func SumAbs(x []float64) float64 { return sumAbs(x) }
 //
 //mttkrp:noalloc
 func Gemm4x4(kc int, ap, bp []float64, acc *[16]float64) { gemm4x4(kc, ap, bp, acc) }
+
+// Gemm12x4 runs the 12×4 micro-kernel via the active kernel. ap must hold
+// at least 12·kc packed elements (three consecutive 4-row panels), bp at
+// least 4·kc.
+//
+//mttkrp:noalloc
+func Gemm12x4(kc int, ap, bp []float64, acc *[48]float64) { gemm12x4(kc, ap, bp, acc) }
 
 // HadExpand computes out(l, :) = row ∗ kl(l, :) over flat row-major
 // buffers via the active kernel. len(kl) and len(out) must equal

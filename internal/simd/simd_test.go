@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -150,8 +151,20 @@ func TestKernelsAliasing(t *testing.T) {
 	}
 }
 
+// fmaChain is element (r, c) of a packed GEMM tile spelled out: one
+// math.FMA per k step, in k order, from a zero accumulator. ap is the
+// panel holding row r at lane r%4 of each 4-wide column group.
+func fmaChain(kc int, ap, bp []float64, r, c int) float64 {
+	s := 0.0
+	for p := 0; p < kc; p++ {
+		s = math.FMA(ap[p*4+r%4], bp[p*4+c], s)
+	}
+	return s
+}
+
 // TestGemm4x4BitIdentical sweeps the micro-kernel across k depths
-// (including 0 and the non-multiple-of-anything cases).
+// (including 0 and the non-multiple-of-anything cases), against the
+// scalar reference and against each element's explicit FMA chain.
 func TestGemm4x4BitIdentical(t *testing.T) {
 	v := vectorOrSkip(t)
 	s := Scalar()
@@ -168,6 +181,96 @@ func TestGemm4x4BitIdentical(t *testing.T) {
 			if !bitsEq(as[i], av[i]) {
 				t.Fatalf("Gemm4x4 kc=%d: acc[%d] scalar %x vector %x",
 					kc, i, math.Float64bits(as[i]), math.Float64bits(av[i]))
+			}
+			if want := fmaChain(kc, ap, bp, i/4, i%4); !bitsEq(as[i], want) {
+				t.Fatalf("Gemm4x4 kc=%d: acc[%d] = %x, FMA chain %x",
+					kc, i, math.Float64bits(as[i]), math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// TestGemm12x4BitIdentical is the same sweep for the three-panel tile,
+// across the blocked GEMM's KC boundary too: scalar against vector, and
+// every element of the column-major tile against its explicit FMA chain,
+// which is also what Gemm4x4 computes for that element.
+func TestGemm12x4BitIdentical(t *testing.T) {
+	v := vectorOrSkip(t)
+	s := Scalar()
+	rng := rand.New(rand.NewSource(23))
+	kcs := []int{255, 256, 257}
+	for kc := 0; kc <= 80; kc++ {
+		kcs = append(kcs, kc)
+	}
+	for _, kc := range kcs {
+		ap := make([]float64, 12*kc)
+		bp := make([]float64, 4*kc)
+		fill(rng, ap)
+		fill(rng, bp)
+		var as, av [48]float64
+		s.Gemm12x4(kc, ap, bp, &as)
+		v.Gemm12x4(kc, ap, bp, &av)
+		for i := range as {
+			if !bitsEq(as[i], av[i]) {
+				t.Fatalf("Gemm12x4 kc=%d: acc[%d] scalar %x vector %x",
+					kc, i, math.Float64bits(as[i]), math.Float64bits(av[i]))
+			}
+			r, c := i%12, i/12
+			if want := fmaChain(kc, ap[(r/4)*4*kc:], bp, r, c); !bitsEq(as[i], want) {
+				t.Fatalf("Gemm12x4 kc=%d: C(%d,%d) = %x, FMA chain %x",
+					kc, r, c, math.Float64bits(as[i]), math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// TestKernelsShortOperandsPanic pins the length contract: a kernel handed
+// an operand shorter than its reference requires must panic, with the
+// same runtime error under every implementation. Each short operand is a
+// capacity-limited prefix of a longer buffer, so an unchecked kernel runs
+// into memory the test owns and the failure reads "did not panic" rather
+// than corrupting the heap.
+func TestKernelsShortOperandsPanic(t *testing.T) {
+	const n, kc = 8, 8
+	short := func(m int) []float64 { b := make([]float64, 2*m); return b[: m-1 : m-1] }
+	full := func(m int) []float64 { return make([]float64, m) }
+	var acc4 [16]float64
+	var acc12 [48]float64
+	cases := []struct {
+		name string
+		call func(impl *Impl)
+	}{
+		{"Dot/y", func(impl *Impl) { impl.Dot(full(n), short(n)) }},
+		{"Axpy/y", func(impl *Impl) { impl.Axpy(2, full(n), short(n)) }},
+		{"Had/x", func(impl *Impl) { impl.Had(short(n), full(n), full(n)) }},
+		{"Had/y", func(impl *Impl) { impl.Had(full(n), short(n), full(n)) }},
+		{"HadAcc/x", func(impl *Impl) { impl.HadAcc(short(n), full(n), full(n)) }},
+		{"HadAcc/y", func(impl *Impl) { impl.HadAcc(full(n), short(n), full(n)) }},
+		{"Add/y", func(impl *Impl) { impl.Add(full(n), short(n)) }},
+		{"HadExpand/out", func(impl *Impl) { impl.HadExpand(full(4), full(4*n), short(4*n)) }},
+		{"Gemm4x4/ap", func(impl *Impl) { impl.Gemm4x4(kc, short(4*kc), full(4*kc), &acc4) }},
+		{"Gemm4x4/bp", func(impl *Impl) { impl.Gemm4x4(kc, full(4*kc), short(4*kc), &acc4) }},
+		{"Gemm12x4/ap", func(impl *Impl) { impl.Gemm12x4(kc, short(12*kc), full(4*kc), &acc12) }},
+		{"Gemm12x4/bp", func(impl *Impl) { impl.Gemm12x4(kc, full(12*kc), short(4*kc), &acc12) }},
+	}
+	panicOf := func(f func()) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		f()
+		return ""
+	}
+	for _, tc := range cases {
+		want := panicOf(func() { tc.call(Scalar()) })
+		if want == "" {
+			t.Errorf("scalar %s: short operand did not panic", tc.name)
+			continue
+		}
+		for _, impl := range impls()[1:] {
+			if got := panicOf(func() { tc.call(impl) }); got != want {
+				t.Errorf("%s %s: panic %q, scalar reference panics %q", impl.Name, tc.name, got, want)
 			}
 		}
 	}
