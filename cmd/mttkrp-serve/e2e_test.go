@@ -15,11 +15,28 @@ import (
 	"repro"
 )
 
+// assertClose fails t unless got matches want in shape and, element by
+// element, within 1e-12.
+func assertClose(t *testing.T, what string, got, want repro.Matrix) {
+	t.Helper()
+	if got.R != want.R || got.C != want.C {
+		t.Fatalf("%s %dx%d, want %dx%d", what, got.R, got.C, want.R, want.C)
+	}
+	for i := 0; i < want.R; i++ {
+		for j := 0; j < want.C; j++ {
+			if d := got.At(i, j) - want.At(i, j); d > 1e-12 || d < -1e-12 {
+				t.Fatalf("%s result diverges at (%d,%d)", what, i, j)
+			}
+		}
+	}
+}
+
 // TestE2EHTTPListenerDrain is the end-to-end exercise the CI listener job
 // runs: build the real binary, start it with -listen on a random port,
-// drive it with repro.Client — one MTTKRP (checked against the local
-// kernel), one CP, one quota-rejected request — then SIGTERM it and
-// assert a clean drain (exit status 0, drain summary on stderr).
+// drive it with repro.Client — one dense and one sparse MTTKRP (each
+// checked against the local kernel), one CP, one quota-rejected request —
+// then SIGTERM it and assert a clean drain (exit status 0, drain summary
+// on stderr).
 func TestE2EHTTPListenerDrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the daemon binary")
@@ -80,21 +97,19 @@ func TestE2EHTTPListenerDrain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("served MTTKRP: %v", err)
 	}
-	want := repro.MTTKRP(x, u, 1, repro.MTTKRPOptions{})
-	if got.R != want.R || got.C != want.C {
-		t.Fatalf("served %dx%d, want %dx%d", got.R, got.C, want.R, want.C)
-	}
-	for i := 0; i < want.R; i++ {
-		for j := 0; j < want.C; j++ {
-			d := got.At(i, j) - want.At(i, j)
-			if d > 1e-12 || d < -1e-12 {
-				t.Fatalf("served result diverges at (%d,%d)", i, j)
-			}
-		}
-	}
+	assertClose(t, "served", got, repro.MTTKRP(x, u, 1, repro.MTTKRPOptions{}))
 	if tm.Compute <= 0 {
 		t.Fatalf("missing server timing: %+v", tm)
 	}
+
+	// One sparse MTTKRP over the v2 wire format (~5 KiB of coordinates,
+	// values and factors), checked against the local sparse kernel.
+	sx := repro.RandomSparseTensor(newRNG(11), 0.1, 14, 12, 10)
+	sgot, _, err := c.SparseMTTKRP(repro.Matrix{}, sx, u, 2, repro.MethodAuto)
+	if err != nil {
+		t.Fatalf("served sparse MTTKRP: %v", err)
+	}
+	assertClose(t, "served sparse", sgot, repro.MTTKRP(sx, u, 2, repro.MTTKRPOptions{}))
 
 	// One CP.
 	cx := repro.RandomTensor(newRNG(9), 10, 9, 8)
@@ -215,18 +230,7 @@ func TestE2EHTTPByRefDrain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("served by-ref MTTKRP: %v", err)
 	}
-	want := repro.MTTKRP(x, u, 1, repro.MTTKRPOptions{})
-	if got.R != want.R || got.C != want.C {
-		t.Fatalf("served %dx%d, want %dx%d", got.R, got.C, want.R, want.C)
-	}
-	for i := 0; i < want.R; i++ {
-		for j := 0; j < want.C; j++ {
-			d := got.At(i, j) - want.At(i, j)
-			if d > 1e-12 || d < -1e-12 {
-				t.Fatalf("served by-ref result diverges at (%d,%d)", i, j)
-			}
-		}
-	}
+	assertClose(t, "served by-ref", got, repro.MTTKRP(x, u, 1, repro.MTTKRPOptions{}))
 	if tm.Compute <= 0 {
 		t.Fatalf("missing server timing: %+v", tm)
 	}

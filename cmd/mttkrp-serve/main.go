@@ -56,7 +56,6 @@ import (
 
 	"repro"
 	"repro/internal/cli"
-	"repro/internal/simd"
 )
 
 func main() {
@@ -177,8 +176,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	minWorkers := fs.Int("minworkers", 1, "admission floor: minimum workers per request")
 	maxActive := fs.Int("maxactive", 0, "max concurrently executing requests (0 = workers/minworkers)")
 	noBatch := fs.Bool("nobatch", false, "disable same-shape request batching")
-	noFuse := fs.Bool("nofuse", false, "disable batch-level KRP fusion (coalesced batches recompute the Khatri-Rao intermediate per member; the measured baseline)")
-	noSIMD := fs.Bool("nosimd", false, "force the scalar reference kernels for this process (equivalent to MTTKRP_NOSIMD=1; the -simd A/B's served half)")
 	numa := fs.String("numa", "off", "topology-aware placement, on or off (on builds the worker pool over the detected host topology — NUMA-node domains from sysfs, MTTKRP_TOPOLOGY override — so leases pack into domains and buffers are first-touched locally; results are bit-identical either way, and single-domain hosts fall back to the flat model)")
 	maxShare := fs.Float64("maxshare", 0, "cost-aware admission: cap one request's share of the pool width, 0 < v <= 1 (0 = no cap)")
 	maxQueueDelay := fs.Duration("maxqueuedelay", 0, "HTTP: shed requests (429) whose projected queue delay exceeds this (0 = queue everything)")
@@ -203,18 +200,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if *numa != "on" && *numa != "off" {
 		return cli.UsageError{Msg: fmt.Sprintf("-numa: unknown value %q (want on or off)", *numa)}
 	}
-	if *noSIMD {
-		// Before any serving work starts: the dispatch swap is process-global
-		// and unsynchronized by design (see internal/simd).
-		simd.Use(simd.Scalar())
-	}
 
 	serveCfg := repro.ServerConfig{
 		Workers:         *workers,
 		MinWorkers:      *minWorkers,
 		MaxActive:       *maxActive,
 		DisableBatching: *noBatch,
-		DisableFusion:   *noFuse,
 		MaxShare:        *maxShare,
 	}
 	if *numa == "on" {

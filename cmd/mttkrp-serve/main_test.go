@@ -154,15 +154,15 @@ func TestServeDaemonUsageErrors(t *testing.T) {
 	}
 }
 
-// TestServeDaemonNoSIMD pins the -nosimd escape hatch: the daemon selects
-// the scalar dispatch, and the served checksum still matches a direct
-// computation under the default (possibly vectorized) dispatch — the
-// daemon-level face of the simd bit-identity contract.
+// TestServeDaemonNoSIMD pins the daemon-level face of the simd
+// bit-identity contract: under the scalar dispatch (what MTTKRP_NOSIMD=1
+// selects at startup) the served checksum equals a direct computation
+// under the default, possibly vectorized, dispatch.
 func TestServeDaemonNoSIMD(t *testing.T) {
 	prev := simd.Active()
 	defer simd.Use(prev)
 
-	// Reference under the default dispatch, before the daemon swaps it.
+	// Reference under the default dispatch, before the swap.
 	rng := newRNG(3)
 	x := repro.RandomTensor(rng, 12, 10, 8)
 	u := make([]repro.Matrix, 3)
@@ -171,13 +171,13 @@ func TestServeDaemonNoSIMD(t *testing.T) {
 	}
 	want := matSum(repro.MTTKRP(x, u, 1, repro.MTTKRPOptions{Threads: 2}))
 
+	// Before any serving work starts: the dispatch swap is process-global
+	// and unsynchronized by design (see internal/simd).
+	simd.Use(simd.Scalar())
 	script := `{"id":"m1","op":"mttkrp","dims":[12,10,8],"rank":5,"mode":1,"seed":3}`
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-workers", "2", "-nosimd"}, strings.NewReader(script), &stdout, &stderr); err != nil {
+	if err := run([]string{"-workers", "2"}, strings.NewReader(script), &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
-	}
-	if simd.Active() != simd.Scalar() {
-		t.Error("-nosimd did not select the scalar dispatch")
 	}
 	r := decodeAll(t, stdout.String())["m1"]
 	if !r.OK {

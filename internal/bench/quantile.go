@@ -7,12 +7,10 @@ import (
 
 // Quantile returns the nearest-rank p-quantile of an ascending-sorted
 // duration slice: the smallest element whose rank r satisfies r/N ≥ p,
-// i.e. sorted[ceil(p·N)−1], with p clamped to (0, 1]. It is the single
-// percentile definition every latency table in this package uses —
-// Summarize's median and the -serve / -serve-http p50/p95/p99 columns —
-// so the two load generators can never disagree by an off-by-one again
-// (the historical trio: an averaged even-N median here, floor-indexed
-// q() closures in the serving tables). An empty slice reports 0.
+// i.e. sorted[ceil(p·N)−1], with p clamped to (0, 1]. Summarize's median
+// uses it, and the benchmark ledger's own quantile is pinned to it, so
+// no two latency tables can disagree by an off-by-one. An empty slice
+// reports 0.
 func Quantile(sorted []time.Duration, p float64) time.Duration {
 	n := len(sorted)
 	if n == 0 {

@@ -45,9 +45,9 @@
 // Use. Startup selects Best(): the AVX2 implementation when the CPU
 // reports AVX2 and FMA, the OS saves ymm state, and the MTTKRP_NOSIMD
 // environment variable is unset (any value other than "" and "0" forces
-// the scalar path). Use may be called again — tests and the serving A/B
-// flags (-simd=off, -nosimd) do — but only while no kernel is executing:
-// the pointers are written without synchronization, so swapping
+// the scalar path); that variable is the one switch, in every binary.
+// Use may be called again — tests do — but only while no kernel is
+// executing: the pointers are written without synchronization, so swapping
 // mid-flight is a data race. The indirection itself is allocation-free;
 // the entry points are annotated //mttkrp:noalloc and mttkrp-lint checks
 // through the pointer call.

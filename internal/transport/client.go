@@ -72,19 +72,7 @@ func (c *Client) MTTKRP(dst mat.View, x *tensor.Dense, factors []mat.View, mode 
 		return mat.View{}, Timing{}, fmt.Errorf("transport: %d factors for an order-%d tensor", len(factors), x.Order())
 	}
 	h := &Header{Op: OpMTTKRP, Method: method, Mode: mode, Rank: factors[0].C, Dims: x.Dims()}
-	start := time.Now()
-	resp, err := c.post("/v1/mttkrp", h, x, factors)
-	if err != nil {
-		return mat.View{}, Timing{}, err
-	}
-	defer resp.Body.Close()
-	tm := serverTiming(resp)
-	m, err := ReadMatrixInto(resp.Body, dst, MaxDim*MaxRank)
-	if err != nil {
-		return mat.View{}, Timing{}, err
-	}
-	tm.Total = time.Since(start)
-	return m, tm, nil
+	return c.mttkrp("/v1/mttkrp", h, dst, func(w io.Writer) error { return WriteRequest(w, h, x, factors) })
 }
 
 // MTTKRPByRef ships only the factor matrices plus a reference to a dense
@@ -100,19 +88,7 @@ func (c *Client) MTTKRPByRef(dst mat.View, ref TensorRef, dims []int, factors []
 		return mat.View{}, Timing{}, fmt.Errorf("transport: %d factors for an order-%d tensor", len(factors), len(dims))
 	}
 	h := &Header{Op: OpMTTKRPByRef, Method: method, Mode: mode, Rank: factors[0].C, Dims: dims, Ref: ref}
-	start := time.Now()
-	resp, err := c.post("/v1/mttkrp-ref", h, nil, factors)
-	if err != nil {
-		return mat.View{}, Timing{}, err
-	}
-	defer resp.Body.Close()
-	tm := serverTiming(resp)
-	m, err := ReadMatrixInto(resp.Body, dst, MaxDim*MaxRank)
-	if err != nil {
-		return mat.View{}, Timing{}, err
-	}
-	tm.Total = time.Since(start)
-	return m, tm, nil
+	return c.mttkrp("/v1/mttkrp-ref", h, dst, func(w io.Writer) error { return WriteRequest(w, h, nil, factors) })
 }
 
 // SparseMTTKRP ships a sparse tensor (COO coordinates and values at wire
@@ -123,38 +99,23 @@ func (c *Client) SparseMTTKRP(dst mat.View, x *tensor.Sparse, factors []mat.View
 	if x.Order() == 0 || len(factors) != x.Order() {
 		return mat.View{}, Timing{}, fmt.Errorf("transport: %d factors for an order-%d tensor", len(factors), x.Order())
 	}
-	if len(factors) == 0 {
-		return mat.View{}, Timing{}, fmt.Errorf("transport: no factors")
-	}
 	h := SparseHeader(x, method, mode, factors[0].C)
-	if err := h.Validate(0); err != nil {
-		return mat.View{}, Timing{}, err
-	}
+	return c.mttkrp("/v1/sparse-mttkrp", h, dst, func(w io.Writer) error { return WriteSparseRequest(w, h, x, factors) })
+}
+
+// mttkrp posts one MTTKRP request whose body write streams, and reads the
+// Dims[Mode] × Rank result h asks for into dst. The client trusts only
+// that shape, never the one the response declares: any other is refused
+// before the result is allocated.
+func (c *Client) mttkrp(path string, h *Header, dst mat.View, write func(io.Writer) error) (mat.View, Timing, error) {
 	start := time.Now()
-	pr, pw := io.Pipe()
-	go func() {
-		pw.CloseWithError(WriteSparseRequest(pw, h, x, factors))
-	}()
-	req, err := http.NewRequest(http.MethodPost, c.BaseURL+"/v1/sparse-mttkrp", pr)
-	if err != nil {
-		pr.Close()
-		return mat.View{}, Timing{}, err
-	}
-	req.ContentLength = h.WireSize()
-	req.Header.Set("Content-Type", "application/x-tensor-wire")
-	if c.Priority != "" {
-		req.Header.Set("X-Priority", c.Priority)
-	}
-	if c.CostHint > 0 {
-		req.Header.Set("X-Cost-Hint", strconv.FormatFloat(c.CostHint, 'g', -1, 64))
-	}
-	resp, err := c.do(req)
+	resp, err := c.post(path, h, write)
 	if err != nil {
 		return mat.View{}, Timing{}, err
 	}
 	defer resp.Body.Close()
 	tm := serverTiming(resp)
-	m, err := ReadMatrixInto(resp.Body, dst, MaxDim*MaxRank)
+	m, err := ReadMatrixInto(resp.Body, dst, h.Dims[h.Mode], h.Rank)
 	if err != nil {
 		return mat.View{}, Timing{}, err
 	}
@@ -175,13 +136,13 @@ type CPResult struct {
 func (c *Client) CP(x *tensor.Dense, rank, iters int, seed int64) (*CPResult, Timing, error) {
 	h := &Header{Op: OpCP, Rank: rank, Iters: iters, Seed: seed, Dims: x.Dims()}
 	start := time.Now()
-	resp, err := c.post("/v1/cp", h, x, nil)
+	resp, err := c.post("/v1/cp", h, func(w io.Writer) error { return WriteRequest(w, h, x, nil) })
 	if err != nil {
 		return nil, Timing{}, err
 	}
 	defer resp.Body.Close()
 	tm := serverTiming(resp)
-	k, err := ReadKTensor(resp.Body)
+	k, err := ReadKTensor(resp.Body, h.Dims, h.Rank)
 	if err != nil {
 		return nil, Timing{}, err
 	}
@@ -225,16 +186,17 @@ func (c *Client) Healthy() error {
 	return nil
 }
 
-// post streams one wire request (header + tensor + factors) through an
-// io.Pipe, so a large tensor is never materialized as a second byte
-// buffer client-side, and returns the successful response.
-func (c *Client) post(path string, h *Header, x *tensor.Dense, factors []mat.View) (*http.Response, error) {
+// post streams one wire request for the validated header h — write
+// encodes the whole body — through an io.Pipe, so a large tensor is never
+// materialized as a second byte buffer client-side, and returns the
+// successful response.
+func (c *Client) post(path string, h *Header, write func(io.Writer) error) (*http.Response, error) {
 	if err := h.Validate(0); err != nil {
 		return nil, err
 	}
 	pr, pw := io.Pipe()
 	go func() {
-		pw.CloseWithError(WriteRequest(pw, h, x, factors))
+		pw.CloseWithError(write(pw))
 	}()
 	req, err := http.NewRequest(http.MethodPost, c.BaseURL+path, pr)
 	if err != nil {

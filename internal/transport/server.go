@@ -80,7 +80,7 @@ type Stats struct {
 	BytesIn  int64 `json:"bytes_in"`
 	BytesOut int64 `json:"bytes_out"`
 	// DecodeNs and ComputeNs split served time between wire decode and
-	// kernel execution (the split mttkrp-bench -serve-http reports).
+	// kernel execution (the benchmark ledger's transport.decode_share).
 	DecodeNs  int64 `json:"decode_ns"`
 	ComputeNs int64 `json:"compute_ns"`
 	// Serve is the scheduler's own counter snapshot.
@@ -301,7 +301,7 @@ func clientKey(r *http.Request) string {
 }
 
 // Timing response headers: the server-measured decode/compute split, which
-// the load generator aggregates without a second stats round trip.
+// the benchmark ledger aggregates without a second stats round trip.
 const (
 	headerDecodeNs  = "X-Decode-Ns"
 	headerComputeNs = "X-Compute-Ns"

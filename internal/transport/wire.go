@@ -589,27 +589,25 @@ func WriteMatrix(w io.Writer, m mat.View, scratch []byte) error {
 	return nil
 }
 
-// ReadMatrixInto decodes a matrix response into dst when it matches the
-// wire dimensions (the steady-state client path — no allocation); a zero
-// dst allocates. maxElems bounds the accepted size.
-func ReadMatrixInto(r io.Reader, dst mat.View, maxElems int) (mat.View, error) {
+// ReadMatrixInto decodes a matrix response that must be rows × cols — the
+// shape the caller asked for — into dst when it matches (the steady-state
+// client path, no allocation); a zero dst allocates. A response declaring
+// any other shape is refused before anything is allocated, so a
+// misbehaving server cannot size the reader's memory.
+func ReadMatrixInto(r io.Reader, dst mat.View, rows, cols int) (mat.View, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return mat.View{}, fmt.Errorf("transport: short matrix header: %w", err)
 	}
-	rows := int(binary.LittleEndian.Uint32(hdr[0:]))
-	cols := int(binary.LittleEndian.Uint32(hdr[4:]))
-	// Bound each side before multiplying: two uint32s can wrap rows*cols
-	// past the maxElems guard.
-	if rows < 1 || rows > MaxDim || cols < 1 || cols > MaxRank ||
-		(maxElems > 0 && rows*cols > maxElems) {
-		return mat.View{}, fmt.Errorf("transport: implausible %dx%d matrix response", rows, cols)
+	gotRows, gotCols := int(binary.LittleEndian.Uint32(hdr[0:])), int(binary.LittleEndian.Uint32(hdr[4:]))
+	if gotRows != rows || gotCols != cols {
+		return mat.View{}, fmt.Errorf("transport: %dx%d matrix response, want %dx%d", gotRows, gotCols, rows, cols)
 	}
 	if dst.Data == nil {
 		dst = mat.NewDense(rows, cols)
 	}
 	if dst.R != rows || dst.C != cols || !dst.IsRowMajor() {
-		return mat.View{}, fmt.Errorf("transport: dst is %dx%d (row-major=%v), wire carries %dx%d",
+		return mat.View{}, fmt.Errorf("transport: dst is %dx%d (row-major=%v), want %dx%d",
 			dst.R, dst.C, dst.IsRowMajor(), rows, cols)
 	}
 	if err := readFloats(r, dst.Data[:rows*cols], nil); err != nil {
@@ -650,18 +648,19 @@ func WriteKTensor(w io.Writer, k *cpd.KTensor, scratch []byte) error {
 	return nil
 }
 
-// ReadKTensor decodes a CP result body.
-func ReadKTensor(r io.Reader) (*cpd.KTensor, error) {
+// ReadKTensor decodes a CP result body that must hold len(dims) factors
+// of dims[k] × rank plus rank weights — the decomposition the caller asked
+// for. Any other shape is refused before it is allocated.
+func ReadKTensor(r io.Reader, dims []int, rank int) (*cpd.KTensor, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("transport: short ktensor header: %w", err)
 	}
-	nf := int(binary.LittleEndian.Uint32(hdr[0:]))
-	rank := int(binary.LittleEndian.Uint32(hdr[4:]))
-	if nf < 1 || nf > MaxDims || rank < 1 || rank > MaxRank {
-		return nil, fmt.Errorf("transport: implausible ktensor response (%d factors, rank %d)", nf, rank)
+	gotFactors, gotRank := int(binary.LittleEndian.Uint32(hdr[0:])), int(binary.LittleEndian.Uint32(hdr[4:]))
+	if gotFactors != len(dims) || gotRank != rank {
+		return nil, fmt.Errorf("transport: ktensor response with %d factors of rank %d, want %d of rank %d", gotFactors, gotRank, len(dims), rank)
 	}
-	k := &cpd.KTensor{Lambda: make([]float64, rank), Factors: make([]mat.View, nf)}
+	k := &cpd.KTensor{Lambda: make([]float64, rank), Factors: make([]mat.View, len(dims))}
 	if err := readFloats(r, k.Lambda, nil); err != nil {
 		return nil, err
 	}
@@ -670,11 +669,10 @@ func ReadKTensor(r io.Reader) (*cpd.KTensor, error) {
 		if _, err := io.ReadFull(r, rh[:]); err != nil {
 			return nil, fmt.Errorf("transport: short factor header: %w", err)
 		}
-		rows := int(binary.LittleEndian.Uint32(rh[:]))
-		if rows < 1 || rows > MaxDim {
-			return nil, fmt.Errorf("transport: implausible factor rows %d", rows)
+		if rows := int(binary.LittleEndian.Uint32(rh[:])); rows != dims[i] {
+			return nil, fmt.Errorf("transport: factor %d has %d rows, want %d", i, rows, dims[i])
 		}
-		k.Factors[i] = mat.NewDense(rows, rank)
+		k.Factors[i] = mat.NewDense(dims[i], rank)
 		if err := readFloats(r, k.Factors[i].Data, nil); err != nil {
 			return nil, err
 		}

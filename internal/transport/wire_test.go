@@ -198,7 +198,7 @@ func TestWireMatrixHeaderOverflow(t *testing.T) {
 	binary.LittleEndian.PutUint32(hdr[0:], 1<<31)
 	binary.LittleEndian.PutUint32(hdr[4:], 1<<31)
 	b.Write(hdr[:])
-	if _, err := ReadMatrixInto(&b, mat.View{}, 1<<20); err == nil {
+	if _, err := ReadMatrixInto(&b, mat.View{}, 4, 2); err == nil {
 		t.Fatal("wrapping rows×cols accepted")
 	}
 }
@@ -212,7 +212,7 @@ func TestWireMatrixRoundTrip(t *testing.T) {
 	if err := WriteMatrix(&b, m, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadMatrixInto(&b, mat.View{}, 0)
+	got, err := ReadMatrixInto(&b, mat.View{}, 5, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestWireMatrixRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := mat.NewDense(4, 5)
-	if _, err := ReadMatrixInto(&b, dst, 0); err != nil {
+	if _, err := ReadMatrixInto(&b, dst, 4, 5); err != nil {
 		t.Fatal(err)
 	}
 	if mat.MaxAbsDiff(m.T(), dst) != 0 {
@@ -238,7 +238,7 @@ func TestWireMatrixRoundTrip(t *testing.T) {
 	if err := WriteMatrix(&b, m, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadMatrixInto(&b, mat.NewDense(3, 3), 0); err == nil {
+	if _, err := ReadMatrixInto(&b, mat.NewDense(3, 3), 5, 4); err == nil {
 		t.Fatal("mismatched dst accepted")
 	}
 }
@@ -250,7 +250,7 @@ func TestWireKTensorRoundTrip(t *testing.T) {
 	if err := WriteKTensor(&b, k, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadKTensor(&b)
+	got, err := ReadKTensor(&b, []int{6, 5, 4}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
