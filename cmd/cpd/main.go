@@ -10,7 +10,12 @@
 //	cpd -dims 40,40,40 -method reorder     # force the baseline MTTKRP
 //	cpd -dims 40,40,40 -multisweep         # cross-mode MTTKRP reuse
 //	cpd -fmri -nonneg -nvecs -corcondia    # nonnegative fit + diagnostics
-//	cpd -fmri -save x.tns; cpd -load x.tns # persist / reload tensors
+//	cpd -fmri -save x.dsnt; cpd -load x.dsnt # persist / reload tensors
+//
+// -save writes a DSNT file, the one dense tensor file format, so the
+// saved tensor can also be served by reference (mttkrp-serve -tensor-root,
+// Client.MTTKRPByRef); -load reads any DSNT file, including one written
+// by WriteDenseFile.
 package main
 
 import (
@@ -52,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	nonneg := fs.Bool("nonneg", false, "nonnegative CP via HALS (requires a nonnegative tensor)")
 	nvecs := fs.Bool("nvecs", false, "initialize from leading eigenvectors instead of a random draw")
 	corcondia := fs.Bool("corcondia", false, "report the core consistency diagnostic of the fit")
-	loadPath := fs.String("load", "", "load the tensor from a file written by -save instead of generating one")
+	loadPath := fs.String("load", "", "load the tensor from a DSNT file (as -save writes) instead of generating one")
 	savePath := fs.String("save", "", "save the generated tensor to this file before decomposing")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

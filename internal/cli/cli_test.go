@@ -1,6 +1,8 @@
 package cli
 
 import (
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -105,4 +107,33 @@ func TestSlug(t *testing.T) {
 	if len(long) > 48 {
 		t.Errorf("Slug did not truncate: %d chars", len(long))
 	}
+}
+
+// FuzzParseDims feeds arbitrary text to ParseDims. It must never panic;
+// accepted input has at least two dims, each at least 1, and those dims
+// joined with "x" parse back equal.
+func FuzzParseDims(f *testing.F) {
+	for _, s := range []string{"60,50,40", "4x3X2", " 5 , 6 ", "7", "4,x", "0,3", "+2,03"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		dims, err := ParseDims(s)
+		if err != nil {
+			return
+		}
+		if len(dims) < 2 {
+			t.Fatalf("%q parsed to %v: fewer than 2 dims", s, dims)
+		}
+		parts := make([]string, len(dims))
+		for i, d := range dims {
+			if d < 1 {
+				t.Fatalf("%q parsed to %v: dim %d below 1", s, dims, i)
+			}
+			parts[i] = strconv.Itoa(d)
+		}
+		back, err := ParseDims(strings.Join(parts, "x"))
+		if err != nil || !slices.Equal(back, dims) {
+			t.Fatalf("%q parsed to %v, which joins back to %v (%v)", s, dims, back, err)
+		}
+	})
 }

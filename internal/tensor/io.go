@@ -1,113 +1,19 @@
 package tensor
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-	"math"
-	"os"
-)
+// Save writes the tensor to path in the DSNT file format, the one dense
+// tensor file format (see mmap.go). Load reads it into the heap, OpenDense
+// maps it, and StatDense reads its identity for a by-reference request.
+func (d *Dense) Save(path string) error { return WriteDenseFile(path, d) }
 
-// Binary tensor format: magic, version, order, dims, then entries in
-// natural linearization, all little-endian. The format is deliberately
-// trivial so other tools (numpy, Julia) can read it with a one-liner.
-const (
-	ioMagic   = 0x544e5344 // "DSNT"
-	ioVersion = 1
-)
-
-// WriteTo serializes the tensor to w in the binary format.
-func (d *Dense) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	header := []uint64{ioMagic, ioVersion, uint64(len(d.dims))}
-	for _, h := range header {
-		if err := write(h); err != nil {
-			return n, fmt.Errorf("tensor: write header: %w", err)
-		}
-	}
-	for _, dim := range d.dims {
-		if err := write(uint64(dim)); err != nil {
-			return n, fmt.Errorf("tensor: write dims: %w", err)
-		}
-	}
-	if err := write(d.data); err != nil {
-		return n, fmt.Errorf("tensor: write data: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return n, fmt.Errorf("tensor: flush: %w", err)
-	}
-	return n, nil
-}
-
-// ReadFrom deserializes a tensor written by WriteTo.
-func ReadFrom(r io.Reader) (*Dense, error) {
-	br := bufio.NewReader(r)
-	var magic, version, order uint64
-	for _, p := range []*uint64{&magic, &version, &order} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("tensor: read header: %w", err)
-		}
-	}
-	if magic != ioMagic {
-		return nil, fmt.Errorf("tensor: bad magic 0x%x", magic)
-	}
-	if version != ioVersion {
-		return nil, fmt.Errorf("tensor: unsupported version %d", version)
-	}
-	if order == 0 || order > 32 {
-		return nil, fmt.Errorf("tensor: implausible order %d", order)
-	}
-	dims := make([]int, order)
-	size := 1
-	for i := range dims {
-		var d uint64
-		if err := binary.Read(br, binary.LittleEndian, &d); err != nil {
-			return nil, fmt.Errorf("tensor: read dims: %w", err)
-		}
-		if d == 0 || d > math.MaxInt32 {
-			return nil, fmt.Errorf("tensor: implausible dimension %d", d)
-		}
-		dims[i] = int(d)
-		if size > (1<<40)/dims[i] {
-			return nil, fmt.Errorf("tensor: dimensions overflow a sane size")
-		}
-		size *= dims[i]
-	}
-	out := New(dims...)
-	if err := binary.Read(br, binary.LittleEndian, out.data); err != nil {
-		return nil, fmt.Errorf("tensor: read data: %w", err)
-	}
-	return out, nil
-}
-
-// Save writes the tensor to a file.
-func (d *Dense) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := d.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// Load reads a tensor from a file written by Save.
+// Load reads a DSNT file (written by Save or WriteDenseFile) into a heap
+// tensor. OpenDense checks that the file holds everything its header
+// promises before anything is allocated, so a hostile header cannot size
+// the copy.
 func Load(path string) (*Dense, error) {
-	f, err := os.Open(path)
+	m, err := OpenDense(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadFrom(f)
+	defer m.Close()
+	return m.Clone(), nil
 }

@@ -10,9 +10,10 @@ import (
 	"time"
 )
 
-// Mappable tensor format (version 2 of the "DSNT" container): the header of
-// version 1 plus an explicit data offset, with the data section padded out
-// to a page boundary so the float64 slab can be mapped directly:
+// DSNT file format, the one dense tensor file format: Save and
+// WriteDenseFile write it, Load, OpenDense and StatDense read it. The data
+// section is padded out to a page boundary so the float64 slab can be
+// mapped directly:
 //
 //	offset 0            magic      uint64 LE = 0x544e5344 ("DSNT")
 //	offset 8            version    uint64 LE = 2
@@ -25,8 +26,10 @@ import (
 // Writers align dataOffset to 4 KiB so the data section starts on a page
 // boundary on every common host; readers only require 8-byte alignment
 // (the mapping base is page-aligned, so the float64 view stays aligned).
-// The format, like the rest of the container family, is little-endian.
+// Version 1, the same header without dataOffset or padding, is no longer
+// read. The format is little-endian.
 const (
+	ioMagic            = 0x544e5344 // "DSNT"
 	mapVersion         = 2
 	mapMaxOrder        = 16
 	mapMaxElems        = int64(1) << 50 // matches the wire codec's payload bound
@@ -100,8 +103,8 @@ type mapHeader struct {
 	checksum   uint64 // FNV-1a over bytes [0, dataOffset)
 }
 
-// readMapHeader reads and validates a version-2 header from r, which must
-// be positioned at the start of the file.
+// readMapHeader reads and validates a DSNT header from r, which must be
+// positioned at the start of the file.
 func readMapHeader(r io.Reader) (*mapHeader, error) {
 	h := fnv.New64a()
 	tr := io.TeeReader(r, h)
@@ -116,7 +119,7 @@ func readMapHeader(r io.Reader) (*mapHeader, error) {
 		return nil, fmt.Errorf("tensor: bad magic 0x%x", magic)
 	}
 	if version != mapVersion {
-		return nil, fmt.Errorf("tensor: unsupported mappable version %d (want %d)", version, mapVersion)
+		return nil, fmt.Errorf("tensor: unsupported DSNT version %d (want %d)", version, mapVersion)
 	}
 	if order == 0 || order > mapMaxOrder {
 		return nil, fmt.Errorf("tensor: implausible order %d", order)
@@ -152,7 +155,7 @@ func readMapHeader(r io.Reader) (*mapHeader, error) {
 	return out, nil
 }
 
-// mapHeaderBytes encodes the version-2 header (including padding) for dims.
+// mapHeaderBytes encodes the DSNT header (including padding) for dims.
 func mapHeaderBytes(dims []int) ([]byte, error) {
 	if len(dims) == 0 || len(dims) > mapMaxOrder {
 		return nil, fmt.Errorf("tensor: order %d outside [1,%d]", len(dims), mapMaxOrder)
@@ -178,9 +181,9 @@ func mapHeaderBytes(dims []int) ([]byte, error) {
 	return buf, nil
 }
 
-// WriteDenseFile writes d to path in the mappable format (version 2: header
-// padded to a page boundary, then the float64 slab). The result round-trips
-// through OpenDense.
+// WriteDenseFile writes d to path in the DSNT format (header padded to a
+// page boundary, then the float64 slab). The result round-trips through
+// OpenDense and Load.
 func WriteDenseFile(path string, d *Dense) error {
 	hdr, err := mapHeaderBytes(d.dims)
 	if err != nil {

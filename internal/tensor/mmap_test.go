@@ -167,11 +167,13 @@ func TestMapDimsOverflow(t *testing.T) {
 }
 
 func TestMapRejectsVersion1(t *testing.T) {
-	d := Random(rand.New(rand.NewSource(3)), 4, 4)
-	path := filepath.Join(t.TempDir(), "v1.dsnt")
-	if err := d.Save(path); err != nil {
-		t.Fatal(err)
+	// A version-1 file of a 4×4 tensor: magic, version, order and dims,
+	// then the data right after, with no dataOffset or padding.
+	var b []byte
+	for _, v := range []uint64{ioMagic, 1, 2, 4, 4} {
+		b = binary.LittleEndian.AppendUint64(b, v)
 	}
+	path := writeBytes(t, append(b, make([]byte, 8*16)...))
 	if _, err := OpenDense(path); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("OpenDense on v1 file: err = %v, want version error", err)
 	}

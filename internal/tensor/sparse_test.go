@@ -128,6 +128,34 @@ func TestSparseIORoundTrip(t *testing.T) {
 	}
 }
 
+// TestSparseSaveKeepsDims pins that a saved sparse tensor keeps its
+// shape: a mode whose last index holds no entry does not shrink, and a
+// tensor with no entries round-trips.
+func TestSparseSaveKeepsDims(t *testing.T) {
+	for _, s := range []*Sparse{
+		NewSparse([]int{6, 5, 4}, [][]int32{{0, 2}, {1, 1}, {0, 3}}, []float64{1.5, -2}),
+		NewSparse([]int{3, 2}, [][]int32{nil, nil}, nil),
+	} {
+		path := filepath.Join(t.TempDir(), "x.tns")
+		if err := s.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadSparse(path)
+		if err != nil {
+			t.Fatalf("%v: LoadSparse: %v", s.Dims(), err)
+		}
+		x, err := LoadAny(path)
+		if err != nil {
+			t.Fatalf("%v: LoadAny: %v", s.Dims(), err)
+		}
+		for _, got := range []Interface{back, x} {
+			if got.Layout() != LayoutCOO || !sameDims(got.Dims(), s.Dims()) || got.NNZ() != s.NNZ() {
+				t.Errorf("%v with %d entries loads as %v %v with %d", s.Dims(), s.NNZ(), got.Layout(), got.Dims(), got.NNZ())
+			}
+		}
+	}
+}
+
 func TestSparseLoadErrorsNameTheLine(t *testing.T) {
 	for _, tc := range []struct {
 		name, body, want string
@@ -138,6 +166,10 @@ func TestSparseLoadErrorsNameTheLine(t *testing.T) {
 		{"bad value", "1 1 1 nope\n", "line 1"},
 		{"non-finite value", "1 1 1 +Inf\n", "line 1"},
 		{"empty", "# only a comment\n", "no entries"},
+		{"beyond declared dim", "# dims 2 2\n1 1 1.0\n1 3 2.0\n", "line 3"},
+		{"bad declared dim", "# dims 2 x\n1 1 1.0\n", "line 1"},
+		{"order differs from declared", "# dims 2 2 2\n1 1 1.0\n", "line 2"},
+		{"duplicates overflow", "1 1 1e308\n1 1 1e308\n", "float64 range"},
 	} {
 		_, err := ReadSparseFrom(strings.NewReader(tc.body))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

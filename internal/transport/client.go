@@ -72,14 +72,14 @@ func (c *Client) MTTKRP(dst mat.View, x *tensor.Dense, factors []mat.View, mode 
 		return mat.View{}, Timing{}, fmt.Errorf("transport: %d factors for an order-%d tensor", len(factors), x.Order())
 	}
 	h := &Header{Op: OpMTTKRP, Method: method, Mode: mode, Rank: factors[0].C, Dims: x.Dims()}
-	return c.mttkrp("/v1/mttkrp", h, dst, func(w io.Writer) error { return WriteRequest(w, h, x, factors) })
+	return c.mttkrp(dst, h, x, factors)
 }
 
 // MTTKRPByRef ships only the factor matrices plus a reference to a dense
-// tensor file the server can map from its own filesystem (wire version 3):
-// the tensor payload — by far the largest share of a dense request — never
-// crosses the wire, and the server's decode window shrinks to the factor
-// copy plus one mmap. The reference carries the file's identity (mtime,
+// tensor file the server can map from its own filesystem: the tensor
+// payload — by far the largest share of a dense request — never crosses
+// the wire, and the server's decode window shrinks to the factor copy
+// plus one mmap. The reference carries the file's identity (mtime,
 // size, header checksum from StatDense via RefFor), which the server
 // verifies before computing; a mismatch is a 409, an unreadable or
 // out-of-root path a 404. dims must match the file's header exactly.
@@ -88,28 +88,26 @@ func (c *Client) MTTKRPByRef(dst mat.View, ref TensorRef, dims []int, factors []
 		return mat.View{}, Timing{}, fmt.Errorf("transport: %d factors for an order-%d tensor", len(factors), len(dims))
 	}
 	h := &Header{Op: OpMTTKRPByRef, Method: method, Mode: mode, Rank: factors[0].C, Dims: dims, Ref: ref}
-	return c.mttkrp("/v1/mttkrp-ref", h, dst, func(w io.Writer) error { return WriteRequest(w, h, nil, factors) })
+	return c.mttkrp(dst, h, nil, factors)
 }
 
-// SparseMTTKRP ships a sparse tensor (COO coordinates and values at wire
-// version 2) and its factors to the server and returns the I_n × C
-// result. A non-zero dst receives the result without allocating; factor k
-// must be I_k × C.
+// SparseMTTKRP ships a sparse tensor (its COO coordinates and values) and
+// its factors to the server and returns the I_n × C result. A non-zero
+// dst receives the result without allocating; factor k must be I_k × C.
 func (c *Client) SparseMTTKRP(dst mat.View, x *tensor.Sparse, factors []mat.View, mode int, method core.Method) (mat.View, Timing, error) {
 	if x.Order() == 0 || len(factors) != x.Order() {
 		return mat.View{}, Timing{}, fmt.Errorf("transport: %d factors for an order-%d tensor", len(factors), x.Order())
 	}
-	h := SparseHeader(x, method, mode, factors[0].C)
-	return c.mttkrp("/v1/sparse-mttkrp", h, dst, func(w io.Writer) error { return WriteSparseRequest(w, h, x, factors) })
+	h := &Header{Op: OpSparseMTTKRP, Method: method, Mode: mode, Rank: factors[0].C, Dims: x.Dims(), NNZ: x.NNZ()}
+	return c.mttkrp(dst, h, x, factors)
 }
 
-// mttkrp posts one MTTKRP request whose body write streams, and reads the
-// Dims[Mode] × Rank result h asks for into dst. The client trusts only
-// that shape, never the one the response declares: any other is refused
-// before the result is allocated.
-func (c *Client) mttkrp(path string, h *Header, dst mat.View, write func(io.Writer) error) (mat.View, Timing, error) {
+// mttkrp posts one MTTKRP request and reads the Dims[Mode] × Rank result h
+// asks for into dst. The client trusts only that shape, never the one the
+// response declares: any other is refused before the result is allocated.
+func (c *Client) mttkrp(dst mat.View, h *Header, x tensor.Interface, factors []mat.View) (mat.View, Timing, error) {
 	start := time.Now()
-	resp, err := c.post(path, h, write)
+	resp, err := c.post(h, x, factors)
 	if err != nil {
 		return mat.View{}, Timing{}, err
 	}
@@ -136,7 +134,7 @@ type CPResult struct {
 func (c *Client) CP(x *tensor.Dense, rank, iters int, seed int64) (*CPResult, Timing, error) {
 	h := &Header{Op: OpCP, Rank: rank, Iters: iters, Seed: seed, Dims: x.Dims()}
 	start := time.Now()
-	resp, err := c.post("/v1/cp", h, func(w io.Writer) error { return WriteRequest(w, h, x, nil) })
+	resp, err := c.post(h, x, nil)
 	if err != nil {
 		return nil, Timing{}, err
 	}
@@ -186,19 +184,19 @@ func (c *Client) Healthy() error {
 	return nil
 }
 
-// post streams one wire request for the validated header h — write
-// encodes the whole body — through an io.Pipe, so a large tensor is never
+// post streams the request WriteRequest encodes for h, x and factors to
+// the op's route through an io.Pipe, so a large tensor is never
 // materialized as a second byte buffer client-side, and returns the
 // successful response.
-func (c *Client) post(path string, h *Header, write func(io.Writer) error) (*http.Response, error) {
+func (c *Client) post(h *Header, x tensor.Interface, factors []mat.View) (*http.Response, error) {
 	if err := h.Validate(0); err != nil {
 		return nil, err
 	}
 	pr, pw := io.Pipe()
 	go func() {
-		pw.CloseWithError(write(pw))
+		pw.CloseWithError(WriteRequest(pw, h, x, factors))
 	}()
-	req, err := http.NewRequest(http.MethodPost, c.BaseURL+path, pr)
+	req, err := http.NewRequest(http.MethodPost, c.BaseURL+h.Op.route(), pr)
 	if err != nil {
 		pr.Close()
 		return nil, err

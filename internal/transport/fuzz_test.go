@@ -13,18 +13,16 @@ import (
 	"repro/internal/tensor"
 )
 
-// decoded is one request as the server's decode sequence leaves it:
-// exactly one of dense (nil for by-ref requests) and sparse is set.
+// decoded is one request as the server's decode sequence leaves it.
 type decoded struct {
 	h       *Header
-	dense   *tensor.Dense
-	sparse  *tensor.Sparse
+	x       tensor.Interface // nil for by-ref requests
 	factors []mat.View
 }
 
 // decodeWire runs the server's decode sequence over data: ReadHeader,
-// Validate under a 1 MiB payload cap, then the dense or sparse payload
-// decoder into buffers sized from the header.
+// Validate under a 1 MiB payload cap, then DecodeRequest into buffers
+// sized from the header.
 func decodeWire(data []byte) (*decoded, error) {
 	r := bytes.NewReader(data)
 	h, err := ReadHeader(r)
@@ -34,18 +32,11 @@ func decodeWire(data []byte) (*decoded, error) {
 	if err := h.Validate(1 << 20); err != nil {
 		return nil, err
 	}
-	d := &decoded{h: h}
-	floats := make([]float64, h.PayloadFloats())
-	scratch := make([]byte, scratchBytes)
-	if h.sparse() {
-		d.sparse, d.factors, err = DecodeSparseRequest(r, h, make([]int32, h.IndexInts()), floats, scratch)
-	} else {
-		d.dense, d.factors, err = DecodeRequest(r, h, floats, scratch)
-	}
+	x, factors, err := DecodeRequest(r, h, make([]int32, h.IndexInts()), make([]float64, h.PayloadFloats()), make([]byte, scratchBytes))
 	if err != nil {
 		return nil, err
 	}
-	return d, nil
+	return &decoded{h: h, x: x, factors: factors}, nil
 }
 
 // encode writes d back to the wire. A sparse payload is re-encoded as the
@@ -53,33 +44,30 @@ func decodeWire(data []byte) (*decoded, error) {
 // entry count (duplicate coordinates merge on decode).
 func (d *decoded) encode(w io.Writer) (*Header, error) {
 	h := *d.h
-	if d.sparse != nil {
-		h.NNZ = d.sparse.NNZ()
-		return &h, WriteSparseRequest(w, &h, d.sparse, d.factors)
+	if h.sparse() {
+		h.NNZ = d.x.NNZ()
 	}
-	return &h, WriteRequest(w, &h, d.dense, d.factors)
+	return &h, WriteRequest(w, &h, d.x, d.factors)
 }
 
 // checkShapes fails t unless the decoded tensor and factors have the
-// shapes the header promises.
+// layout and shapes the header promises.
 func (d *decoded) checkShapes(t *testing.T) {
 	t.Helper()
 	h := d.h
-	switch {
-	case h.sparse():
-		if d.sparse == nil || !slices.Equal(d.sparse.Dims(), h.Dims) || d.sparse.NNZ() > h.NNZ {
-			t.Fatalf("sparse tensor does not match header %+v", h)
-		}
-	case h.byRef():
-		if d.dense != nil {
-			t.Fatal("by-ref request decoded a wire tensor")
-		}
-	default:
-		if d.dense == nil || !slices.Equal(d.dense.Dims(), h.Dims) || len(d.dense.Data()) != h.TensorElems() {
-			t.Fatalf("dense tensor does not match header %+v", h)
-		}
+	var ok bool
+	switch x := d.x.(type) {
+	case nil:
+		ok = h.byRef()
+	case *tensor.Dense:
+		ok = !h.sparse() && !h.byRef() && slices.Equal(x.Dims(), h.Dims) && len(x.Data()) == h.TensorElems()
+	case *tensor.Sparse:
+		ok = h.sparse() && slices.Equal(x.Dims(), h.Dims) && x.NNZ() <= h.NNZ
 	}
-	if h.Op == OpCP {
+	if !ok {
+		t.Fatalf("decoded %T does not match header %+v", d.x, h)
+	}
+	if !h.hasFactors() {
 		if d.factors != nil {
 			t.Fatal("CP request decoded factors")
 		}
@@ -105,16 +93,16 @@ func (d *decoded) bits() []uint64 {
 			out = append(out, math.Float64bits(v))
 		}
 	}
-	switch {
-	case d.sparse != nil:
-		for k := 0; k < d.sparse.Order(); k++ {
-			for _, i := range d.sparse.Index(k) {
+	switch x := d.x.(type) {
+	case *tensor.Sparse:
+		for k := 0; k < x.Order(); k++ {
+			for _, i := range x.Index(k) {
 				out = append(out, uint64(i))
 			}
 		}
-		add(d.sparse.Values())
-	case d.dense != nil:
-		add(d.dense.Data())
+		add(x.Values())
+	case *tensor.Dense:
+		add(x.Data())
 	}
 	for _, u := range d.factors {
 		add(u.Data[:u.R*u.C])
@@ -125,36 +113,38 @@ func (d *decoded) bits() []uint64 {
 // FuzzDecodeRequest feeds arbitrary bytes through the server's decode
 // sequence. Decoding must never panic; an accepted request must yield a
 // tensor and factors shaped as its header says; and re-encoding it must
-// decode to the same header and a bit-identical payload. Values are
-// compared rather than bytes: dense ops decode at any wire version, but
-// the writer always emits version 1.
+// decode to the same header and a bit-identical payload. For every op but
+// sparse, whose decoder canonicalizes the COO entries, the re-encoding
+// must also reproduce the request's bytes: there is one wire version, so
+// a request written at any other is rejected rather than rewritten.
 func FuzzDecodeRequest(f *testing.F) {
 	x, u := problem(1, 3, 4, 3, 2)
 	sx, su := sparseProblem(2, 0.3, 3, 4, 3, 2)
 	ref := TensorRef{Path: "sub/x.dsnt", MTime: 1, Size: 2, Checksum: 3}
-	seeds := []func(io.Writer) error{
-		func(w io.Writer) error {
-			return WriteRequest(w, &Header{Op: OpMTTKRP, Method: core.MethodTwoStep, Mode: 1, Rank: 3, Dims: x.Dims()}, x, u)
-		},
-		func(w io.Writer) error {
-			return WriteRequest(w, &Header{Op: OpCP, Rank: 3, Iters: 5, Seed: -7, Dims: x.Dims()}, x, nil)
-		},
-		func(w io.Writer) error {
-			return WriteSparseRequest(w, SparseHeader(sx, core.MethodAuto, 2, 3), sx, su)
-		},
-		func(w io.Writer) error {
-			return WriteRequest(w, &Header{Op: OpMTTKRPByRef, Rank: 3, Dims: x.Dims(), Ref: ref}, nil, u)
-		},
+	seeds := []struct {
+		h *Header
+		x tensor.Interface
+		u []mat.View
+	}{
+		{&Header{Op: OpMTTKRP, Method: core.MethodTwoStep, Mode: 1, Rank: 3, Dims: x.Dims()}, x, u},
+		{&Header{Op: OpCP, Rank: 3, Iters: 5, Seed: -7, Dims: x.Dims()}, x, nil},
+		{sparseHeader(sx, 2, 3), sx, su},
+		{&Header{Op: OpMTTKRPByRef, Rank: 3, Dims: x.Dims(), Ref: ref}, nil, u},
 	}
-	for _, write := range seeds {
+	for _, s := range seeds {
 		var b bytes.Buffer
-		if err := write(&b); err != nil {
+		if err := WriteRequest(&b, s.h, s.x, s.u); err != nil {
 			f.Fatal(err)
 		}
 		wire := b.Bytes()
 		f.Add(wire)
 		for _, n := range []int{fixedHeaderLen, len(wire) / 2, len(wire) - 1} {
 			f.Add(wire[:n])
+		}
+		for _, v := range []byte{2, 3} {
+			retired := bytes.Clone(wire)
+			retired[4] = v
+			f.Add(retired)
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -167,6 +157,9 @@ func FuzzDecodeRequest(f *testing.F) {
 		want, err := d.encode(&b)
 		if err != nil {
 			t.Fatalf("re-encoding an accepted request: %v", err)
+		}
+		if !d.h.sparse() && !bytes.Equal(b.Bytes(), data[:d.h.WireSize()]) {
+			t.Fatalf("re-encoding op %d changed the request's bytes", d.h.Op)
 		}
 		e, err := decodeWire(b.Bytes())
 		if err != nil {

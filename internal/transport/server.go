@@ -167,18 +167,15 @@ func (s *Server) Stats() Stats {
 // mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/mttkrp", func(w http.ResponseWriter, r *http.Request) {
-		s.handleCompute(w, r, OpMTTKRP)
-	})
-	mux.HandleFunc("POST /v1/sparse-mttkrp", func(w http.ResponseWriter, r *http.Request) {
-		s.handleCompute(w, r, OpSparseMTTKRP)
-	})
-	mux.HandleFunc("POST /v1/cp", func(w http.ResponseWriter, r *http.Request) {
-		s.handleCompute(w, r, OpCP)
-	})
-	mux.HandleFunc("POST /v1/mttkrp-ref", func(w http.ResponseWriter, r *http.Request) {
-		s.handleCompute(w, r, OpMTTKRPByRef)
-	})
+	for op, path := range routes {
+		if path == "" {
+			continue
+		}
+		op := Op(op)
+		mux.HandleFunc("POST "+path, func(w http.ResponseWriter, r *http.Request) {
+			s.handleCompute(w, r, op)
+		})
+	}
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	return mux
@@ -410,7 +407,8 @@ func retryAfterSeconds(wait time.Duration) int64 {
 	return secs
 }
 
-// handleCompute is the shared data path of /v1/mttkrp and /v1/cp.
+// handleCompute is the shared data path of every compute route; a request
+// whose op is not the route's wantOp is a 400.
 func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request, wantOp Op) {
 	s.requests.Add(1)
 	if s.draining.Load() {
@@ -462,24 +460,19 @@ func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request, wantOp Op
 	defer s.quotas.releaseBytes(key, payload, now)
 
 	// Stream-decode the payload into pooled slabs: the request's floats
-	// (and, for sparse requests, its int32 coordinates) materialize
+	// (and the int32 coordinates a sparse header promises) materialize
 	// exactly once, and the slabs go back to their pools when the
 	// response has been written.
 	buf := s.bufs.get(h.PayloadFloats())
 	defer s.bufs.put(buf)
 	scratch := s.scratch.get()
 	defer s.scratch.put(scratch)
-	var (
-		x       tensor.Interface
-		factors []mat.View
-	)
-	if h.sparse() {
-		idx := s.idxs.get(h.IndexInts())
+	var idx []int32
+	if n := h.IndexInts(); n > 0 {
+		idx = s.idxs.get(n)
 		defer s.idxs.put(idx)
-		x, factors, err = DecodeSparseRequest(r.Body, h, idx, buf, scratch)
-	} else {
-		x, factors, err = DecodeRequest(r.Body, h, buf, scratch)
 	}
+	x, factors, err := DecodeRequest(r.Body, h, idx, buf, scratch)
 	if err != nil {
 		s.badRequests.Add(1)
 		http.Error(w, err.Error(), http.StatusBadRequest)

@@ -1,18 +1,21 @@
 // Package transport is the network front end of the serving runtime: an
 // HTTP/1.1 listener (HTTP/2 when TLS is configured — net/http negotiates
-// it automatically) that decodes a compact binary wire format for dense
-// tensors directly into pooled request buffers, applies per-client
+// it automatically) that decodes a compact binary wire format directly
+// into pooled request buffers, applies per-client
 // token-bucket quotas (request rate and in-flight payload bytes), submits
 // to the admission-controlled scheduler (internal/serve), and drains
 // gracefully on shutdown so admitted tickets finish.
 //
-// The wire format keeps JSON off the data path: a little-endian fixed
-// header (magic, version, op, method, ndims, mode, rank, iters, seed),
-// the dimension list, then the raw float64 payload — the tensor in
-// natural linearization followed, for MTTKRP, by the row-major factor
-// matrices in mode order. Responses are equally lean: an I_n × C matrix
-// is (rows, cols, data); a CP result is (nfactors, rank, lambda,
-// factors...). See DESIGN.md §8 for the byte-level specification.
+// The wire format keeps JSON off the data path. Every request has one
+// little-endian header — magic, version, op, method, ndims, mode, rank,
+// iters, seed, then the dimension list — and the op alone decides what
+// follows: the nnz count of a sparse request, the tensor reference of a
+// by-ref one, then the tensor body (the dense entries in natural
+// linearization, the COO coordinates and values, or nothing) and, for
+// every op except CP, the row-major factor matrices in mode order.
+// Responses are equally lean: an I_n × C matrix is (rows, cols, data); a
+// CP result is (nfactors, rank, lambda, factors...). See DESIGN.md §8 for
+// the byte-level specification.
 package transport
 
 import (
@@ -21,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -29,48 +33,64 @@ import (
 	"repro/internal/tensor"
 )
 
-// Op selects the request kind carried by a wire header.
+// Op selects the request kind carried by a wire header, and with it the
+// body that follows the header.
 type Op uint8
 
 // Request kinds.
 const (
+	// OpMTTKRP ships a dense tensor and its factor matrices.
 	OpMTTKRP Op = 1
-	OpCP     Op = 2
-	// OpSparseMTTKRP is the wire-v2 sparse request: the payload carries
-	// COO coordinates and values instead of a dense linearization. A v1
-	// reader rejects it by version before touching the payload.
+	// OpCP ships a dense tensor; the server initializes the factors from
+	// the header's seed.
+	OpCP Op = 2
+	// OpSparseMTTKRP ships a sparse tensor: an nnz count after the
+	// dimension list, then COO coordinates and values instead of a dense
+	// linearization, then the factors.
 	OpSparseMTTKRP Op = 3
-	// OpMTTKRPByRef is the wire-v3 by-reference request: instead of the
-	// tensor's float payload, the header carries a path (relative to the
-	// server's tensor root) plus the file identity the client observed —
-	// mtime, size and header checksum — and only the factor matrices ride
-	// the wire. The server maps the file, revalidates the identity (409 on
-	// mismatch) and streams the kernel through row tiles of the mapping.
+	// OpMTTKRPByRef ships only the factors: instead of the tensor's float
+	// payload, the header carries a path (relative to the server's tensor
+	// root) plus the file identity the client observed — mtime, size and
+	// header checksum. The server maps the file, revalidates the identity
+	// (409 on mismatch) and streams the kernel through row tiles of the
+	// mapping.
 	OpMTTKRPByRef Op = 4
 )
 
+// routes maps each op to its HTTP endpoint, for Server.Handler and Client
+// alike. An op without a route is unknown.
+var routes = [...]string{
+	OpMTTKRP:       "/v1/mttkrp",
+	OpCP:           "/v1/cp",
+	OpSparseMTTKRP: "/v1/sparse-mttkrp",
+	OpMTTKRPByRef:  "/v1/mttkrp-ref",
+}
+
+// route returns op's endpoint, or "" for an unknown op.
+func (op Op) route() string {
+	if int(op) < len(routes) {
+		return routes[op]
+	}
+	return ""
+}
+
 // Wire-format constants. The magic doubles as an endianness check: a
 // big-endian writer produces a mismatched magic and is rejected before
-// any payload is read.
+// any payload is read. There is one version for every op. Builds that
+// wrote sparse requests at version 2 and by-ref requests at version 3
+// reject those ops at version 1, and this reader rejects versions 2 and
+// 3, so the two fail cleanly against each other.
 const (
 	wireMagic   uint32 = 0x4B54544D // "MTTK" little-endian
 	wireVersion uint8  = 1
-	// wireVersionSparse is the version sparse requests are written at.
-	// Version 2 extends v1 by one rule: sparse ops append an 8-byte nnz
-	// count after the dimension list (dense ops are byte-identical to
-	// v1, and readers accept both versions).
-	wireVersionSparse uint8 = 2
-	// wireVersionByRef is the version by-reference requests are written
-	// at. Version 3 extends v2 by one rule: by-ref ops append a tensor
-	// reference block after the dimension list — mtime (int64), size
-	// (int64), header checksum (uint64), then the path as a uint16 length
-	// plus bytes. All other ops are byte-identical to their v1/v2 forms.
-	wireVersionByRef uint8 = 3
 
 	// fixedHeaderLen is the byte length of the header before the
 	// dimension list: magic(4) version(1) op(1) method(1) ndims(1)
 	// mode(4) rank(4) iters(4) seed(8).
 	fixedHeaderLen = 28
+	// refFixedLen is the length of a by-ref request's reference block
+	// before the path bytes: mtime(8) size(8) checksum(8) pathLen(2).
+	refFixedLen = 26
 )
 
 // Resource ceilings enforced at decode time, before any payload bytes are
@@ -122,7 +142,7 @@ var ErrPayloadTooLarge = errors.New("transport: request payload exceeds server l
 // payload length, so quota accounting and buffer sizing happen before the
 // first payload byte is read.
 type Header struct {
-	// Op is the request kind (OpMTTKRP or OpCP).
+	// Op is the request kind; it selects the body after the header.
 	Op Op
 	// Method selects the MTTKRP algorithm (MTTKRP requests; CP uses it as
 	// the per-mode kernel choice with zero = the paper's hybrid).
@@ -138,12 +158,12 @@ type Header struct {
 	// Dims is the tensor shape.
 	Dims []int
 	// NNZ is the stored-entry count of a sparse request (OpSparseMTTKRP
-	// only; encoded as a uint64 after the dimension list at wire version
-	// 2). Dense ops leave it 0 and omit the field.
+	// only; encoded as a uint64 after the dimension list). Other ops leave
+	// it 0 and omit the field.
 	NNZ int64
 	// Ref names the server-resident tensor of a by-reference request
-	// (OpMTTKRPByRef only; encoded after the dimension list at wire
-	// version 3). Other ops leave it zero and omit the block.
+	// (OpMTTKRPByRef only; encoded after the dimension list). Other ops
+	// leave it zero and omit the block.
 	Ref TensorRef
 }
 
@@ -153,9 +173,22 @@ func (h *Header) sparse() bool { return h.Op == OpSparseMTTKRP }
 // byRef reports whether the request's tensor stays server-side.
 func (h *Header) byRef() bool { return h.Op == OpMTTKRPByRef }
 
-// refWireLen is the encoded length of the reference block: mtime(8) +
-// size(8) + checksum(8) + pathLen(2) + path bytes.
-func (h *Header) refWireLen() int { return 26 + len(h.Ref.Path) }
+// hasFactors reports whether the request ships factor matrices: every op
+// except CP, whose server initializes them from Seed.
+func (h *Header) hasFactors() bool { return h.Op != OpCP }
+
+// headerLen returns the encoded header length: the fixed part, the dims,
+// then the op's extension — the nnz field or the reference block.
+func (h *Header) headerLen() int {
+	n := fixedHeaderLen + 4*len(h.Dims)
+	if h.sparse() {
+		n += 8
+	}
+	if h.byRef() {
+		n += refFixedLen + len(h.Ref.Path)
+	}
+	return n
+}
 
 // TensorElems returns the entry count of the request tensor.
 func (h *Header) TensorElems() int {
@@ -166,39 +199,18 @@ func (h *Header) TensorElems() int {
 	return n
 }
 
-// FactorElems returns the total entries of the factor matrices shipped
-// after the tensor (MTTKRP requests, dense or sparse, carry one I_k × C
-// factor per mode; CP requests carry none — the server initializes from
-// Seed).
-func (h *Header) FactorElems() int {
-	if h.Op != OpMTTKRP && h.Op != OpSparseMTTKRP && h.Op != OpMTTKRPByRef {
-		return 0
-	}
-	n := 0
-	for _, d := range h.Dims {
-		n += d * h.Rank
-	}
-	return n
-}
-
 // PayloadFloats returns the float64 count following the header: the
-// tensor's stored values (all Π dims entries dense, nnz sparse) plus the
-// factor matrices. Sparse coordinates are int32s and counted separately
-// (IndexInts).
+// tensor's stored values (all Π dims entries dense, nnz sparse, none by
+// reference) plus the factor matrices. Sparse coordinates are int32s and
+// counted separately (IndexInts).
 func (h *Header) PayloadFloats() int {
-	if h.sparse() {
-		return int(h.NNZ) + h.FactorElems()
-	}
-	if h.byRef() {
-		// The tensor stays server-side; only the factors cross the wire.
-		return h.FactorElems()
-	}
-	return h.TensorElems() + h.FactorElems()
+	n, _ := h.checkedPayloadFloats() // cannot fail on a validated header
+	return int(n)
 }
 
 // IndexInts returns the int32 count of the sparse coordinate block
 // preceding the float payload: nnz coordinates per mode, mode-major. 0
-// for dense ops.
+// for the other ops.
 func (h *Header) IndexInts() int {
 	if !h.sparse() {
 		return 0
@@ -213,14 +225,7 @@ func (h *Header) PayloadBytes() int64 {
 
 // WireSize returns the total request length in bytes: header plus payload.
 func (h *Header) WireSize() int64 {
-	n := int64(fixedHeaderLen + 4*len(h.Dims))
-	if h.sparse() {
-		n += 8 // the nnz field
-	}
-	if h.byRef() {
-		n += int64(h.refWireLen())
-	}
-	return n + h.PayloadBytes()
+	return int64(h.headerLen()) + h.PayloadBytes()
 }
 
 // maxWireFloats is the absolute payload ceiling (2^50 float64s, 8 PiB):
@@ -240,23 +245,24 @@ func (h *Header) checkedPayloadFloats() (int64, error) {
 		}
 		elems *= int64(d)
 	}
-	floats := elems
-	if h.byRef() {
-		// The dims bound above still guards the mapped tensor's extent;
-		// the wire payload itself carries no tensor floats.
-		floats = 0
-	}
-	if h.sparse() {
+	var floats int64
+	switch {
+	case h.sparse():
 		// A canonical COO payload is sorted and deduped, so its entry
 		// count never exceeds the shape's capacity; a header claiming
 		// more is hostile or corrupt. Bounding by elems ≤ maxWireFloats
-		// also rules out nnz · order overflow below (order ≤ MaxDims).
+		// also rules out nnz · order overflow in IndexInts (order ≤
+		// MaxDims).
 		if h.NNZ < 0 || h.NNZ > elems {
 			return 0, fmt.Errorf("%w: nnz %d outside [0, %d] for shape %v", ErrPayloadTooLarge, h.NNZ, elems, h.Dims)
 		}
 		floats = h.NNZ
+	case !h.byRef():
+		// A by-ref payload carries no tensor floats; the dims bound above
+		// still guards the mapped tensor's extent.
+		floats = elems
 	}
-	if h.Op == OpMTTKRP || h.Op == OpSparseMTTKRP || h.Op == OpMTTKRPByRef {
+	if h.hasFactors() {
 		// Each term is ≤ 2^20 · 2^12 under the per-field bounds; eight of
 		// them cannot overflow alongside elems ≤ 2^50.
 		for _, d := range h.Dims {
@@ -276,7 +282,7 @@ func (h *Header) checkedPayloadFloats() (int64, error) {
 // only meaningful on a validated header — Validate is where overflow is
 // ruled out.
 func (h *Header) Validate(maxPayloadBytes int64) error {
-	if h.Op != OpMTTKRP && h.Op != OpCP && h.Op != OpSparseMTTKRP && h.Op != OpMTTKRPByRef {
+	if h.Op.route() == "" {
 		return fmt.Errorf("transport: unknown op %d", h.Op)
 	}
 	if h.byRef() {
@@ -301,46 +307,26 @@ func (h *Header) Validate(maxPayloadBytes int64) error {
 	if h.Rank < 1 || h.Rank > MaxRank {
 		return fmt.Errorf("transport: rank %d, want 1..%d", h.Rank, MaxRank)
 	}
-	if (h.Op == OpMTTKRP || h.Op == OpSparseMTTKRP || h.Op == OpMTTKRPByRef) && (h.Mode < 0 || h.Mode >= len(h.Dims)) {
+	if h.hasFactors() && (h.Mode < 0 || h.Mode >= len(h.Dims)) {
 		return fmt.Errorf("transport: mode %d out of range [0,%d)", h.Mode, len(h.Dims))
 	}
 	if h.Iters < 0 || h.Iters > MaxIters {
 		return fmt.Errorf("transport: iters %d, want 0..%d", h.Iters, MaxIters)
 	}
-	floats, err := h.checkedPayloadFloats()
-	if err != nil {
+	if _, err := h.checkedPayloadFloats(); err != nil {
 		return err
 	}
-	bytes := 8 * floats
-	if h.sparse() {
-		// The coordinate block: nnz int32s per mode. nnz ≤ 2^50 and
-		// order ≤ 8, so the product stays well inside int64.
-		bytes += 4 * h.NNZ * int64(len(h.Dims))
-	}
-	if maxPayloadBytes > 0 && bytes > maxPayloadBytes {
+	if bytes := h.PayloadBytes(); maxPayloadBytes > 0 && bytes > maxPayloadBytes {
 		return fmt.Errorf("%w: %d bytes > %d", ErrPayloadTooLarge, bytes, maxPayloadBytes)
 	}
 	return nil
 }
 
-// WriteHeader encodes h (unvalidated — callers validate) to w. Dense ops
-// write version 1 — byte-identical to the original format, so old readers
-// keep working — and sparse ops write version 2 with the nnz field after
-// the dimension list.
+// WriteHeader encodes h (unvalidated — callers validate) to w.
 func WriteHeader(w io.Writer, h *Header) error {
-	n := fixedHeaderLen + 4*len(h.Dims)
-	ver := wireVersion
-	if h.sparse() {
-		ver = wireVersionSparse
-		n += 8
-	}
-	if h.byRef() {
-		ver = wireVersionByRef
-		n += h.refWireLen()
-	}
-	buf := make([]byte, n)
+	buf := make([]byte, h.headerLen())
 	binary.LittleEndian.PutUint32(buf[0:], wireMagic)
-	buf[4] = ver
+	buf[4] = wireVersion
 	buf[5] = byte(h.Op)
 	buf[6] = byte(h.Method)
 	buf[7] = byte(len(h.Dims))
@@ -351,24 +337,24 @@ func WriteHeader(w io.Writer, h *Header) error {
 	for i, d := range h.Dims {
 		binary.LittleEndian.PutUint32(buf[fixedHeaderLen+4*i:], uint32(d))
 	}
+	off := fixedHeaderLen + 4*len(h.Dims)
 	if h.sparse() {
-		binary.LittleEndian.PutUint64(buf[fixedHeaderLen+4*len(h.Dims):], uint64(h.NNZ))
+		binary.LittleEndian.PutUint64(buf[off:], uint64(h.NNZ))
 	}
 	if h.byRef() {
-		off := fixedHeaderLen + 4*len(h.Dims)
 		binary.LittleEndian.PutUint64(buf[off:], uint64(h.Ref.MTime))
 		binary.LittleEndian.PutUint64(buf[off+8:], uint64(h.Ref.Size))
 		binary.LittleEndian.PutUint64(buf[off+16:], h.Ref.Checksum)
 		binary.LittleEndian.PutUint16(buf[off+24:], uint16(len(h.Ref.Path)))
-		copy(buf[off+26:], h.Ref.Path)
+		copy(buf[off+refFixedLen:], h.Ref.Path)
 	}
 	_, err := w.Write(buf)
 	return err
 }
 
-// ReadHeader decodes a request header from r, rejecting bad magic,
-// versions and dimension counts before reading the dimension list. Callers
-// still run Validate before trusting the sizes.
+// ReadHeader decodes a request header from r, rejecting bad magic, any
+// version but 1, unknown ops and bad dimension counts before reading the
+// dimension list. Callers still run Validate before trusting the sizes.
 func ReadHeader(r io.Reader) (*Header, error) {
 	var fixed [fixedHeaderLen]byte
 	if _, err := io.ReadFull(r, fixed[:]); err != nil {
@@ -377,8 +363,11 @@ func ReadHeader(r io.Reader) (*Header, error) {
 	if got := binary.LittleEndian.Uint32(fixed[0:]); got != wireMagic {
 		return nil, fmt.Errorf("transport: bad magic %#x (not a wire request, or big-endian writer)", got)
 	}
-	if fixed[4] != wireVersion && fixed[4] != wireVersionSparse && fixed[4] != wireVersionByRef {
-		return nil, fmt.Errorf("transport: wire version %d, want %d..%d", fixed[4], wireVersion, wireVersionByRef)
+	if fixed[4] != wireVersion {
+		return nil, fmt.Errorf("transport: wire version %d, want %d", fixed[4], wireVersion)
+	}
+	if op := Op(fixed[5]); op.route() == "" {
+		return nil, fmt.Errorf("transport: unknown op %d", op)
 	}
 	ndims := int(fixed[7])
 	if ndims < 2 || ndims > MaxDims {
@@ -392,12 +381,6 @@ func ReadHeader(r io.Reader) (*Header, error) {
 		Iters:  int(binary.LittleEndian.Uint32(fixed[16:])),
 		Seed:   int64(binary.LittleEndian.Uint64(fixed[20:])),
 		Dims:   make([]int, ndims),
-	}
-	if h.sparse() && fixed[4] < wireVersionSparse {
-		return nil, fmt.Errorf("transport: sparse op requires wire version %d, got %d", wireVersionSparse, fixed[4])
-	}
-	if h.byRef() && fixed[4] < wireVersionByRef {
-		return nil, fmt.Errorf("transport: by-ref op requires wire version %d, got %d", wireVersionByRef, fixed[4])
 	}
 	dims := make([]byte, 4*ndims)
 	if _, err := io.ReadFull(r, dims); err != nil {
@@ -417,7 +400,7 @@ func ReadHeader(r io.Reader) (*Header, error) {
 		}
 	}
 	if h.byRef() {
-		var rb [26]byte
+		var rb [refFixedLen]byte
 		if _, err := io.ReadFull(r, rb[:]); err != nil {
 			return nil, fmt.Errorf("transport: short tensor ref: %w", err)
 		}
@@ -437,9 +420,9 @@ func ReadHeader(r io.Reader) (*Header, error) {
 	return h, nil
 }
 
-// scratchBytes is the chunk size of the streaming float codec: payloads
-// stream through a buffer this large, so a 1 GB tensor materializes once
-// (as float64s) rather than twice (raw bytes plus floats).
+// scratchBytes is the chunk size of the streaming codec: payloads stream
+// through a buffer this large, so a 1 GB tensor materializes once (as
+// float64s) rather than twice (raw bytes plus floats).
 const scratchBytes = 32 << 10
 
 // writeFloats streams data to w in little-endian chunks through scratch
@@ -483,76 +466,175 @@ func readFloats(r io.Reader, dst []float64, scratch []byte) error {
 	return nil
 }
 
-// WriteRequest streams one complete request — header, tensor (omitted for
-// by-reference ops, which may pass a nil x), and (for MTTKRP) the factor
-// matrices — to w. Factor k must be I_k × C; strided views are serialized
-// row-contiguously.
-func WriteRequest(w io.Writer, h *Header, x *tensor.Dense, factors []mat.View) error {
-	if err := h.Validate(0); err != nil {
-		return err
+// writeInts streams data to w as little-endian int32s in chunks through
+// scratch (≥ 4 bytes; nil allocates a default chunk).
+func writeInts(w io.Writer, data []int32, scratch []byte) error {
+	if len(scratch) < 4 {
+		scratch = make([]byte, scratchBytes)
 	}
-	if err := WriteHeader(w, h); err != nil {
-		return err
-	}
-	scratch := make([]byte, scratchBytes)
-	if !h.byRef() {
-		if err := writeFloats(w, x.Data(), scratch); err != nil {
+	for len(data) > 0 {
+		n := min(len(data), len(scratch)/4)
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint32(scratch[4*i:], uint32(data[i]))
+		}
+		if _, err := w.Write(scratch[:4*n]); err != nil {
 			return err
 		}
+		data = data[n:]
 	}
-	if h.Op != OpMTTKRP && h.Op != OpMTTKRPByRef {
-		return nil
+	return nil
+}
+
+// readInts fills dst from r, decoding little-endian int32s in chunks
+// through scratch. A short read returns io.ErrUnexpectedEOF, so a
+// truncated coordinate block is a decode error, never a silent
+// short tensor.
+func readInts(r io.Reader, dst []int32, scratch []byte) error {
+	if len(scratch) < 4 {
+		scratch = make([]byte, scratchBytes)
 	}
-	for k, u := range factors {
-		if u.R != h.Dims[k] || u.C != h.Rank {
-			return fmt.Errorf("transport: factor %d is %dx%d, want %dx%d", k, u.R, u.C, h.Dims[k], h.Rank)
+	for len(dst) > 0 {
+		n := min(len(dst), len(scratch)/4)
+		if _, err := io.ReadFull(r, scratch[:4*n]); err != nil {
+			if errors.Is(err, io.EOF) {
+				err = io.ErrUnexpectedEOF
+			}
+			return fmt.Errorf("transport: short index payload: %w", err)
 		}
-		if u.IsRowMajor() {
-			if err := writeFloats(w, u.Data[:u.R*u.C], scratch); err != nil {
-				return err
-			}
-			continue
+		for i := 0; i < n; i++ {
+			dst[i] = int32(binary.LittleEndian.Uint32(scratch[4*i:]))
 		}
-		row := make([]float64, u.C)
-		for i := 0; i < u.R; i++ {
-			for j := 0; j < u.C; j++ {
-				row[j] = u.At(i, j)
-			}
-			if err := writeFloats(w, row, scratch); err != nil {
-				return err
-			}
+		dst = dst[n:]
+	}
+	return nil
+}
+
+// writeView streams m row by row in row-major order: one slab when m is
+// row-major, a row at a time otherwise.
+func writeView(w io.Writer, m mat.View, scratch []byte) error {
+	if m.IsRowMajor() {
+		return writeFloats(w, m.Data[:m.R*m.C], scratch)
+	}
+	row := make([]float64, m.C)
+	for i := 0; i < m.R; i++ {
+		for j := range row {
+			row[j] = m.At(i, j)
+		}
+		if err := writeFloats(w, row, scratch); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// DecodeRequest reads the payload a validated header promises into buf
-// (length ≥ h.PayloadFloats()) and returns the tensor and factor views
-// aliasing it. The caller owns buf and must keep it live until the
-// computation completes — this is the zero-copy step that lets the server
-// decode into a pooled buffer. By-reference requests carry no tensor
-// floats; the returned tensor is nil and the caller resolves h.Ref
-// against its tensor root instead.
-func DecodeRequest(r io.Reader, h *Header, buf []float64, scratch []byte) (*tensor.Dense, []mat.View, error) {
-	need := h.PayloadFloats()
-	if len(buf) < need {
-		return nil, nil, fmt.Errorf("transport: decode buffer holds %d floats, need %d", len(buf), need)
+// WriteRequest streams one complete request to w: the header, the tensor
+// body h.Op selects — the dense entries for OpMTTKRP and OpCP, the COO
+// coordinate slabs (mode-major) and values for OpSparseMTTKRP, nothing
+// for OpMTTKRPByRef, which takes a nil x — then, for every op except CP,
+// the factor matrices. x must have the header's dims (and a sparse x its
+// NNZ); factor k must be I_k × C, and strided views are serialized
+// row-contiguously.
+func WriteRequest(w io.Writer, h *Header, x tensor.Interface, factors []mat.View) error {
+	if err := h.Validate(0); err != nil {
+		return err
 	}
-	if err := readFloats(r, buf[:need], scratch); err != nil {
+	var ok bool
+	switch x := x.(type) {
+	case nil:
+		ok = h.byRef()
+	case *tensor.Dense:
+		ok = !h.sparse() && !h.byRef() && slices.Equal(x.Dims(), h.Dims)
+	case *tensor.Sparse:
+		ok = h.sparse() && x.NNZ() == h.NNZ && slices.Equal(x.Dims(), h.Dims)
+	}
+	if !ok {
+		return fmt.Errorf("transport: op %d with dims %v cannot carry a %T", h.Op, h.Dims, x)
+	}
+	if !h.hasFactors() {
+		factors = nil // the server initializes CP's factors from Seed
+	} else if len(factors) != len(h.Dims) {
+		return fmt.Errorf("transport: %d factors for an order-%d tensor", len(factors), len(h.Dims))
+	}
+	for k, u := range factors {
+		if u.R != h.Dims[k] || u.C != h.Rank {
+			return fmt.Errorf("transport: factor %d is %dx%d, want %dx%d", k, u.R, u.C, h.Dims[k], h.Rank)
+		}
+	}
+	if err := WriteHeader(w, h); err != nil {
+		return err
+	}
+	scratch := make([]byte, scratchBytes)
+	switch x := x.(type) {
+	case *tensor.Dense:
+		if err := writeFloats(w, x.Data(), scratch); err != nil {
+			return err
+		}
+	case *tensor.Sparse:
+		for k := 0; k < x.Order(); k++ {
+			if err := writeInts(w, x.Index(k), scratch); err != nil {
+				return err
+			}
+		}
+		if err := writeFloats(w, x.Values(), scratch); err != nil {
+			return err
+		}
+	}
+	for _, u := range factors {
+		if err := writeView(w, u, scratch); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// DecodeRequest reads the body a validated header promises into the
+// caller's buffers — a sparse request's coordinates into ints (length ≥
+// h.IndexInts()), the tensor values and factors into floats (length ≥
+// h.PayloadFloats()) — and returns the tensor and factor views aliasing
+// them. The caller owns both buffers and must keep them live until the
+// computation completes: this is the zero-copy step that lets the server
+// decode into pooled slabs. Sparse coordinates arrive mode-major, so each
+// mode's column is one contiguous run of ints, the shape
+// tensor.SparseFromCOO takes ownership of; it rejects out-of-range
+// coordinates, so a hostile payload cannot index outside the factor
+// matrices, and re-canonicalizes unsorted or duplicated input. A by-ref
+// request carries no tensor: the returned one is nil, and the caller
+// resolves h.Ref against its tensor root instead.
+func DecodeRequest(r io.Reader, h *Header, ints []int32, floats []float64, scratch []byte) (tensor.Interface, []mat.View, error) {
+	needI, needF := h.IndexInts(), h.PayloadFloats()
+	if len(ints) < needI || len(floats) < needF {
+		return nil, nil, fmt.Errorf("transport: decode buffers hold %d ints and %d floats, need %d and %d", len(ints), len(floats), needI, needF)
+	}
+	if err := readInts(r, ints[:needI], scratch); err != nil {
 		return nil, nil, err
 	}
-	var x *tensor.Dense
-	off := 0
-	if !h.byRef() {
-		x = tensor.FromData(buf[:h.TensorElems()], h.Dims...)
-		off = h.TensorElems()
+	if err := readFloats(r, floats[:needF], scratch); err != nil {
+		return nil, nil, err
 	}
-	if h.Op != OpMTTKRP && h.Op != OpMTTKRPByRef {
+	var x tensor.Interface
+	off := 0
+	switch {
+	case h.sparse():
+		nnz := int(h.NNZ)
+		idx := make([][]int32, len(h.Dims))
+		for k := range idx {
+			idx[k] = ints[k*nnz : (k+1)*nnz]
+		}
+		s, err := tensor.SparseFromCOO(h.Dims, idx, floats[:nnz])
+		if err != nil {
+			return nil, nil, fmt.Errorf("transport: bad sparse payload: %w", err)
+		}
+		x, off = s, nnz
+	case !h.byRef():
+		off = h.TensorElems()
+		x = tensor.FromData(floats[:off], h.Dims...)
+	}
+	if !h.hasFactors() {
 		return x, nil, nil
 	}
 	factors := make([]mat.View, len(h.Dims))
 	for k, d := range h.Dims {
-		factors[k] = mat.FromRowMajor(buf[off:off+d*h.Rank], d, h.Rank)
+		factors[k] = mat.FromRowMajor(floats[off:off+d*h.Rank], d, h.Rank)
 		off += d * h.Rank
 	}
 	return x, factors, nil
@@ -574,19 +656,7 @@ func WriteMatrix(w io.Writer, m mat.View, scratch []byte) error {
 	if len(scratch) < 8 {
 		scratch = make([]byte, scratchBytes)
 	}
-	if m.IsRowMajor() {
-		return writeFloats(w, m.Data[:m.R*m.C], scratch)
-	}
-	row := make([]float64, m.C)
-	for i := 0; i < m.R; i++ {
-		for j := 0; j < m.C; j++ {
-			row[j] = m.At(i, j)
-		}
-		if err := writeFloats(w, row, scratch); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeView(w, m, scratch)
 }
 
 // ReadMatrixInto decodes a matrix response that must be rows × cols — the

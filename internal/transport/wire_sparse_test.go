@@ -24,18 +24,23 @@ func sparseProblem(seed int64, density float64, rank int, dims ...int) (*tensor.
 	return x, u
 }
 
+// sparseHeader builds the wire header of a sparse MTTKRP request for x.
+func sparseHeader(x *tensor.Sparse, mode, rank int) *Header {
+	return &Header{Op: OpSparseMTTKRP, Mode: mode, Rank: rank, Dims: x.Dims(), NNZ: x.NNZ()}
+}
+
 // TestSparseWireRoundTrip pins that an encode/decode cycle reproduces the
 // tensor and factors bit-exactly, and that the decoded tensor hits the
 // sorted fast path (no re-canonicalization of a canonical payload).
 func TestSparseWireRoundTrip(t *testing.T) {
 	x, u := sparseProblem(1, 0.05, 4, 12, 10, 8)
-	h := SparseHeader(x, core.MethodAuto, 1, 4)
+	h := sparseHeader(x, 1, 4)
 	if h.WireSize() != int64(fixedHeaderLen+4*3+8)+h.PayloadBytes() {
 		t.Fatalf("wire size %d inconsistent with header layout", h.WireSize())
 	}
 
 	var buf bytes.Buffer
-	if err := WriteSparseRequest(&buf, h, x, u); err != nil {
+	if err := WriteRequest(&buf, h, x, u); err != nil {
 		t.Fatal(err)
 	}
 	if int64(buf.Len()) != h.WireSize() {
@@ -54,10 +59,11 @@ func TestSparseWireRoundTrip(t *testing.T) {
 	}
 	ints := make([]int32, h2.IndexInts())
 	floats := make([]float64, h2.PayloadFloats())
-	x2, u2, err := DecodeSparseRequest(&buf, h2, ints, floats, nil)
+	gx, u2, err := DecodeRequest(&buf, h2, ints, floats, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	x2 := gx.(*tensor.Sparse)
 	if x2.NNZ() != x.NNZ() {
 		t.Fatalf("decoded nnz %d, want %d", x2.NNZ(), x.NNZ())
 	}
@@ -90,9 +96,9 @@ func TestSparseWireRoundTrip(t *testing.T) {
 // values, factors) decodes to an error, never a short tensor.
 func TestSparseWireTruncation(t *testing.T) {
 	x, u := sparseProblem(2, 0.1, 3, 8, 7, 6)
-	h := SparseHeader(x, core.MethodAuto, 0, 3)
+	h := sparseHeader(x, 0, 3)
 	var full bytes.Buffer
-	if err := WriteSparseRequest(&full, h, x, u); err != nil {
+	if err := WriteRequest(&full, h, x, u); err != nil {
 		t.Fatal(err)
 	}
 	wire := full.Bytes()
@@ -109,19 +115,19 @@ func TestSparseWireTruncation(t *testing.T) {
 		}
 		ints := make([]int32, h2.IndexInts())
 		floats := make([]float64, h2.PayloadFloats())
-		if _, _, err := DecodeSparseRequest(r, h2, ints, floats, nil); err == nil {
+		if _, _, err := DecodeRequest(r, h2, ints, floats, nil); err == nil {
 			t.Fatalf("cut %d: truncated payload decoded without error", cut)
 		}
 	}
 }
 
 // TestSparseWireRejection pins the hostile-header and hostile-payload
-// paths: nnz overflow, version downgrade, out-of-range coordinates.
+// paths: nnz overflow, the one wire version, out-of-range coordinates.
 func TestSparseWireRejection(t *testing.T) {
 	x, u := sparseProblem(3, 0.1, 2, 6, 5)
 
 	t.Run("nnz exceeds shape capacity", func(t *testing.T) {
-		h := SparseHeader(x, core.MethodAuto, 0, 2)
+		h := sparseHeader(x, 0, 2)
 		h.NNZ = int64(6*5) + 1
 		err := h.Validate(0)
 		if !errors.Is(err, ErrPayloadTooLarge) {
@@ -130,30 +136,39 @@ func TestSparseWireRejection(t *testing.T) {
 	})
 
 	t.Run("nnz bytes exceed payload cap", func(t *testing.T) {
-		h := SparseHeader(x, core.MethodAuto, 0, 2)
+		h := sparseHeader(x, 0, 2)
 		if err := h.Validate(64); !errors.Is(err, ErrPayloadTooLarge) {
 			t.Fatalf("got %v, want ErrPayloadTooLarge", err)
 		}
 	})
 
 	t.Run("sparse op at wire version 1", func(t *testing.T) {
-		h := SparseHeader(x, core.MethodAuto, 0, 2)
+		h := sparseHeader(x, 0, 2)
 		var buf bytes.Buffer
 		if err := WriteHeader(&buf, h); err != nil {
 			t.Fatal(err)
 		}
 		wire := buf.Bytes()
-		wire[4] = wireVersion // downgrade the version byte
-		_, err := ReadHeader(bytes.NewReader(wire))
-		if err == nil || !strings.Contains(err.Error(), "requires wire version") {
-			t.Fatalf("downgraded sparse header accepted: %v", err)
+		if wire[4] != wireVersion {
+			t.Fatalf("sparse header written at version %d, want %d", wire[4], wireVersion)
+		}
+		got, err := ReadHeader(bytes.NewReader(wire))
+		if err != nil {
+			t.Fatalf("sparse header at version %d rejected: %v", wireVersion, err)
+		}
+		if got.Op != OpSparseMTTKRP || got.NNZ != x.NNZ() {
+			t.Fatalf("read back op %d nnz %d, want op %d nnz %d", got.Op, got.NNZ, OpSparseMTTKRP, x.NNZ())
+		}
+		wire[4] = 2 // the version sparse requests carried before the single header
+		if _, err := ReadHeader(bytes.NewReader(wire)); err == nil || !strings.Contains(err.Error(), "wire version") {
+			t.Fatalf("sparse header at version 2 accepted: %v", err)
 		}
 	})
 
 	t.Run("out-of-range coordinate", func(t *testing.T) {
-		h := SparseHeader(x, core.MethodAuto, 0, 2)
+		h := sparseHeader(x, 0, 2)
 		var buf bytes.Buffer
-		if err := WriteSparseRequest(&buf, h, x, u); err != nil {
+		if err := WriteRequest(&buf, h, x, u); err != nil {
 			t.Fatal(err)
 		}
 		wire := buf.Bytes()
@@ -167,7 +182,7 @@ func TestSparseWireRejection(t *testing.T) {
 		}
 		ints := make([]int32, h2.IndexInts())
 		floats := make([]float64, h2.PayloadFloats())
-		if _, _, err := DecodeSparseRequest(r, h2, ints, floats, nil); err == nil {
+		if _, _, err := DecodeRequest(r, h2, ints, floats, nil); err == nil {
 			t.Fatal("out-of-range coordinate decoded without error")
 		}
 	})

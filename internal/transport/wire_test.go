@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -31,25 +35,35 @@ func randomHeader(rng *rand.Rand, op Op) *Header {
 	}
 }
 
-// TestWireRoundTripProperty is the property test of the satellite list:
-// random dims/rank/mode/method requests survive encode → decode exactly.
+// TestWireRoundTripProperty is the property test of the wire codec:
+// random requests of every op — dense tensors, COO tensors at random
+// densities, random references — survive encode → decode with every
+// header field intact and a bit-identical payload.
 func TestWireRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
-		op := OpMTTKRP
-		if trial%3 == 2 {
-			op = OpCP
+		h := randomHeader(rng, OpMTTKRP+Op(trial%4))
+		var x tensor.Interface
+		switch h.Op {
+		case OpMTTKRP, OpCP:
+			x = tensor.Random(rng, h.Dims...)
+		case OpSparseMTTKRP:
+			s := tensor.RandomSparse(rng, rng.Float64(), h.Dims...)
+			x, h.NNZ = s, s.NNZ()
+		case OpMTTKRPByRef:
+			h.Ref = TensorRef{
+				Path:  fmt.Sprintf("d%d/x%d.dsnt", rng.Intn(100), rng.Intn(100)),
+				MTime: rng.Int63(), Size: rng.Int63(), Checksum: rng.Uint64(),
+			}
 		}
-		h := randomHeader(rng, op)
-		x := tensor.Random(rng, h.Dims...)
-		var factors []mat.View
-		if op == OpMTTKRP {
-			for k := 0; k < x.Order(); k++ {
-				factors = append(factors, mat.RandomDense(x.Dim(k), h.Rank, rng))
+		sent := &decoded{h: h, x: x}
+		if h.hasFactors() {
+			for _, d := range h.Dims {
+				sent.factors = append(sent.factors, mat.RandomDense(d, h.Rank, rng))
 			}
 		}
 		var buf bytes.Buffer
-		if err := WriteRequest(&buf, h, x, factors); err != nil {
+		if err := WriteRequest(&buf, h, x, sent.factors); err != nil {
 			t.Fatalf("trial %d: write: %v", trial, err)
 		}
 		if int64(buf.Len()) != h.WireSize() {
@@ -59,33 +73,20 @@ func TestWireRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: read header: %v", trial, err)
 		}
-		if got.Op != h.Op || got.Method != h.Method || got.Mode != h.Mode ||
-			got.Rank != h.Rank || got.Iters != h.Iters || got.Seed != h.Seed {
+		if !reflect.DeepEqual(got, h) {
 			t.Fatalf("trial %d: header %+v != %+v", trial, got, h)
-		}
-		if len(got.Dims) != len(h.Dims) {
-			t.Fatalf("trial %d: dims %v != %v", trial, got.Dims, h.Dims)
-		}
-		for i := range h.Dims {
-			if got.Dims[i] != h.Dims[i] {
-				t.Fatalf("trial %d: dims %v != %v", trial, got.Dims, h.Dims)
-			}
 		}
 		if err := got.Validate(0); err != nil {
 			t.Fatalf("trial %d: validate: %v", trial, err)
 		}
-		slab := make([]float64, got.PayloadFloats())
-		gx, gu, err := DecodeRequest(&buf, got, slab, nil)
+		gx, gu, err := DecodeRequest(&buf, got, make([]int32, got.IndexInts()), make([]float64, got.PayloadFloats()), nil)
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
-		if tensor.MaxAbsDiff(gx, x) != 0 {
-			t.Fatalf("trial %d: tensor payload corrupted", trial)
-		}
-		for k := range factors {
-			if mat.MaxAbsDiff(gu[k], factors[k]) != 0 {
-				t.Fatalf("trial %d: factor %d corrupted", trial, k)
-			}
+		recv := &decoded{h: got, x: gx, factors: gu}
+		recv.checkShapes(t)
+		if !slices.Equal(recv.bits(), sent.bits()) {
+			t.Fatalf("trial %d: op %d payload corrupted", trial, h.Op)
 		}
 		if buf.Len() != 0 {
 			t.Fatalf("trial %d: %d trailing bytes after decode", trial, buf.Len())
@@ -115,15 +116,16 @@ func TestWireTruncatedPayload(t *testing.T) {
 			continue // truncated inside the header: rejected there
 		}
 		slab := make([]float64, gh.PayloadFloats())
-		if _, _, err := DecodeRequest(r, gh, slab, nil); err == nil {
+		if _, _, err := DecodeRequest(r, gh, nil, slab, nil); err == nil {
 			t.Fatalf("truncation at byte %d of %d decoded successfully", cut, len(wire))
 		}
 	}
 }
 
-// TestWireHeaderRejection pins the pre-payload defenses: bad magic, bad
-// version, oversized orders/dims/ranks, and payloads above the server cap
-// are all refused before any payload allocation.
+// TestWireHeaderRejection pins the pre-payload defenses: bad magic, any
+// version but 1 for every op, unknown ops, oversized orders/dims/ranks,
+// and payloads above the server cap are all refused before any payload
+// allocation.
 func TestWireHeaderRejection(t *testing.T) {
 	valid := &Header{Op: OpMTTKRP, Mode: 0, Rank: 2, Dims: []int{3, 3}}
 	encode := func(h *Header) []byte {
@@ -139,10 +141,24 @@ func TestWireHeaderRejection(t *testing.T) {
 	if _, err := ReadHeader(bytes.NewReader(wire)); err == nil {
 		t.Fatal("bad magic accepted")
 	}
+	// One version for every op: the 2 and 3 that sparse and by-ref
+	// requests were once written at are refused like any other.
+	for op := OpMTTKRP; op <= OpMTTKRPByRef; op++ {
+		h := &Header{Op: op, Rank: 2, Dims: []int{3, 3}, NNZ: 1, Ref: TensorRef{Path: "x"}}
+		for _, v := range []byte{0, 2, 3, 9} {
+			wire = encode(h)
+			wire[4] = v
+			if _, err := ReadHeader(bytes.NewReader(wire)); err == nil || !strings.Contains(err.Error(), "wire version") {
+				t.Errorf("op %d at wire version %d: %v, want a version error", op, v, err)
+			}
+		}
+	}
+	// An unknown op is refused from the fixed header alone, before the
+	// dimension list is read.
 	wire = encode(valid)
-	wire[4] = 9 // unknown version
-	if _, err := ReadHeader(bytes.NewReader(wire)); err == nil {
-		t.Fatal("bad version accepted")
+	wire[5] = 9
+	if _, err := ReadHeader(bytes.NewReader(wire[:fixedHeaderLen])); err == nil || !strings.Contains(err.Error(), "unknown op") {
+		t.Fatalf("unknown op: %v, want an unknown-op error", err)
 	}
 	wire = encode(valid)
 	wire[7] = 200 // oversized ndims — would imply an 800-byte dims read
@@ -292,7 +308,7 @@ func BenchmarkWireDecodeMTTKRP(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := DecodeRequest(r, gh, slab, scratch); err != nil {
+		if _, _, err := DecodeRequest(r, gh, nil, slab, scratch); err != nil {
 			b.Fatal(err)
 		}
 	}

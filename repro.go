@@ -222,9 +222,10 @@ func NewServer(cfg ServerConfig) *Server { return serve.New(cfg) }
 var ErrDraining = serve.ErrDraining
 
 // Transport is the network front end of a Server: an HTTP listener
-// speaking a compact binary wire format for dense and sparse tensors
-// (sparse requests ship COO coordinates and values at wire version 2),
-// with per-client token-bucket quotas and graceful drain. Create with
+// speaking a compact binary wire format, one request header for every op
+// (dense and sparse tensors, CP, and by-reference requests that name a
+// server-resident DSNT file), with per-client token-bucket quotas and
+// graceful drain. Create with
 // NewTransport; attach a listener with its Serve/ListenAndServe methods
 // or ServeTransport.
 type Transport = transport.Server
@@ -348,9 +349,9 @@ type MappedTensor = tensor.Map
 // client ships instead of the payload.
 type DenseFileInfo = tensor.DenseFileInfo
 
-// WriteDenseFile writes d to path in the mappable on-disk format (page-
-// aligned data section; see DESIGN.md §14); it round-trips through
-// OpenDenseFile.
+// WriteDenseFile writes d to path in the DSNT file format (page-aligned
+// data section; see DESIGN.md §14), the format (*Dense).Save writes; it
+// round-trips through OpenDenseFile, LoadDenseTensor and LoadTensor.
 func WriteDenseFile(path string, d *Dense) error { return tensor.WriteDenseFile(path, d) }
 
 // CreateDenseFile writes an all-zero mappable tensor of the given dims as
@@ -393,18 +394,21 @@ func TensorRefFor(info *DenseFileInfo, path string) TensorRef {
 }
 
 // LoadTensor reads a tensor of either layout, sniffing the file format:
-// the dense binary format written by (*Dense).Save, or text COO triples
-// (one "coord... value" line per entry, 1-based coordinates — the
+// a DSNT file written by (*Dense).Save or WriteDenseFile, or text COO
+// triples (one "coord... value" line per entry, 1-based coordinates — the
 // FROSTT .tns convention) written by (*Sparse).Save. Malformed COO lines
 // are reported with their line number.
 func LoadTensor(path string) (AnyTensor, error) { return tensor.LoadAny(path) }
 
-// LoadDenseTensor reads a dense tensor saved with (*Dense).Save.
+// LoadDenseTensor reads a DSNT file, written by (*Dense).Save or
+// WriteDenseFile, into a heap tensor. A header promising more data than
+// the file holds fails before anything is allocated.
 func LoadDenseTensor(path string) (*Dense, error) { return tensor.Load(path) }
 
 // LoadSparseTensor reads a sparse tensor from text COO triples (the
-// format (*Sparse).Save writes; dimensions are the per-mode coordinate
-// maxima).
+// format (*Sparse).Save writes). The shape is the file's "# dims" line,
+// which Save writes first; a file without one takes each dimension as the
+// per-mode coordinate maximum.
 func LoadSparseTensor(path string) (*Sparse, error) { return tensor.LoadSparse(path) }
 
 // NonnegativeCP computes a nonnegative CP decomposition by HALS (the

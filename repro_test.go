@@ -1,8 +1,10 @@
 package repro_test
 
 import (
+	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro"
@@ -155,6 +157,30 @@ func TestFacadeSaveLoad(t *testing.T) {
 	if d.Size() != x.Size() || d.At(1, 2, 1) != x.At(1, 2, 1) {
 		t.Error("load round trip wrong")
 	}
+	// One dense file format: a mappable file loads through both loaders.
+	mapped := filepath.Join(t.TempDir(), "t.dsnt")
+	if err := repro.WriteDenseFile(mapped, x); err != nil {
+		t.Fatal(err)
+	}
+	back, err = repro.LoadTensor(mapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bd, ok := back.(*repro.Dense)
+	if !ok {
+		t.Fatalf("WriteDenseFile tensor loaded as %v, want dense", back.Layout())
+	}
+	dd, err := repro.LoadDenseTensor(mapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range []*repro.Dense{bd, dd} {
+		for i, v := range x.Data() {
+			if math.Float64bits(got.Data()[i]) != math.Float64bits(v) {
+				t.Fatalf("entry %d of a WriteDenseFile tensor loads as %v, want %v", i, got.Data()[i], v)
+			}
+		}
+	}
 }
 
 func TestFacadeSparse(t *testing.T) {
@@ -191,8 +217,8 @@ func TestFacadeSparse(t *testing.T) {
 	if !ok {
 		t.Fatalf("loaded %v tensor, want sparse", back.Layout())
 	}
-	if sb.NNZ() != s.NNZ() {
-		t.Fatalf("round trip nnz %d, want %d", sb.NNZ(), s.NNZ())
+	if sb.NNZ() != s.NNZ() || !slices.Equal(sb.Dims(), s.Dims()) {
+		t.Fatalf("round trip %v with nnz %d, want %v with %d", sb.Dims(), sb.NNZ(), s.Dims(), s.NNZ())
 	}
 	// CP over the sparse layout converges on the same machinery.
 	res, err := repro.CP(s, repro.CPConfig{Rank: 2, MaxIters: 3, Tol: -1, Threads: 2})
