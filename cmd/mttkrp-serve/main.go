@@ -29,7 +29,7 @@
 //
 // Usage:
 //
-//	mttkrp-serve [-workers N] [-minworkers N] [-maxactive N] [-nobatch] [-maxshare F] [-numa on|off]
+//	mttkrp-serve [-workers N] [-minworkers N] [-maxactive N] [-nobatch] [-maxshare F]
 //	mttkrp-serve -listen :8080 [-rps R] [-burst B] [-maxinflight BYTES] [-maxpayload BYTES] [-maxqueuedelay D] [-tensor-root DIR]
 //
 // Admission is cost-aware: budgets are weighted by request cost (tensor
@@ -56,6 +56,7 @@ import (
 
 	"repro"
 	"repro/internal/cli"
+	"repro/internal/transport"
 )
 
 func main() {
@@ -176,7 +177,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	minWorkers := fs.Int("minworkers", 1, "admission floor: minimum workers per request")
 	maxActive := fs.Int("maxactive", 0, "max concurrently executing requests (0 = workers/minworkers)")
 	noBatch := fs.Bool("nobatch", false, "disable same-shape request batching")
-	numa := fs.String("numa", "off", "topology-aware placement, on or off (on builds the worker pool over the detected host topology — NUMA-node domains from sysfs, MTTKRP_TOPOLOGY override — so leases pack into domains and buffers are first-touched locally; results are bit-identical either way, and single-domain hosts fall back to the flat model)")
 	maxShare := fs.Float64("maxshare", 0, "cost-aware admission: cap one request's share of the pool width, 0 < v <= 1 (0 = no cap)")
 	maxQueueDelay := fs.Duration("maxqueuedelay", 0, "HTTP: shed requests (429) whose projected queue delay exceeds this (0 = queue everything)")
 	listen := fs.String("listen", "", "serve the binary HTTP transport on this address (e.g. :8080) instead of stdin-jsonl")
@@ -197,9 +197,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	if *listen == "" && (*rps != 0 || *burst != 0 || *maxInflight != 0 || *maxPayload != 0 || *maxQueueDelay != 0 || *tensorRoot != "") {
 		return cli.UsageError{Msg: "-rps/-burst/-maxinflight/-maxpayload/-maxqueuedelay/-tensor-root apply to the HTTP front end; pass -listen"}
 	}
-	if *numa != "on" && *numa != "off" {
-		return cli.UsageError{Msg: fmt.Sprintf("-numa: unknown value %q (want on or off)", *numa)}
-	}
 
 	serveCfg := repro.ServerConfig{
 		Workers:         *workers,
@@ -207,11 +204,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		MaxActive:       *maxActive,
 		DisableBatching: *noBatch,
 		MaxShare:        *maxShare,
-	}
-	if *numa == "on" {
-		topo := repro.DetectTopology()
-		serveCfg.Topology = topo
-		fmt.Fprintf(stderr, "mttkrp-serve: placement on — %s\n", topo)
 	}
 
 	if *listen != "" {
@@ -287,14 +279,18 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 				emit(response{ID: id, OK: true, Rows: m.R, Cols: m.C, Sum: matSum(m), Ms: ms})
 			}(req.ID)
 		case "cp":
+			iters := req.Iters
+			if iters <= 0 {
+				iters = 10
+			}
+			if iters > transport.MaxIters {
+				emit(response{ID: req.ID, Err: fmt.Sprintf("iters %d above the %d-sweep serving cap", iters, transport.MaxIters)})
+				continue
+			}
 			p, err := cache.get(req.Dims, req.Rank, req.Seed, req.Density)
 			if err != nil {
 				emit(response{ID: req.ID, Err: err.Error()})
 				continue
-			}
-			iters := req.Iters
-			if iters <= 0 {
-				iters = 10
 			}
 			start := time.Now()
 			tk := srv.SubmitCP(repro.CPRequest{X: p.x, Config: repro.CPConfig{

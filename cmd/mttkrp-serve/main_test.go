@@ -42,6 +42,7 @@ func TestServeDaemonEndToEnd(t *testing.T) {
 		`{"id":"bad-dims","op":"mttkrp","dims":[12],"rank":5,"mode":0,"seed":3}`,
 		`{"id":"bad-density","op":"mttkrp","dims":[12,10,8],"rank":5,"mode":1,"seed":3,"density":2}`,
 		`{"id":"bad-method","op":"mttkrp","dims":[12,10,8],"rank":5,"mode":1,"seed":3,"method":"fft"}`,
+		`{"id":"bad-iters","op":"cp","dims":[4,3,2],"rank":2,"iters":1025}`,
 		``,
 		`# comments and blank lines are ignored`,
 		`{"id":"s1","op":"stats"}`,
@@ -52,8 +53,8 @@ func TestServeDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
 	}
 	got := decodeAll(t, stdout.String())
-	if len(got) != 11 {
-		t.Fatalf("got %d responses, want 11:\n%s", len(got), stdout.String())
+	if len(got) != 12 {
+		t.Fatalf("got %d responses, want 12:\n%s", len(got), stdout.String())
 	}
 
 	// Reference checksum computed directly on the same deterministic
@@ -104,10 +105,13 @@ func TestServeDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("sp1: sum %v, want %v", sp.Sum, sparseWant)
 	}
 
-	for _, id := range []string{"bad-op", "bad-dims", "bad-density", "bad-method"} {
+	for _, id := range []string{"bad-op", "bad-dims", "bad-density", "bad-method", "bad-iters"} {
 		if r := got[id]; r.OK || r.Err == "" {
 			t.Fatalf("%s: expected an error response, got %+v", id, r)
 		}
+	}
+	if r := got["bad-iters"]; !strings.Contains(r.Err, "1024") {
+		t.Fatalf("bad-iters: error %q does not name the 1024-sweep cap", r.Err)
 	}
 	st := got["s1"]
 	if !st.OK || st.Stats == nil {
@@ -151,6 +155,10 @@ func TestServeDaemonUsageErrors(t *testing.T) {
 	err = run([]string{"positional"}, strings.NewReader(""), &stdout, &stderr)
 	if err == nil {
 		t.Fatal("positional argument accepted")
+	}
+	err = run([]string{"-numa=on"}, strings.NewReader(""), &stdout, &stderr)
+	if err == nil {
+		t.Fatal("-numa=on accepted")
 	}
 }
 

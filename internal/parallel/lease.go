@@ -71,7 +71,6 @@ type Lease struct {
 	wg     sync.WaitGroup
 	perr   atomic.Pointer[any] // first worker panic of the current region
 	wsKey  string              // workspace shape key ("" = the pool's general list)
-	domain int                 // home placement domain (0 on flat pools)
 	closed bool
 }
 
@@ -79,10 +78,8 @@ type Lease struct {
 // dedicated execution context (width <= 0 asks for Effective(0)).
 // Reservation is best-effort: if fewer workers are currently unreserved,
 // the lease starts narrower and tops up — at Resize, or at the next
-// dispatch after other leases release workers. On a placed pool the
-// reservation prefers a single placement domain — the lease's home domain
-// — spilling into other domains only when the home cannot cover the
-// width. Close the lease to return its workers.
+// dispatch after other leases release workers. Close the lease to return
+// its workers.
 func (p *Pool) Lease(width int) *Lease {
 	width = Effective(width)
 	l := &Lease{parent: p}
@@ -92,18 +89,10 @@ func (p *Pool) Lease(width int) *Lease {
 		p.mu.Unlock()
 		panic("parallel: Lease on a closed Pool")
 	}
-	l.slots, l.domain = p.reserveLocked(width-1, -1)
+	l.slots = p.reserveLocked(width - 1)
 	p.mu.Unlock()
 	l.width.Store(int32(1 + len(l.slots)))
 	return l
-}
-
-// Domain returns the lease's home placement domain — the domain its slot
-// reservation packs into first. Flat pools have a single implicit domain 0.
-func (l *Lease) Domain() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.domain
 }
 
 // Width returns the currently granted dispatch width (reserved workers
@@ -168,14 +157,6 @@ func (l *Lease) Resize(width int) {
 // blocks until the lease is idle, so the pending target is guaranteed
 // applied when it returns.
 //
-// On a placed pool, Reconcile is also the migration point: any slot the
-// lease holds outside its home domain is swapped for a slot the home
-// domain has freed since — so a lease that started spilled (or was
-// displaced by a rebalance) drifts back onto one socket at the next phase
-// boundary rather than mid-region. Migration moves work between physical
-// workers only; logical worker indices, and therefore results, are
-// untouched.
-//
 // It must be called from the lease's dispatching goroutine (or with no
 // region in flight); calling it from inside a region body would deadlock
 // like any other dispatch.
@@ -186,15 +167,12 @@ func (l *Lease) Reconcile() int {
 		return 1
 	}
 	l.applyTargetLocked()
-	l.migrateLocked()
 	return 1 + len(l.slots)
 }
 
-// applyTargetLocked reconciles the reservation with the target width. On
-// a placed pool, growth asks for slots near the home domain (re-choosing
-// the home if the lease currently holds nothing) and shrinking releases
-// off-domain slots first, so budget churn tightens placement instead of
-// shuffling it. Callers hold l.mu.
+// applyTargetLocked reconciles the reservation with the target width:
+// shrinking releases the tail slots, growing reserves best-effort.
+// Callers hold l.mu.
 func (l *Lease) applyTargetLocked() {
 	want := int(l.target.Load()) - 1
 	if want < 0 {
@@ -203,67 +181,13 @@ func (l *Lease) applyTargetLocked() {
 	p := l.parent
 	p.mu.Lock()
 	if len(l.slots) > want {
-		if p.placed() {
-			l.packSlotsLocked()
-		}
 		p.releaseLocked(l.slots[want:])
 		l.slots = l.slots[:want]
 	} else if len(l.slots) < want {
-		home := l.domain
-		if p.placed() && len(l.slots) == 0 {
-			home = -1 // nothing held: let the pool pick the best home now
-		}
-		slots, dom := p.reserveLocked(want-len(l.slots), home)
-		l.slots = append(l.slots, slots...)
-		l.domain = dom
+		l.slots = append(l.slots, p.reserveLocked(want-len(l.slots))...)
 	}
 	p.mu.Unlock()
 	l.width.Store(int32(1 + len(l.slots)))
-}
-
-// packSlotsLocked stably reorders the lease's slots so home-domain slots
-// come first; the shrink path then releases the off-domain tail. Slot
-// order only decides which physical worker serves which logical index, so
-// reordering between regions cannot change results. Callers hold l.mu and
-// l.parent.mu.
-func (l *Lease) packSlotsLocked() {
-	p := l.parent
-	kept := make([]leaseSlot, 0, len(l.slots))
-	var off []leaseSlot
-	for _, s := range l.slots {
-		if p.topo.SlotDomain(s.id) == l.domain {
-			kept = append(kept, s)
-		} else {
-			off = append(off, s)
-		}
-	}
-	l.slots = append(kept, off...)
-}
-
-// migrateLocked retargets the lease toward its home domain: each slot held
-// outside the home is exchanged for a free home-domain slot, if the home
-// has any. Callers hold l.mu.
-func (l *Lease) migrateLocked() {
-	p := l.parent
-	if !p.placed() {
-		return
-	}
-	p.mu.Lock()
-	for i := range l.slots {
-		if p.topo.SlotDomain(l.slots[i].id) == l.domain {
-			continue
-		}
-		t, ok := p.reserveOneInDomainLocked(l.domain)
-		if !ok {
-			break // home domain full: keep the spilled slots for now
-		}
-		p.releaseLocked(l.slots[i : i+1])
-		l.slots[i] = t
-	}
-	// Home slots lead the slice after a migration so a dispatch narrower
-	// than the reservation (which uses the slot prefix) stays domain-local.
-	l.packSlotsLocked()
-	p.mu.Unlock()
 }
 
 // Close releases the lease's workers back to the parent pool. The lease

@@ -66,85 +66,6 @@ func sumFor(ex Executor, t, n int) int {
 	return int(total)
 }
 
-func TestPoolResize(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	if got := p.Workers(); got != 2 {
-		t.Fatalf("Workers() = %d, want 2", got)
-	}
-	p.Resize(6)
-	if got := p.Workers(); got != 6 {
-		t.Fatalf("after grow: Workers() = %d, want 6", got)
-	}
-	want := 99 * 100 / 2
-	if got := sumFor(p, 6, 100); got != want {
-		t.Fatalf("sum after grow = %d, want %d", got, want)
-	}
-	p.Resize(2)
-	if got := p.Workers(); got != 2 {
-		t.Fatalf("after shrink: Workers() = %d, want 2", got)
-	}
-	if got := sumFor(p, 2, 100); got != want {
-		t.Fatalf("sum after shrink = %d, want %d", got, want)
-	}
-	// Dispatching wider than the shrunken team re-grows it.
-	if got := sumFor(p, 4, 100); got != want {
-		t.Fatalf("sum after re-grow = %d, want %d", got, want)
-	}
-}
-
-// TestPoolResizeShrinkSparesLeases pins that shrinking never retires
-// leased workers.
-func TestPoolResizeShrinkSparesLeases(t *testing.T) {
-	p := NewPool(6)
-	defer p.Close()
-	l := p.Lease(4) // reserves workers 1..3
-	p.Resize(1)     // wants to retire everything; workers 1..3 must survive
-	if got := p.Workers(); got != 4 {
-		t.Fatalf("Workers() = %d, want 4 (leased slots spared)", got)
-	}
-	want := 49 * 50 / 2
-	if got := sumFor(l, 4, 50); got != want {
-		t.Fatalf("lease sum = %d, want %d", got, want)
-	}
-	l.Close()
-	p.Resize(1)
-	if got := p.Workers(); got != 1 {
-		t.Fatalf("Workers() = %d after lease release, want 1", got)
-	}
-}
-
-// TestPoolResizeRace drives concurrent dispatches against concurrent
-// resizes; run with -race. Correctness: every dispatch still computes the
-// full sum.
-func TestPoolResizeRace(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	const iters = 200
-	want := 999 * 1000 / 2
-	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				if got := sumFor(p, 2+g, 1000); got != want {
-					t.Errorf("dispatcher %d iter %d: sum %d, want %d", g, i, got, want)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			p.Resize(1 + i%8)
-		}
-	}()
-	wg.Wait()
-}
-
 // TestLeaseBasics covers reservation accounting, dispatch correctness on
 // every primitive, and close semantics.
 func TestLeaseBasics(t *testing.T) {

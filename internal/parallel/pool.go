@@ -29,7 +29,6 @@ type Pool struct {
 	mu      sync.Mutex // serializes dispatches, worker growth and leasing
 	chans   []chan job // chans[w] feeds persistent worker w (w ≥ 1); chans[0] is nil
 	leased  []bool     // leased[w]: worker w is reserved by an active Lease
-	topo    *Topology  // placement domains (nil: flat slot model); immutable
 	nleased int
 	wg      sync.WaitGroup
 	closed  bool
@@ -138,46 +137,6 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// NewPoolPlaced creates a pool whose worker slots carry placement-domain
-// identities derived from topo: slot w belongs to topo.SlotDomain(w), and
-// each worker's OS thread is pinned (best-effort) to its domain's CPUs.
-// Leases on a placed pool prefer same-domain slot sets and migrate toward
-// their home domain at phase boundaries; workspace arenas acquired through
-// the pool first-touch their pages on the owning worker. A nil or
-// single-domain topo yields a flat pool — placement over one domain is
-// behaviorally identical to no placement, which is exactly the fallback
-// non-NUMA hosts take.
-func NewPoolPlaced(workers int, topo *Topology) *Pool {
-	if workers <= 0 {
-		workers = DefaultThreads()
-	}
-	p := &Pool{chans: make([]chan job, 1, workers)} // slot 0: the caller
-	if topo != nil && topo.Domains() > 1 {
-		p.topo = topo
-	}
-	p.mu.Lock()
-	p.grow(workers)
-	p.mu.Unlock()
-	return p
-}
-
-// placed reports whether this pool runs the placement-aware slot model.
-// p.topo is immutable after construction, so no lock is needed.
-func (p *Pool) placed() bool { return p.topo != nil }
-
-// Topology returns the pool's placement topology, or nil for flat pools.
-func (p *Pool) Topology() *Topology { return p.topo }
-
-// SlotDomain returns the placement domain of worker slot w (0 on flat
-// pools). Slot 0 is the calling goroutine: it reports a domain for
-// accounting, but is never pinned.
-func (p *Pool) SlotDomain(w int) int {
-	if p.topo == nil {
-		return 0
-	}
-	return p.topo.SlotDomain(w)
-}
-
 var defaultPool struct {
 	once sync.Once
 	p    *Pool
@@ -207,147 +166,23 @@ func (p *Pool) Workers() int {
 // size never caps the result — the pool grows on demand.
 func (p *Pool) Effective(t int) int { return Effective(t) }
 
-// Resize sets the pool's team width to n (resolved with Effective): it
-// grows by spawning persistent workers, or shrinks by closing and retiring
-// idle workers from the tail of the team. Shrinking never retires workers
-// reserved by an active Lease — the width is clamped so every leased slot
-// survives; it also never touches in-flight regions, because dispatches
-// and Resize serialize on the region mutex. A later wider dispatch re-grows
-// the team on demand.
-func (p *Pool) Resize(n int) {
-	n = Effective(n)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		panic("parallel: Resize on a closed Pool")
-	}
-	if n >= len(p.chans) {
-		p.grow(n)
-		return
-	}
-	keep := n
-	for w := len(p.chans) - 1; w >= keep; w-- {
-		if w < len(p.leased) && p.leased[w] {
-			keep = w + 1
-			break
-		}
-	}
-	for _, ch := range p.chans[keep:] {
-		close(ch)
-	}
-	p.chans = p.chans[:keep]
-	if len(p.leased) > keep {
-		p.leased = p.leased[:keep]
-	}
-}
-
 // reserveLocked marks up to k unleased persistent workers as reserved by a
-// lease and returns their slots plus the home domain they were placed
-// around. Reservation is best-effort within the current team: leases never
-// grow the team (Resize the pool to raise lease capacity).
-//
-// Flat pools scan slots in order, exactly the historical behavior, and
-// report domain 0. Placed pools place: home < 0 asks the pool to choose a
-// home domain (best fit — the domain with the fewest free slots that still
-// covers k, else the one with the most), the home domain's free slots are
-// taken first, and only the remainder spills into other domains, fullest
-// first. Callers hold p.mu.
-func (p *Pool) reserveLocked(k, home int) ([]leaseSlot, int) {
+// lease, scanning slots in order, and returns them. Reservation is
+// best-effort within the current team: leases never grow the team (a wider
+// pool dispatch grows it). Callers hold p.mu.
+func (p *Pool) reserveLocked(k int) []leaseSlot {
 	for len(p.leased) < len(p.chans) {
 		p.leased = append(p.leased, false)
 	}
-	if p.topo == nil {
-		var out []leaseSlot
-		for w := 1; w < len(p.chans) && len(out) < k; w++ {
-			if !p.leased[w] {
-				out = append(out, p.takeSlotLocked(w))
-			}
-		}
-		return out, 0
-	}
-	free := make([]int, p.topo.Domains())
-	for w := 1; w < len(p.chans); w++ {
-		if !p.leased[w] {
-			free[p.topo.SlotDomain(w)]++
-		}
-	}
-	if home < 0 || home >= len(free) {
-		home = chooseHomeDomain(free, k)
-	}
 	var out []leaseSlot
-	out = p.takeDomainLocked(out, k, home)
-	taken := make([]bool, len(free))
-	taken[home] = true
-	for len(out) < k {
-		// Spill fullest-first (ties to the lower domain id) so a spilling
-		// lease fragments as few domains as possible.
-		best := -1
-		for d, n := range free {
-			if !taken[d] && n > 0 && (best < 0 || n > free[best]) {
-				best = d
-			}
-		}
-		if best < 0 {
-			break
-		}
-		taken[best] = true
-		out = p.takeDomainLocked(out, k, best)
-	}
-	return out, home
-}
-
-// chooseHomeDomain picks the home domain for a fresh reservation of k
-// slots given per-domain free counts: the tightest domain that still fits
-// k (best fit keeps big free blocks available for big leases), else the
-// domain with the most free slots. Ties go to the lower domain id.
-func chooseHomeDomain(free []int, k int) int {
-	fit, most := -1, 0
-	for d, n := range free {
-		if n >= k && (fit < 0 || n < free[fit]) {
-			fit = d
-		}
-		if n > free[most] {
-			most = d
-		}
-	}
-	if fit >= 0 {
-		return fit
-	}
-	return most
-}
-
-// takeDomainLocked reserves free slots of domain d (in slot order) into
-// out until k total slots are held. Callers hold p.mu.
-func (p *Pool) takeDomainLocked(out []leaseSlot, k, d int) []leaseSlot {
 	for w := 1; w < len(p.chans) && len(out) < k; w++ {
-		if !p.leased[w] && p.topo.SlotDomain(w) == d {
-			out = append(out, p.takeSlotLocked(w))
+		if !p.leased[w] {
+			p.leased[w] = true
+			p.nleased++
+			out = append(out, leaseSlot{id: w, ch: p.chans[w]})
 		}
 	}
 	return out
-}
-
-// takeSlotLocked marks slot w reserved and returns its lease handle.
-// Callers hold p.mu and must have checked that w is free.
-func (p *Pool) takeSlotLocked(w int) leaseSlot {
-	p.leased[w] = true
-	p.nleased++
-	return leaseSlot{id: w, ch: p.chans[w]}
-}
-
-// reserveOneInDomainLocked reserves one free slot of domain d, if any.
-// It is the lease-migration primitive: Reconcile swaps an off-domain slot
-// for whatever its home domain has freed up. Callers hold p.mu.
-func (p *Pool) reserveOneInDomainLocked(d int) (leaseSlot, bool) {
-	if p.topo == nil {
-		return leaseSlot{}, false
-	}
-	for w := 1; w < len(p.chans) && w < len(p.leased); w++ {
-		if !p.leased[w] && p.topo.SlotDomain(w) == d {
-			return p.takeSlotLocked(w), true
-		}
-	}
-	return leaseSlot{}, false
 }
 
 // releaseLocked returns reserved slots to the pool. Callers hold p.mu.
@@ -358,34 +193,16 @@ func (p *Pool) releaseLocked(slots []leaseSlot) {
 	}
 }
 
-// grow ensures the pool has at least t worker slots. On a placed pool each
-// new worker is pinned (best-effort) to the CPUs of its slot's domain, so
-// the slot→domain mapping the lease and workspace layers reason about is
-// also where the OS actually runs the work. Callers hold p.mu.
+// grow ensures the pool has at least t worker slots. Callers hold p.mu.
 func (p *Pool) grow(t int) {
 	if p.closed {
 		panic("parallel: dispatch on a closed Pool")
 	}
 	for len(p.chans) < t {
 		ch := make(chan job, 1)
-		w := len(p.chans)
 		p.chans = append(p.chans, ch)
-		if p.topo != nil {
-			cpus := p.topo.DomainCPUs(p.topo.SlotDomain(w))
-			go placedWorkerLoop(ch, cpus)
-		} else {
-			go workerLoop(ch)
-		}
+		go workerLoop(ch)
 	}
-}
-
-// placedWorkerLoop pins the worker's OS thread to its domain's CPUs before
-// entering the normal worker loop. Pinning is best-effort: a synthetic
-// topology naming CPUs the machine lacks, or a sandbox refusing
-// sched_setaffinity, leaves the worker unpinned but otherwise identical.
-func placedWorkerLoop(ch chan job, cpus []int) {
-	pinThread(cpus)
-	workerLoop(ch)
 }
 
 // workerLoop is the body of one persistent worker goroutine. The logical

@@ -6,61 +6,6 @@ import (
 	"testing"
 )
 
-// TestPoolResizeGrowPath pins the grow side of Resize: a pool whose
-// unleased capacity is exhausted grows on demand, and a starved lease tops
-// up from the grown team at its next reconcile.
-func TestPoolResizeGrowPath(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-
-	a := p.Lease(4) // reserves workers 1..3
-	b := p.Lease(4) // best-effort: nothing left but the caller slot
-	if a.Width() != 4 || b.Width() != 1 {
-		t.Fatalf("initial widths a=%d b=%d, want 4 and 1", a.Width(), b.Width())
-	}
-
-	p.Resize(8)
-	if w := p.Workers(); w != 8 {
-		t.Fatalf("Workers after Resize(8) = %d, want 8", w)
-	}
-	// b's standing target (4) is satisfiable now; Reconcile applies it.
-	if w := b.Reconcile(); w != 4 {
-		t.Fatalf("b.Reconcile after pool grow = %d, want 4", w)
-	}
-	// Both leases dispatch concurrently on disjoint grown workers.
-	var total atomic.Int64
-	var wg sync.WaitGroup
-	for _, l := range []*Lease{a, b} {
-		wg.Add(1)
-		go func(l *Lease) {
-			defer wg.Done()
-			l.For(0, 1000, func(_, lo, hi int) { total.Add(int64(hi - lo)) })
-		}(l)
-	}
-	wg.Wait()
-	if total.Load() != 2000 {
-		t.Fatalf("dispatched %d items, want 2000", total.Load())
-	}
-	a.Close()
-	b.Close()
-
-	// Shrink back below the grown width, then grow again: the team must
-	// follow (no stale retired channels).
-	p.Resize(2)
-	if w := p.Workers(); w != 2 {
-		t.Fatalf("Workers after Resize(2) = %d, want 2", w)
-	}
-	p.Resize(6)
-	if w := p.Workers(); w != 6 {
-		t.Fatalf("Workers after re-grow Resize(6) = %d, want 6", w)
-	}
-	c := p.Lease(6)
-	if c.Width() != 6 {
-		t.Fatalf("lease width on the re-grown team = %d, want 6", c.Width())
-	}
-	c.Close()
-}
-
 // TestLeaseReconcileChurn drives a long-lived lease through repeated
 // regions with phase-boundary Reconcile calls while peer leases are
 // admitted and closed and the admission target is resized up and down —

@@ -80,20 +80,12 @@ func (ws *Workspace) Release() {
 	p.wsMu.Unlock()
 }
 
-// Arena returns worker w's scratch arena, creating arenas on demand. On a
-// placed pool the arena first-touches its pages when buffers grow (see
-// Arena.firstTouch), so per-worker scratch grown inside a region body
-// lands on the worker's own NUMA node.
+// Arena returns worker w's scratch arena, creating arenas on demand.
 func (ws *Workspace) Arena(w int) *Arena {
 	for len(ws.arenas) <= w {
-		ws.arenas = append(ws.arenas, &Arena{firstTouch: ws.placed()})
+		ws.arenas = append(ws.arenas, &Arena{})
 	}
 	return ws.arenas[w]
-}
-
-// placed reports whether this workspace belongs to a placement-aware pool.
-func (ws *Workspace) placed() bool {
-	return ws.pool != nil && ws.pool.placed()
 }
 
 // PlanArena returns the workspace's dedicated plan arena: a scratch slot
@@ -105,7 +97,7 @@ func (ws *Workspace) placed() bool {
 // steady stream of same-shape batches with zero allocations.
 func (ws *Workspace) PlanArena() *Arena {
 	if ws.plan == nil {
-		ws.plan = &Arena{firstTouch: ws.placed()}
+		ws.plan = &Arena{}
 	}
 	return ws.plan
 }
@@ -131,41 +123,6 @@ func (ws *Workspace) Frame(key string, build func() any) any {
 type Arena struct {
 	f64  map[string][]float64
 	ints map[string][]int
-
-	// firstTouch makes buffer growth write a zero into every page of the
-	// fresh slice before returning it. Linux places a physical page on the
-	// NUMA node of the thread that first writes it, and a large make may
-	// hand back never-written memory — so without the touch, arena pages
-	// materialize wherever the first kernel loop happens to run, which for
-	// gather buffers filled by a different phase can be the wrong socket.
-	// Workspaces of placed pools set it; the stores are semantic no-ops
-	// (make returns zeroed memory), so flat pools skip them and results
-	// are identical either way.
-	firstTouch bool
-}
-
-// pageBytes is the stride of the first-touch walk; 4 KiB covers every
-// platform this runtime targets (larger pages just get touched more often,
-// which is harmless).
-const pageBytes = 4096
-
-// touchFloat64Pages forces physical page placement of s onto the calling
-// thread's NUMA node by storing a zero per page.
-//
-//mttkrp:noalloc
-func touchFloat64Pages(s []float64) {
-	for i := 0; i < len(s); i += pageBytes / 8 {
-		s[i] = 0
-	}
-}
-
-// touchIntPages is touchFloat64Pages for int scratch.
-//
-//mttkrp:noalloc
-func touchIntPages(s []int) {
-	for i := 0; i < len(s); i += pageBytes / 8 {
-		s[i] = 0
-	}
 }
 
 // Float64 returns a length-n float64 scratch slice for tag, reusing (and if
@@ -181,9 +138,6 @@ func (a *Arena) Float64(tag string, n int) []float64 {
 	if cap(s) < n {
 		//lint:ignore mttkrp/noalloc cold-path growth; steady state reuses the grown slice
 		s = make([]float64, n)
-		if a.firstTouch {
-			touchFloat64Pages(s)
-		}
 		a.f64[tag] = s
 	}
 	return s[:n:n]
@@ -202,9 +156,6 @@ func (a *Arena) Ints(tag string, n int) []int {
 	if cap(s) < n {
 		//lint:ignore mttkrp/noalloc cold-path growth; steady state reuses the grown slice
 		s = make([]int, n)
-		if a.firstTouch {
-			touchIntPages(s)
-		}
 		a.ints[tag] = s
 	}
 	return s[:n:n]

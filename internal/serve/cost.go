@@ -14,27 +14,21 @@ import (
 //	flops ≈ 2 · Π dims · rank        (per mode)
 //	bytes ≈ 8 · (Π dims + Σ I_k · rank + I_n · rank)
 //
-// and the scalar cost is FlopWeight·flops + ByteWeight·bytes. Small dense
+// and the scalar cost is flopWeight·flops + byteWeight·bytes. Small dense
 // problems are bandwidth-bound, which is why bytes carry an independent
 // weight instead of folding into a pure flop count.
-//
-// The zero value is the default model (FlopWeight 1, ByteWeight 4).
-type CostModel struct {
-	// FlopWeight and ByteWeight convert the flop and byte estimates into
-	// one scalar; zero selects the defaults (1 and 4).
-	FlopWeight, ByteWeight float64
-}
+type CostModel struct{}
+
+// flopWeight and byteWeight convert the flop and byte estimates into one
+// admission scalar.
+const (
+	flopWeight = 1
+	byteWeight = 4
+)
 
 // combine folds flop and byte estimates into the admission scalar.
-func (m CostModel) combine(flops, bytes float64) float64 {
-	fw, bw := m.FlopWeight, m.ByteWeight
-	if fw == 0 {
-		fw = 1
-	}
-	if bw == 0 {
-		bw = 4
-	}
-	return fw*flops + bw*bytes
+func (CostModel) combine(flops, bytes float64) float64 {
+	return flopWeight*flops + byteWeight*bytes
 }
 
 // MTTKRP estimates the cost of one MTTKRP over a dims-shaped tensor with

@@ -51,9 +51,6 @@ type Config struct {
 	// compute their own KRP exactly as before.
 	DisableFusion bool
 
-	// Cost selects the request cost model for cost-aware admission; the
-	// zero value is the default model (see CostModel).
-	Cost CostModel
 	// MaxShare caps one request's share of the pool width under
 	// cost-aware admission (0 < MaxShare ≤ 1; 0 selects 1, i.e. no cap
 	// below the full width). The cap applies unconditionally — a lone
@@ -69,14 +66,6 @@ type Config struct {
 	// behind a continuous stream of small arrivals before its age wins.
 	// 0 selects 1ms.
 	AgeBias time.Duration
-
-	// Topology places the server's worker pool: slots carry placement
-	// domains, leases pack into one domain before spilling, and arenas
-	// first-touch on their owning worker. The budget split itself is
-	// placement-blind. nil — or a single-domain topology, which is what
-	// parallel.DetectTopology returns on non-NUMA hosts — keeps the flat
-	// slot model with zero behavior change.
-	Topology *parallel.Topology
 }
 
 // Stats is a snapshot of scheduler counters.
@@ -158,7 +147,6 @@ type Server struct {
 	maxBatch   int
 	batching   bool
 	fusion     bool
-	cost       CostModel
 	shareCap   int           // precomputed MaxShare · width, clamped to [minWorkers, width]
 	ageBias    time.Duration // aging head start (resolved, > 0)
 
@@ -250,14 +238,13 @@ func New(cfg Config) *Server {
 		maxBatch = 32
 	}
 	return &Server{
-		pool:       parallel.NewPoolPlaced(width, cfg.Topology),
+		pool:       parallel.NewPool(width),
 		width:      width,
 		minWorkers: minW,
 		maxActive:  maxActive,
 		maxBatch:   maxBatch,
 		batching:   !cfg.DisableBatching,
 		fusion:     !cfg.DisableBatching && !cfg.DisableFusion,
-		cost:       cfg.Cost,
 		shareCap:   shareCap,
 		ageBias:    ageBias,
 		open:       make(map[string]*batch),
@@ -272,7 +259,7 @@ func (s *Server) Workers() int { return s.width }
 
 // Model returns the server's request cost model, so front ends (the HTTP
 // transport) can price a request from its header before admitting it.
-func (s *Server) Model() CostModel { return s.cost }
+func (s *Server) Model() CostModel { return CostModel{} }
 
 // Stats returns a snapshot of the scheduler counters, including the
 // per-request grant table (active budgets and queue ages).
@@ -317,7 +304,7 @@ func (s *Server) SubmitMTTKRP(req MTTKRPRequest) *Ticket {
 		return failedTicket(err)
 	}
 	it := &item{mt: &req, tk: newTicket()}
-	cost := costOf(req.CostHint, s.cost.MTTKRPFor(req.X, req.Factors[0].C))
+	cost := costOf(req.CostHint, s.Model().MTTKRPFor(req.X, req.Factors[0].C))
 	if _, dense := req.X.(*tensor.Dense); dense && s.fusion && core.PlanFusable(req.Method) {
 		// Fingerprint the factors the mode-n KRP is built from, by
 		// value. Batches coalesce by shape alone (amortizing lease and
@@ -344,7 +331,7 @@ func (s *Server) SubmitCP(req CPRequest) *Ticket {
 		return failedTicket(fmt.Errorf("serve: nil tensor"))
 	}
 	it := &item{cp: &req, tk: newTicket()}
-	cost := costOf(req.CostHint, s.cost.CP(req.X.Dims(), req.Config.Rank, req.Config.MaxIters))
+	cost := costOf(req.CostHint, s.Model().CP(req.X.Dims(), req.Config.Rank, req.Config.MaxIters))
 	s.enqueue("", "cp", it, cost, weightOf(req.Weight))
 	return it.tk
 }

@@ -157,22 +157,6 @@ type Pool = parallel.Pool
 // (0 = GOMAXPROCS). Close it when no longer needed.
 func NewPool(workers int) *Pool { return parallel.NewPool(workers) }
 
-// Topology describes the host's placement domains (NUMA nodes and their
-// CPUs). Hand one to ServerConfig.Topology to make the server's pool,
-// lease placement and first-touch buffers domain-aware; results stay
-// bit-identical with placement on or off.
-type Topology = parallel.Topology
-
-// DetectTopology discovers the host topology: the MTTKRP_TOPOLOGY
-// environment override if set, else Linux sysfs, else a single domain
-// spanning all CPUs (on which placement is a no-op). It never fails.
-func DetectTopology() *Topology { return parallel.DetectTopology() }
-
-// ParseTopology builds a Topology from a spec string of per-domain CPU
-// lists in kernel cpulist syntax, domains separated by ';' — for example
-// "0-3;4-7" for two 4-CPU domains.
-func ParseTopology(spec string) (*Topology, error) { return parallel.ParseTopology(spec) }
-
 // Server is the concurrent serving runtime: an admission-controlled
 // scheduler that shares one worker pool across concurrent MTTKRP and CP
 // requests — worker budgets weighted by each request's cost share under a
@@ -186,7 +170,7 @@ type Server = serve.Server
 
 // ServerConfig sizes a Server (worker count, per-request floor, admission
 // cap, batching) and tunes its cost-aware admission policy: budgets by
-// cost share with an aging queue (CostModel, MaxShare, AgeBias knobs).
+// CostModel cost share with an aging queue (MaxShare, AgeBias knobs).
 type ServerConfig = serve.Config
 
 // CostModel estimates a request's admission cost from its problem shape
