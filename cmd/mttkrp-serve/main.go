@@ -72,7 +72,7 @@ type request struct {
 	Mode   int    `json:"mode"`   // MTTKRP mode n
 	Method string `json:"method"` // "auto" (default), "1step", "2step", "reorder" (see cli.ParseMethod)
 	Seed   int64  `json:"seed"`   // tensor/factor generator seed
-	Iters  int    `json:"iters"`  // CP sweeps (default 10)
+	Iters  int    `json:"iters"`  // CP sweeps (default transport.DefaultIters)
 	// Density in (0, 1] makes the generated tensor sparse (COO) at that
 	// fill fraction; 0 (the default) keeps it dense.
 	Density float64 `json:"density"`
@@ -281,7 +281,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 		case "cp":
 			iters := req.Iters
 			if iters <= 0 {
-				iters = 10
+				iters = transport.DefaultIters
 			}
 			if iters > transport.MaxIters {
 				emit(response{ID: req.ID, Err: fmt.Sprintf("iters %d above the %d-sweep serving cap", iters, transport.MaxIters)})

@@ -15,8 +15,8 @@ import (
 // its own per-feature knobs; DESIGN.md §13 documents the field mapping
 // from the older entry points.
 type Request struct {
-	// X is the input tensor: *tensor.Dense or *tensor.Sparse. Run
-	// dispatches on its layout.
+	// X is the input tensor: *tensor.Dense (a *tensor.Map counts as its
+	// embedded Dense) or *tensor.Sparse. Run dispatches on its layout.
 	X tensor.Interface
 	// Factors are the I_k × C row-major factor matrices, one per mode.
 	Factors []mat.View
@@ -47,7 +47,7 @@ func Run(r Request) mat.View {
 // intermediate to share.
 func RunWithPlan(r Request, plan *krp.Plan) mat.View {
 	dst := r.Dst
-	switch x := r.X.(type) {
+	switch x := tensor.Unwrap(r.X).(type) {
 	case *tensor.Dense:
 		if dst.Data == nil {
 			dst = mat.NewDense(x.Dim(r.Mode), rank(r.Factors))

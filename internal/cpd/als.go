@@ -29,6 +29,8 @@ type Config struct {
 	Threads int
 	// Method selects the MTTKRP algorithm; the zero value (MethodAuto) is
 	// the paper's hybrid: 1-step for external modes, 2-step for internal.
+	// Sparse tensors have one kernel and ignore it, except MethodNaive,
+	// which runs against the densified reference.
 	Method core.Method
 	// BlasOnlyParallel restricts reorder-baseline parallelism to BLAS
 	// (Tensor Toolbox fidelity; see core.Options).
@@ -45,7 +47,9 @@ type Config struct {
 	// MultiSweep enables the cross-mode recomputation-avoidance scheme of
 	// Phan et al. (core.SweepAll) — the paper's "natural next step"
 	// (Section 6): each ALS sweep costs two passes over the tensor
-	// instead of N, with identical results. When set, Method is ignored.
+	// instead of N, with identical results. When set on a dense tensor,
+	// Method is ignored. Sparse tensors ignore MultiSweep: the scheme
+	// contracts dense blocks of the tensor.
 	MultiSweep bool
 	// Pool, when non-nil, is the execution context all kernels of the run
 	// execute on: a *parallel.Pool (persistent worker team) or a
@@ -106,15 +110,44 @@ func (r *Result) MeanIterTime() time.Duration {
 var ErrBadRank = errors.New("cpd: rank must be ≥ 1")
 
 // ALS computes a rank-C CP decomposition of x by alternating least
-// squares. Each sweep updates every factor in mode order via
+// squares. x is dense (a mapped *tensor.Map included) or sparse; any other
+// layout is an error. Each sweep updates every factor in mode order via
 //
 //	U_n ← MTTKRP(X, U, n) · (⊛_{k≠n} U_kᵀU_k)†
 //
 // followed by column normalization, exactly the update of Section 2.2.
 // The fit is computed per sweep from cached quantities (the last mode's
 // MTTKRP), adding no extra passes over the tensor.
-func ALS(x *tensor.Dense, cfg Config) (*Result, error) {
+func ALS(x tensor.Interface, cfg Config) (*Result, error) {
+	return run(x, cfg, func(k *KTensor, mode int, m, h mat.View, first bool) {
+		u := la.PinvSolveGram(h, m)
+		normalizeColumns(u, k.Lambda, first)
+		k.Factors[mode] = u
+	})
+}
+
+// updateFunc rewrites factor mode of k from the mode's raw MTTKRP m and
+// h = ⊛_{k≠mode} G_k, either in place or by replacing k.Factors[mode];
+// first reports the first sweep. It may clobber m.
+type updateFunc func(k *KTensor, mode int, m, h mat.View, first bool)
+
+// run is the one CP sweep loop behind ALS and NNALS: per sweep and per
+// mode an MTTKRP, the Hadamard product of the other Grams, and update.
+// The MTTKRP is core.Run for either layout, or core.SweepAll over the
+// whole sweep when MultiSweep is set on a dense tensor.
+func run(x tensor.Interface, cfg Config, update updateFunc) (*Result, error) {
 	cfg = cfg.withDefaults()
+	x = tensor.Unwrap(x)
+	var norm func(t int) float64
+	var xd *tensor.Dense // set for a dense tensor, the layout MultiSweep applies to
+	switch xt := x.(type) {
+	case *tensor.Dense:
+		xd, norm = xt, xt.Norm
+	case *tensor.Sparse:
+		norm = xt.Norm
+	default:
+		return nil, fmt.Errorf("cpd: unsupported tensor layout %v", x.Layout())
+	}
 	if cfg.Rank < 1 {
 		return nil, ErrBadRank
 	}
@@ -130,6 +163,11 @@ func ALS(x *tensor.Dense, cfg Config) (*Result, error) {
 		if cfg.Init.Rank() != c || cfg.Init.Order() != n {
 			return nil, fmt.Errorf("cpd: init has rank %d order %d, want %d and %d",
 				cfg.Init.Rank(), cfg.Init.Order(), c, n)
+		}
+		for i, u := range cfg.Init.Factors {
+			if u.R != x.Dim(i) || u.C != c {
+				return nil, fmt.Errorf("cpd: init factor %d is %dx%d, want %dx%d", i, u.R, u.C, x.Dim(i), c)
+			}
 		}
 		k = cfg.Init.Clone()
 	} else {
@@ -147,15 +185,15 @@ func ALS(x *tensor.Dense, cfg Config) (*Result, error) {
 		// issued while the previous region was in flight.
 		PhaseNotify: func() { parallel.Reconcile(cfg.Pool) },
 	}
-	normX := x.Norm(cfg.Threads)
-	normX2 := normX * normX
+	normX := norm(cfg.Threads)
 
 	// Per-mode MTTKRP result buffers, reused across sweeps so the hot loop
 	// runs on one pool and one workspace set with no steady-state
 	// allocation inside the kernels. The MultiSweep path derives its
 	// results inside SweepAll and never uses these.
+	multi := xd != nil && cfg.MultiSweep
 	var dsts []mat.View
-	if !cfg.MultiSweep {
+	if !multi {
 		dsts = make([]mat.View, n)
 		for i := 0; i < n; i++ {
 			dsts[i] = mat.NewDense(x.Dim(i), c)
@@ -173,21 +211,21 @@ func ALS(x *tensor.Dense, cfg Config) (*Result, error) {
 	mLast := mat.NewDense(x.Dim(n-1), c) // raw MTTKRP of the last mode
 	for iter := 0; iter < cfg.MaxIters; iter++ {
 		start := time.Now()
-		updateMode := func(mode int, m mat.View) {
+		step := func(mode int, m mat.View) {
 			if mode == n-1 {
-				mLast.CopyFrom(m) // keep for the fit before the solve clobbers it
+				mLast.CopyFrom(m) // keep for the fit before update clobbers it
 			}
-			h := hadamardOfGramsExcept(grams, mode, c)
-			u := la.PinvSolveGram(h, m)
-			normalizeColumns(u, k.Lambda, iter == 0)
-			k.Factors[mode] = u
-			grams[mode] = gramOn(cfg.Pool, cfg.Threads, u)
+			update(k, mode, m, hadamardOfGramsExcept(grams, mode, c), iter == 0)
+			grams[mode] = gramOn(cfg.Pool, cfg.Threads, k.Factors[mode])
 		}
-		if cfg.MultiSweep {
-			core.SweepAll(x, k.Factors, opts, updateMode)
+		if multi {
+			core.SweepAll(xd, k.Factors, opts, step)
 		} else {
 			for mode := 0; mode < n; mode++ {
-				updateMode(mode, core.ComputeInto(dsts[mode], cfg.Method, x, k.Factors, mode, opts))
+				step(mode, core.Run(core.Request{
+					X: x, Factors: k.Factors, Mode: mode, Method: cfg.Method,
+					Dst: dsts[mode], Opts: opts,
+				}))
 			}
 		}
 		res.IterTimes = append(res.IterTimes, time.Since(start))
@@ -201,7 +239,7 @@ func ALS(x *tensor.Dense, cfg Config) (*Result, error) {
 			cfg.PhaseNotify()
 		}
 
-		fit := computeFit(normX, normX2, k, grams, mLast)
+		fit := computeFit(normX, k, grams, mLast)
 		res.FitHistory = append(res.FitHistory, fit)
 		res.Fit = fit
 		if cfg.Tol > 0 && iter > 0 && math.Abs(fit-fitOld) < cfg.Tol {
@@ -248,7 +286,7 @@ func normalizeColumns(u mat.View, lambda []float64, firstIter bool) {
 // computeFit evaluates 1 − ‖X−Y‖/‖X‖ from cached quantities:
 // ‖Y‖² = λᵀ(⊛ G_k)λ and ⟨X, Y⟩ = Σ_c λ_c Σ_i M(i,c)·U_{N-1}(i,c), where M
 // is the raw MTTKRP of the last updated mode.
-func computeFit(normX, normX2 float64, k *KTensor, grams []mat.View, mLast mat.View) float64 {
+func computeFit(normX float64, k *KTensor, grams []mat.View, mLast mat.View) float64 {
 	c := k.Rank()
 	h := onesMatrix(c)
 	for _, g := range grams {
@@ -265,7 +303,7 @@ func computeFit(normX, normX2 float64, k *KTensor, grams []mat.View, mLast mat.V
 	for cc := 0; cc < c; cc++ {
 		iprod += k.Lambda[cc] * blas.Dot(mLast.Col(cc), last.Col(cc))
 	}
-	res2 := normX2 + normY2 - 2*iprod
+	res2 := normX*normX + normY2 - 2*iprod
 	if res2 < 0 {
 		res2 = 0
 	}

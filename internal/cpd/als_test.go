@@ -120,22 +120,86 @@ func TestALSWithProvidedInit(t *testing.T) {
 	}
 }
 
+// TestALSErrorCases runs every rejected configuration through ALS; its twin
+// TestNNALSConfigErrors runs the same table through NNALS.
 func TestALSErrorCases(t *testing.T) {
+	checkRejects(t, func(x *tensor.Dense, cfg Config) (*Result, error) { return ALS(x, cfg) })
 	rng := rand.New(rand.NewSource(7))
-	x := tensor.Random(rng, 4, 4)
-	if _, err := ALS(x, Config{Rank: 0}); err == nil {
-		t.Error("rank 0 should fail")
+	if _, err := ALS(otherLayout{tensor.Random(rng, 5, 4, 3)}, Config{Rank: 2}); err == nil {
+		t.Error("ALS accepted a layout no kernel implements")
 	}
-	if _, err := ALS(tensor.New(5), Config{Rank: 2}); err == nil {
-		t.Error("order-1 tensor should fail")
+}
+
+// checkRejects requires fit to return an error, never panic, on each
+// configuration the CP driver rejects.
+func checkRejects(t *testing.T, fit func(*tensor.Dense, Config) (*Result, error)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(7))
+	dims := []int{5, 4, 3}
+	x := tensor.Random(rng, dims...)
+	twoWeights := RandomKTensor(rng, dims, 3)
+	twoWeights.Lambda = twoWeights.Lambda[:2] // two weights on 3-column factors
+	cases := []struct {
+		name string
+		x    *tensor.Dense
+		cfg  Config
+	}{
+		{"rank 0", x, Config{Rank: 0}},
+		{"order-1 tensor", tensor.New(5), Config{Rank: 2}},
+		{"rank-mismatched init", x, Config{Rank: 2, Init: RandomKTensor(rng, dims, 3)}},
+		{"order-mismatched init", x, Config{Rank: 2, Init: RandomKTensor(rng, []int{5, 4, 3, 2}, 2)}},
+		{"init factor with too few rows", x, Config{Rank: 2, Init: RandomKTensor(rng, []int{5, 4, 2}, 2)}},
+		{"init weights and columns disagree", x, Config{Rank: 2, Init: twoWeights}},
 	}
-	badInit := RandomKTensor(rng, []int{4, 4}, 3)
-	if _, err := ALS(x, Config{Rank: 2, Init: badInit}); err == nil {
-		t.Error("rank-mismatched init should fail")
+	for _, tc := range cases {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", tc.name, r)
+				}
+			}()
+			if _, err := fit(tc.x, tc.cfg); err == nil {
+				t.Errorf("%s: no error", tc.name)
+			}
+		}()
 	}
-	badInit2 := RandomKTensor(rng, []int{4, 4, 4}, 2)
-	if _, err := ALS(x, Config{Rank: 2, Init: badInit2}); err == nil {
-		t.Error("order-mismatched init should fail")
+}
+
+// otherLayout is a tensor whose layout no MTTKRP kernel implements.
+type otherLayout struct{ *tensor.Dense }
+
+func (otherLayout) Layout() tensor.Layout { return tensor.LayoutCOO + 1 }
+
+// TestALSSparseMatchesDensified runs ALS on a sparse tensor and on its
+// densified copy from the same seed: the two layouts' kernels sum in
+// different orders, so the runs agree to rounding, not to the bit.
+func TestALSSparseMatchesDensified(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, dims := range [][]int{{14, 12}, {12, 10, 9}, {7, 6, 5, 6}} {
+		xs := tensor.RandomSparse(rng, 0.2, dims...)
+		cfg := Config{Rank: 3, MaxIters: 5, Tol: -1, Seed: 4, Threads: 2}
+		sp, err := ALS(xs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		de, err := ALS(xs.Densify(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range de.FitHistory {
+			if math.Abs(sp.FitHistory[i]-de.FitHistory[i]) > 1e-12 {
+				t.Errorf("dims=%v sweep %d: sparse fit %v, densified %v", dims, i, sp.FitHistory[i], de.FitHistory[i])
+			}
+		}
+		for k, u := range de.K.Factors {
+			for i := 0; i < u.R; i++ {
+				for c := 0; c < u.C; c++ {
+					if d := math.Abs(sp.K.Factors[k].At(i, c) - u.At(i, c)); d > 1e-10 {
+						t.Fatalf("dims=%v factor %d (%d,%d): sparse and densified differ by %g", dims, k, i, c, d)
+					}
+				}
+			}
+		}
 	}
 }
 

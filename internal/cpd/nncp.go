@@ -2,20 +2,16 @@ package cpd
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/mat"
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
 // NNALS computes a nonnegative CP decomposition by hierarchical
 // alternating least squares (HALS): per sweep and per mode it computes
-// one MTTKRP with the same kernels as plain ALS, then updates each factor
-// column in closed form with a projection onto the nonnegative orthant,
+// one MTTKRP with the same kernels and the same sweep loop as plain ALS
+// (MultiSweep included), then updates each factor column in closed form
+// with a projection onto the nonnegative orthant,
 //
 //	U(:, c) ← max(ε, U(:, c) + (M(:, c) − U·H(:, c)) / H(c, c)),
 //
@@ -27,107 +23,49 @@ import (
 // The returned KTensor has nonnegative factors; weights stay 1 (scale is
 // kept in the factors so nonnegativity constraints stay meaningful).
 func NNALS(x *tensor.Dense, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Rank < 1 {
-		return nil, ErrBadRank
-	}
-	if x.Order() < 2 {
-		return nil, fmt.Errorf("cpd: tensor order %d < 2", x.Order())
-	}
 	for _, v := range x.Data() {
 		if v < 0 {
 			return nil, fmt.Errorf("cpd: NNALS requires a nonnegative tensor")
 		}
 	}
-	n := x.Order()
-	c := cfg.Rank
-
-	var k *KTensor
 	if cfg.Init != nil {
-		if cfg.Init.Rank() != c || cfg.Init.Order() != n {
-			return nil, fmt.Errorf("cpd: init has rank %d order %d, want %d and %d",
-				cfg.Init.Rank(), cfg.Init.Order(), c, n)
-		}
-		k = cfg.Init.Clone()
-		for _, u := range k.Factors {
+		init := cfg.Init.Clone()
+		for _, u := range init.Factors {
 			projectNonnegative(u)
 		}
-	} else {
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		k = RandomKTensor(rng, x.Dims(), c) // uniform [0,1): already nonnegative
+		cfg.Init = init
 	}
+	// A random initial guess is uniform [0,1): already nonnegative.
+	return run(x, cfg, hals)
+}
 
-	opts := core.Options{
-		Threads:     cfg.Threads,
-		Breakdown:   cfg.Breakdown,
-		Pool:        cfg.Pool,
-		PhaseNotify: func() { parallel.Reconcile(cfg.Pool) },
-	}
-	normX := x.Norm(cfg.Threads)
-	dsts := make([]mat.View, n)
-	for i := 0; i < n; i++ {
-		dsts[i] = mat.NewDense(x.Dim(i), c)
-	}
-	grams := make([]mat.View, n)
-	for i := 0; i < n; i++ {
-		grams[i] = gramOn(cfg.Pool, cfg.Threads, k.Factors[i])
-	}
-
-	res := &Result{K: k}
-	fitOld := 0.0
-	mLast := mat.NewDense(x.Dim(n-1), c)
+// hals is NNALS's factor update: two HALS column sweeps over U =
+// k.Factors[mode], in place. A few inner passes help convergence without
+// extra MTTKRPs.
+func hals(k *KTensor, mode int, m, h mat.View, _ bool) {
 	const eps = 1e-16
-	for iter := 0; iter < cfg.MaxIters; iter++ {
-		start := time.Now()
-		for mode := 0; mode < n; mode++ {
-			m := core.ComputeInto(dsts[mode], cfg.Method, x, k.Factors, mode, opts)
-			if mode == n-1 {
-				mLast.CopyFrom(m)
+	u := k.Factors[mode]
+	c := u.C
+	for pass := 0; pass < 2; pass++ {
+		for col := 0; col < c; col++ {
+			hcc := h.At(col, col)
+			if hcc < eps {
+				hcc = eps
 			}
-			h := hadamardOfGramsExcept(grams, mode, c)
-			u := k.Factors[mode]
-			// HALS column sweeps: a few inner passes help convergence
-			// without extra MTTKRPs.
-			for pass := 0; pass < 2; pass++ {
-				for col := 0; col < c; col++ {
-					hcc := h.At(col, col)
-					if hcc < eps {
-						hcc = eps
-					}
-					// delta = (M(:,col) − U·H(:,col)) / hcc, then clamp.
-					for i := 0; i < u.R; i++ {
-						s := m.At(i, col)
-						for p := 0; p < c; p++ {
-							s -= u.At(i, p) * h.At(p, col)
-						}
-						v := u.At(i, col) + s/hcc
-						if v < eps {
-							v = eps
-						}
-						u.Set(i, col, v)
-					}
+			// delta = (M(:,col) − U·H(:,col)) / hcc, then clamp.
+			for i := 0; i < u.R; i++ {
+				s := m.At(i, col)
+				for p := 0; p < c; p++ {
+					s -= u.At(i, p) * h.At(p, col)
 				}
+				v := u.At(i, col) + s/hcc
+				if v < eps {
+					v = eps
+				}
+				u.Set(i, col, v)
 			}
-			grams[mode] = gramOn(cfg.Pool, cfg.Threads, u)
 		}
-		res.IterTimes = append(res.IterTimes, time.Since(start))
-		res.Iters = iter + 1
-
-		// Sweep boundary: apply pending lease-budget changes (see ALS).
-		parallel.Reconcile(cfg.Pool)
-		if cfg.PhaseNotify != nil {
-			cfg.PhaseNotify()
-		}
-
-		fit := computeFit(normX, normX*normX, k, grams, mLast)
-		res.FitHistory = append(res.FitHistory, fit)
-		res.Fit = fit
-		if cfg.Tol > 0 && iter > 0 && math.Abs(fit-fitOld) < cfg.Tol {
-			break
-		}
-		fitOld = fit
 	}
-	return res, nil
 }
 
 func projectNonnegative(u mat.View) {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/tensor"
 )
 
@@ -71,19 +72,9 @@ func TestNNALSRejectsNegativeTensor(t *testing.T) {
 	}
 }
 
+// TestNNALSConfigErrors runs TestALSErrorCases's table through NNALS.
 func TestNNALSConfigErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	x := tensor.Random(rng, 4, 4)
-	if _, err := NNALS(x, Config{Rank: 0}); err == nil {
-		t.Error("rank 0 should fail")
-	}
-	if _, err := NNALS(tensor.New(3), Config{Rank: 1}); err == nil {
-		t.Error("order-1 should fail")
-	}
-	bad := RandomKTensor(rng, []int{4, 4}, 3)
-	if _, err := NNALS(x, Config{Rank: 2, Init: bad}); err == nil {
-		t.Error("mismatched init should fail")
-	}
+	checkRejects(t, NNALS)
 }
 
 func TestNNALSInitProjectsNegatives(t *testing.T) {
@@ -115,5 +106,37 @@ func TestNNALSFitMatchesExplicit(t *testing.T) {
 	want := 1 - diff.Norm(1)/x.Norm(1)
 	if math.Abs(res.Fit-want) > 1e-8 {
 		t.Errorf("cached fit %v vs explicit %v", res.Fit, want)
+	}
+}
+
+// TestNNALSMultiSweep pins that NNALS honours MultiSweep: the fits match
+// per-mode NNALS, and only the MultiSweep run records the GEMV time of
+// SweepAll's derivations (per-mode 1-step runs no GEMV).
+func TestNNALSMultiSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, dims := range [][]int{{12, 11}, {8, 9, 7}, {6, 5, 4, 5}, {5, 4, 3, 4, 3}} {
+		x := tensor.Random(rng, dims...)
+		var perBD, msBD core.Breakdown
+		cfg := Config{Rank: 3, MaxIters: 8, Tol: -1, Seed: 3, Threads: 2, Method: core.MethodOneStep, Breakdown: &perBD}
+		per, err := NNALS(x, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.MultiSweep, cfg.Breakdown = true, &msBD
+		ms, err := NNALS(x, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range per.FitHistory {
+			if math.Abs(per.FitHistory[i]-ms.FitHistory[i]) > 1e-12 {
+				t.Errorf("dims=%v sweep %d: fit %v per-mode, %v MultiSweep", dims, i, per.FitHistory[i], ms.FitHistory[i])
+			}
+		}
+		if perBD.Get(core.PhaseGEMV) != 0 {
+			t.Errorf("dims=%v: per-mode 1-step recorded GEMV time", dims)
+		}
+		if msBD.Get(core.PhaseGEMV) == 0 {
+			t.Errorf("dims=%v: MultiSweep NNALS recorded no GEMV time: SweepAll did not run", dims)
+		}
 	}
 }

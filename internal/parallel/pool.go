@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -210,6 +211,10 @@ func (p *Pool) grow(t int) {
 // same persistent worker can serve pool dispatches and lease dispatches
 // under whatever logical id the region assigned it.
 func workerLoop(ch chan job) {
+	// A fault reading a mapped tensor's pages (its file truncated under
+	// the kernel) panics instead of crashing the process, so a lease
+	// dispatch captures it like any body panic and fails one request.
+	debug.SetPanicOnFault(true)
 	for j := range ch {
 		runWorkerJob(&j)
 		j.wg.Done()

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -300,6 +301,7 @@ func msBetween(from, to time.Time) float64 {
 // Same-shape requests submitted while a batch for that shape is still
 // waiting for admission coalesce onto it.
 func (s *Server) SubmitMTTKRP(req MTTKRPRequest) *Ticket {
+	req.X = tensor.Unwrap(req.X) // a mapped tensor runs, and tiles, as its Dense
 	if err := validateMTTKRP(req); err != nil {
 		return failedTicket(err)
 	}
@@ -330,6 +332,7 @@ func (s *Server) SubmitCP(req CPRequest) *Ticket {
 	if req.X == nil {
 		return failedTicket(fmt.Errorf("serve: nil tensor"))
 	}
+	req.X = tensor.Unwrap(req.X)
 	it := &item{cp: &req, tk: newTicket()}
 	cost := costOf(req.CostHint, s.Model().CP(req.X.Dims(), req.Config.Rank, req.Config.MaxIters))
 	s.enqueue("", "cp", it, cost, weightOf(req.Weight))
@@ -547,6 +550,10 @@ func (s *Server) ProjectedWait(cost float64) time.Duration {
 // read-only, and the rest compute their own KRP exactly as unfused.
 func (s *Server) run(b *batch, g *grant) {
 	defer s.wg.Done()
+	// This goroutine is worker 0 of every region the batch dispatches: a
+	// fault on a mapped tensor's pages (a file truncated under the kernel)
+	// must panic into the ticket like any kernel panic, not kill the daemon.
+	debug.SetPanicOnFault(true)
 	lease := g.lease
 	if b.key != "" {
 		lease.SetWorkspaceKey("serve:" + b.key)
@@ -826,9 +833,9 @@ func (it *item) execute(ex parallel.Executor, plan *krp.Plan) {
 		cfg.Pool = ex
 		cfg.Threads = 0
 		// cpd reconciles the lease between sweeps (and between modes)
-		// itself; no extra wiring needed here. ALSAny dispatches on the
+		// itself; no extra wiring needed here. ALS dispatches on the
 		// tensor's layout.
-		tk.cp, tk.err = cpd.ALSAny(it.cp.X, cfg)
+		tk.cp, tk.err = cpd.ALS(it.cp.X, cfg)
 	default:
 		it.fn(ex)
 	}

@@ -3,6 +3,8 @@ package serve
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -445,5 +447,46 @@ func TestServeSteadyStateDst(t *testing.T) {
 			t.Fatal("result not written through the retained dst")
 		}
 		matsEqual(t, got, want, fmt.Sprintf("iteration %d", i))
+	}
+}
+
+// TestServeTruncatedMappingFailsTicket truncates a mapped tensor file
+// under the server: the kernels' reads of the vanished pages fault, and
+// each fault must fail its own ticket (on the coordinator and on pool
+// workers alike) while the server keeps serving.
+func TestServeTruncatedMappingFailsTicket(t *testing.T) {
+	x, u := problem(10, 4, 30, 24, 20)
+	path := filepath.Join(t.TempDir(), "x.dsnt")
+	if err := tensor.WriteDenseFile(path, x); err != nil {
+		t.Fatal(err)
+	}
+	m, err := tensor.OpenDense(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if !m.Mapped() {
+		t.Skip("no mmap on this host: the tensor is a heap copy")
+	}
+	// Keep the header page only: every data page now lies past EOF.
+	if err := os.Truncate(path, 4096); err != nil {
+		t.Fatal(err)
+	}
+	for _, width := range []int{1, 2, 4} {
+		s := New(Config{Workers: width, MinWorkers: width})
+		for mode := 0; mode < x.Order(); mode++ {
+			// The by-reference transport submits the mapping's Dense.
+			_, err := s.SubmitMTTKRP(MTTKRPRequest{X: m.Dense, Factors: u, Mode: mode}).MTTKRP()
+			if err == nil {
+				t.Fatalf("width %d mode %d: MTTKRP over a truncated mapping succeeded", width, mode)
+			}
+		}
+		want := core.Compute(core.MethodAuto, x, u, 1, core.Options{Threads: width})
+		got, err := s.SubmitMTTKRP(MTTKRPRequest{X: x, Factors: u, Mode: 1}).MTTKRP()
+		if err != nil {
+			t.Fatalf("width %d: request after the faults: %v", width, err)
+		}
+		matsEqual(t, got, want, fmt.Sprintf("width %d, after the faults", width))
+		s.Close()
 	}
 }

@@ -115,7 +115,7 @@ func absRel(a, b float64) float64 {
 }
 
 // TestServeSparseCP runs a sparse CP decomposition through the scheduler
-// and checks it matches a direct ALSAny run with the same seed.
+// and checks it matches a direct cpd.ALS run with the same seed.
 func TestServeSparseCP(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
@@ -125,7 +125,7 @@ func TestServeSparseCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := cpd.ALSAny(xs, cfg)
+	local, err := cpd.ALS(xs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

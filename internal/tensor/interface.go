@@ -49,6 +49,15 @@ var (
 	_ Interface = (*Sparse)(nil)
 )
 
+// Unwrap returns the *Dense a *Map embeds, and x itself otherwise, so a
+// type switch over the concrete layouts sees a mapped tensor as dense.
+func Unwrap(x Interface) Interface {
+	if m, ok := x.(*Map); ok {
+		return m.Dense
+	}
+	return x
+}
+
 // NNZ returns the stored-entry count of a dense tensor: every entry,
 // including explicit zeros (the dense layout stores them all).
 func (d *Dense) NNZ() int64 { return int64(len(d.data)) }

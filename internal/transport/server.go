@@ -41,11 +41,6 @@ type Config struct {
 	// pointing outside the root cannot smuggle a file in. Empty disables
 	// the endpoint (404).
 	TensorRoot string
-	// CPIters is the sweep budget applied to CP requests that leave Iters
-	// zero; 0 selects 10.
-	CPIters int
-	// DrainTimeout bounds the graceful drain on shutdown; 0 selects 60 s.
-	DrainTimeout time.Duration
 	// MaxQueueDelay sheds load instead of queueing: when positive, a
 	// request whose projected admission wait (scheduler backlog ÷ recent
 	// service rate, priced by the request's cost) exceeds it is refused
@@ -117,12 +112,6 @@ type Server struct {
 func NewServer(cfg Config) *Server {
 	if cfg.MaxPayloadBytes <= 0 {
 		cfg.MaxPayloadBytes = 1 << 30
-	}
-	if cfg.CPIters <= 0 {
-		cfg.CPIters = 10
-	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 60 * time.Second
 	}
 	s := &Server{
 		cfg:    cfg,
@@ -257,6 +246,9 @@ func ListenAndServe(addr string, cfg Config) error {
 	return ServeUntilSignal(s, l, nil)
 }
 
+// drainTimeout bounds the graceful drain ServeUntilSignal runs on a signal.
+const drainTimeout = 60 * time.Second
+
 // ServeUntilSignal serves on l until SIGINT/SIGTERM, then drains. When
 // notify is non-nil it receives the listener's resolved address before
 // serving starts (the way cmd/mttkrp-serve reports a :0 port).
@@ -273,7 +265,7 @@ func ServeUntilSignal(s *Server, l net.Listener, notify func(net.Addr)) error {
 	case err := <-errc:
 		return err
 	case <-stop:
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
 		if err := s.Shutdown(ctx); err != nil {
 			return fmt.Errorf("transport: drain: %w", err)
@@ -357,11 +349,7 @@ func (s *Server) admission(w http.ResponseWriter, r *http.Request, h *Header) (c
 	var estimate float64
 	switch h.Op {
 	case OpCP:
-		iters := h.Iters
-		if iters <= 0 {
-			iters = s.cfg.CPIters
-		}
-		estimate = model.CP(h.Dims, h.Rank, iters)
+		estimate = model.CP(h.Dims, h.Rank, h.sweeps())
 	case OpSparseMTTKRP:
 		// Priced from the header's nnz — before any payload is read —
 		// so a sparse request's admission cost scales with its stored
@@ -523,13 +511,9 @@ func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request, wantOp Op
 		}
 		s.bytesOut.Add(MatrixWireSize(m.R, m.C))
 	case OpCP:
-		iters := h.Iters
-		if iters <= 0 {
-			iters = s.cfg.CPIters
-		}
 		c0 := time.Now()
 		res, err := s.sched.SubmitCP(serve.CPRequest{X: x, Config: cpd.Config{
-			Rank: h.Rank, MaxIters: iters, Method: h.Method, Seed: h.Seed,
+			Rank: h.Rank, MaxIters: h.sweeps(), Method: h.Method, Seed: h.Seed,
 		}, CostHint: cost, Weight: weight}).CP()
 		compute := time.Since(c0)
 		s.computeNs.Add(compute.Nanoseconds())

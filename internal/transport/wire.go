@@ -108,6 +108,9 @@ const (
 	MaxRefPath = 1 << 10
 )
 
+// DefaultIters is the CP sweep budget of a request that leaves Iters 0.
+const DefaultIters = 10
+
 // TensorRef identifies a server-resident tensor file for a by-reference
 // request: a slash-separated path relative to the server's tensor root,
 // plus the file identity (mtime in unix nanoseconds, byte size, and the
@@ -151,7 +154,7 @@ type Header struct {
 	Mode int
 	// Rank is the factor column count C.
 	Rank int
-	// Iters is the CP sweep budget; 0 selects the server default.
+	// Iters is the CP sweep budget; 0 selects DefaultIters.
 	Iters int
 	// Seed drives the CP initial guess, making served runs reproducible.
 	Seed int64
@@ -176,6 +179,14 @@ func (h *Header) byRef() bool { return h.Op == OpMTTKRPByRef }
 // hasFactors reports whether the request ships factor matrices: every op
 // except CP, whose server initializes them from Seed.
 func (h *Header) hasFactors() bool { return h.Op != OpCP }
+
+// sweeps returns the CP sweep budget: Iters, or DefaultIters when it is 0.
+func (h *Header) sweeps() int {
+	if h.Iters > 0 {
+		return h.Iters
+	}
+	return DefaultIters
+}
 
 // headerLen returns the encoded header length: the fixed part, the dims,
 // then the op's extension — the nnz field or the reference block.

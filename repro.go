@@ -46,7 +46,8 @@ import (
 	"repro/internal/tucker"
 )
 
-// AnyTensor is the shape-generic tensor: *Dense or *Sparse. Every
+// AnyTensor is the shape-generic tensor: *Dense, *Sparse or a
+// *MappedTensor, which computes as the *Dense it embeds. Every
 // layout-dispatching entry point (MTTKRP, CP, a Server submission) takes
 // one; the concrete constructors below return the concrete types, so
 // layout-specific methods stay available without assertions.
@@ -299,9 +300,11 @@ func KhatriRao(threads int, mats ...Matrix) Matrix {
 // tensors (unless cfg.Method overrides it) and the compressed-fiber
 // kernel for sparse ones. Set cfg.MultiSweep to share partial MTTKRP
 // results across the modes of each sweep (dense only: two tensor passes
-// per sweep instead of N, identical results).
+// per sweep instead of N, identical results). A cfg.Init is checked
+// against x: its rank, its order and each factor's I_k × C shape must
+// fit, or CP returns an error.
 func CP(x AnyTensor, cfg CPConfig) (*CPResult, error) {
-	return cpd.ALSAny(x, cfg)
+	return cpd.ALS(x, cfg)
 }
 
 // TTM computes the tensor-times-matrix product Y = X ×n M (Y_(n) = Mᵀ·X_(n))
@@ -397,7 +400,8 @@ func LoadSparseTensor(path string) (*Sparse, error) { return tensor.LoadSparse(p
 
 // NonnegativeCP computes a nonnegative CP decomposition by HALS (the
 // nonnegative setting of the paper's related work), using the same MTTKRP
-// kernels as CP.
+// kernels and sweep loop as CP, cfg.MultiSweep and the cfg.Init checks
+// included.
 func NonnegativeCP(x *Dense, cfg CPConfig) (*CPResult, error) {
 	return cpd.NNALS(x, cfg)
 }

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -180,6 +181,56 @@ func TestFacadeSaveLoad(t *testing.T) {
 				t.Fatalf("entry %d of a WriteDenseFile tensor loads as %v, want %v", i, got.Data()[i], v)
 			}
 		}
+	}
+
+	// The same file, mapped, computes exactly as the heap tensor: MTTKRP
+	// per mode and CP through the facade, and MTTKRP through a server.
+	m, err := repro.OpenDenseFile(mapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	factors := make([]repro.Matrix, x.Order())
+	for k := range factors {
+		factors[k] = repro.RandomMatrix(x.Dim(k), 2, rng)
+	}
+	sameBits := func(what string, got, want repro.Matrix) {
+		t.Helper()
+		for i := 0; i < want.R; i++ {
+			for j := 0; j < want.C; j++ {
+				if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
+					t.Errorf("%s: (%d,%d) is %v, heap tensor gives %v", what, i, j, got.At(i, j), want.At(i, j))
+					return
+				}
+			}
+		}
+	}
+	srv := repro.NewServer(repro.ServerConfig{Workers: 2, MaxActive: 1})
+	defer srv.Close()
+	opts := repro.MTTKRPOptions{Threads: 2}
+	for n := 0; n < x.Order(); n++ {
+		sameBits(fmt.Sprintf("mode %d MTTKRP", n), repro.MTTKRP(m, factors, n, opts), repro.MTTKRP(x, factors, n, opts))
+		want, err := srv.SubmitMTTKRP(repro.MTTKRPRequest{X: x, Factors: factors, Mode: n}).MTTKRP()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := srv.SubmitMTTKRP(repro.MTTKRPRequest{X: m, Factors: factors, Mode: n}).MTTKRP()
+		if err != nil {
+			t.Fatalf("served mode %d MTTKRP of the mapped tensor: %v", n, err)
+		}
+		sameBits(fmt.Sprintf("served mode %d MTTKRP", n), got, want)
+	}
+	cfg := repro.CPConfig{Rank: 2, MaxIters: 3, Tol: -1, Seed: 1, Threads: 2}
+	heap, err := repro.CP(x, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := repro.CP(m, cfg)
+	if err != nil {
+		t.Fatalf("CP of the mapped tensor: %v", err)
+	}
+	if math.Float64bits(fromFile.Fit) != math.Float64bits(heap.Fit) {
+		t.Errorf("CP fit %v on the mapped tensor, %v on the heap tensor", fromFile.Fit, heap.Fit)
 	}
 }
 
