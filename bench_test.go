@@ -254,7 +254,7 @@ func BenchmarkFig7CPALS(b *testing.B) {
 		for _, c := range []int{10, 25} {
 			b.Run(fmt.Sprintf("%s/C=%d/ours", tc.name, c), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					_, err := cpd.ALS(tc.x, cpd.Config{Rank: c, MaxIters: 1, Tol: -1, Seed: 7, Threads: benchThreads})
+					_, err := cpd.ALS(tc.x, cpd.Config{Rank: c, MaxIters: 1, Tol: -1, Seed: 7, Threads: benchThreads, Method: core.MethodTwoStep})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -407,17 +407,21 @@ func BenchmarkAblationGemmBlocking(b *testing.B) {
 func BenchmarkExtMultiSweep(b *testing.B) {
 	for _, order := range []int{3, 4, 5} {
 		x, u := fig5Problem(order, 16)
+		dsts := make([]mat.View, order)
+		for n := range dsts {
+			dsts[n] = mat.NewDense(x.Dim(n), 16)
+		}
 		noop := func(int, mat.View) {}
 		b.Run(fmt.Sprintf("N=%d/per-mode", order), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for n := 0; n < order; n++ {
-					core.Compute(core.MethodAuto, x, u, n, core.Options{Threads: benchThreads})
+					core.ComputeInto(dsts[n], core.MethodAuto, x, u, n, core.Options{Threads: benchThreads})
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("N=%d/sweep-all", order), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.SweepAll(x, u, core.Options{Threads: benchThreads}, noop)
+				core.SweepAll(x, u, dsts, core.Options{Threads: benchThreads}, noop)
 			}
 		})
 	}

@@ -2,13 +2,18 @@
 // random dense tensor of given dimensions or the synthetic fMRI dataset —
 // and reports fit, per-iteration time, and component weights.
 //
+// By default every sweep is one dimension-tree sweep (two passes over the
+// tensor instead of one per mode); -method names a per-mode MTTKRP
+// kernel instead, and 2step is the paper's hybrid. Both print the same
+// fit to rounding.
+//
 // Usage:
 //
 //	cpd -dims 60,50,40 -rank 8
 //	cpd -fmri -fmri-scale 0.3 -rank 10 -threads 4
 //	cpd -fmri -linearize -rank 10          # 3-way pairs form
+//	cpd -dims 40,40,40 -method 2step       # the paper's per-mode hybrid
 //	cpd -dims 40,40,40 -method reorder     # force the baseline MTTKRP
-//	cpd -dims 40,40,40 -multisweep         # cross-mode MTTKRP reuse
 //	cpd -fmri -nonneg -nvecs -corcondia    # nonnegative fit + diagnostics
 //	cpd -fmri -save x.dsnt; cpd -load x.dsnt # persist / reload tensors
 //
@@ -51,9 +56,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	tol := fs.Float64("tol", 1e-4, "fit-change stopping tolerance (negative: always run maxiters)")
 	threads := fs.Int("threads", 0, "worker count (0 = GOMAXPROCS)")
 	seed := fs.Int64("seed", 1, "random seed for data and initial guess")
-	methodName := fs.String("method", "auto", "MTTKRP method: auto, 1step, 2step, reorder")
+	methodName := fs.String("method", "auto", "MTTKRP method: auto (dimension-tree sweep), or per mode 1step, 2step, reorder")
 	noise := fs.Float64("noise", 0.1, "with -fmri: relative noise level")
-	multiSweep := fs.Bool("multisweep", false, "share partial MTTKRPs across modes (2 tensor passes per sweep)")
 	nonneg := fs.Bool("nonneg", false, "nonnegative CP via HALS (requires a nonnegative tensor)")
 	nvecs := fs.Bool("nvecs", false, "initialize from leading eigenvectors instead of a random draw")
 	corcondia := fs.Bool("corcondia", false, "report the core consistency diagnostic of the fit")
@@ -110,13 +114,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		x.Dims(), x.Size(), float64(x.Size())*8/1e6, *rank, method)
 
 	cfg := cpd.Config{
-		Rank:       *rank,
-		MaxIters:   *iters,
-		Tol:        *tol,
-		Threads:    *threads,
-		Method:     method,
-		Seed:       *seed,
-		MultiSweep: *multiSweep,
+		Rank:     *rank,
+		MaxIters: *iters,
+		Tol:      *tol,
+		Threads:  *threads,
+		Method:   method,
+		Seed:     *seed,
 	}
 	if *nvecs {
 		cfg.Init = cpd.NVecsInit(*threads, x, *rank, *seed)

@@ -21,17 +21,29 @@ func TestRunSmallRandomTensor(t *testing.T) {
 	}
 }
 
+// TestRunMultiSweepAndMethods runs the default dimension-tree sweep and
+// every per-mode method, with and without -nonneg: each pair must print
+// the same fit.
 func TestRunMultiSweepAndMethods(t *testing.T) {
-	for _, extra := range [][]string{
-		{"-multisweep"},
-		{"-method", "reorder"},
-		{"-method", "1step"},
-		{"-nonneg"},
-	} {
+	fit := func(extra ...string) string {
 		args := append([]string{"-dims", "6,5,4", "-rank", "2", "-maxiters", "2", "-tol", "-1", "-threads", "2"}, extra...)
 		var out, errOut bytes.Buffer
 		if err := run(args, &out, &errOut); err != nil {
 			t.Errorf("run %v: %v", extra, err)
+		}
+		_, rest, ok := strings.Cut(out.String(), "converged: fit")
+		if !ok {
+			t.Errorf("run %v printed no fit:\n%s", extra, out.String())
+		}
+		f, _, _ := strings.Cut(rest, " after")
+		return f
+	}
+	for _, nonneg := range [][]string{nil, {"-nonneg"}} {
+		want := fit(nonneg...)
+		for _, m := range []string{"2step", "1step", "reorder"} {
+			if got := fit(append([]string{"-method", m}, nonneg...)...); got != want {
+				t.Errorf("-method %s %v: %q, default sweep %q", m, nonneg, got, want)
+			}
 		}
 	}
 }
@@ -56,6 +68,7 @@ func TestRunErrors(t *testing.T) {
 		{},                                   // neither -dims nor -fmri
 		{"-dims", "abc"},                     // malformed dims
 		{"-dims", "4,4", "-method", "bogus"}, // unknown method
+		{"-dims", "4,4", "-multisweep"},      // removed: the default sweep
 		{"-load", "/nonexistent/path.tns"},
 	} {
 		var out, errOut bytes.Buffer

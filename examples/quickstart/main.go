@@ -1,5 +1,6 @@
 // Quickstart: build a dense tensor, compute a CP decomposition with the
-// library's default (paper-hybrid) MTTKRP, and inspect the result.
+// library's default sweep (two tensor passes per sweep, sharing partial
+// MTTKRPs across modes), and inspect the result.
 //
 //	go run ./examples/quickstart
 package main

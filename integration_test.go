@@ -36,20 +36,21 @@ func TestEndToEndNeuroimagingPipeline(t *testing.T) {
 		t.Fatal("save/load changed the tensor")
 	}
 
-	// Decompose at the planted rank, both sweep modes.
+	// Decompose at the planted rank: the default dimension-tree sweep and
+	// the paper's per-mode hybrid.
 	plain, err := cpd.ALS(loaded, cpd.Config{Rank: 3, MaxIters: 120, Tol: 1e-10, Seed: 4, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := cpd.ALS(loaded, cpd.Config{Rank: 3, MaxIters: 120, Tol: 1e-10, Seed: 4, Threads: 2, MultiSweep: true})
+	perMode, err := cpd.ALS(loaded, cpd.Config{Rank: 3, MaxIters: 120, Tol: 1e-10, Seed: 4, Threads: 2, Method: core.MethodTwoStep})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Fit < 0.9 || multi.Fit < 0.9 {
-		t.Fatalf("fits too low: plain %v multi %v", plain.Fit, multi.Fit)
+	if plain.Fit < 0.9 || perMode.Fit < 0.9 {
+		t.Fatalf("fits too low: default %v per-mode %v", plain.Fit, perMode.Fit)
 	}
-	if math.Abs(plain.Fit-multi.Fit) > 1e-3 {
-		t.Errorf("sweep modes diverged: %v vs %v", plain.Fit, multi.Fit)
+	if math.Abs(plain.Fit-perMode.Fit) > 1e-3 {
+		t.Errorf("sweeps diverged: %v vs %v", plain.Fit, perMode.Fit)
 	}
 
 	// The model should be structurally valid at the planted rank.

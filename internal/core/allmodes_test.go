@@ -1,13 +1,25 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/mat"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
+
+// newDsts returns SweepAll destinations for x at rank c.
+func newDsts(x *tensor.Dense, c int) []mat.View {
+	d := make([]mat.View, x.Order())
+	for k := range d {
+		d[k] = mat.NewDense(x.Dim(k), c)
+	}
+	return d
+}
 
 // TestSweepAllMatchesPerModeCalls verifies the recomputation-avoidance
 // scheme computes exactly the per-mode MTTKRPs of an ALS sweep, including
@@ -25,7 +37,7 @@ func TestSweepAllMatchesPerModeCalls(t *testing.T) {
 			shadow[i] = u[i].Clone()
 		}
 		modeSeen := -1
-		SweepAll(x, u, Options{Threads: 2}, func(n int, m mat.View) {
+		SweepAll(x, u, newDsts(x, 4), Options{Threads: 2}, func(n int, m mat.View) {
 			if n != modeSeen+1 {
 				t.Fatalf("dims=%v: modes out of order: got %d after %d", dims, n, modeSeen)
 			}
@@ -51,7 +63,7 @@ func TestSweepAllWithoutUpdatesMatchesCompute(t *testing.T) {
 	x, u := randomProblem(rng, []int{5, 4, 3, 4}, 6)
 	// If the callback does not update factors, every mode must equal the
 	// plain MTTKRP with the original factors.
-	SweepAll(x, u, Options{Threads: 1}, func(n int, m mat.View) {
+	SweepAll(x, u, newDsts(x, 6), Options{Threads: 1}, func(n int, m mat.View) {
 		want := Naive(x, u, n)
 		if !mat.ApproxEqual(m, want, 1e-10) {
 			t.Errorf("mode %d: mismatch %g", n, mat.MaxAbsDiff(m, want))
@@ -59,40 +71,55 @@ func TestSweepAllWithoutUpdatesMatchesCompute(t *testing.T) {
 	})
 }
 
+// TestSweepAllBreakdown pins that the breakdown records the sweep's
+// phases and that its total covers SweepAll's own work only: the update
+// callbacks (the caller's factor solves) are not MTTKRP time.
 func TestSweepAllBreakdown(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	x, u := randomProblem(rng, []int{8, 9, 10}, 5)
 	var bd Breakdown
 	count := 0
-	SweepAll(x, u, Options{Threads: 2, Breakdown: &bd}, func(int, mat.View) { count++ })
+	SweepAll(x, u, newDsts(x, 5), Options{Threads: 2, Breakdown: &bd}, func(int, mat.View) { count++ })
 	if count != 3 {
 		t.Fatalf("delivered %d modes", count)
 	}
 	if bd.Get(PhaseGEMM) <= 0 || bd.Get(PhaseGEMV) <= 0 || bd.Total() <= 0 {
 		t.Errorf("breakdown not populated: %v", &bd)
 	}
+
+	const nap = 50 * time.Millisecond
+	x, u = randomProblem(rng, []int{3, 2, 3}, 2)
+	bd.Reset()
+	SweepAll(x, u, newDsts(x, 2), Options{Threads: 2, Breakdown: &bd}, func(int, mat.View) { time.Sleep(nap) })
+	if bd.Total() >= nap {
+		t.Errorf("breakdown total %v counts the update callbacks (3 × %v)", bd.Total(), nap)
+	}
 }
 
 func TestSplitPointBalances(t *testing.T) {
-	cases := []struct {
-		dims []int
-		want int
-	}{
-		{[]int{10, 10}, 1},
-		{[]int{10, 10, 10}, 1},     // 10+100 = 110 beats 100+10 tie; s=1 found first
-		{[]int{10, 10, 10, 10}, 2}, // 100+100 minimal
-		{[]int{2, 100, 2}, 2},      // 200+2 vs 2+200: tie, first wins... s=1: 2+200; s=2: 200+2 -> s=1
-	}
-	for _, c := range cases {
-		x := tensor.New(c.dims...)
-		got := splitPoint(x)
+	for _, dims := range [][]int{
+		{10, 10},
+		{10, 10, 10},     // 10+100 ties 100+10; s=1 found first
+		{10, 10, 10, 10}, // 100+100 minimal
+		{2, 100, 2},      // 2+200 ties 200+2
+		{113, 30, 100, 100},
+	} {
+		got := SplitPoint(dims)
 		// Verify optimality rather than the exact index (ties allowed).
-		bestCost := x.SizeLeft(got-1)*x.Dim(got-1) + x.Size()/(x.SizeLeft(got-1)*x.Dim(got-1))
-		for s := 1; s < len(c.dims); s++ {
-			left := x.SizeLeft(s-1) * x.Dim(s-1)
-			if cost := left + x.Size()/left; cost < bestCost {
-				t.Errorf("dims=%v: splitPoint %d cost %d beaten by s=%d cost %d",
-					c.dims, got, bestCost, s, cost)
+		cost := func(s int) int {
+			left, right := 1, 1
+			for _, d := range dims[:s] {
+				left *= d
+			}
+			for _, d := range dims[s:] {
+				right *= d
+			}
+			return left + right
+		}
+		for s := 1; s < len(dims); s++ {
+			if cost(s) < cost(got) {
+				t.Errorf("dims=%v: SplitPoint %d cost %d beaten by s=%d cost %d",
+					dims, got, cost(got), s, cost(s))
 			}
 		}
 	}
@@ -110,7 +137,7 @@ func TestSweepAllQuick(t *testing.T) {
 		}
 		x, u := randomProblem(rng, dims, rng.Intn(4)+1)
 		ok := true
-		SweepAll(x, u, Options{Threads: rng.Intn(3) + 1}, func(n int, m mat.View) {
+		SweepAll(x, u, newDsts(x, u[0].C), Options{Threads: rng.Intn(3) + 1}, func(n int, m mat.View) {
 			if !mat.ApproxEqual(m, Naive(x, u, n), 1e-9) {
 				ok = false
 			}
@@ -120,5 +147,95 @@ func TestSweepAllQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSweepAllLeaseResizeBitIdentical pins SweepAll's width invariance:
+// on a lease whose update callback resizes it between modes (so the next
+// derivation's phase hook applies the new width), every mode's result
+// equals, bit for bit, the same sweep on a 1-worker pool.
+func TestSweepAllLeaseResizeBitIdentical(t *testing.T) {
+	one := parallel.NewPool(1)
+	defer one.Close()
+	wide := parallel.NewPool(8)
+	defer wide.Close()
+	rng := rand.New(rand.NewSource(4))
+	for _, dims := range [][]int{{14, 12}, {14, 12, 10}, {23, 17, 19, 29}, {6, 5, 4, 5, 3}, {4, 3, 5, 2, 3, 4}} {
+		x, u := randomProblem(rng, dims, 5)
+		// Both runs apply the same deterministic update: scale the raw
+		// result into the factor, as a solve would replace it.
+		sweep := func(p parallel.Executor, between func(n int)) [][]float64 {
+			f := make([]mat.View, len(u))
+			for k := range u {
+				f[k] = u[k].Clone()
+			}
+			var got [][]float64
+			SweepAll(x, f, newDsts(x, 5), Options{Pool: p, PhaseNotify: func() { parallel.Reconcile(p) }}, func(n int, m mat.View) {
+				got = append(got, append([]float64(nil), m.Data...))
+				for i := range f[n].Data {
+					f[n].Data[i] = m.Data[i] / float64(1+i%7)
+				}
+				between(n)
+			})
+			return got
+		}
+		want := sweep(one, func(int) {})
+		l := wide.Lease(8)
+		widths := []int{3, 8, 2, 5, 1, 8}
+		got := sweep(l, func(n int) { l.Resize(widths[n]) })
+		l.Close()
+		for n := range want {
+			for i := range want[n] {
+				if math.Float64bits(got[n][i]) != math.Float64bits(want[n][i]) {
+					t.Fatalf("dims=%v mode %d: element %d is %v on a resized lease, %v on 1 worker",
+						dims, n, i, got[n][i], want[n][i])
+				}
+			}
+		}
+	}
+}
+
+// TestDeriveBitIdenticalToTTV pins the allocation-free derivation to a
+// chain of tensor.Dense.TTV calls, including the TTV's skip of zero vector
+// entries: every result element is bit-identical.
+func TestDeriveBitIdenticalToTTV(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pool := parallel.NewPool(3)
+	defer pool.Close()
+	for _, dims := range [][]int{{7}, {5, 6}, {4, 3, 5}, {3, 4, 2, 3}, {2, 3, 2, 3, 2}} {
+		const c = 4
+		size := tensor.New(dims...).Size()
+		inter := mat.FromColMajor(make([]float64, size*c), size, c)
+		for i := range inter.Data {
+			inter.Data[i] = rng.NormFloat64()
+		}
+		factors := make([]mat.View, len(dims))
+		for k, d := range dims {
+			factors[k] = mat.RandomDense(d, c, rng)
+			factors[k].Set(rng.Intn(d), rng.Intn(c), 0) // exercise the zero skip
+		}
+		for mode := range dims {
+			out := mat.NewDense(dims[mode], c)
+			ws := pool.Acquire()
+			deriveFromIntermediate(pool, ws, 3, inter, dims, factors, mode, out)
+			ws.Release()
+			for col := 0; col < c; col++ {
+				sub := tensor.FromData(append([]float64(nil), inter.Data[col*size:(col+1)*size]...), dims...)
+				for k := len(dims) - 1; k >= 0; k-- {
+					if k != mode {
+						v := make([]float64, dims[k])
+						for i := range v {
+							v[i] = factors[k].At(i, col)
+						}
+						sub = sub.TTV(k, v)
+					}
+				}
+				for i, want := range sub.Data() {
+					if got := out.At(i, col); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("dims=%v mode %d (%d,%d): derived %v, TTV chain %v", dims, mode, i, col, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -10,8 +10,9 @@ import (
 )
 
 // TestPooledKernelsSteadyStateAllocFree pins the pool runtime's core
-// guarantee: repeated same-shape MTTKRP calls on a retained dst and pool
-// reuse the pool's workspaces and allocate nothing.
+// guarantee: repeated same-shape MTTKRP calls, and SweepAll sweeps, on
+// retained destinations and a pool reuse the pool's workspaces and
+// allocate nothing.
 func TestPooledKernelsSteadyStateAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := tensor.Random(rng, 30, 20, 25, 15)
@@ -42,5 +43,20 @@ func TestPooledKernelsSteadyStateAllocFree(t *testing.T) {
 		if allocs > 0 {
 			t.Errorf("%s: %v allocs/op, want 0", tc.name, allocs)
 		}
+	}
+
+	// A whole dimension-tree sweep, derivations included, on retained
+	// destinations.
+	dsts := newDsts(x, 16)
+	opts := Options{Threads: 4, Pool: pool}
+	update := func(int, mat.View) {}
+	SweepAll(x, u, dsts, opts, update) // warmup
+	SweepAll(x, u, dsts, opts, update)
+	allocs := testing.AllocsPerRun(20, func() {
+		SweepAll(x, u, dsts, opts, update)
+	})
+	t.Logf("sweepall: %.1f allocs/op", allocs)
+	if allocs > 0 {
+		t.Errorf("sweepall: %v allocs/op, want 0", allocs)
 	}
 }

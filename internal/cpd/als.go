@@ -27,10 +27,15 @@ type Config struct {
 	Tol float64
 	// Threads is the worker count for all kernels; 0 = GOMAXPROCS.
 	Threads int
-	// Method selects the MTTKRP algorithm; the zero value (MethodAuto) is
-	// the paper's hybrid: 1-step for external modes, 2-step for internal.
-	// Sparse tensors have one kernel and ignore it, except MethodNaive,
-	// which runs against the densified reference.
+	// Method selects the MTTKRP algorithm. The zero value (MethodAuto)
+	// runs each dense sweep as one dimension-tree sweep (core.SweepAll):
+	// two passes over the tensor instead of N, whose output bits do not
+	// depend on the worker count or the lease width. A named method runs
+	// that kernel once per mode; MethodTwoStep is the paper's hybrid
+	// (1-step for external modes, 2-step for internal), as Figure 7
+	// measures it. Sparse tensors run their one kernel per mode and
+	// ignore Method, except MethodNaive, which runs against the densified
+	// reference.
 	Method core.Method
 	// BlasOnlyParallel restricts reorder-baseline parallelism to BLAS
 	// (Tensor Toolbox fidelity; see core.Options).
@@ -44,13 +49,6 @@ type Config struct {
 	// Breakdown, when non-nil, accumulates MTTKRP phase timings across
 	// all iterations (Figure 8 instrumentation).
 	Breakdown *core.Breakdown
-	// MultiSweep enables the cross-mode recomputation-avoidance scheme of
-	// Phan et al. (core.SweepAll) — the paper's "natural next step"
-	// (Section 6): each ALS sweep costs two passes over the tensor
-	// instead of N, with identical results. When set on a dense tensor,
-	// Method is ignored. Sparse tensors ignore MultiSweep: the scheme
-	// contracts dense blocks of the tensor.
-	MultiSweep bool
 	// Pool, when non-nil, is the execution context all kernels of the run
 	// execute on: a *parallel.Pool (persistent worker team) or a
 	// *parallel.Lease (a scheduler-granted slice of a shared team, the
@@ -133,13 +131,13 @@ type updateFunc func(k *KTensor, mode int, m, h mat.View, first bool)
 
 // run is the one CP sweep loop behind ALS and NNALS: per sweep and per
 // mode an MTTKRP, the Hadamard product of the other Grams, and update.
-// The MTTKRP is core.Run for either layout, or core.SweepAll over the
-// whole sweep when MultiSweep is set on a dense tensor.
+// A dense tensor with MethodAuto runs core.SweepAll over the whole sweep;
+// a named method or a sparse tensor runs core.Run per mode.
 func run(x tensor.Interface, cfg Config, update updateFunc) (*Result, error) {
 	cfg = cfg.withDefaults()
 	x = tensor.Unwrap(x)
 	var norm func(t int) float64
-	var xd *tensor.Dense // set for a dense tensor, the layout MultiSweep applies to
+	var xd *tensor.Dense // set for a dense tensor, the layout SweepAll applies to
 	switch xt := x.(type) {
 	case *tensor.Dense:
 		xd, norm = xt, xt.Norm
@@ -189,15 +187,11 @@ func run(x tensor.Interface, cfg Config, update updateFunc) (*Result, error) {
 
 	// Per-mode MTTKRP result buffers, reused across sweeps so the hot loop
 	// runs on one pool and one workspace set with no steady-state
-	// allocation inside the kernels. The MultiSweep path derives its
-	// results inside SweepAll and never uses these.
-	multi := xd != nil && cfg.MultiSweep
-	var dsts []mat.View
-	if !multi {
-		dsts = make([]mat.View, n)
-		for i := 0; i < n; i++ {
-			dsts[i] = mat.NewDense(x.Dim(i), c)
-		}
+	// allocation inside the kernels. Each mode needs its own: ALS solves
+	// in place and keeps dsts[mode] as the new factor.
+	dsts := make([]mat.View, n)
+	for i := 0; i < n; i++ {
+		dsts[i] = mat.NewDense(x.Dim(i), c)
 	}
 
 	// Cache Gram matrices of every factor.
@@ -218,8 +212,8 @@ func run(x tensor.Interface, cfg Config, update updateFunc) (*Result, error) {
 			update(k, mode, m, hadamardOfGramsExcept(grams, mode, c), iter == 0)
 			grams[mode] = gramOn(cfg.Pool, cfg.Threads, k.Factors[mode])
 		}
-		if multi {
-			core.SweepAll(xd, k.Factors, opts, step)
+		if xd != nil && cfg.Method == core.MethodAuto {
+			core.SweepAll(xd, k.Factors, dsts, opts, step)
 		} else {
 			for mode := 0; mode < n; mode++ {
 				step(mode, core.Run(core.Request{

@@ -10,7 +10,8 @@ import (
 // NNALS computes a nonnegative CP decomposition by hierarchical
 // alternating least squares (HALS): per sweep and per mode it computes
 // one MTTKRP with the same kernels and the same sweep loop as plain ALS
-// (MultiSweep included), then updates each factor column in closed form
+// (the dimension-tree sweep by default, a named Method per mode), then
+// updates each factor column in closed form
 // with a projection onto the nonnegative orthant,
 //
 //	U(:, c) ← max(ε, U(:, c) + (M(:, c) − U·H(:, c)) / H(c, c)),

@@ -109,9 +109,9 @@ func TestNNALSFitMatchesExplicit(t *testing.T) {
 	}
 }
 
-// TestNNALSMultiSweep pins that NNALS honours MultiSweep: the fits match
-// per-mode NNALS, and only the MultiSweep run records the GEMV time of
-// SweepAll's derivations (per-mode 1-step runs no GEMV).
+// TestNNALSMultiSweep pins that NNALS runs the default dimension-tree
+// sweep: the fits match per-mode NNALS, and only the default run records
+// the GEMV time of SweepAll's derivations (per-mode 1-step runs no GEMV).
 func TestNNALSMultiSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, dims := range [][]int{{12, 11}, {8, 9, 7}, {6, 5, 4, 5}, {5, 4, 3, 4, 3}} {
@@ -122,21 +122,21 @@ func TestNNALSMultiSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.MultiSweep, cfg.Breakdown = true, &msBD
+		cfg.Method, cfg.Breakdown = core.MethodAuto, &msBD
 		ms, err := NNALS(x, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range per.FitHistory {
 			if math.Abs(per.FitHistory[i]-ms.FitHistory[i]) > 1e-12 {
-				t.Errorf("dims=%v sweep %d: fit %v per-mode, %v MultiSweep", dims, i, per.FitHistory[i], ms.FitHistory[i])
+				t.Errorf("dims=%v sweep %d: fit %v per-mode, %v default sweep", dims, i, per.FitHistory[i], ms.FitHistory[i])
 			}
 		}
 		if perBD.Get(core.PhaseGEMV) != 0 {
 			t.Errorf("dims=%v: per-mode 1-step recorded GEMV time", dims)
 		}
 		if msBD.Get(core.PhaseGEMV) == 0 {
-			t.Errorf("dims=%v: MultiSweep NNALS recorded no GEMV time: SweepAll did not run", dims)
+			t.Errorf("dims=%v: default NNALS recorded no GEMV time: SweepAll did not run", dims)
 		}
 	}
 }

@@ -61,13 +61,13 @@ func TestALSReconcileAtSweepBoundaries(t *testing.T) {
 		}
 	}
 
-	// The run's result must be identical to an unperturbed run: lease
-	// resizing changes scheduling, never arithmetic.
-	ref, err := ALS(x, Config{Rank: 3, MaxIters: 6, Tol: -1, Seed: 7, Threads: 2})
+	// The run's result must be bit-identical to an unperturbed 1-worker
+	// run: lease resizing changes scheduling, never arithmetic.
+	one := parallel.NewPool(1)
+	defer one.Close()
+	ref, err := ALS(x, Config{Rank: 3, MaxIters: 6, Tol: -1, Seed: 7, Pool: one})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := res.Fit - ref.Fit; d > 1e-12 || d < -1e-12 {
-		t.Fatalf("fit %v under resizing vs %v fixed-width (must be deterministic)", res.Fit, ref.Fit)
-	}
+	assertSameBits(t, "ALS", x.Dims(), "resized lease", ref, res)
 }

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/parallel"
+	"repro/internal/tensor"
 )
 
 // TestAdmissionCostWeightedBudgets pins the cost-share budget policy: two
@@ -274,13 +277,32 @@ func TestCostModel(t *testing.T) {
 	if small <= 0 || large <= small {
 		t.Fatalf("MTTKRP costs small=%g large=%g, want 0 < small < large", small, large)
 	}
-	cp := m.CP([]int{12, 10, 8}, 4, 10)
+	cp := m.CP([]int{12, 10, 8}, 4, 10, core.MethodAuto)
 	if cp <= small {
-		t.Fatalf("CP cost %g not above one MTTKRP %g (10 sweeps × 3 modes)", cp, small)
+		t.Fatalf("CP cost %g not above one MTTKRP %g (10 sweeps × 2 passes)", cp, small)
 	}
-	if m.CP([]int{12, 10, 8}, 4, 0) != m.CP([]int{12, 10, 8}, 4, 50) {
+	if m.CP([]int{12, 10, 8}, 4, 0, core.MethodAuto) != m.CP([]int{12, 10, 8}, 4, 50, core.MethodAuto) {
 		t.Fatal("CP sweeps=0 must price the cpd default sweep budget (50)")
 	}
+
+	// CP is priced by what runs: the default dense sweep makes two tensor
+	// passes plus derivations, a named method one MTTKRP per mode, and a
+	// sparse tensor one nnz-priced MTTKRP per mode.
+	dims4 := []int{12, 10, 8, 6}
+	if auto, named := m.CP(dims4, 4, 10, core.MethodAuto), m.CP(dims4, 4, 10, core.MethodTwoStep); auto >= 0.6*named {
+		t.Fatalf("4-way CP: default sweep %g, per-mode %g; want under 0.6×", auto, named)
+	}
+	if auto, named := m.CP([]int{30, 20}, 4, 10, core.MethodAuto), m.CP([]int{30, 20}, 4, 10, core.MethodOneStep); auto != named {
+		t.Fatalf("order-2 CP: default sweep %g, per-mode %g; want equal", auto, named)
+	}
+	xs := tensor.RandomSparse(rand.New(rand.NewSource(1)), 0.01, 30, 24, 20)
+	if sp, de := m.CPFor(xs, 8, 10, core.MethodAuto), m.CPFor(xs.Densify(), 8, 10, core.MethodAuto); sp >= de {
+		t.Fatalf("1%%-dense sparse CP %g, dense CP of the same shape %g; want sparse cheaper", sp, de)
+	}
+	if m.CPFor(xs.Densify(), 8, 10, core.MethodTwoStep) != m.CP(xs.Dims(), 8, 10, core.MethodTwoStep) {
+		t.Fatal("CPFor on a dense tensor must price as CP")
+	}
+	m.CPFor(tensor.New(), 8, 10, core.MethodAuto) // order 0 prices without panicking; cpd rejects it
 	if got := costOf(7, 99); got != 7 {
 		t.Fatalf("costOf hint override = %g, want 7", got)
 	}

@@ -115,13 +115,62 @@ func (m CostModel) MTTKRPFor(x costTensor, rank int) float64 {
 	return m.MTTKRP(x.Dims(), rank)
 }
 
-// CP estimates a CP-ALS run: sweeps sweeps of one MTTKRP per mode.
-// sweeps <= 0 selects the cpd default sweep budget (50).
-func (m CostModel) CP(dims []int, rank, sweeps int) float64 {
-	if sweeps <= 0 {
-		sweeps = 50 // cpd.Config.withDefaults MaxIters
+// CP estimates a CP-ALS run of sweeps sweeps over a dense dims-shaped
+// tensor, priced by what cpd runs for method. MethodAuto's dimension-tree
+// sweep (core.SweepAll) makes two passes over the tensor, each priced as
+// one MTTKRP, plus one derivation per mode from the two intermediates:
+//
+//	per sweep ≈ 2 · MTTKRP + Σ_{modes in a half of ≥ 2 modes} (2 flops + 8 bytes) · ∏half · rank
+//
+// A named method runs one MTTKRP per mode. Order 2 costs the same both
+// ways, since each intermediate is then a result. sweeps <= 0 selects the
+// cpd default sweep budget (50).
+func (m CostModel) CP(dims []int, rank, sweeps int, method core.Method) float64 {
+	perSweep := float64(len(dims)) * m.MTTKRP(dims, rank)
+	if method == core.MethodAuto && len(dims) >= 2 { // cpd rejects lower orders
+		perSweep = 2*m.MTTKRP(dims, rank) + m.derivations(dims, rank)
 	}
-	return float64(sweeps) * float64(len(dims)) * m.MTTKRP(dims, rank)
+	return float64(cpSweeps(sweeps)) * perSweep
+}
+
+// CPFor estimates a CP-ALS request by the tensor's layout: a sparse
+// tensor runs its one kernel per mode, so a sweep costs N nnz-priced
+// MTTKRPs whatever the method; a dense one is priced by CP. This is the
+// dispatch point SubmitCP prices through.
+func (m CostModel) CPFor(x costTensor, rank, sweeps int, method core.Method) float64 {
+	dims := x.Dims()
+	if x.Layout() == tensor.LayoutCOO {
+		return float64(cpSweeps(sweeps)) * float64(len(dims)) * m.SparseMTTKRP(x.NNZ(), dims, rank)
+	}
+	return m.CP(dims, rank, sweeps, method)
+}
+
+// derivations estimates one dimension-tree sweep's per-mode derivations:
+// each mode of a half with two or more modes reads that half's
+// intermediate, ∏half · rank values, once.
+func (m CostModel) derivations(dims []int, rank int) float64 {
+	s := core.SplitPoint(dims)
+	cost := 0.0
+	for _, half := range [][]int{dims[:s], dims[s:]} {
+		if len(half) < 2 {
+			continue // the intermediate is the mode's result
+		}
+		size := float64(rank)
+		for _, d := range half {
+			size *= float64(d)
+		}
+		cost += float64(len(half)) * m.combine(2*size, 8*size)
+	}
+	return cost
+}
+
+// cpSweeps resolves a CP sweep budget: sweeps <= 0 selects the cpd
+// default (50).
+func cpSweeps(sweeps int) int {
+	if sweeps <= 0 {
+		return 50 // cpd.Config.withDefaults MaxIters
+	}
+	return sweeps
 }
 
 // costOf resolves a request's admission cost: an explicit positive hint

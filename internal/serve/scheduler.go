@@ -334,7 +334,7 @@ func (s *Server) SubmitCP(req CPRequest) *Ticket {
 	}
 	req.X = tensor.Unwrap(req.X)
 	it := &item{cp: &req, tk: newTicket()}
-	cost := costOf(req.CostHint, s.Model().CP(req.X.Dims(), req.Config.Rank, req.Config.MaxIters))
+	cost := costOf(req.CostHint, s.Model().CPFor(req.X, req.Config.Rank, req.Config.MaxIters, req.Config.Method))
 	s.enqueue("", "cp", it, cost, weightOf(req.Weight))
 	return it.tk
 }

@@ -349,7 +349,7 @@ func (s *Server) admission(w http.ResponseWriter, r *http.Request, h *Header) (c
 	var estimate float64
 	switch h.Op {
 	case OpCP:
-		estimate = model.CP(h.Dims, h.Rank, h.sweeps())
+		estimate = model.CP(h.Dims, h.Rank, h.sweeps(), h.Method)
 	case OpSparseMTTKRP:
 		// Priced from the header's nnz — before any payload is read —
 		// so a sparse request's admission cost scales with its stored

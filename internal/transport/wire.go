@@ -148,7 +148,8 @@ type Header struct {
 	// Op is the request kind; it selects the body after the header.
 	Op Op
 	// Method selects the MTTKRP algorithm (MTTKRP requests; CP uses it as
-	// the per-mode kernel choice with zero = the paper's hybrid).
+	// cpd.Config.Method: zero = the dimension-tree sweep, a named method
+	// runs per mode).
 	Method core.Method
 	// Mode is the MTTKRP mode n (ignored for CP).
 	Mode int

@@ -84,8 +84,9 @@ type Method = core.Method
 
 // MTTKRP algorithm choices.
 const (
-	// MethodAuto uses the paper's hybrid: 1-step for external modes,
-	// 2-step for internal modes (the default).
+	// MethodAuto uses the paper's hybrid for one MTTKRP: 1-step for
+	// external modes, 2-step for internal modes (the default). In CP it
+	// selects the dimension-tree sweep.
 	MethodAuto = core.MethodAuto
 	// MethodOneStep is the paper's 1-step algorithm (Algorithm 3).
 	MethodOneStep = core.MethodOneStep
@@ -296,11 +297,12 @@ func KhatriRao(threads int, mats ...Matrix) Matrix {
 }
 
 // CP computes a rank-C CP decomposition of x (either layout) by
-// alternating least squares, using the paper's hybrid MTTKRP for dense
-// tensors (unless cfg.Method overrides it) and the compressed-fiber
-// kernel for sparse ones. Set cfg.MultiSweep to share partial MTTKRP
-// results across the modes of each sweep (dense only: two tensor passes
-// per sweep instead of N, identical results). A cfg.Init is checked
+// alternating least squares. A dense tensor runs each sweep as one
+// dimension-tree sweep that shares partial MTTKRPs across modes: two
+// tensor passes per sweep instead of N, the same result to rounding, and
+// the same bits at every worker count. A named cfg.Method runs that
+// MTTKRP per mode instead (MethodTwoStep is the paper's hybrid). Sparse
+// tensors run the compressed-fiber kernel per mode. A cfg.Init is checked
 // against x: its rank, its order and each factor's I_k × C shape must
 // fit, or CP returns an error.
 func CP(x AnyTensor, cfg CPConfig) (*CPResult, error) {
@@ -400,8 +402,8 @@ func LoadSparseTensor(path string) (*Sparse, error) { return tensor.LoadSparse(p
 
 // NonnegativeCP computes a nonnegative CP decomposition by HALS (the
 // nonnegative setting of the paper's related work), using the same MTTKRP
-// kernels and sweep loop as CP, cfg.MultiSweep and the cfg.Init checks
-// included.
+// kernels and sweep loop as CP: the dimension-tree sweep by default, a
+// named cfg.Method per mode, and the same cfg.Init checks.
 func NonnegativeCP(x *Dense, cfg CPConfig) (*CPResult, error) {
 	return cpd.NNALS(x, cfg)
 }

@@ -93,17 +93,17 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Fatalf("TTM dims %v", y.Dims())
 	}
 
-	// Multi-sweep CP matches regular CP.
+	// The default dimension-tree sweep matches the per-mode hybrid.
 	a, err := repro.CP(x, repro.CPConfig{Rank: 2, MaxIters: 4, Tol: -1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := repro.CP(x, repro.CPConfig{Rank: 2, MaxIters: 4, Tol: -1, Seed: 1, MultiSweep: true})
+	b, err := repro.CP(x, repro.CPConfig{Rank: 2, MaxIters: 4, Tol: -1, Seed: 1, Method: repro.MethodTwoStep})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := a.Fit - b.Fit; d > 1e-6 || d < -1e-6 {
-		t.Errorf("multisweep fit %v vs %v", b.Fit, a.Fit)
+	if d := a.Fit - b.Fit; d > 1e-12 || d < -1e-12 {
+		t.Errorf("per-mode 2-step fit %v vs default %v", b.Fit, a.Fit)
 	}
 
 	// Diagnostics and init run.
