@@ -33,6 +33,10 @@ var benchThreads = runtime.GOMAXPROCS(0)
 func BenchmarkFig4KRP(b *testing.B) {
 	const c = 25
 	const j = 1 << 20 // ~1M output rows
+	pool := parallel.NewPool(benchThreads)
+	defer pool.Close()
+	ws := pool.Acquire()
+	defer ws.Release()
 	for _, z := range []int{2, 3, 4} {
 		per := int(math.Round(math.Pow(float64(j), 1/float64(z))))
 		rng := rand.New(rand.NewSource(int64(z)))
@@ -46,13 +50,13 @@ func BenchmarkFig4KRP(b *testing.B) {
 		b.Run(fmt.Sprintf("Z=%d/reuse", z), func(b *testing.B) {
 			b.SetBytes(int64(rows) * c * 8)
 			for i := 0; i < b.N; i++ {
-				krp.Parallel(benchThreads, mats, out)
+				krp.ParallelOn(pool, ws, benchThreads, mats, out)
 			}
 		})
 		b.Run(fmt.Sprintf("Z=%d/naive", z), func(b *testing.B) {
 			b.SetBytes(int64(rows) * c * 8)
 			for i := 0; i < b.N; i++ {
-				krp.NaiveParallel(benchThreads, mats, out)
+				krp.NaiveParallel(pool, benchThreads, mats, out)
 			}
 		})
 	}
@@ -60,7 +64,7 @@ func BenchmarkFig4KRP(b *testing.B) {
 	b.Run("STREAM", func(b *testing.B) {
 		b.SetBytes(sb.Bytes())
 		for i := 0; i < b.N; i++ {
-			sb.Run(benchThreads)
+			sb.RunOn(pool, benchThreads)
 		}
 	})
 }
@@ -245,7 +249,7 @@ func BenchmarkFig6Breakdown(b *testing.B) {
 func BenchmarkFig7CPALS(b *testing.B) {
 	p := fmri.PaperParams().Scaled(0.12)
 	p.Seed = 99
-	ds := fmri.Generate(p)
+	ds := fmri.GenerateOn(nil, p)
 	tensors := []struct {
 		name string
 		x    *tensor.Dense
@@ -280,7 +284,7 @@ func BenchmarkFig8FMRI(b *testing.B) {
 	const c = 25
 	p := fmri.PaperParams().Scaled(0.12)
 	p.Seed = 99
-	ds := fmri.Generate(p)
+	ds := fmri.GenerateOn(nil, p)
 	for _, tc := range []struct {
 		name string
 		x    *tensor.Dense
@@ -435,7 +439,7 @@ func BenchmarkExtTTM(b *testing.B) {
 		m := mat.RandomDense(128, 16, rng)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ttm.Multiply(benchThreads, x, n, m)
+				ttm.Multiply(nil, benchThreads, x, n, m)
 			}
 		})
 	}

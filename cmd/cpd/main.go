@@ -87,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		p.Seed = *seed
 		fmt.Fprintf(stdout, "generating fMRI dataset %dx%dx%dx%d (%d planted networks, noise %.2g)...\n",
 			p.Times, p.Subjects, p.Regions, p.Regions, p.Components, p.Noise)
-		ds := fmri.Generate(p)
+		ds := fmri.GenerateOn(nil, p)
 		if *linearize {
 			x = ds.Linearize3()
 		} else {

@@ -21,7 +21,7 @@ func main() {
 	p.Components = 4
 	p.Noise = 0.02
 	p.Seed = 8
-	ds := fmri.Generate(p)
+	ds := fmri.GenerateOn(nil, p)
 	x := ds.Tensor4
 	fmt.Printf("fMRI tensor %v: %d entries (%.1f MB)\n",
 		x.Dims(), x.Size(), float64(x.Size())*8/1e6)
@@ -65,5 +65,5 @@ func main() {
 	}
 	diff := x.Clone()
 	diff.AddScaled(-1, m.Full(0))
-	fmt.Printf("one-shot HOSVD at rank 4: relative error %.4f\n", diff.Norm(0)/x.Norm(0))
+	fmt.Printf("one-shot HOSVD at rank 4: relative error %.4f\n", diff.Norm(nil, 0)/x.Norm(nil, 0))
 }

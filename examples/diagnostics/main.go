@@ -86,5 +86,5 @@ func main() {
 }
 
 func rmsOf(x *tensor.Dense) float64 {
-	return x.Norm(0) / float64(x.Size())
+	return x.Norm(nil, 0) / float64(x.Size())
 }

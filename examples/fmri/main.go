@@ -26,7 +26,7 @@ func main() {
 	p.Seed = 3
 	fmt.Printf("generating fMRI tensor %d×%d×%d×%d with %d planted networks...\n",
 		p.Times, p.Subjects, p.Regions, p.Regions, p.Components)
-	ds := fmri.Generate(p)
+	ds := fmri.GenerateOn(nil, p)
 
 	// 3-way analysis on region pairs (i < j), as in Section 5.3.3: the
 	// symmetric region modes are linearized, halving the data.

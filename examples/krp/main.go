@@ -29,7 +29,12 @@ func main() {
 		a.R, a.C, b.R, b.C, k.R, k.C)
 	fmt.Printf("  K(4, 0) = %.4f, A(1,0)·B(1,0) = %.4f\n\n", k.At(4, 0), a.At(1, 0)*b.At(1, 0))
 
-	// Timing: reuse vs naive for Z = 2, 3, 4 with ~2M output rows.
+	// Timing: reuse vs naive for Z = 2, 3, 4 with ~2M output rows, both on
+	// one pool.
+	pool := parallel.NewPool(threads)
+	defer pool.Close()
+	ws := pool.Acquire()
+	defer ws.Release()
 	j := 2_000_000
 	for _, z := range []int{2, 3, 4} {
 		per := int(float64(j) + 0.5)
@@ -49,8 +54,8 @@ func main() {
 		}
 		out := mat.NewDense(rows, c)
 
-		naive := timeIt(func() { krp.NaiveParallel(threads, mats, out) })
-		reuse := timeIt(func() { krp.Parallel(threads, mats, out) })
+		naive := timeIt(func() { krp.NaiveParallel(pool, threads, mats, out) })
+		reuse := timeIt(func() { krp.ParallelOn(pool, ws, threads, mats, out) })
 		fmt.Printf("Z=%d (%d rows × %d cols): naive %7.1fms, reuse %7.1fms, speedup %.2fx\n",
 			z, rows, c, naive*1e3, reuse*1e3, naive/reuse)
 	}

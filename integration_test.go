@@ -20,7 +20,7 @@ import (
 // on-disk format.
 func TestEndToEndNeuroimagingPipeline(t *testing.T) {
 	p := fmri.Params{Times: 16, Subjects: 6, Regions: 12, Components: 3, Noise: 0.02, Seed: 9}
-	ds := fmri.Generate(p)
+	ds := fmri.GenerateOn(nil, p)
 	x3 := ds.Linearize3()
 
 	// Persist and reload; the decomposition must see identical data.

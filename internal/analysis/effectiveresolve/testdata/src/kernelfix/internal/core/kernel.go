@@ -19,12 +19,12 @@ func BadProcs() int {
 
 func BadWorkers(p *parallel.Pool, n int) {
 	t := p.Workers() // want `Workers\(\) reports the current team width`
-	parallel.For(t, n, func(w, lo, hi int) {})
+	p.For(t, n, func(w, lo, hi int) {})
 }
 
-func BadRawThreads(opts Options, n int) {
-	parallel.For(opts.Threads, n, func(w, lo, hi int) {}) // want `raw Threads field passed as a region width`
-	bufs := make([][]float64, opts.Threads)               // want `raw Threads field sizes a buffer set`
+func BadRawThreads(p *parallel.Pool, opts Options, n int) {
+	p.For(opts.Threads, n, func(w, lo, hi int) {}) // want `raw Threads field passed as a region width`
+	bufs := make([][]float64, opts.Threads)        // want `raw Threads field sizes a buffer set`
 	_ = bufs
 	rs := parallel.Split(n, opts.Threads) // want `raw Threads field passed as a region width`
 	_ = rs
@@ -39,7 +39,7 @@ func GoodResolved(p *parallel.Pool, opts Options, n int) {
 	p.For(t, n, func(w, lo, hi int) {})
 }
 
-func GoodEffective(opts Options, n int) {
+func GoodEffective(p *parallel.Pool, opts Options, n int) {
 	t := parallel.Effective(opts.Threads)
-	parallel.For(t, n, func(w, lo, hi int) {})
+	p.For(t, n, func(w, lo, hi int) {})
 }

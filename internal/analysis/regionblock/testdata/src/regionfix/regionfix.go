@@ -20,8 +20,8 @@ func badRecv(p *parallel.Pool, ch chan int) {
 	})
 }
 
-func badSelect(ch chan int) {
-	parallel.Run(2, func(w int) {
+func badSelect(p *parallel.Pool, ch chan int) {
+	p.Run(2, func(w int) {
 		select { // want `blocking select inside a parallel region body`
 		case <-ch:
 		}
@@ -43,7 +43,7 @@ func badWait(p *parallel.Pool, wg *sync.WaitGroup, n int) {
 
 func badNested(p *parallel.Pool, n int) {
 	p.Run(2, func(w int) {
-		parallel.For(2, n, func(w2, lo, hi int) { // want `nested dispatch inside a region body`
+		p.For(2, n, func(w2, lo, hi int) { // want `nested dispatch inside a region body`
 			_ = lo
 		})
 	})
@@ -62,8 +62,8 @@ func badLease(p *parallel.Pool, n int) {
 	})
 }
 
-func okSelectDefault(ch chan int) {
-	parallel.Run(2, func(w int) {
+func okSelectDefault(p *parallel.Pool, ch chan int) {
+	p.Run(2, func(w int) {
 		select {
 		case <-ch:
 		default:

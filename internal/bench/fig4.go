@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/krp"
 	"repro/internal/mat"
+	"repro/internal/parallel"
 	"repro/internal/stream"
 )
 
@@ -15,11 +16,16 @@ import (
 // comparing Algorithm 1 ("Reuse") against the naive row-wise algorithm and
 // the STREAM scale benchmark, for Z ∈ {2, 3, 4} input matrices and the
 // given column count C (25 for Figure 4a, 50 for Figure 4b). Input row
-// dimensions are equal with product ≈ J.
+// dimensions are equal with product ≈ J. Every series runs on one pool the
+// figure owns.
 func Fig4(cfg Config, c int) *Table {
 	cfg = cfg.WithDefaults()
 	j := cfg.KRPRows()
 	threads := ThreadCounts(cfg.MaxThreads)
+	pool := parallel.NewPool(threads[len(threads)-1])
+	defer pool.Close()
+	ws := pool.Acquire()
+	defer ws.Release()
 
 	cols := []string{fmt.Sprintf("series (J≈%d, C=%d)", j, c)}
 	for _, t := range threads {
@@ -39,9 +45,9 @@ func Fig4(cfg Config, c int) *Table {
 		naive := series{name: fmt.Sprintf("%d-Naive", z)}
 		reuse := series{name: fmt.Sprintf("%d-Reuse", z)}
 		for _, t := range threads {
-			st := Measure(cfg.Trials, func() { krp.NaiveParallel(t, mats, out) })
+			st := Measure(cfg.Trials, func() { krp.NaiveParallel(pool, t, mats, out) })
 			naive.times = append(naive.times, st.Median.Seconds())
-			st = Measure(cfg.Trials, func() { krp.Parallel(t, mats, out) })
+			st = Measure(cfg.Trials, func() { krp.ParallelOn(pool, ws, t, mats, out) })
 			reuse.times = append(reuse.times, st.Median.Seconds())
 		}
 		all = append(all, naive, reuse)
@@ -52,7 +58,7 @@ func Fig4(cfg Config, c int) *Table {
 	sb := stream.New(rows * c)
 	str := series{name: "STREAM"}
 	for _, t := range threads {
-		st := MeasureTimed(cfg.Trials, func() time.Duration { return sb.Run(t) })
+		st := MeasureTimed(cfg.Trials, func() time.Duration { return sb.RunOn(pool, t) })
 		str.times = append(str.times, st.Median.Seconds())
 	}
 	all = append(all, str)

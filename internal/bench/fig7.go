@@ -27,7 +27,7 @@ func Fig7(cfg Config) []*Table {
 	// other figures: linear dims shrink by Scale^(1/4).
 	p := fmri.PaperParams().Scaled(math.Pow(cfg.Scale, 0.25))
 	p.Seed = 99
-	ds := fmri.Generate(p)
+	ds := fmri.GenerateOn(nil, p)
 	x4 := ds.Tensor4
 	x3 := ds.Linearize3()
 

@@ -21,7 +21,7 @@ func Fig8(cfg Config) []*Table {
 	cfg = cfg.WithDefaults()
 	p := fmri.PaperParams().Scaled(math.Pow(cfg.Scale, 0.25))
 	p.Seed = 99
-	ds := fmri.Generate(p)
+	ds := fmri.GenerateOn(nil, p)
 	x4 := ds.Tensor4
 	x3 := ds.Linearize3()
 

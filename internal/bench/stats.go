@@ -33,7 +33,7 @@ func Measure(trials int, f func()) Stats {
 }
 
 // MeasureTimed is Measure for work that reports its own duration (for
-// example stream.Bench.Run, which excludes verification).
+// example stream.Bench.RunOn, which excludes verification).
 func MeasureTimed(trials int, f func() time.Duration) Stats {
 	if trials < 1 {
 		trials = 1

@@ -235,14 +235,12 @@ func TestGemvAgainstReference(t *testing.T) {
 				}
 				want[i] = 2*s + 0.5*y[i]
 			}
-			for _, threads := range []int{1, 2, 3} {
-				got := append([]float64(nil), y...)
-				Gemv(threads, 2, a, mat.FromSlice(x), 0.5, mat.FromSlice(got))
-				for i := range want {
-					if d := got[i] - want[i]; d > 1e-10 || d < -1e-10 {
-						t.Fatalf("gemv m=%d n=%d layout=%d threads=%d: y[%d]=%v want %v",
-							m, n, layout, threads, i, got[i], want[i])
-					}
+			got := append([]float64(nil), y...)
+			Gemv(2, a, mat.FromSlice(x), 0.5, mat.FromSlice(got))
+			for i := range want {
+				if d := got[i] - want[i]; d > 1e-10 || d < -1e-10 {
+					t.Fatalf("gemv m=%d n=%d layout=%d: y[%d]=%v want %v",
+						m, n, layout, i, got[i], want[i])
 				}
 			}
 		}
@@ -252,7 +250,7 @@ func TestGemvAgainstReference(t *testing.T) {
 func TestGemvBetaZero(t *testing.T) {
 	a := mat.FromRowMajor([]float64{1, 2, 3, 4}, 2, 2)
 	y := []float64{1e300, 1e300}
-	Gemv(1, 1, a, mat.FromSlice([]float64{1, 1}), 0, mat.FromSlice(y))
+	Gemv(1, a, mat.FromSlice([]float64{1, 1}), 0, mat.FromSlice(y))
 	if y[0] != 3 || y[1] != 7 {
 		t.Errorf("gemv beta=0 wrong: %v", y)
 	}
@@ -261,10 +259,10 @@ func TestGemvBetaZero(t *testing.T) {
 func TestGemvMismatchPanics(t *testing.T) {
 	for i, fn := range []func(){
 		func() {
-			Gemv(1, 1, mat.NewDense(2, 3), mat.FromSlice(make([]float64, 2)), 0, mat.FromSlice(make([]float64, 2)))
+			Gemv(1, mat.NewDense(2, 3), mat.FromSlice(make([]float64, 2)), 0, mat.FromSlice(make([]float64, 2)))
 		},
 		func() {
-			Gemv(1, 1, mat.NewDense(2, 3), mat.FromSlice(make([]float64, 3)), 0, mat.FromSlice(make([]float64, 3)))
+			Gemv(1, mat.NewDense(2, 3), mat.FromSlice(make([]float64, 3)), 0, mat.FromSlice(make([]float64, 3)))
 		},
 	} {
 		func() {
@@ -282,7 +280,7 @@ func TestGemvStridedY(t *testing.T) {
 	a := mat.FromRowMajor([]float64{1, 2, 3, 4}, 2, 2)
 	yBuf := make([]float64, 4)
 	y := mat.Vec{Data: yBuf, N: 2, Inc: 2}
-	Gemv(1, 1, a, mat.FromSlice([]float64{1, 2}), 0, y)
+	Gemv(1, a, mat.FromSlice([]float64{1, 2}), 0, y)
 	if yBuf[0] != 5 || yBuf[2] != 11 {
 		t.Errorf("strided-y gemv wrong: %v", yBuf)
 	}
@@ -344,27 +342,6 @@ func TestGemmRowGroupingBitIdentical(t *testing.T) {
 						}
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestGemvDeterministicAcrossThreads: same invariant for GEMV (row-split).
-func TestGemvDeterministicAcrossThreads(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	a := randomView(rng, 129, 77, 0)
-	x := make([]float64, 77)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	ref := make([]float64, 129)
-	Gemv(1, 1, a, mat.FromSlice(x), 0, mat.FromSlice(ref))
-	for _, threads := range []int{2, 4, 9} {
-		y := make([]float64, 129)
-		Gemv(threads, 1, a, mat.FromSlice(x), 0, mat.FromSlice(y))
-		for i := range y {
-			if y[i] != ref[i] {
-				t.Fatalf("threads=%d: y[%d] differs bitwise", threads, i)
 			}
 		}
 	}

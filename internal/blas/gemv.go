@@ -4,24 +4,14 @@ import (
 	"fmt"
 
 	"repro/internal/mat"
-	"repro/internal/parallel"
 )
 
-// Gemv computes y = alpha*A*x + beta*y with t workers. A may have any
-// strides; the multi-TTV step of the 2-step MTTKRP calls this on row-major
-// and column-major subtensor matricizations (Figures 3b and 3d of the
-// paper). Work is split by contiguous blocks of y, so workers never write
-// the same element. With t <= 1 it runs inline on the calling goroutine
-// without touching any pool, so worker bodies may call it freely.
-func Gemv(t int, alpha float64, a mat.View, x mat.Vec, beta float64, y mat.Vec) {
-	GemvOn(nil, t, alpha, a, x, beta, y)
-}
-
-// GemvOn is Gemv executed on an explicit executor (pool or lease); a nil
-// executor selects the process-wide default pool, resolved only if the
-// call actually dispatches (so sequential calls never instantiate the
-// default worker team).
-func GemvOn(p parallel.Executor, t int, alpha float64, a mat.View, x mat.Vec, beta float64, y mat.Vec) {
+// Gemv computes y = alpha*A*x + beta*y sequentially on the calling
+// goroutine, choosing a row-oriented (dot) or column-oriented (axpy) sweep
+// based on A's layout. A may have any strides; the multi-TTV step of the
+// 2-step MTTKRP calls this from its worker bodies on row-major and
+// column-major subtensor matricizations (Figures 3b and 3d of the paper).
+func Gemv(alpha float64, a mat.View, x mat.Vec, beta float64, y mat.Vec) {
 	if a.C != x.N {
 		panic(fmt.Sprintf("blas: gemv dimension mismatch: A is %dx%d, x has %d", a.R, a.C, x.N))
 	}
@@ -31,43 +21,6 @@ func GemvOn(p parallel.Executor, t int, alpha float64, a mat.View, x mat.Vec, be
 	if a.R == 0 {
 		return
 	}
-	if t <= 1 || a.R < 2 {
-		gemvBlock(alpha, a, x, beta, y)
-		return
-	}
-	p = parallel.OrDefault(p)
-	ws := p.Acquire()
-	f := ws.Frame("blas.gemv", newGemvFrame).(*gemvFrame)
-	f.alpha, f.beta = alpha, beta
-	f.a, f.x, f.y = a, x, y
-	p.For(t, a.R, f.body)
-	f.a, f.x, f.y = mat.View{}, mat.Vec{}, mat.Vec{}
-	ws.Release()
-}
-
-// gemvFrame caches the parallel Gemv worker closure in a workspace.
-type gemvFrame struct {
-	alpha, beta float64
-	a           mat.View
-	x, y        mat.Vec
-	body        func(w, lo, hi int)
-}
-
-func newGemvFrame() any {
-	f := &gemvFrame{}
-	f.body = func(_, lo, hi int) {
-		gemvBlock(f.alpha, f.a.Slice(lo, hi, 0, f.a.C), f.x, f.beta, sliceVec(f.y, lo, hi))
-	}
-	return f
-}
-
-func sliceVec(v mat.Vec, lo, hi int) mat.Vec {
-	return mat.Vec{Data: v.Data[lo*v.Inc:], N: hi - lo, Inc: v.Inc}
-}
-
-// gemvBlock handles one contiguous row block sequentially, choosing a
-// row-oriented (dot) or column-oriented (axpy) sweep based on A's layout.
-func gemvBlock(alpha float64, a mat.View, x mat.Vec, beta float64, y mat.Vec) {
 	if beta != 1 {
 		if beta == 0 {
 			for i := 0; i < y.N; i++ {

@@ -47,7 +47,7 @@ func ReorderInto(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts Option
 
 	totalW := startWatch()
 	sw := startWatch()
-	xn := x.Unfold(tAux, n) // explicit reorder (copy)
+	xn := x.Unfold(p, tAux, n) // explicit reorder (copy)
 	bd.add(PhaseReorder, sw.elapsed())
 
 	sw = startWatch()

@@ -76,10 +76,9 @@ type Options struct {
 	// slice of a shared team, the serving path); nil uses the process-wide
 	// default pool. With a lease attached, Threads = 0 resolves to the
 	// lease's granted budget, so admitted requests automatically honor
-	// their admission policy. The isolation covers the MTTKRP kernels,
-	// BLAS calls and reductions; auxiliary tensor utilities without a pool
-	// parameter (for example the reorder baseline's Unfold and
-	// tensor.Norm) still run on the default pool.
+	// their admission policy. Every region of the request runs on it: the
+	// MTTKRP kernels, BLAS calls, reductions and the reorder baseline's
+	// Unfold.
 	Pool parallel.Executor
 	// PhaseNotify, when non-nil, is invoked at kernel phase boundaries —
 	// the entry of each MTTKRP computation, and between the per-mode

@@ -85,7 +85,7 @@ func newTwoStepFrame() any {
 		for j := lo; j < hi; j++ {
 			sub := f.inter.Data[j*f.sub : (j+1)*f.sub]
 			rj := mat.FromRowMajor(sub, f.in, il)
-			blas.Gemv(1, 1, rj, f.kv.Col(j), 0, f.m.Col(j))
+			blas.Gemv(1, rj, f.kv.Col(j), 0, f.m.Col(j))
 		}
 	}
 	// Left-first step 2: L_(0)[j] is the column-major I_n × I^R_n
@@ -95,7 +95,7 @@ func newTwoStepFrame() any {
 		for j := lo; j < hi; j++ {
 			sub := f.inter.Data[j*f.sub : (j+1)*f.sub]
 			lj := mat.FromColMajor(sub, f.in, ir)
-			blas.Gemv(1, 1, lj, f.kv.Col(j), 0, f.m.Col(j))
+			blas.Gemv(1, lj, f.kv.Col(j), 0, f.m.Col(j))
 		}
 	}
 	return f

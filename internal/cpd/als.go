@@ -136,7 +136,7 @@ type updateFunc func(k *KTensor, mode int, m, h mat.View, first bool)
 func run(x tensor.Interface, cfg Config, update updateFunc) (*Result, error) {
 	cfg = cfg.withDefaults()
 	x = tensor.Unwrap(x)
-	var norm func(t int) float64
+	var norm func(p parallel.Executor, t int) float64
 	var xd *tensor.Dense // set for a dense tensor, the layout SweepAll applies to
 	switch xt := x.(type) {
 	case *tensor.Dense:
@@ -183,7 +183,7 @@ func run(x tensor.Interface, cfg Config, update updateFunc) (*Result, error) {
 		// issued while the previous region was in flight.
 		PhaseNotify: func() { parallel.Reconcile(cfg.Pool) },
 	}
-	normX := norm(cfg.Threads)
+	normX := norm(cfg.Pool, cfg.Threads)
 
 	// Per-mode MTTKRP result buffers, reused across sweeps so the hot loop
 	// runs on one pool and one workspace set with no steady-state

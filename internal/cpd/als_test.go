@@ -51,7 +51,7 @@ func TestALSFitMatchesExplicitResidual(t *testing.T) {
 	y := res.K.Full()
 	diff := x.Clone()
 	diff.AddScaled(-1, y)
-	want := 1 - diff.Norm(1)/x.Norm(1)
+	want := 1 - diff.Norm(nil, 1)/x.Norm(nil, 1)
 	if math.Abs(res.Fit-want) > 1e-8 {
 		t.Errorf("cached fit %v, explicit fit %v", res.Fit, want)
 	}

@@ -50,7 +50,7 @@ func Corcondia(t int, x *tensor.Dense, k *KTensor) float64 {
 		blas.Gemm(t, 1, u.T(), u, 0, h)
 		ms[m] = la.PinvSolveGram(h, u.Clone())
 	}
-	g := ttm.Chain(t, x, ms) // C × C × … × C core
+	g := ttm.Chain(nil, t, x, ms) // C × C × … × C core
 	// Compare against the superdiagonal identity.
 	idx := make([]int, n)
 	num := 0.0

@@ -90,7 +90,7 @@ func TestNVecsEigenvectorProperty(t *testing.T) {
 		}
 		// Columns are orthonormal eigenvectors of X_(n)X_(n)ᵀ.
 		g := mat.NewDense(x.Dim(n), x.Dim(n))
-		xn := x.Unfold(1, n)
+		xn := x.Unfold(nil, 1, n)
 		blas.Gemm(1, 1, xn, xn.T(), 0, g)
 		for c := 0; c < 3; c++ {
 			col := v.Col(c)
@@ -99,7 +99,7 @@ func TestNVecsEigenvectorProperty(t *testing.T) {
 			}
 			// G·v = λ·v for some λ: check collinearity of G·v with v.
 			gv := make([]float64, v.R)
-			blas.Gemv(1, 1, g, col, 0, mat.FromSlice(gv))
+			blas.Gemv(1, g, col, 0, mat.FromSlice(gv))
 			lam := blas.Dot(mat.FromSlice(gv), col)
 			for i := 0; i < v.R; i++ {
 				if diff := math.Abs(gv[i] - lam*col.At(i)); diff > 1e-8*(1+math.Abs(lam)) {
@@ -115,13 +115,13 @@ func TestNVecsEigenvaluesDescending(t *testing.T) {
 	x := tensor.Random(rng, 6, 5, 4)
 	v := NVecs(1, x, 0, 3, rng)
 	g := mat.NewDense(6, 6)
-	xn := x.Unfold(1, 0)
+	xn := x.Unfold(nil, 1, 0)
 	blas.Gemm(1, 1, xn, xn.T(), 0, g)
 	prev := math.Inf(1)
 	for c := 0; c < 3; c++ {
 		col := v.Col(c)
 		gv := make([]float64, 6)
-		blas.Gemv(1, 1, g, col, 0, mat.FromSlice(gv))
+		blas.Gemv(1, g, col, 0, mat.FromSlice(gv))
 		lam := blas.Dot(mat.FromSlice(gv), col)
 		if lam > prev+1e-9 {
 			t.Errorf("eigenvalues not descending: %v after %v", lam, prev)

@@ -60,7 +60,7 @@ func TestNormSquaredMatchesFull(t *testing.T) {
 		for i := range k.Lambda {
 			k.Lambda[i] = rng.NormFloat64()
 		}
-		want := k.Full().NormSquared(1)
+		want := k.Full().NormSquared(nil, 1)
 		got := k.NormSquared()
 		if math.Abs(got-want) > 1e-9*(1+want) {
 			t.Errorf("dims=%v: NormSquared = %v, want %v", dims, got, want)
@@ -144,7 +144,7 @@ func TestFullLinearInLambdaQuick(t *testing.T) {
 		}
 		b := k.Full()
 		a.AddScaled(-1/alpha, b)
-		return a.Norm(1) < 1e-10
+		return a.Norm(nil, 1) < 1e-10
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

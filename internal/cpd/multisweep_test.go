@@ -70,10 +70,10 @@ func TestMultiSweepBreakdown(t *testing.T) {
 
 // TestALSBitIdenticalAcrossWidths pins dense CP's width invariance: with
 // the default sweep, ALS and NNALS return the same FitHistory, λ and
-// factor bits on a 1-worker pool, on 2–4 worker pools, and on an 8-wide
-// lease shrunk to 3 after sweep 2 and restored after sweep 4. Threads
-// stays 0 throughout: the tensor norm partitions by Threads, not by the
-// pool.
+// factor bits on a 1-worker pool, on 2–4 worker pools, with Threads 1–3
+// on a 4-worker pool, and on an 8-wide lease shrunk to 3 after sweep 2 and
+// restored after sweep 4. The tensor norm runs on the same executor and
+// partitions by the tensor's length, not by Threads or the pool.
 func TestALSBitIdenticalAcrossWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for _, dims := range [][]int{{14, 12, 10}, {23, 17, 19, 29}, {6, 5, 4, 5, 3}} {
@@ -85,25 +85,30 @@ func TestALSBitIdenticalAcrossWidths(t *testing.T) {
 			{"ALS", func(x *tensor.Dense, cfg Config) (*Result, error) { return ALS(x, cfg) }},
 			{"NNALS", NNALS},
 		} {
-			solve := func(p parallel.Executor, notify func()) *Result {
-				res, err := alg.fn(x, Config{Rank: 5, MaxIters: 6, Tol: -1, Seed: 9, Pool: p, PhaseNotify: notify})
+			solve := func(p parallel.Executor, threads int, notify func()) *Result {
+				res, err := alg.fn(x, Config{Rank: 5, MaxIters: 6, Tol: -1, Seed: 9, Pool: p, Threads: threads, PhaseNotify: notify})
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
 			one := parallel.NewPool(1)
-			want := solve(one, nil)
+			want := solve(one, 0, nil)
 			one.Close()
 			for w := 2; w <= 4; w++ {
 				p := parallel.NewPool(w)
-				assertSameBits(t, alg.name, dims, fmt.Sprintf("pool of %d", w), want, solve(p, nil))
+				assertSameBits(t, alg.name, dims, fmt.Sprintf("pool of %d", w), want, solve(p, 0, nil))
+				if w == 4 {
+					for th := 1; th <= 3; th++ {
+						assertSameBits(t, alg.name, dims, fmt.Sprintf("Threads %d on a pool of 4", th), want, solve(p, th, nil))
+					}
+				}
 				p.Close()
 			}
 			p := parallel.NewPool(8)
 			l := p.Lease(8)
 			sweeps := 0
-			got := solve(l, func() {
+			got := solve(l, 0, func() {
 				switch sweeps++; sweeps {
 				case 2:
 					l.Resize(3)

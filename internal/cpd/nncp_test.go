@@ -103,7 +103,7 @@ func TestNNALSFitMatchesExplicit(t *testing.T) {
 	}
 	diff := x.Clone()
 	diff.AddScaled(-1, res.K.Full())
-	want := 1 - diff.Norm(1)/x.Norm(1)
+	want := 1 - diff.Norm(nil, 1)/x.Norm(nil, 1)
 	if math.Abs(res.Fit-want) > 1e-8 {
 		t.Errorf("cached fit %v vs explicit %v", res.Fit, want)
 	}

@@ -73,7 +73,8 @@ type Dataset struct {
 	Truth *cpd.KTensor
 }
 
-// Generate builds the dataset. The planted structure is:
+// GenerateOn builds the dataset on ex (pool or lease; nil selects the
+// default pool). The planted structure is:
 //
 //   - temporal factors: smooth Gaussian bumps at random task onsets,
 //     modulated by a slow sinusoid (task-locked network activity);
@@ -84,15 +85,10 @@ type Dataset struct {
 //
 // The noiseless tensor is Y(t,s,i,j) = Σ_c T(t,c)·S(s,c)·R(i,c)·R(j,c),
 // exactly rank-Components and symmetric in (i, j); Gaussian noise
-// (symmetrized) is added on top.
-func Generate(p Params) *Dataset {
-	return GenerateOn(parallel.Default(), p)
-}
-
-// GenerateOn is Generate on an explicit executor (pool or lease): the dense
-// symmetric evaluation — the dominant cost at paper scale — is parallelized
-// over region pairs on ex, while every random draw stays on the calling
-// goroutine so the dataset is bit-identical at any width.
+// (symmetrized) is added on top. The dense symmetric evaluation — the
+// dominant cost at paper scale — is parallelized over region pairs on ex,
+// while every random draw stays on the calling goroutine so the dataset is
+// bit-identical at any width.
 func GenerateOn(ex parallel.Executor, p Params) *Dataset {
 	if p.Times <= 0 || p.Subjects <= 0 || p.Regions <= 0 || p.Components <= 0 {
 		panic(fmt.Sprintf("fmri: non-positive dimension in %+v", p))
@@ -109,7 +105,7 @@ func GenerateOn(ex parallel.Executor, p Params) *Dataset {
 	truth := cpd.NewKTensor(lambda, []mat.View{tf, sf, rf, rf})
 
 	x := tensor.New(p.Times, p.Subjects, p.Regions, p.Regions)
-	evaluateSymmetric(ex, x, lambda, tf, sf, rf)
+	evaluateSymmetric(parallel.OrDefault(ex), x, lambda, tf, sf, rf)
 	if p.Noise > 0 {
 		addSymmetricNoise(rng, x, p.Noise)
 	}
@@ -167,7 +163,14 @@ func evaluateSymmetric(ex parallel.Executor, x *tensor.Dense, lambda []float64, 
 // addSymmetricNoise perturbs x with N(0, σ·rms) noise, mirrored across the
 // region-pair modes so symmetry is preserved.
 func addSymmetricNoise(rng *rand.Rand, x *tensor.Dense, sigma float64) {
-	rms := math.Sqrt(x.NormSquared(1) / float64(x.Size()))
+	// One sequential sum, not x.NormSquared: its blocked sum rounds
+	// differently, and rms scales every noise draw, so the dataset's bits
+	// (and every input fingerprint built on them) would move.
+	ss := 0.0
+	for _, v := range x.Data() {
+		ss += v * v
+	}
+	rms := math.Sqrt(ss / float64(x.Size()))
 	sd := sigma * rms
 	tDim, sDim, rDim := x.Dim(0), x.Dim(1), x.Dim(2)
 	data := x.Data()

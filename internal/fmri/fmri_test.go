@@ -15,7 +15,7 @@ func smallParams() Params {
 }
 
 func TestGenerateDimensions(t *testing.T) {
-	d := Generate(smallParams())
+	d := GenerateOn(nil, smallParams())
 	dims := d.Tensor4.Dims()
 	want := []int{12, 6, 10, 10}
 	for i := range want {
@@ -31,7 +31,7 @@ func TestGenerateDimensions(t *testing.T) {
 func TestTensorIsSymmetricInRegionModes(t *testing.T) {
 	p := smallParams()
 	p.Noise = 0.2 // noise must preserve symmetry too
-	d := Generate(p)
+	d := GenerateOn(nil, p)
 	x := d.Tensor4
 	for tt := 0; tt < p.Times; tt += 3 {
 		for s := 0; s < p.Subjects; s += 2 {
@@ -47,7 +47,7 @@ func TestTensorIsSymmetricInRegionModes(t *testing.T) {
 }
 
 func TestNoiselessTensorMatchesTruth(t *testing.T) {
-	d := Generate(smallParams())
+	d := GenerateOn(nil, smallParams())
 	y := d.Truth.Full()
 	if !tensor.ApproxEqual(d.Tensor4, y, 1e-10) {
 		t.Errorf("noiseless tensor != planted model, maxdiff %g", tensor.MaxAbsDiff(d.Tensor4, y))
@@ -56,13 +56,13 @@ func TestNoiselessTensorMatchesTruth(t *testing.T) {
 
 func TestNoiseLevelIsCalibrated(t *testing.T) {
 	p := smallParams()
-	clean := Generate(p)
+	clean := GenerateOn(nil, p)
 	p.Noise = 0.5
-	noisy := Generate(p)
+	noisy := GenerateOn(nil, p)
 	diff := noisy.Tensor4.Clone()
 	diff.AddScaled(-1, clean.Tensor4)
-	rmsSignal := math.Sqrt(clean.Tensor4.NormSquared(1) / float64(clean.Tensor4.Size()))
-	rmsNoise := math.Sqrt(diff.NormSquared(1) / float64(diff.Size()))
+	rmsSignal := math.Sqrt(clean.Tensor4.NormSquared(nil, 1) / float64(clean.Tensor4.Size()))
+	rmsNoise := math.Sqrt(diff.NormSquared(nil, 1) / float64(diff.Size()))
 	ratio := rmsNoise / rmsSignal
 	if ratio < 0.3 || ratio > 0.7 {
 		t.Errorf("noise ratio %v, want ≈ 0.5", ratio)
@@ -70,14 +70,14 @@ func TestNoiseLevelIsCalibrated(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(smallParams())
-	b := Generate(smallParams())
+	a := GenerateOn(nil, smallParams())
+	b := GenerateOn(nil, smallParams())
 	if tensor.MaxAbsDiff(a.Tensor4, b.Tensor4) != 0 {
 		t.Error("same seed should give identical tensors")
 	}
 	p := smallParams()
 	p.Seed = 2
-	c := Generate(p)
+	c := GenerateOn(nil, p)
 	if tensor.MaxAbsDiff(a.Tensor4, c.Tensor4) == 0 {
 		t.Error("different seeds gave identical tensors")
 	}
@@ -140,7 +140,7 @@ func TestPairFromIndexQuick(t *testing.T) {
 func TestLinearize3MatchesTensor4(t *testing.T) {
 	p := smallParams()
 	p.Noise = 0.1
-	d := Generate(p)
+	d := GenerateOn(nil, p)
 	x3 := d.Linearize3()
 	if x3.Dim(0) != p.Times || x3.Dim(1) != p.Subjects || x3.Dim(2) != PairCount(p.Regions) {
 		t.Fatalf("3-way dims %v", x3.Dims())
@@ -159,7 +159,7 @@ func TestLinearize3MatchesTensor4(t *testing.T) {
 }
 
 func TestTruth3ReconstructsNoiseless3Way(t *testing.T) {
-	d := Generate(smallParams())
+	d := GenerateOn(nil, smallParams())
 	x3 := d.Linearize3()
 	y3 := d.Truth3().Full()
 	if !tensor.ApproxEqual(x3, y3, 1e-10) {
@@ -187,13 +187,13 @@ func TestGeneratePanicsOnBadParams(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	Generate(Params{Times: 0, Subjects: 1, Regions: 1, Components: 1})
+	GenerateOn(nil, Params{Times: 0, Subjects: 1, Regions: 1, Components: 1})
 }
 
 // Integration: CP-ALS on the noiseless 3-way tensor recovers a near-exact
 // fit at the planted rank.
 func TestALSRecoversPlantedNetworks(t *testing.T) {
-	d := Generate(Params{Times: 10, Subjects: 5, Regions: 8, Components: 2, Seed: 3})
+	d := GenerateOn(nil, Params{Times: 10, Subjects: 5, Regions: 8, Components: 2, Seed: 3})
 	x3 := d.Linearize3()
 	res, err := cpd.ALS(x3, cpd.Config{Rank: 2, MaxIters: 150, Tol: 1e-12, Seed: 9, Threads: 2})
 	if err != nil {

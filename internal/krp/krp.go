@@ -95,21 +95,6 @@ func RowsIter(it *Iter, mats []mat.View, lo, hi int, out mat.View) {
 	}
 }
 
-// Parallel computes the complete KRP with t workers, each producing a
-// contiguous block of output rows. Each worker initializes its multi-index
-// and partial-product table from its starting row (Section 4.1.2) and then
-// streams rows exactly like the sequential algorithm.
-func Parallel(t int, mats []mat.View, out mat.View) {
-	rows, _ := checkOperands(mats, out)
-	parallel.For(t, rows, func(_, lo, hi int) {
-		var it Iter
-		it.Reset(mats, lo)
-		for j := lo; j < hi; j++ {
-			it.Next(out.ContiguousRow(j))
-		}
-	})
-}
-
 // parallelFrame is the reusable dispatch state of ParallelOn; it lives in a
 // Workspace so repeated calls reuse one closure and per-worker iterators.
 type parallelFrame struct {
@@ -131,10 +116,13 @@ func newParallelFrame() any {
 	return f
 }
 
-// ParallelOn is Parallel executed on an explicit executor (pool or lease)
-// with workspace-cached per-worker iterator state: in steady state it
-// allocates nothing. ws must be a workspace of p that the caller currently
-// owns; p must be non-nil.
+// ParallelOn computes the complete KRP on p (pool or lease) with t
+// workers, each producing a contiguous block of output rows. Each worker
+// initializes its multi-index and partial-product table from its starting
+// row (Section 4.1.2) and then streams rows exactly like the sequential
+// algorithm. The per-worker iterators are cached in ws, so in steady state
+// it allocates nothing. ws must be a workspace of p that the caller
+// currently owns; p must be non-nil.
 func ParallelOn(p parallel.Executor, ws *parallel.Workspace, t int, mats []mat.View, out mat.View) {
 	rows, _ := checkOperands(mats, out)
 	t = parallel.Clamp(p.Effective(t), rows)
@@ -158,10 +146,11 @@ func Naive(mats []mat.View, out mat.View) {
 	}
 }
 
-// NaiveParallel is Naive with contiguous row blocks across t workers.
-func NaiveParallel(t int, mats []mat.View, out mat.View) {
+// NaiveParallel is Naive with contiguous row blocks across t workers of p
+// (a nil p selects the default pool).
+func NaiveParallel(p parallel.Executor, t int, mats []mat.View, out mat.View) {
 	rows, _ := checkOperands(mats, out)
-	parallel.For(t, rows, func(_, lo, hi int) {
+	parallel.OrDefault(p).For(t, rows, func(_, lo, hi int) {
 		l := decompose(mats, lo, make([]int, len(mats)))
 		for j := lo; j < hi; j++ {
 			Row(mats, l, out.ContiguousRow(j))

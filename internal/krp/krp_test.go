@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/mat"
+	"repro/internal/parallel"
 )
 
 // columnwiseRef computes the KRP by its column-wise Kronecker definition:
@@ -91,18 +92,22 @@ func TestNaiveMatchesFull(t *testing.T) {
 
 func TestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
+	p := parallel.NewPool(4)
+	defer p.Close()
+	ws := p.Acquire()
+	defer ws.Release()
 	for _, rowsList := range [][]int{{6}, {4, 5}, {3, 4, 5}, {2, 3, 4, 2}} {
 		mats := randomMats(rng, rowsList, 5)
 		want := mat.NewDense(NumRows(mats), 5)
 		Full(mats, want)
 		for _, threads := range []int{1, 2, 3, 7, 100} {
 			got := mat.NewDense(NumRows(mats), 5)
-			Parallel(threads, mats, got)
+			ParallelOn(p, ws, threads, mats, got)
 			if !mat.ApproxEqual(got, want, 0) {
 				t.Errorf("rows=%v threads=%d: parallel != sequential", rowsList, threads)
 			}
 			got2 := mat.NewDense(NumRows(mats), 5)
-			NaiveParallel(threads, mats, got2)
+			NaiveParallel(p, threads, mats, got2)
 			if !mat.ApproxEqual(got2, want, 0) {
 				t.Errorf("rows=%v threads=%d: naive parallel != sequential", rowsList, threads)
 			}

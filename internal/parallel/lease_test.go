@@ -186,14 +186,14 @@ func TestTypedNilExecutorFallsBack(t *testing.T) {
 	if got := EffectiveOn(p, 0); got != DefaultThreads() {
 		t.Fatalf("EffectiveOn(typed nil, 0) = %d, want %d", got, DefaultThreads())
 	}
-	if got := OrDefault(p); got != Default() {
+	if got := OrDefault(p); got != defaultPool() {
 		t.Fatalf("OrDefault(typed-nil *Pool) = %v, want the default pool", got)
 	}
 	var l *Lease
-	if got := OrDefault(l); got != Default() {
+	if got := OrDefault(l); got != defaultPool() {
 		t.Fatalf("OrDefault(typed-nil *Lease) = %v, want the default pool", got)
 	}
-	if got := OrDefault(nil); got != Default() {
+	if got := OrDefault(nil); got != defaultPool() {
 		t.Fatalf("OrDefault(nil) = %v, want the default pool", got)
 	}
 }

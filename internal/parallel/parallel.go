@@ -7,9 +7,10 @@
 // Execution is built on persistent worker pools (see Pool): workers are
 // spawned once and reused across parallel regions, and kernels lease
 // per-worker scratch arenas from reusable Workspaces, so steady-state
-// dispatch allocates nothing. The package-level For, Run and ReduceSum are
-// thin wrappers over a lazily-created default pool, which keeps every
-// historical call site working unchanged.
+// dispatch allocates nothing. Every region runs on an Executor its caller
+// passes, a Pool or a Lease. A caller with none passes nil, and OrDefault
+// resolves nil to a lazily-created process-wide pool; nothing else reaches
+// that pool.
 package parallel
 
 import "runtime"
@@ -71,7 +72,7 @@ func nilToNone(p Executor) Executor {
 // typed-nil *Pool or *Lease) selects the process-wide default pool.
 func OrDefault(p Executor) Executor {
 	if p = nilToNone(p); p == nil {
-		return Default()
+		return defaultPool()
 	}
 	return p
 }
@@ -140,29 +141,4 @@ func Split(n, t int) []Range {
 		lo += size
 	}
 	return ranges
-}
-
-// For executes body over [0, n) using t workers, giving each worker a
-// contiguous block. body receives the worker index (0 ≤ worker < t) and its
-// half-open range. It blocks until all workers finish. With t == 1 the body
-// runs on the calling goroutine, so sequential code paths pay no scheduling
-// cost. Parallel execution happens on the default persistent pool.
-func For(t, n int, body func(worker, lo, hi int)) {
-	Default().For(t, n, body)
-}
-
-// Run launches t copies of body concurrently, one per worker, and waits.
-// It is the "parallel region" primitive: each worker decides its own work
-// from its index.
-func Run(t int, body func(worker int)) {
-	Default().Run(t, body)
-}
-
-// ReduceSum accumulates the per-worker buffers parts[1:] into parts[0] and
-// returns parts[0]. The element-range of the reduction is itself
-// parallelized over t workers, mirroring the parallel reduction at the end
-// of Algorithm 3. All buffers must have equal length; a length mismatch
-// panics immediately instead of corrupting the accumulator.
-func ReduceSum(t int, parts [][]float64) []float64 {
-	return Default().ReduceSum(t, parts)
 }

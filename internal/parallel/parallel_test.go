@@ -97,7 +97,7 @@ func TestForVisitsEachIndexOnce(t *testing.T) {
 	for _, threads := range []int{1, 2, 3, 7} {
 		n := 1000
 		seen := make([]int32, n)
-		For(threads, n, func(_, lo, hi int) {
+		defaultPool().For(threads, n, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&seen[i], 1)
 			}
@@ -112,7 +112,7 @@ func TestForVisitsEachIndexOnce(t *testing.T) {
 
 func TestForEmptyRange(t *testing.T) {
 	called := false
-	For(4, 0, func(_, _, _ int) { called = true })
+	defaultPool().For(4, 0, func(_, _, _ int) { called = true })
 	if called {
 		t.Error("body called for empty range")
 	}
@@ -122,7 +122,7 @@ func TestForWorkerIDsDistinct(t *testing.T) {
 	n := 64
 	threads := 4
 	var ids [4]int32
-	For(threads, n, func(w, lo, hi int) {
+	defaultPool().For(threads, n, func(w, lo, hi int) {
 		atomic.AddInt32(&ids[w], 1)
 	})
 	total := int32(0)
@@ -140,7 +140,7 @@ func TestForWorkerIDsDistinct(t *testing.T) {
 func TestRunAllWorkersExecute(t *testing.T) {
 	for _, threads := range []int{1, 2, 6} {
 		var count int32
-		Run(threads, func(w int) {
+		defaultPool().Run(threads, func(w int) {
 			if w < 0 || w >= threads {
 				t.Errorf("worker id %d out of range", w)
 			}
@@ -161,7 +161,7 @@ func TestReduceSum(t *testing.T) {
 			parts[w][i] = float64(w + 1)
 		}
 	}
-	got := ReduceSum(2, parts)
+	got := defaultPool().ReduceSum(2, parts)
 	for i, v := range got {
 		if v != 1+2+3+4 {
 			t.Fatalf("element %d = %v, want 10", i, v)
@@ -170,11 +170,11 @@ func TestReduceSum(t *testing.T) {
 }
 
 func TestReduceSumSingleAndEmpty(t *testing.T) {
-	if got := ReduceSum(2, nil); got != nil {
+	if got := defaultPool().ReduceSum(2, nil); got != nil {
 		t.Errorf("ReduceSum(nil) = %v, want nil", got)
 	}
 	one := [][]float64{{1, 2, 3}}
-	got := ReduceSum(2, one)
+	got := defaultPool().ReduceSum(2, one)
 	if &got[0] != &one[0][0] {
 		t.Error("single-buffer reduce should return the buffer itself")
 	}
@@ -194,7 +194,7 @@ func TestReduceSumMatchesSequential(t *testing.T) {
 				want[i] += v
 			}
 		}
-		got := ReduceSum(3, parts)
+		got := defaultPool().ReduceSum(3, parts)
 		for i := range want {
 			if diff := got[i] - want[i]; diff > 1e-12 || diff < -1e-12 {
 				return false

@@ -138,17 +138,16 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-var defaultPool struct {
+var dflt struct {
 	once sync.Once
 	p    *Pool
 }
 
-// Default returns the lazily-created process-wide pool used by the
-// package-level For, Run and ReduceSum wrappers. It is sized to
-// DefaultThreads and never closed.
-func Default() *Pool {
-	defaultPool.once.Do(func() { defaultPool.p = NewPool(0) })
-	return defaultPool.p
+// defaultPool returns the lazily-created process-wide pool that
+// OrDefault(nil) selects. It is sized to DefaultThreads and never closed.
+func defaultPool() *Pool {
+	dflt.once.Do(func() { dflt.p = NewPool(0) })
+	return dflt.p
 }
 
 // Workers returns the current team width (persistent workers plus the
@@ -275,7 +274,7 @@ func (p *Pool) dispatch(j job) {
 // pool must be idle and all leases closed; any later dispatch panics.
 // Closing the default pool is not allowed.
 func (p *Pool) Close() {
-	if p == defaultPool.p {
+	if p == dflt.p {
 		panic("parallel: cannot close the default pool")
 	}
 	p.mu.Lock()
@@ -298,8 +297,9 @@ func (p *Pool) Close() {
 }
 
 // Run launches t copies of body, one per worker, and waits — the "parallel
-// region" primitive, identical in semantics to the package-level Run but
-// executed on the pool's persistent workers.
+// region" primitive: each worker decides its own work from its index. With
+// t == 1 the body runs inline on the calling goroutine; wider regions run
+// on the pool's persistent workers.
 //
 //mttkrp:noalloc
 func (p *Pool) Run(t int, body func(worker int)) {

@@ -13,7 +13,7 @@ func poolsUnderTest(t *testing.T) map[string]*Pool {
 	t.Cleanup(p.Close)
 	return map[string]*Pool{
 		"persistent": p,
-		"default":    Default(),
+		"default":    defaultPool(),
 	}
 }
 
@@ -104,7 +104,7 @@ func TestReduceSumValidatesLengths(t *testing.T) {
 			t.Fatal("ReduceSum with unequal buffer lengths did not panic")
 		}
 	}()
-	ReduceSum(2, [][]float64{make([]float64, 4), make([]float64, 3)})
+	defaultPool().ReduceSum(2, [][]float64{make([]float64, 4), make([]float64, 3)})
 }
 
 func TestReduceSumMethodValidatesLengths(t *testing.T) {

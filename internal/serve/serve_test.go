@@ -453,7 +453,10 @@ func TestServeSteadyStateDst(t *testing.T) {
 // TestServeTruncatedMappingFailsTicket truncates a mapped tensor file
 // under the server: the kernels' reads of the vanished pages fault, and
 // each fault must fail its own ticket (on the coordinator and on pool
-// workers alike) while the server keeps serving.
+// workers alike) while the server keeps serving. Every kind of ticket that
+// reads the tensor is covered: each MTTKRP mode, the reorder baseline
+// (whose unfold copies the whole tensor) and a CP run (whose ‖X‖ reads
+// every entry), all on the lease.
 func TestServeTruncatedMappingFailsTicket(t *testing.T) {
 	x, u := problem(10, 4, 30, 24, 20)
 	path := filepath.Join(t.TempDir(), "x.dsnt")
@@ -480,6 +483,14 @@ func TestServeTruncatedMappingFailsTicket(t *testing.T) {
 			if err == nil {
 				t.Fatalf("width %d mode %d: MTTKRP over a truncated mapping succeeded", width, mode)
 			}
+		}
+		reorder := MTTKRPRequest{X: m.Dense, Factors: u, Mode: 1, Method: core.MethodReorder}
+		if _, err := s.SubmitMTTKRP(reorder).MTTKRP(); err == nil {
+			t.Fatalf("width %d: reorder MTTKRP over a truncated mapping succeeded", width)
+		}
+		cp := CPRequest{X: m.Dense, Config: cpd.Config{Rank: 3, MaxIters: 2, Tol: -1}}
+		if _, err := s.SubmitCP(cp).CP(); err == nil {
+			t.Fatalf("width %d: CP over a truncated mapping succeeded", width)
 		}
 		want := core.Compute(core.MethodAuto, x, u, 1, core.Options{Threads: width})
 		got, err := s.SubmitMTTKRP(MTTKRPRequest{X: x, Factors: u, Mode: 1}).MTTKRP()

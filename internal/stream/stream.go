@@ -34,16 +34,11 @@ func (s *Bench) Len() int { return len(s.a) }
 // Bytes returns the memory traffic per run (one read + one write).
 func (s *Bench) Bytes() int64 { return int64(len(s.a)) * 16 }
 
-// Run performs b = α·a with t workers on the default pool and returns the
-// elapsed wall time.
-func (s *Bench) Run(t int) time.Duration {
-	return s.RunOn(parallel.Default(), t)
-}
-
-// RunOn is Run on an explicit executor (pool or lease), so the roofline
-// sweep can share a worker team with the kernels it calibrates — and, under
-// a lease, respect a serving budget. The requested width resolves through
-// the executor (t <= 0 selects its natural width).
+// RunOn performs b = α·a with t workers of p (pool or lease) and returns
+// the elapsed wall time. Running on the caller's executor lets the
+// roofline sweep share a worker team with the kernels it calibrates — and,
+// under a lease, respect a serving budget. The requested width resolves
+// through the executor (t <= 0 selects its natural width).
 func (s *Bench) RunOn(p parallel.Executor, t int) time.Duration {
 	t = parallel.Clamp(p.Effective(t), len(s.a))
 	start := time.Now()
@@ -56,7 +51,7 @@ func (s *Bench) RunOn(p parallel.Executor, t int) time.Duration {
 	return time.Since(start)
 }
 
-// Verify checks the last Run produced the expected values.
+// Verify checks the last RunOn produced the expected values.
 func (s *Bench) Verify() error {
 	for i := range s.a {
 		if s.b[i] != s.alpha*s.a[i] {
@@ -66,7 +61,7 @@ func (s *Bench) Verify() error {
 	return nil
 }
 
-// BandwidthGBps converts a Run duration to achieved bandwidth in GB/s.
+// BandwidthGBps converts a RunOn duration to achieved bandwidth in GB/s.
 func (s *Bench) BandwidthGBps(d time.Duration) float64 {
 	if d <= 0 {
 		return 0

@@ -7,9 +7,11 @@ import (
 )
 
 func TestRunAndVerify(t *testing.T) {
+	p := parallel.NewPool(4)
+	defer p.Close()
 	for _, threads := range []int{1, 2, 4} {
 		s := New(10000)
-		d := s.Run(threads)
+		d := s.RunOn(p, threads)
 		if d <= 0 {
 			t.Errorf("threads=%d: non-positive duration", threads)
 		}
@@ -20,8 +22,10 @@ func TestRunAndVerify(t *testing.T) {
 }
 
 func TestVerifyDetectsCorruption(t *testing.T) {
+	p := parallel.NewPool(1)
+	defer p.Close()
 	s := New(100)
-	s.Run(1)
+	s.RunOn(p, 1)
 	s.b[50] += 1
 	if err := s.Verify(); err == nil {
 		t.Error("expected verification failure")
@@ -39,14 +43,16 @@ func TestBytesAndBandwidth(t *testing.T) {
 	if s.BandwidthGBps(0) != 0 {
 		t.Error("zero duration should give zero bandwidth")
 	}
-	d := s.Run(2)
+	p := parallel.NewPool(2)
+	defer p.Close()
+	d := s.RunOn(p, 2)
 	if bw := s.BandwidthGBps(d); bw <= 0 {
 		t.Errorf("bandwidth %v", bw)
 	}
 }
 
-// TestRunOnExplicitPool pins the executor-threaded entry point: RunOn on a
-// caller-owned pool produces the same values as Run on the default pool.
+// TestRunOnExplicitPool pins t = 0 on a caller-owned pool: the sweep runs
+// at the pool's natural width and writes every element.
 func TestRunOnExplicitPool(t *testing.T) {
 	p := parallel.NewPool(3)
 	defer p.Close()

@@ -197,50 +197,51 @@ func (d *Dense) Clone() *Dense {
 	return c
 }
 
-// Norm returns the Frobenius norm ‖X‖, computed with per-worker partial
-// sums (t workers).
-func (d *Dense) Norm(t int) float64 {
-	return math.Sqrt(d.NormSquared(t))
+// Norm returns the Frobenius norm ‖X‖, computed on p with t workers (a
+// nil p selects the default pool). Its bits do not depend on p or t.
+func (d *Dense) Norm(p parallel.Executor, t int) float64 {
+	return math.Sqrt(d.NormSquared(p, t))
 }
 
-// NormSquared returns ‖X‖² = Σ x².
-func (d *Dense) NormSquared(t int) float64 {
-	t = parallel.Clamp(t, len(d.data))
-	parts := make([]float64, t)
-	parallel.For(t, len(d.data), func(w, lo, hi int) {
-		s := 0.0
-		for _, v := range d.data[lo:hi] {
-			s += v * v
+// NormSquared returns ‖X‖² = Σ x², computed on p with t workers (a nil p
+// selects the default pool). Its bits do not depend on p or t.
+func (d *Dense) NormSquared(p parallel.Executor, t int) float64 {
+	return sumSquares(p, t, d.data)
+}
+
+// normBlock is the length of the blocks a squared norm sums one by one.
+// The partition depends on the data length alone, so a norm has the same
+// bits on every executor and at every width.
+const normBlock = 1 << 15
+
+// sumSquares returns Σ v² over vals, the one squared-norm sum of both
+// layouts. Each block of normBlock values is summed sequentially, the
+// workers of p share out the blocks, and the block sums are added in block
+// order. Data of one block or less is one sequential sum on the caller.
+func sumSquares(p parallel.Executor, t int, vals []float64) float64 {
+	nblk := (len(vals) + normBlock - 1) / normBlock
+	if nblk <= 1 {
+		return sumSquaresSeq(vals)
+	}
+	parts := make([]float64, nblk)
+	parallel.OrDefault(p).For(t, nblk, func(_, lo, hi int) {
+		for b := lo; b < hi; b++ {
+			parts[b] = sumSquaresSeq(vals[b*normBlock : min((b+1)*normBlock, len(vals))])
 		}
-		parts[w] = s
 	})
 	total := 0.0
-	for _, p := range parts {
-		total += p
+	for _, s := range parts {
+		total += s
 	}
 	return total
 }
 
-// Inner returns the inner product ⟨X, Y⟩ = Σ x·y of equally shaped tensors.
-func Inner(t int, x, y *Dense) float64 {
-	if !sameDims(x.dims, y.dims) {
-		panic("tensor: inner product dimension mismatch")
+func sumSquaresSeq(vals []float64) float64 {
+	s := 0.0
+	for _, v := range vals {
+		s += v * v
 	}
-	t = parallel.Clamp(t, len(x.data))
-	parts := make([]float64, t)
-	parallel.For(t, len(x.data), func(w, lo, hi int) {
-		s := 0.0
-		xd, yd := x.data[lo:hi], y.data[lo:hi]
-		for i := range xd {
-			s += xd[i] * yd[i]
-		}
-		parts[w] = s
-	})
-	total := 0.0
-	for _, p := range parts {
-		total += p
-	}
-	return total
+	return s
 }
 
 // AddScaled computes X += alpha·Y elementwise.

@@ -1,10 +1,13 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/parallel"
 )
 
 func TestNewAndAccessors(t *testing.T) {
@@ -133,33 +136,70 @@ func TestNormAndInner(t *testing.T) {
 	copy(d.Data(), []float64{1, 2, 3, 4})
 	want := math.Sqrt(1 + 4 + 9 + 16)
 	for _, threads := range []int{1, 2, 4} {
-		if got := d.Norm(threads); math.Abs(got-want) > 1e-14 {
+		if got := d.Norm(nil, threads); math.Abs(got-want) > 1e-14 {
 			t.Errorf("Norm(t=%d) = %v, want %v", threads, got, want)
 		}
 	}
-	e := d.Clone()
-	if got := Inner(2, d, e); math.Abs(got-30) > 1e-14 {
-		t.Errorf("Inner = %v, want 30", got)
-	}
-}
-
-func TestInnerMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Inner(1, New(2, 2), New(4))
 }
 
 func TestNormParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	d := Random(rng, 7, 11, 5)
-	seq := d.NormSquared(1)
+	seq := d.NormSquared(nil, 1)
 	for threads := 2; threads <= 8; threads++ {
-		par := d.NormSquared(threads)
-		if math.Abs(seq-par) > 1e-9*seq {
+		if par := d.NormSquared(nil, threads); math.Float64bits(par) != math.Float64bits(seq) {
 			t.Errorf("threads=%d: %v vs %v", threads, par, seq)
+		}
+	}
+}
+
+// TestNormBitIdenticalAcrossWidths pins that a norm's bits follow the data
+// alone: not the executor, its width or the requested worker count. A
+// served CP computes ‖X‖ on its lease, so this is what keeps a fit's bits
+// independent of the budget it was granted.
+func TestNormBitIdenticalAcrossWidths(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	small := Random(rng, 7, 11, 5) // one block
+	large := Random(rng, 61, 47, 53)
+	sparse := RandomSparse(rng, 0.2, 61, 47, 53)
+	if large.Size() <= normBlock {
+		t.Fatalf("%d entries fit one block of %d; the multi-block case is untested", large.Size(), normBlock)
+	}
+	cases := []struct {
+		name string
+		norm func(parallel.Executor, int) float64
+		one  []float64 // the stored values when they fit one block
+	}{
+		{"dense 7x11x5", small.NormSquared, small.Data()},
+		{"dense 61x47x53", large.NormSquared, nil},
+		{"sparse 61x47x53", sparse.NormSquared, sparse.Values()},
+	}
+	for _, c := range cases {
+		want := c.norm(nil, 1)
+		if c.one != nil {
+			seq := 0.0
+			for _, v := range c.one {
+				seq += v * v
+			}
+			if math.Float64bits(want) != math.Float64bits(seq) {
+				t.Errorf("%s: one-block norm² %v, sequential sum %v", c.name, want, seq)
+			}
+		}
+		check := func(on string, p parallel.Executor) {
+			for th := 0; th <= 3; th++ {
+				if got := c.norm(p, th); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s on %s, t=%d: %v, want %v", c.name, on, th, got, want)
+				}
+			}
+		}
+		check("nil executor", nil)
+		for w := 1; w <= 4; w++ {
+			p := parallel.NewPool(w)
+			check(fmt.Sprintf("pool of %d", w), p)
+			l := p.Lease(w)
+			check(fmt.Sprintf("lease of %d", w), l)
+			l.Close()
+			p.Close()
 		}
 	}
 }

@@ -54,17 +54,18 @@ func (d *Dense) MatricizeRowModes(n int) mat.View {
 // Unfold explicitly reorders tensor entries into a freshly allocated
 // column-major X_(n) (I_n × I_{≠n}). This is the memory-bound operation the
 // paper's algorithms exist to avoid; it is provided as the baseline
-// (Bader–Kolda) path and for tests. Work is split across t workers by
-// block.
-func (d *Dense) Unfold(t, n int) mat.View {
+// (Bader–Kolda) path and for tests. Work is split by block across t
+// workers of p (a nil p selects the default pool).
+func (d *Dense) Unfold(p parallel.Executor, t, n int) mat.View {
 	in := d.dims[n]
 	il := d.SizeLeft(n)
 	ir := d.SizeRight(n)
 	out := make([]float64, len(d.data))
+	p = parallel.OrDefault(p)
 	if il == 1 {
 		// Mode 0 (or leading dim-1 modes): the natural layout already is
 		// the column-major matricization, so the "reorder" is a copy.
-		parallel.For(t, len(d.data), func(_, lo, hi int) {
+		p.For(t, len(d.data), func(_, lo, hi int) {
 			copy(out[lo:hi], d.data[lo:hi])
 		})
 		return mat.FromColMajor(out, in, il*ir)
@@ -72,7 +73,7 @@ func (d *Dense) Unfold(t, n int) mat.View {
 	// Column col = l + j·I^L_n of X_(n) holds fiber X(…, :, …) with left
 	// index l and right index j; source entry i lives at l + i·I^L_n +
 	// j·I^L_n·I_n, destination at i + col·I_n (column-major).
-	parallel.For(t, ir, func(_, jLo, jHi int) {
+	p.For(t, ir, func(_, jLo, jHi int) {
 		for j := jLo; j < jHi; j++ {
 			src := d.data[j*il*in : (j+1)*il*in]
 			for i := 0; i < in; i++ {

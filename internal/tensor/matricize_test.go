@@ -40,7 +40,7 @@ func TestUnfoldMatchesDefinition(t *testing.T) {
 		d := Random(rng, dims...)
 		for n := 0; n < d.Order(); n++ {
 			for _, threads := range []int{1, 3} {
-				got := d.Unfold(threads, n)
+				got := d.Unfold(nil, threads, n)
 				want := unfoldRef(d, n)
 				if !mat.ApproxEqual(got, want, 0) {
 					t.Errorf("dims=%v mode=%d threads=%d: unfold mismatch", dims, n, threads)
@@ -168,7 +168,7 @@ func TestFoldInvertsUnfold(t *testing.T) {
 		dims := []int{r.Intn(4) + 1, r.Intn(4) + 1, r.Intn(4) + 1}
 		d := Random(rng, dims...)
 		n := int(n8) % 3
-		back := Fold(d.Unfold(1, n), n, dims)
+		back := Fold(d.Unfold(nil, 1, n), n, dims)
 		return MaxAbsDiff(d, back) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -187,7 +187,7 @@ func TestFoldDimensionMismatchPanics(t *testing.T) {
 
 func TestUnfoldIsACopy(t *testing.T) {
 	d := New(2, 3, 2)
-	u := d.Unfold(1, 1)
+	u := d.Unfold(nil, 1, 1)
 	u.Set(0, 0, 7)
 	if d.At(0, 0, 0) != 0 {
 		t.Error("Unfold must copy, not alias")

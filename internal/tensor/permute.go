@@ -10,33 +10,34 @@ import (
 // X(i_0, …, i_{N-1}): mode k of the result is mode perm[k] of the input.
 // perm must be a permutation of 0..N-1. This is the general entry
 // reordering the MTTKRP algorithms avoid; it is provided for tests, for
-// data preparation, and as the explicit cost model of the baseline.
-func (d *Dense) Permute(t int, perm []int) *Dense {
+// data preparation, and as the explicit cost model of the baseline. Work
+// is split across t workers of p (a nil p selects the default pool).
+func (d *Dense) Permute(p parallel.Executor, t int, perm []int) *Dense {
 	n := len(d.dims)
 	if len(perm) != n {
 		panic(fmt.Sprintf("tensor: permutation has %d entries for order %d", len(perm), n))
 	}
 	seen := make([]bool, n)
-	for _, p := range perm {
-		if p < 0 || p >= n || seen[p] {
+	for _, m := range perm {
+		if m < 0 || m >= n || seen[m] {
 			panic(fmt.Sprintf("tensor: invalid permutation %v", perm))
 		}
-		seen[p] = true
+		seen[m] = true
 	}
 	outDims := make([]int, n)
-	for k, p := range perm {
-		outDims[k] = d.dims[p]
+	for k, m := range perm {
+		outDims[k] = d.dims[m]
 	}
 	out := New(outDims...)
 	// Destination stride of source mode p: out mode k has stride
 	// out.strides[k] and reads source mode perm[k].
 	dstStride := make([]int, n)
-	for k, p := range perm {
-		dstStride[p] = out.strides[k]
+	for k, m := range perm {
+		dstStride[m] = out.strides[k]
 	}
 	idx := make([]int, n)
 	size := len(d.data)
-	parallel.For(t, size, func(_, lo, hi int) {
+	parallel.OrDefault(p).For(t, size, func(_, lo, hi int) {
 		myIdx := make([]int, n)
 		copy(myIdx, idx)
 		d.MultiIndex(lo, myIdx)

@@ -11,7 +11,7 @@ import (
 func TestPermuteIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	d := Random(rng, 3, 4, 5)
-	y := d.Permute(2, identityPerm(3))
+	y := d.Permute(nil, 2, identityPerm(3))
 	if MaxAbsDiff(d, y) != 0 {
 		t.Error("identity permutation changed entries")
 	}
@@ -21,7 +21,7 @@ func TestPermuteEntries(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	d := Random(rng, 2, 3, 4)
 	perm := []int{2, 0, 1} // Y(i2, i0, i1) = X(i0, i1, i2)
-	y := d.Permute(1, perm)
+	y := d.Permute(nil, 1, perm)
 	if y.Dim(0) != 4 || y.Dim(1) != 2 || y.Dim(2) != 3 {
 		t.Fatalf("dims %v", y.Dims())
 	}
@@ -40,9 +40,9 @@ func TestPermuteParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	d := Random(rng, 5, 6, 7, 2)
 	perm := []int{3, 1, 0, 2}
-	want := d.Permute(1, perm)
+	want := d.Permute(nil, 1, perm)
 	for _, threads := range []int{2, 3, 8} {
-		got := d.Permute(threads, perm)
+		got := d.Permute(nil, threads, perm)
 		if MaxAbsDiff(want, got) != 0 {
 			t.Errorf("threads=%d: parallel permute differs", threads)
 		}
@@ -63,7 +63,7 @@ func TestPermuteInverseRoundTrip(t *testing.T) {
 		for k, p := range perm {
 			inv[p] = k
 		}
-		back := d.Permute(2, perm).Permute(2, inv)
+		back := d.Permute(nil, 2, perm).Permute(nil, 2, inv)
 		return MaxAbsDiff(d, back) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -80,7 +80,7 @@ func TestPermuteValidation(t *testing.T) {
 					t.Errorf("Permute(%v) should panic", perm)
 				}
 			}()
-			d.Permute(1, perm)
+			d.Permute(nil, 1, perm)
 		}()
 	}
 }
@@ -92,9 +92,9 @@ func TestModeToFrontMatchesUnfold(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	d := Random(rng, 3, 4, 5, 2)
 	for n := 0; n < 4; n++ {
-		p := d.Permute(2, ModeToFront(4, n))
+		p := d.Permute(nil, 2, ModeToFront(4, n))
 		viaPermute := p.Matricize(0)
-		viaUnfold := d.Unfold(2, n)
+		viaUnfold := d.Unfold(nil, 2, n)
 		if !mat.ApproxEqual(viaPermute, viaUnfold, 0) {
 			t.Errorf("mode %d: permute-then-view != unfold", n)
 		}

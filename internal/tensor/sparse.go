@@ -182,28 +182,17 @@ func (s *Sparse) Densify() *Dense {
 	return d
 }
 
-// Norm returns the Frobenius norm ‖X‖ with t workers.
-func (s *Sparse) Norm(t int) float64 { return math.Sqrt(s.NormSquared(t)) }
+// Norm returns the Frobenius norm ‖X‖, computed on p with t workers (a
+// nil p selects the default pool). Its bits do not depend on p or t.
+func (s *Sparse) Norm(p parallel.Executor, t int) float64 {
+	return math.Sqrt(s.NormSquared(p, t))
+}
 
-// NormSquared returns ‖X‖² = Σ x² over the stored entries.
-func (s *Sparse) NormSquared(t int) float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	t = parallel.Clamp(t, len(s.vals))
-	parts := make([]float64, t)
-	parallel.For(t, len(s.vals), func(w, lo, hi int) {
-		sum := 0.0
-		for _, v := range s.vals[lo:hi] {
-			sum += v * v
-		}
-		parts[w] = sum
-	})
-	total := 0.0
-	for _, p := range parts {
-		total += p
-	}
-	return total
+// NormSquared returns ‖X‖² = Σ x² over the stored entries, computed on p
+// with t workers (a nil p selects the default pool). Its bits do not
+// depend on p or t.
+func (s *Sparse) NormSquared(p parallel.Executor, t int) float64 {
+	return sumSquares(p, t, s.vals)
 }
 
 // RandomSparse returns a sparse tensor with ⌈density · Π dims⌉ entries (at

@@ -63,7 +63,7 @@ func TestSparseDensifyAndNorm(t *testing.T) {
 		}
 		sum += v * v
 	}
-	if got, want := s.NormSquared(2), sum; absDiff(got, want) > 1e-12 {
+	if got, want := s.NormSquared(nil, 2), sum; absDiff(got, want) > 1e-12 {
 		t.Fatalf("norm² %g, want %g", got, want)
 	}
 }

@@ -18,9 +18,10 @@ import (
 
 // Multiply computes Y = X ×n M, defined by Y_(n) = Mᵀ·X_(n), where M is an
 // I_n × C matrix. The result has dimension C in mode n and X's dimensions
-// elsewhere. Work is split across t workers by tensor block, and no tensor
-// entries are reordered: each block multiply is a GEMM on strided views.
-func Multiply(t int, x *tensor.Dense, n int, m mat.View) *tensor.Dense {
+// elsewhere. Work is split by tensor block across t workers of p (a nil p
+// selects the default pool), and no tensor entries are reordered: each
+// block multiply is a GEMM on strided views.
+func Multiply(p parallel.Executor, t int, x *tensor.Dense, n int, m mat.View) *tensor.Dense {
 	if n < 0 || n >= x.Order() {
 		panic(fmt.Sprintf("ttm: mode %d out of range [0,%d)", n, x.Order()))
 	}
@@ -41,9 +42,10 @@ func Multiply(t int, x *tensor.Dense, n int, m mat.View) *tensor.Dense {
 	// One workspace for the whole multiply: each worker packs its block
 	// GEMMs from its own arena instead of taking the pool's workspace lock
 	// once per block.
-	p := parallel.Default()
+	p = parallel.OrDefault(p)
+	t = parallel.Clamp(p.Effective(t), nblk)
 	ws := p.Acquire()
-	ws.Arena(parallel.Clamp(t, nblk) - 1) // pre-grow arenas before the dispatch
+	ws.Arena(t - 1) // pre-grow arenas before the dispatch
 	p.For(t, nblk, func(w, lo, hi int) {
 		ar := ws.Arena(w)
 		for j := lo; j < hi; j++ {
@@ -59,8 +61,8 @@ func Multiply(t int, x *tensor.Dense, n int, m mat.View) *tensor.Dense {
 // contracting X with ms[k] in mode k. Dimensions shrink or grow per mode
 // as the matrices dictate; modes are applied in increasing order. This is
 // the multi-TTM used by Tucker compression and by the core-consistency
-// diagnostic.
-func Chain(t int, x *tensor.Dense, ms []mat.View) *tensor.Dense {
+// diagnostic. Every multiply runs on p with t workers.
+func Chain(p parallel.Executor, t int, x *tensor.Dense, ms []mat.View) *tensor.Dense {
 	if len(ms) != x.Order() {
 		panic(fmt.Sprintf("ttm: chain has %d matrices for an order-%d tensor", len(ms), x.Order()))
 	}
@@ -69,7 +71,7 @@ func Chain(t int, x *tensor.Dense, ms []mat.View) *tensor.Dense {
 		if m.Data == nil {
 			continue
 		}
-		y = Multiply(t, y, n, m)
+		y = Multiply(p, t, y, n, m)
 	}
 	return y
 }

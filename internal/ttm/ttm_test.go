@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/mat"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -30,6 +31,12 @@ func multiplyRef(x *tensor.Dense, n int, m mat.View) *tensor.Dense {
 
 func TestMultiplyMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	// A lease narrower than the requested width runs the multiply at its
+	// granted width.
+	pool := parallel.NewPool(4)
+	defer pool.Close()
+	lease := pool.Lease(2)
+	defer lease.Close()
 	for _, dims := range [][]int{{4, 5}, {3, 4, 5}, {2, 3, 4, 3}, {1, 4, 2}, {5, 1, 3}} {
 		x := tensor.Random(rng, dims...)
 		for n := range dims {
@@ -37,10 +44,12 @@ func TestMultiplyMatchesDefinition(t *testing.T) {
 				m := mat.RandomDense(dims[n], c, rng)
 				want := multiplyRef(x, n, m)
 				for _, threads := range []int{1, 2, 4} {
-					got := Multiply(threads, x, n, m)
-					if !tensor.ApproxEqual(got, want, 1e-12) {
-						t.Errorf("dims=%v n=%d c=%d threads=%d: mismatch %g",
-							dims, n, c, threads, tensor.MaxAbsDiff(got, want))
+					for on, p := range map[string]parallel.Executor{"nil": nil, "lease of 2": lease} {
+						got := Multiply(p, threads, x, n, m)
+						if !tensor.ApproxEqual(got, want, 1e-12) {
+							t.Errorf("dims=%v n=%d c=%d threads=%d on %s: mismatch %g",
+								dims, n, c, threads, on, tensor.MaxAbsDiff(got, want))
+						}
 					}
 				}
 			}
@@ -63,7 +72,7 @@ func TestMultiplyMatchesTensorTTM(t *testing.T) {
 		}
 	}
 	want := x.TTM(n, rows)
-	got := Multiply(2, x, n, m)
+	got := Multiply(nil, 2, x, n, m)
 	if !tensor.ApproxEqual(got, want, 1e-12) {
 		t.Errorf("ttm.Multiply != tensor.TTM: %g", tensor.MaxAbsDiff(got, want))
 	}
@@ -77,7 +86,7 @@ func TestMultiplyIdentity(t *testing.T) {
 		for i := 0; i < x.Dim(n); i++ {
 			eye.Set(i, i, 1)
 		}
-		y := Multiply(1, x, n, eye)
+		y := Multiply(nil, 1, x, n, eye)
 		if !tensor.ApproxEqual(x, y, 1e-14) {
 			t.Errorf("mode %d: X ×n I != X", n)
 		}
@@ -97,7 +106,7 @@ func TestMultiplyOneColumnMatchesTTV(t *testing.T) {
 		m.Set(i, 0, v[i])
 	}
 	ttv := x.TTV(n, v)
-	ttmOut := Multiply(1, x, n, m) // dims 3×1×4
+	ttmOut := Multiply(nil, 1, x, n, m) // dims 3×1×4
 	for a := 0; a < 3; a++ {
 		for b := 0; b < 4; b++ {
 			d := ttv.At(a, b) - ttmOut.At(a, 0, b)
@@ -116,8 +125,8 @@ func TestChain(t *testing.T) {
 		{}, // skip mode 1
 		mat.RandomDense(5, 3, rng),
 	}
-	got := Chain(2, x, ms)
-	want := Multiply(1, Multiply(1, x, 0, ms[0]), 2, ms[2])
+	got := Chain(nil, 2, x, ms)
+	want := Multiply(nil, 1, Multiply(nil, 1, x, 0, ms[0]), 2, ms[2])
 	if !tensor.ApproxEqual(got, want, 1e-12) {
 		t.Errorf("chain mismatch %g", tensor.MaxAbsDiff(got, want))
 	}
@@ -129,7 +138,7 @@ func TestChain(t *testing.T) {
 func TestChainAllSkippedIsInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x := tensor.Random(rng, 2, 3)
-	y := Chain(1, x, make([]mat.View, 2))
+	y := Chain(nil, 1, x, make([]mat.View, 2))
 	if y != x {
 		t.Error("all-skip chain should return the input tensor")
 	}
@@ -138,10 +147,10 @@ func TestChainAllSkippedIsInput(t *testing.T) {
 func TestMultiplyPanics(t *testing.T) {
 	x := tensor.New(2, 3)
 	for i, fn := range []func(){
-		func() { Multiply(1, x, 2, mat.NewDense(2, 2)) },
-		func() { Multiply(1, x, -1, mat.NewDense(2, 2)) },
-		func() { Multiply(1, x, 0, mat.NewDense(3, 2)) },
-		func() { Chain(1, x, make([]mat.View, 3)) },
+		func() { Multiply(nil, 1, x, 2, mat.NewDense(2, 2)) },
+		func() { Multiply(nil, 1, x, -1, mat.NewDense(2, 2)) },
+		func() { Multiply(nil, 1, x, 0, mat.NewDense(3, 2)) },
+		func() { Chain(nil, 1, x, make([]mat.View, 3)) },
 	} {
 		func() {
 			defer func() {
@@ -162,8 +171,8 @@ func TestMultiplyCommutesQuick(t *testing.T) {
 		x := tensor.Random(rng, rng.Intn(3)+2, rng.Intn(3)+2, rng.Intn(3)+2)
 		a := mat.RandomDense(x.Dim(0), rng.Intn(3)+1, rng)
 		b := mat.RandomDense(x.Dim(2), rng.Intn(3)+1, rng)
-		lhs := Multiply(1, Multiply(1, x, 0, a), 2, b)
-		rhs := Multiply(1, Multiply(1, x, 2, b), 0, a)
+		lhs := Multiply(nil, 1, Multiply(nil, 1, x, 0, a), 2, b)
+		rhs := Multiply(nil, 1, Multiply(nil, 1, x, 2, b), 0, a)
 		return tensor.ApproxEqual(lhs, rhs, 1e-11)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

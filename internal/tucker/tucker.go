@@ -38,7 +38,7 @@ func (m *Model) Full(t int) *tensor.Dense {
 	for n, u := range m.Factors {
 		// Multiply expects the transposed convention Y_(n) = Mᵀ·X_(n), so
 		// expanding by U means contracting with Uᵀ.
-		y = ttm.Multiply(t, y, n, u.T())
+		y = ttm.Multiply(nil, t, y, n, u.T())
 	}
 	return y
 }
@@ -99,7 +99,7 @@ func Decompose(x *tensor.Dense, cfg Config) (*Result, error) {
 		factors[k] = leadingEigvecs(t, gramOfMode(t, x, k), ranks[k])
 	}
 
-	normX := x.Norm(t)
+	normX := x.Norm(nil, t)
 	res := &Result{}
 	fitOld := 0.0
 	for iter := 0; iter < cfg.MaxIters; iter++ {
@@ -111,15 +111,15 @@ func Decompose(x *tensor.Dense, cfg Config) (*Result, error) {
 					ms[m] = factors[m]
 				}
 			}
-			y := ttm.Chain(t, x, ms)
+			y := ttm.Chain(nil, t, x, ms)
 			factors[k] = leadingEigvecs(t, gramOfMode(t, y, k), ranks[k])
 		}
 		// Core and fit: G = X ×₀ U₀ᵀ ⋯; ‖X−X̂‖² = ‖X‖² − ‖G‖² for
 		// orthonormal factors.
-		core := ttm.Chain(t, x, factors)
+		core := ttm.Chain(nil, t, x, factors)
 		res.Model = &Model{Core: core, Factors: cloneAll(factors)}
 		res.Iters = iter + 1
-		res.Fit = fitFromCore(normX, core.Norm(t))
+		res.Fit = fitFromCore(normX, core.Norm(nil, t))
 		res.FitHistory = append(res.FitHistory, res.Fit)
 		if iter > 0 && math.Abs(res.Fit-fitOld) < cfg.Tol {
 			break

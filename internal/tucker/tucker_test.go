@@ -58,7 +58,7 @@ func TestHOOIFitMatchesExplicitResidual(t *testing.T) {
 	}
 	diff := x.Clone()
 	diff.AddScaled(-1, res.Model.Full(1))
-	want := 1 - diff.Norm(1)/x.Norm(1)
+	want := 1 - diff.Norm(nil, 1)/x.Norm(nil, 1)
 	if math.Abs(res.Fit-want) > 1e-9 {
 		t.Errorf("core-based fit %v vs explicit %v", res.Fit, want)
 	}

@@ -289,10 +289,13 @@ func MTTKRPInto(dst Matrix, method Method, x AnyTensor, factors []Matrix, n int,
 // KhatriRao computes the Khatri-Rao product of the given matrices
 // (row-major, equal column counts) into a fresh (∏ rows) × C matrix, using
 // the paper's row-wise algorithm with partial-product reuse, parallelized
-// over threads workers.
+// over threads workers of the default pool.
 func KhatriRao(threads int, mats ...Matrix) Matrix {
 	out := mat.NewDense(krp.NumRows(mats), mats[0].C)
-	krp.Parallel(threads, mats, out)
+	p := parallel.OrDefault(nil)
+	ws := p.Acquire()
+	krp.ParallelOn(p, ws, threads, mats, out)
+	ws.Release()
 	return out
 }
 
@@ -310,9 +313,9 @@ func CP(x AnyTensor, cfg CPConfig) (*CPResult, error) {
 }
 
 // TTM computes the tensor-times-matrix product Y = X ×n M (Y_(n) = Mᵀ·X_(n))
-// without reordering tensor entries, using t workers.
+// without reordering tensor entries, using t workers of the default pool.
 func TTM(t int, x *Dense, n int, m Matrix) *Dense {
-	return ttm.Multiply(t, x, n, m)
+	return ttm.Multiply(nil, t, x, n, m)
 }
 
 // Corcondia computes the core consistency diagnostic of a fitted CP model
