@@ -129,12 +129,14 @@ var benchPoolThreads = max(benchThreads, 4)
 
 // BenchmarkMTTKRPRuntime measures whole MTTKRP calls on the persistent
 // pool runtime through the steady-state entry point (retained dst + pool),
-// which must report 0 allocs/op.
+// which must report 0 allocs/op. MethodAuto runs 1-step on order 3's
+// external modes, the split path on the external modes of orders 4–6, and
+// 2-step on the internal modes.
 func BenchmarkMTTKRPRuntime(b *testing.B) {
 	const c = 25
-	for _, order := range []int{3, 4, 5} {
+	for _, order := range []int{3, 4, 5, 6} {
 		x, u := fig5Problem(order, c)
-		modes := []int{0, order / 2} // one external, one internal mode
+		modes := []int{0, order / 2, order - 1} // external, internal, external
 		for _, n := range modes {
 			b.Run(fmt.Sprintf("N=%d/n=%d/pooled", order, n), func(b *testing.B) {
 				pool := parallel.NewPool(benchPoolThreads)

@@ -28,8 +28,8 @@ func main() {
 	fillFromModel(x, truth)
 	addNoise(x, 0.01, rng)
 
-	// Decompose. MethodAuto is the paper's choice: 1-step MTTKRP for the
-	// first and last modes, 2-step for internal modes.
+	// Decompose. MethodAuto (the default) runs the dimension-tree sweep:
+	// per sweep, two passes over the tensor yield every mode's MTTKRP.
 	res, err := repro.CP(x, repro.CPConfig{
 		Rank:     rank,
 		MaxIters: 100,

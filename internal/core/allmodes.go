@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/blas"
-	"repro/internal/krp"
 	"repro/internal/mat"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -61,31 +60,16 @@ func SweepAll(x *tensor.Dense, u []mat.View, dsts []mat.View, opts Options, upda
 	p := opts.pool()
 	t := p.Effective(opts.Threads)
 	ws := p.Acquire()
-	vf := viewList(ws)
-	dims := ws.Arena(0).Ints("core.sweep.dims", n)
-	for k := range dims {
-		dims[k] = x.Dim(k)
-	}
+	dims := arenaDims(ws, x)
 	s := SplitPoint(dims)
 	var total time.Duration
 	totalW := startWatch()
 
 	// Phase 1: contract the right half once; derive modes 0..s-1.
-	leftSize := x.SizeLeft(s-1) * x.Dim(s-1)
-	r := arenaColMajor(ws.Arena(0), "core.sweep.r", leftSize, c)
-	vf.ops = appendRightOperands(vf.ops, u, s-1)
-	kr := arenaMat(ws.Arena(0), "core.sweep.kr", krp.NumRows(vf.ops), c)
-	sw := startWatch()
-	krp.ParallelOn(p, ws, t, vf.ops, kr)
-	bd.add(PhaseLRKRP, sw.elapsed())
-	sw = startWatch()
-	blas.GemmOn(p, t, 1, x.MatricizeRowModes(s-1), kr, 0, r)
-	bd.add(PhaseGEMM, sw.elapsed())
-	vf.ops = clearViews(vf.ops)
-
+	r := halfStep(opts, p, ws, t, x, u, s, true, 0)
 	for mode := 0; mode < s; mode++ {
 		opts.notifyPhase() // per-mode phase boundary: budget changes land here
-		sw = startWatch()
+		sw := startWatch()
 		deriveFromIntermediate(p, ws, t, r, dims[:s], u[:s], mode, dsts[mode])
 		bd.add(PhaseGEMV, sw.elapsed())
 		total += totalW.elapsed()
@@ -93,22 +77,13 @@ func SweepAll(x *tensor.Dense, u []mat.View, dsts []mat.View, opts Options, upda
 		totalW = startWatch()
 	}
 
-	// Phase 2: contract the (updated) left half once; derive s..N-1.
-	rightSize := x.Size() / leftSize
-	l := arenaColMajor(ws.Arena(0), "core.sweep.l", rightSize, c)
-	vf.ops = appendLeftOperands(vf.ops, u, s)
-	kl := arenaMat(ws.Arena(0), "core.sweep.kl", krp.NumRows(vf.ops), c)
-	sw = startWatch()
-	krp.ParallelOn(p, ws, t, vf.ops, kl)
-	bd.add(PhaseLRKRP, sw.elapsed())
-	sw = startWatch()
-	blas.GemmOn(p, t, 1, x.MatricizeRowModes(s-1).T(), kl, 0, l)
-	bd.add(PhaseGEMM, sw.elapsed())
-	vf.ops = clearViews(vf.ops)
-
+	// Phase 2: contract the (updated) left half once; derive s..N-1. The
+	// intermediate reuses phase 1's buffer: R is dead once its modes are
+	// derived.
+	l := halfStep(opts, p, ws, t, x, u, s, false, 0)
 	for mode := s; mode < n; mode++ {
 		opts.notifyPhase()
-		sw = startWatch()
+		sw := startWatch()
 		deriveFromIntermediate(p, ws, t, l, dims[s:], u[s:], mode-s, dsts[mode])
 		bd.add(PhaseGEMV, sw.elapsed())
 		total += totalW.elapsed()
@@ -125,14 +100,20 @@ func SweepAll(x *tensor.Dense, u []mat.View, dsts []mat.View, opts Options, upda
 // with C), the first one on a tie. The serving cost model prices CP sweeps
 // with it.
 func SplitPoint(dims []int) int {
+	return splitOver(len(dims), func(k int) int { return dims[k] })
+}
+
+// splitOver is SplitPoint over an order-N shape whose k-th extent is
+// dim(k), so a kernel can split a tensor without building a dims slice.
+func splitOver(order int, dim func(k int) int) int {
 	best, bestCost := 1, -1
-	for s := 1; s < len(dims); s++ {
+	for s := 1; s < order; s++ {
 		left, right := 1, 1
-		for k, d := range dims {
+		for k := 0; k < order; k++ {
 			if k < s {
-				left *= d
+				left *= dim(k)
 			} else {
-				right *= d
+				right *= dim(k)
 			}
 		}
 		if cost := left + right; bestCost < 0 || cost < bestCost {
@@ -140,6 +121,49 @@ func SplitPoint(dims []int) int {
 		}
 	}
 	return best
+}
+
+// arenaDims leases x's extents from ws's first arena.
+func arenaDims(ws *parallel.Workspace, x *tensor.Dense) []int {
+	dims := ws.Arena(0).Ints("core.dims", x.Order())
+	for k := range dims {
+		dims[k] = x.Dim(k)
+	}
+	return dims
+}
+
+// halfStep is one step of the split-s dimension tree, called once per
+// half by SweepAll and once by MethodAuto's split path (splitExternal).
+// It contracts the tensor against the partial KRP of one half and returns
+// the intermediate that keeps the other half's modes, column-major with C
+// columns, so column c is that half's natural-layout subtensor for
+// component c. With keepLeft it computes R = X_(0:s-1)·K_R over the right
+// modes {s..N-1}, (I_0⋯I_{s-1}) × C; otherwise L = X_(0:s-1)ᵀ·K_L over the
+// left modes {0..s-1}, (I_s⋯I_{N-1}) × C. The partial KRP comes from
+// opts.plan when it holds that operand list, and is formed by
+// krp.ParallelOn otherwise. classRows pins the GEMM size class (0 keeps
+// the intermediate's own row count). The KRP splits rows and the GEMM
+// splits output rows, so the bits do not depend on t. Both buffers are
+// leased under one tag each, so consecutive half steps reuse them.
+func halfStep(opts Options, p parallel.Executor, ws *parallel.Workspace, t int, x *tensor.Dense, u []mat.View, s int, keepLeft bool, classRows int) mat.View {
+	bd := opts.Breakdown
+	vf := viewList(ws)
+	a := x.MatricizeRowModes(s - 1)
+	if keepLeft {
+		vf.ops = appendRightOperands(vf.ops, u, s-1)
+	} else {
+		vf.ops = appendLeftOperands(vf.ops, u, s)
+		a = a.T()
+	}
+	inter := arenaColMajor(ws.Arena(0), "core.half.inter", a.R, rank(u))
+	sw := startWatch()
+	k := planOrForm(opts, p, ws, t, "core.half.k", vf.ops)
+	bd.add(PhaseLRKRP, sw.elapsed())
+	sw = startWatch()
+	blas.GemmOnClass(p, t, classRows, 1, a, k, 0, inter)
+	bd.add(PhaseGEMM, sw.elapsed())
+	vf.ops = clearViews(vf.ops)
+	return inter
 }
 
 // deriveFrame is the workspace-cached column-loop state of

@@ -13,14 +13,16 @@ type Phase int
 const (
 	// PhaseGEMM is matrix-matrix multiplication time (all methods).
 	PhaseGEMM Phase = iota
-	// PhaseGEMV is matrix-vector multiplication time (2-step multi-TTV).
+	// PhaseGEMV is matrix-vector multiplication time (2-step multi-TTV,
+	// and the derivations of SweepAll and MethodAuto's split path).
 	PhaseGEMV
 	// PhaseFullKRP is full-KRP formation time (1-step external modes,
 	// reorder baseline).
 	PhaseFullKRP
 	// PhaseLRKRP is left/right partial KRP time: forming K_L (and
-	// expanding per-block KRP rows) in internal-mode 1-step, or forming
-	// K_L and K_R in 2-step.
+	// expanding per-block KRP rows) in internal-mode 1-step, forming K_L
+	// and K_R in 2-step, or forming one half's partial KRP in SweepAll
+	// and MethodAuto's split path.
 	PhaseLRKRP
 	// PhaseReduce is the parallel reduction of private outputs (1-step).
 	PhaseReduce

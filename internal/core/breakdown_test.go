@@ -101,20 +101,28 @@ func TestBreakdownCoversTotal(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := tensor.Random(rng, 12, 10, 14)
 	u := randomFactors(rng, x, 6)
+	// MethodAuto's split path runs on both external modes of x4 and forms
+	// no full KRP.
+	x4 := tensor.Random(rng, 6, 5, 4, 7)
+	u4 := randomFactors(rng, x4, 6)
 	cases := []struct {
 		method Method
+		x      *tensor.Dense
+		u      []mat.View
 		n      int
 		expect []Phase
 	}{
-		{MethodOneStep, 0, []Phase{PhaseFullKRP, PhaseGEMM}},
-		{MethodOneStep, 2, []Phase{PhaseFullKRP, PhaseGEMM}},
-		{MethodOneStep, 1, []Phase{PhaseLRKRP, PhaseGEMM}},
-		{MethodTwoStep, 1, []Phase{PhaseLRKRP, PhaseGEMM, PhaseGEMV}},
-		{MethodReorder, 1, []Phase{PhaseReorder, PhaseFullKRP, PhaseGEMM}},
+		{MethodOneStep, x, u, 0, []Phase{PhaseFullKRP, PhaseGEMM}},
+		{MethodOneStep, x, u, 2, []Phase{PhaseFullKRP, PhaseGEMM}},
+		{MethodOneStep, x, u, 1, []Phase{PhaseLRKRP, PhaseGEMM}},
+		{MethodTwoStep, x, u, 1, []Phase{PhaseLRKRP, PhaseGEMM, PhaseGEMV}},
+		{MethodReorder, x, u, 1, []Phase{PhaseReorder, PhaseFullKRP, PhaseGEMM}},
+		{MethodAuto, x4, u4, 0, []Phase{PhaseLRKRP, PhaseGEMM, PhaseGEMV}},
+		{MethodAuto, x4, u4, 3, []Phase{PhaseLRKRP, PhaseGEMM, PhaseGEMV}},
 	}
 	for _, tc := range cases {
 		var bd Breakdown
-		Compute(tc.method, x, u, tc.n, Options{Threads: 2, Breakdown: &bd})
+		Compute(tc.method, tc.x, tc.u, tc.n, Options{Threads: 2, Breakdown: &bd})
 		if bd.Total() <= 0 {
 			t.Errorf("%v n=%d: no total recorded", tc.method, tc.n)
 		}
@@ -131,6 +139,9 @@ func TestBreakdownCoversTotal(t *testing.T) {
 		}
 		if sum > 3*bd.Total()+time.Millisecond {
 			t.Errorf("%v n=%d: phase sum %v exceeds total %v", tc.method, tc.n, sum, bd.Total())
+		}
+		if tc.method == MethodAuto && (bd.Get(PhaseFullKRP) != 0 || bd.Get(PhaseReduce) != 0) {
+			t.Errorf("%v n=%d: split path recorded full-KRP or reduce time (%v)", tc.method, tc.n, &bd)
 		}
 	}
 }

@@ -25,8 +25,13 @@ type Method int
 
 const (
 	// MethodAuto (the zero value, hence the default everywhere) is the
-	// paper's CP-ALS choice (Section 5.3.3): 1-step for external modes,
-	// 2-step for internal modes.
+	// paper's CP-ALS choice (Section 5.3.3), 1-step for external modes and
+	// 2-step for internal modes, with one exception: an external mode of a
+	// tensor whose balanced split s = SplitPoint(dims) leaves at least two
+	// modes on each side (2 ≤ s ≤ N−2, so order 4 and up) runs one half of
+	// SweepAll's dimension tree instead, contracting the other half against
+	// a KRP of about √|X| rows rather than forming a tensor-sized one. Those
+	// modes have the same bits at every worker count.
 	MethodAuto Method = iota
 	// MethodOneStep is the paper's 1-step algorithm: form KRP rows and
 	// multiply tensor blocks in place (Algorithm 3; Algorithm 2 is the
@@ -91,15 +96,17 @@ type Options struct {
 	PhaseNotify func()
 
 	// TileRows, when positive, streams dense 1-step/2-step computations
-	// (and the hybrid) through mode-n row-block tiles of at most this many
-	// rows: each tile of the mode-n matricization is gathered into a
-	// bounded workspace buffer (or aliased in place when it is contiguous)
-	// and run through the untiled kernel, so the resident working set is
-	// the tile, not the tensor — the out-of-core path for mmap-backed
-	// tensors. Output bits are identical to the untiled kernels (the GEMM
-	// size class is pinned to the full extent; see blas.GemmArenaClass).
-	// AutoTileRows derives a value from a byte budget. Zero disables
-	// tiling; MethodReorder and MethodNaive ignore it.
+	// (and MethodAuto, its split path included) through mode-n row-block
+	// tiles of at most this many rows: each tile of the mode-n
+	// matricization is gathered into a bounded workspace buffer (or
+	// aliased in place when it is contiguous) and run through the untiled
+	// kernel, so the resident working set is the tile, not the tensor —
+	// the out-of-core path for mmap-backed tensors. Output bits are
+	// identical to the untiled kernels (the GEMM size class, and the split
+	// path's split point, are pinned to the full extent; see
+	// blas.GemmArenaClass). AutoTileRows derives a value from a byte
+	// budget. Zero disables tiling; MethodReorder and MethodNaive ignore
+	// it.
 	TileRows int
 
 	// plan, when non-nil, is a prebuilt shared Khatri-Rao intermediate the
@@ -155,11 +162,24 @@ func ComputeInto(dst mat.View, method Method, x *tensor.Dense, u []mat.View, n i
 	validate(x, u, n)
 	validateDst(dst, x.Dim(n), rank(u))
 	// Phase notification happens in the leaf kernels (oneStepExternal,
-	// oneStepInternal, twoStepLeftFirst, twoStepRightFirst, ReorderInto),
-	// so direct entry through OneStepInto/TwoStepInto/ReorderInto reaches
-	// the same safe point as entry through here — exactly once per
-	// computation either way. mttkrp-lint's phasehook analyzer enforces
-	// this for every exported *Into entry point.
+	// oneStepInternal, twoStepLeftFirst, twoStepRightFirst, splitExternal,
+	// ReorderInto), so direct entry through OneStepInto/TwoStepInto/
+	// ReorderInto reaches the same safe point as entry through here —
+	// exactly once per computation either way. mttkrp-lint's phasehook
+	// analyzer enforces this for every exported *Into entry point.
+	if method == MethodAuto {
+		switch autoKernel(x.Order(), x.Dim, n) {
+		case autoSplit:
+			if tiled(x, n, opts) {
+				return tiledInto(dst, x, u, n, opts, splitExternal)
+			}
+			return splitExternal(dst, x, u, n, opts)
+		case autoOneStep:
+			method = MethodOneStep
+		default:
+			method = MethodTwoStep
+		}
+	}
 	switch method {
 	case MethodOneStep:
 		if tiled(x, n, opts) {
@@ -173,17 +193,6 @@ func ComputeInto(dst mat.View, method Method, x *tensor.Dense, u []mat.View, n i
 		return TwoStepInto(dst, x, u, n, opts)
 	case MethodReorder:
 		return ReorderInto(dst, x, u, n, opts)
-	case MethodAuto:
-		if isExternal(x, n) {
-			if tiled(x, n, opts) {
-				return OneStepTiledInto(dst, x, u, n, opts)
-			}
-			return OneStepInto(dst, x, u, n, opts)
-		}
-		if tiled(x, n, opts) {
-			return TwoStepTiledInto(dst, x, u, n, opts)
-		}
-		return TwoStepInto(dst, x, u, n, opts)
 	case MethodNaive:
 		opts.notifyPhase() // the reference path has no leaf kernel to notify
 		dst.CopyFrom(Naive(x, u, n))

@@ -28,7 +28,9 @@ func TestMTTKRPDispatchBitIdentical(t *testing.T) {
 		for _, c := range []int{1, 5, 16} {
 			x, u := randomProblem(rng, dims, c)
 			for n := range dims {
-				for _, m := range []Method{MethodOneStep, MethodTwoStep, MethodReorder, MethodNaive} {
+				// MethodAuto takes the split path on 3×2×4×2×3's external
+				// modes.
+				for _, m := range []Method{MethodOneStep, MethodTwoStep, MethodReorder, MethodAuto, MethodNaive} {
 					for _, threads := range []int{1, 3} {
 						simd.Use(simd.Scalar())
 						want := Compute(m, x, u, n, Options{Threads: threads})

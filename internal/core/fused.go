@@ -16,6 +16,8 @@ import (
 //
 //   - 1-step external modes GEMM directly against the plan's one-sided
 //     full KRP instead of streaming per-worker row blocks;
+//   - MethodAuto's split-path external modes (splitExternal) take the
+//     partial KRP of the half that does not hold mode n;
 //   - 1-step internal modes take K_L whole and read K_R rows from the plan
 //     instead of recomputing both;
 //   - 2-step (either ordering) takes K_L and K_R and skips its entire
@@ -40,34 +42,54 @@ type planOpsFrame struct{ left, right []mat.View }
 
 func newPlanOpsFrame() any { return &planOpsFrame{} }
 
-// FillPlan fills p with the left and right partial KRPs for mode n of the
-// factor set u, dispatching on ex (t <= 0 selects the executor's width)
-// with plan storage leased from ws. The plan can then serve any
-// ComputeIntoWithPlan whose mode-n operand set matches u's. With a warmed
-// ws and a retained plan, refilling allocates nothing.
-func FillPlan(p *krp.Plan, ex parallel.Executor, ws *parallel.Workspace, t int, x *tensor.Dense, u []mat.View, n int) {
+// planOps returns ws's operand-list frame holding the lists method's
+// kernel looks up for mode n: the one partial KRP of the half that does
+// not hold n for a split-path mode (autoKernel), the left and right
+// partial KRPs of mode n otherwise (one of them empty for an external
+// mode, whose other side is then the full KRP).
+func planOps(ws *parallel.Workspace, method Method, x *tensor.Dense, u []mat.View, n int) *planOpsFrame {
 	validate(x, u, n)
 	f := ws.Frame("core.planops", newPlanOpsFrame).(*planOpsFrame)
+	if method == MethodAuto && autoKernel(x.Order(), x.Dim, n) == autoSplit {
+		if s := splitOver(x.Order(), x.Dim); n < s {
+			f.right = appendRightOperands(f.right, u, s-1)
+		} else {
+			f.left = appendLeftOperands(f.left, u, s)
+		}
+		return f
+	}
 	f.left = appendLeftOperands(f.left, u, n)
 	f.right = appendRightOperands(f.right, u, n)
-	p.Fill(ex, ws, t, f.left, f.right)
+	return f
+}
+
+func (f *planOpsFrame) release() {
 	f.left = clearViews(f.left)
 	f.right = clearViews(f.right)
 }
 
+// FillPlan fills p with exactly the partial KRPs that method's kernel
+// looks up for mode n of the factor set u (see planOps), dispatching on ex
+// (t <= 0 selects the executor's width) with plan storage leased from ws.
+// The plan can then serve any ComputeIntoWithPlan of that method whose
+// mode-n operand set matches u's. With a warmed ws and a retained plan,
+// refilling allocates nothing.
+func FillPlan(p *krp.Plan, ex parallel.Executor, ws *parallel.Workspace, t int, method Method, x *tensor.Dense, u []mat.View, n int) {
+	f := planOps(ws, method, x, u, n)
+	p.Fill(ex, ws, t, f.left, f.right)
+	f.release()
+}
+
 // PlanCovers reports whether p, as currently filled, would serve mode n of
-// the factor set u — i.e. a FillPlan with these operands is redundant. It
-// is how the batch executor detects that the plan a shape-keyed workspace
-// retained from the previous batch (detached: snapshots only) already
-// covers the next batch's factor set, fusing across batch boundaries.
-func PlanCovers(p *krp.Plan, ws *parallel.Workspace, x *tensor.Dense, u []mat.View, n int) bool {
-	validate(x, u, n)
-	f := ws.Frame("core.planops", newPlanOpsFrame).(*planOpsFrame)
-	f.left = appendLeftOperands(f.left, u, n)
-	f.right = appendRightOperands(f.right, u, n)
+// the factor set u under method — i.e. a FillPlan with these arguments is
+// redundant. It is how the batch executor detects that the plan a
+// shape-keyed workspace retained from the previous batch (detached:
+// snapshots only) already covers the next batch's factor set, fusing
+// across batch boundaries.
+func PlanCovers(p *krp.Plan, ws *parallel.Workspace, method Method, x *tensor.Dense, u []mat.View, n int) bool {
+	f := planOps(ws, method, x, u, n)
 	ok := p.Covers(f.left, f.right)
-	f.left = clearViews(f.left)
-	f.right = clearViews(f.right)
+	f.release()
 	return ok
 }
 

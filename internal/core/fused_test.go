@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -42,32 +43,41 @@ func randomFusedProblem(rng *rand.Rand) (*tensor.Dense, []mat.View, int) {
 // TestFusedPlanBitIdentical is the fusion property test: across random
 // shapes, modes and methods, computing against a prebuilt shared-KRP plan
 // produces bit-identical output to the plain path at the same worker
-// count, and every fusable configuration actually consumes the plan.
+// count, and every fusable configuration actually consumes the plan. A
+// fixed order-4 trial runs MethodAuto's split path on both external modes.
 func TestFusedPlanBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pool := parallel.NewPool(4)
 	defer pool.Close()
 	methods := []Method{MethodOneStep, MethodTwoStep, MethodAuto}
 	plan := new(krp.Plan)
-	for trial := 0; trial < 100; trial++ {
-		x, u, c := randomFusedProblem(rng)
-		n := rng.Intn(x.Order())
-		method := methods[rng.Intn(len(methods))]
+	check := func(label string, x *tensor.Dense, u []mat.View, c, n int, method Method) {
+		t.Helper()
 		opts := Options{Threads: 4, Pool: pool}
 
 		want := ComputeInto(mat.NewDense(x.Dim(n), c), method, x, u, n, opts)
 
 		ws := pool.Acquire()
-		FillPlan(plan, pool, ws, 4, x, u, n)
+		FillPlan(plan, pool, ws, 4, method, x, u, n)
 		hits0 := plan.Hits()
 		got := ComputeIntoWithPlan(mat.NewDense(x.Dim(n), c), method, x, u, n, opts, plan)
 		if plan.Hits() == hits0 {
-			t.Fatalf("trial %d (%v mode %d dims %v): fusable method consumed no plan side", trial, method, n, x.Dims())
+			t.Fatalf("%s (%v mode %d dims %v): fusable method consumed no plan side", label, method, n, x.Dims())
 		}
 		plan.Reset()
 		ws.Release()
 
-		bitsEqual(t, got, want, "fused vs unfused")
+		bitsEqual(t, got, want, label+": fused vs unfused")
+	}
+	for trial := 0; trial < 100; trial++ {
+		x, u, c := randomFusedProblem(rng)
+		n := rng.Intn(x.Order())
+		method := methods[rng.Intn(len(methods))]
+		check(fmt.Sprintf("trial %d", trial), x, u, c, n, method)
+	}
+	x, u := randomProblem(rng, []int{3, 5, 4, 6}, 4)
+	for _, n := range []int{0, 3} {
+		check("order-4 split path", x, u, 4, n, MethodAuto)
 	}
 }
 
@@ -80,35 +90,46 @@ func TestFusedPlanSharedAcrossMembers(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pool := parallel.NewPool(4)
 	defer pool.Close()
-	dims := []int{9, 8, 7}
-	const c, n, members = 5, 1, 4
-	u := make([]mat.View, len(dims))
-	xs := make([]*tensor.Dense, members)
-	for i := range xs {
-		xs[i] = tensor.Random(rng, dims...)
-	}
-	for k := range u {
-		u[k] = mat.RandomDense(dims[k], c, rng)
-	}
+	const c, members = 5, 4
 
-	for _, method := range []Method{MethodOneStep, MethodTwoStep} {
+	for _, tc := range []struct {
+		method Method
+		dims   []int
+		n      int
+		sides  int // plan lookups per member
+	}{
+		// Internal mode: two sides per member, all from the single fill.
+		{MethodOneStep, []int{9, 8, 7}, 1, 2},
+		{MethodTwoStep, []int{9, 8, 7}, 1, 2},
+		// MethodAuto's split path: the one partial KRP of the other half.
+		{MethodAuto, []int{6, 5, 4, 7}, 0, 1},
+		{MethodAuto, []int{6, 5, 4, 7}, 3, 1},
+	} {
+		n := tc.n
+		u := make([]mat.View, len(tc.dims))
+		xs := make([]*tensor.Dense, members)
+		for i := range xs {
+			xs[i] = tensor.Random(rng, tc.dims...)
+		}
+		for k := range u {
+			u[k] = mat.RandomDense(tc.dims[k], c, rng)
+		}
+
 		plan := new(krp.Plan)
 		ws := pool.Acquire()
-		FillPlan(plan, pool, ws, 4, xs[0], u, n)
+		FillPlan(plan, pool, ws, 4, tc.method, xs[0], u, n)
 		if plan.Fills() != 1 {
-			t.Fatalf("%v: fills = %d, want 1", method, plan.Fills())
+			t.Fatalf("%v mode %d: fills = %d, want 1", tc.method, n, plan.Fills())
 		}
-		for i, x := range xs {
+		for _, x := range xs {
 			opts := Options{Threads: 4, Pool: pool}
-			want := ComputeInto(mat.NewDense(x.Dim(n), c), method, x, u, n, opts)
-			got := ComputeIntoWithPlan(mat.NewDense(x.Dim(n), c), method, x, u, n, opts, plan)
+			want := ComputeInto(mat.NewDense(x.Dim(n), c), tc.method, x, u, n, opts)
+			got := ComputeIntoWithPlan(mat.NewDense(x.Dim(n), c), tc.method, x, u, n, opts, plan)
 			bitsEqual(t, got, want, "member")
-			_ = i
 		}
-		// Internal mode: two sides per member, all from the single fill.
-		if plan.Fills() != 1 || plan.Hits() != 2*members || plan.Misses() != 0 {
-			t.Fatalf("%v: fills=%d hits=%d misses=%d, want 1 fill, %d hits, 0 misses",
-				method, plan.Fills(), plan.Hits(), plan.Misses(), 2*members)
+		if plan.Fills() != 1 || plan.Hits() != int64(tc.sides*members) || plan.Misses() != 0 {
+			t.Fatalf("%v mode %d: fills=%d hits=%d misses=%d, want 1 fill, %d hits, 0 misses",
+				tc.method, n, plan.Fills(), plan.Hits(), plan.Misses(), tc.sides*members)
 		}
 		plan.Reset()
 		ws.Release()
@@ -134,7 +155,7 @@ func TestFusedPlanValueMatch(t *testing.T) {
 	plan := new(krp.Plan)
 	ws := pool.Acquire()
 	defer ws.Release()
-	FillPlan(plan, pool, ws, 2, x, u, n)
+	FillPlan(plan, pool, ws, 2, MethodTwoStep, x, u, n)
 
 	// Same values, fresh buffers: the decoded-payload case.
 	clone := make([]mat.View, len(u))
@@ -185,7 +206,7 @@ func TestFusedReconcileMidBatch(t *testing.T) {
 		lease := pool.Lease(8)
 		ws := lease.Acquire()
 		plan := new(krp.Plan)
-		FillPlan(plan, lease, ws, 0, x, u, n)
+		FillPlan(plan, lease, ws, 0, method, x, u, n)
 		opts := Options{Pool: lease, PhaseNotify: func() { parallel.Reconcile(lease) }}
 
 		got1 := ComputeIntoWithPlan(mat.NewDense(x.Dim(n), c), method, x, u, n, opts, plan)
@@ -228,7 +249,7 @@ func TestFusedPlanSteadyAlloc(t *testing.T) {
 	opts := Options{Threads: 4, Pool: pool}
 
 	cycle := func() {
-		FillPlan(plan, pool, ws, 4, x, u, n)
+		FillPlan(plan, pool, ws, 4, MethodTwoStep, x, u, n)
 		for i := 0; i < 3; i++ {
 			ComputeIntoWithPlan(dst, MethodTwoStep, x, u, n, opts, plan)
 		}

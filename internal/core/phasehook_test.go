@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/mat"
+	"repro/internal/tensor"
 )
 
 // TestEveryIntoEntryPointNotifiesOnce pins the phase-hook contract the
@@ -16,8 +17,8 @@ import (
 // scheduler a reconcile safe-point.
 func TestEveryIntoEntryPointNotifiesOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	dims := []int{4, 5, 6}
-	x, u := randomProblem(rng, dims, 3)
+	var x *tensor.Dense
+	var u []mat.View
 
 	entries := []struct {
 		name string
@@ -49,20 +50,24 @@ func TestEveryIntoEntryPointNotifiesOnce(t *testing.T) {
 		}},
 	}
 
-	for _, e := range entries {
-		// Mode 0 is external and mode 1 internal, so both kernel variants
-		// of the 1-step algorithm (and both entry paths of TwoStepInto)
-		// are exercised.
-		for n := 0; n < 2; n++ {
-			notified := 0
-			opts := Options{Threads: 2, PhaseNotify: func() { notified++ }}
-			got := e.call(n, opts)
-			want := Naive(x, u, n)
-			if !mat.ApproxEqual(got, want, 1e-11) {
-				t.Errorf("%s n=%d: result mismatch %g", e.name, n, mat.MaxAbsDiff(got, want))
-			}
-			if notified != 1 {
-				t.Errorf("%s n=%d: PhaseNotify invoked %d times, want exactly 1", e.name, n, notified)
+	// The order-4 tensor's mode 0 takes MethodAuto's split path.
+	for _, dims := range [][]int{{4, 5, 6}, {3, 5, 4, 6}} {
+		x, u = randomProblem(rng, dims, 3)
+		for _, e := range entries {
+			// Mode 0 is external and mode 1 internal, so both kernel
+			// variants of the 1-step algorithm (and both entry paths of
+			// TwoStepInto) are exercised.
+			for n := 0; n < 2; n++ {
+				notified := 0
+				opts := Options{Threads: 2, PhaseNotify: func() { notified++ }}
+				got := e.call(n, opts)
+				want := Naive(x, u, n)
+				if !mat.ApproxEqual(got, want, 1e-11) {
+					t.Errorf("%s dims=%v n=%d: result mismatch %g", e.name, dims, n, mat.MaxAbsDiff(got, want))
+				}
+				if notified != 1 {
+					t.Errorf("%s dims=%v n=%d: PhaseNotify invoked %d times, want exactly 1", e.name, dims, n, notified)
+				}
 			}
 		}
 	}

@@ -22,9 +22,9 @@ type Request struct {
 	Factors []mat.View
 	// Mode is the MTTKRP mode n.
 	Mode int
-	// Method selects the dense algorithm (zero value = the paper's
-	// hybrid). Sparse tensors have one kernel and ignore it, except
-	// MethodNaive, which runs against the densified reference.
+	// Method selects the dense algorithm (zero value = MethodAuto).
+	// Sparse tensors have one kernel and ignore it, except MethodNaive,
+	// which runs against the densified reference.
 	Method Method
 	// Dst, when non-zero, receives the I_n × C result (contiguous
 	// row-major, caller-retained for steady-state reuse); a zero Dst

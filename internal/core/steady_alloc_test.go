@@ -31,6 +31,8 @@ func TestPooledKernelsSteadyStateAllocFree(t *testing.T) {
 		{"onestep-int", MethodOneStep, 1},
 		{"twostep-right", MethodTwoStep, 1},
 		{"twostep-left", MethodTwoStep, 2},
+		{"auto-split-0", MethodAuto, 0},
+		{"auto-split-3", MethodAuto, 3},
 	} {
 		dst := mat.NewDense(x.Dim(tc.n), 16)
 		opts := Options{Threads: 4, Pool: pool}

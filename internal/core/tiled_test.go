@@ -12,25 +12,30 @@ import (
 
 // TestTiledBitIdentical sweeps tile size × mode × method × threads and pins
 // math.Float64bits equality of the tiled kernels against the untiled ones —
-// the bit-identity contract of the out-of-core path.
+// the bit-identity contract of the out-of-core path. MethodAuto's external
+// modes take the split path on both tensors; on 40×4×4×4×40 a 2-row tile
+// would move SplitPoint (from 3 to 4 on mode 0, to 1 on mode 4), so the
+// split path must pin s to the full tensor.
 func TestTiledBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	x := tensor.Random(rng, 13, 9, 11, 7)
 	const c = 5
-	u := make([]mat.View, x.Order())
-	for k := range u {
-		u[k] = mat.RandomDense(x.Dim(k), c, rng)
-	}
-	for _, threads := range []int{1, 3} {
-		pool := parallel.NewPool(threads)
-		defer pool.Close()
-		for _, method := range []Method{MethodOneStep, MethodTwoStep, MethodAuto} {
-			for n := 0; n < x.Order(); n++ {
-				want := Compute(method, x, u, n, Options{Threads: threads, Pool: pool})
-				for _, tile := range []int{1, 2, 3, 4, 5, x.Dim(n) - 1, x.Dim(n), x.Dim(n) + 3} {
-					opts := Options{Threads: threads, Pool: pool, TileRows: tile}
-					got := ComputeInto(mat.NewDense(x.Dim(n), c), method, x, u, n, opts)
-					bitsEqual(t, got, want, "tiled vs untiled")
+	for _, dims := range [][]int{{13, 9, 11, 7}, {40, 4, 4, 4, 40}} {
+		x := tensor.Random(rng, dims...)
+		u := make([]mat.View, x.Order())
+		for k := range u {
+			u[k] = mat.RandomDense(x.Dim(k), c, rng)
+		}
+		for _, threads := range []int{1, 3} {
+			pool := parallel.NewPool(threads)
+			defer pool.Close()
+			for _, method := range []Method{MethodOneStep, MethodTwoStep, MethodAuto} {
+				for n := 0; n < x.Order(); n++ {
+					want := Compute(method, x, u, n, Options{Threads: threads, Pool: pool})
+					for _, tile := range []int{1, 2, 3, 4, 5, x.Dim(n) - 1, x.Dim(n), x.Dim(n) + 3} {
+						opts := Options{Threads: threads, Pool: pool, TileRows: tile}
+						got := ComputeInto(mat.NewDense(x.Dim(n), c), method, x, u, n, opts)
+						bitsEqual(t, got, want, "tiled vs untiled")
+					}
 				}
 			}
 		}
@@ -40,42 +45,52 @@ func TestTiledBitIdentical(t *testing.T) {
 // TestTiledMappedLargerThanBudget maps a file-backed tensor more than 2×
 // larger than the tile budget and checks the streamed result is
 // bit-identical to the untiled kernel run on a RAM-resident copy of the
-// same data — the acceptance criterion for the out-of-core path.
+// same data — the acceptance criterion for the out-of-core path. The
+// order-4 tensor runs MethodAuto, whose external modes take the split
+// path there.
 func TestTiledMappedLargerThanBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	heap := tensor.Random(rng, 24, 18, 20) // 67.5 KiB slab
-	path := filepath.Join(t.TempDir(), "big.dsnt")
-	if err := tensor.WriteDenseFile(path, heap); err != nil {
-		t.Fatalf("WriteDenseFile: %v", err)
-	}
-	m, err := tensor.OpenDense(path)
-	if err != nil {
-		t.Fatalf("OpenDense: %v", err)
-	}
-	defer m.Close()
-
-	const c = 6
-	u := make([]mat.View, heap.Order())
-	for k := range u {
-		u[k] = mat.RandomDense(heap.Dim(k), c, rng)
-	}
 	pool := parallel.NewPool(3)
 	defer pool.Close()
+	for _, tc := range []struct {
+		dims    []int
+		methods []Method
+	}{
+		{[]int{24, 18, 20}, []Method{MethodOneStep, MethodTwoStep}}, // 67.5 KiB slab
+		{[]int{10, 9, 9, 10}, []Method{MethodAuto}},                 // 63.3 KiB slab
+	} {
+		heap := tensor.Random(rng, tc.dims...)
+		path := filepath.Join(t.TempDir(), "big.dsnt")
+		if err := tensor.WriteDenseFile(path, heap); err != nil {
+			t.Fatalf("WriteDenseFile: %v", err)
+		}
+		m, err := tensor.OpenDense(path)
+		if err != nil {
+			t.Fatalf("OpenDense: %v", err)
+		}
+		defer m.Close()
 
-	const budget = 16 << 10 // 16 KiB tiles: > 4× smaller than the slab
-	for n := 0; n < heap.Order(); n++ {
-		tile := AutoTileRows(heap.Dims(), n, budget)
-		if tile == 0 {
-			t.Fatalf("mode %d: AutoTileRows found the tensor within a %d-byte budget", n, budget)
+		const c = 6
+		u := make([]mat.View, heap.Order())
+		for k := range u {
+			u[k] = mat.RandomDense(heap.Dim(k), c, rng)
 		}
-		if int64(tile)*int64(heap.Size()/heap.Dim(n))*8 > budget {
-			t.Fatalf("mode %d: tile %d exceeds the byte budget", n, tile)
-		}
-		for _, method := range []Method{MethodOneStep, MethodTwoStep} {
-			want := Compute(method, heap, u, n, Options{Threads: 3, Pool: pool})
-			opts := Options{Threads: 3, Pool: pool, TileRows: tile}
-			got := ComputeInto(mat.NewDense(heap.Dim(n), c), method, m.Dense, u, n, opts)
-			bitsEqual(t, got, want, "tiled vs untiled")
+
+		const budget = 16 << 10 // 16 KiB tiles: > 3× smaller than the slab
+		for n := 0; n < heap.Order(); n++ {
+			tile := AutoTileRows(heap.Dims(), n, budget)
+			if tile == 0 {
+				t.Fatalf("dims %v mode %d: AutoTileRows found the tensor within a %d-byte budget", tc.dims, n, budget)
+			}
+			if int64(tile)*int64(heap.Size()/heap.Dim(n))*8 > budget {
+				t.Fatalf("dims %v mode %d: tile %d exceeds the byte budget", tc.dims, n, tile)
+			}
+			for _, method := range tc.methods {
+				want := Compute(method, heap, u, n, Options{Threads: 3, Pool: pool})
+				opts := Options{Threads: 3, Pool: pool, TileRows: tile}
+				got := ComputeInto(mat.NewDense(heap.Dim(n), c), method, m.Dense, u, n, opts)
+				bitsEqual(t, got, want, "tiled vs untiled")
+			}
 		}
 	}
 }
@@ -100,6 +115,8 @@ func TestTiledSteadyStateAllocFree(t *testing.T) {
 		{"tiled-onestep-extN", MethodOneStep, 3},
 		{"tiled-onestep-int", MethodOneStep, 1},
 		{"tiled-twostep", MethodTwoStep, 2},
+		{"tiled-auto-split-0", MethodAuto, 0},
+		{"tiled-auto-split-3", MethodAuto, 3},
 	} {
 		dst := mat.NewDense(x.Dim(tc.n), 16)
 		opts := Options{Threads: 4, Pool: pool, TileRows: 7}

@@ -101,25 +101,19 @@ func newTwoStepFrame() any {
 	return f
 }
 
-// planOrCompute resolves the 2-step algorithm's two partial KRPs: each
-// side comes from the batch plan when its operand list matches (batch
-// fusion skips the whole PhaseLRKRP) and is computed into arena scratch
-// otherwise. Mixed hits are fine — a plan can make a side cheaper, never
+// planOrForm returns the partial KRP of ops: from the batch plan when its
+// operand list matches (batch fusion skips the formation), formed into
+// arena scratch under tag otherwise. A plan can make a KRP cheaper, never
 // wrong.
-func planOrCompute(opts Options, p parallel.Executor, ws *parallel.Workspace, t int, ar *parallel.Arena, klOps, krOps []mat.View, il, ir, c int) (kl, kr mat.View) {
+func planOrForm(opts Options, p parallel.Executor, ws *parallel.Workspace, t int, tag string, ops []mat.View) mat.View {
 	if pl := opts.plan; pl != nil {
-		kl, _ = pl.Lookup(klOps)
-		kr, _ = pl.Lookup(krOps)
+		if k, ok := pl.Lookup(ops); ok {
+			return k
+		}
 	}
-	if kl.Data == nil {
-		kl = arenaMat(ar, "core.2s.kl", il, c)
-		krp.ParallelOn(p, ws, t, klOps, kl)
-	}
-	if kr.Data == nil {
-		kr = arenaMat(ar, "core.2s.kr", ir, c)
-		krp.ParallelOn(p, ws, t, krOps, kr)
-	}
-	return kl, kr
+	k := arenaMat(ws.Arena(0), tag, krp.NumRows(ops), rank(ops))
+	krp.ParallelOn(p, ws, t, ops, k)
+	return k
 }
 
 func (f *twoStepFrame) release() {
@@ -137,7 +131,6 @@ func twoStepRightFirst(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts 
 	c := rank(u)
 	in := x.Dim(n)
 	il := x.SizeLeft(n)
-	ir := x.SizeRight(n)
 	bd := opts.Breakdown
 	p := opts.pool()
 	t := p.Effective(opts.Threads)
@@ -153,7 +146,8 @@ func twoStepRightFirst(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts 
 	sw := startWatch()
 	f.klOps = appendLeftOperands(f.klOps, u, n)
 	f.krOps = appendRightOperands(f.krOps, u, n)
-	kl, kr := planOrCompute(opts, p, ws, t, ar, f.klOps, f.krOps, il, ir, c)
+	kl := planOrForm(opts, p, ws, t, "core.2s.kl", f.klOps)
+	kr := planOrForm(opts, p, ws, t, "core.2s.kr", f.krOps)
 	bd.add(PhaseLRKRP, sw.elapsed())
 
 	// Step 1: partial MTTKRP — a single (logical) BLAS call on the
@@ -181,7 +175,6 @@ func twoStepLeftFirst(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts O
 	opts.notifyPhase() // kernel entry is a phase boundary: budget changes land here
 	c := rank(u)
 	in := x.Dim(n)
-	il := x.SizeLeft(n)
 	ir := x.SizeRight(n)
 	bd := opts.Breakdown
 	p := opts.pool()
@@ -198,7 +191,8 @@ func twoStepLeftFirst(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts O
 	sw := startWatch()
 	f.klOps = appendLeftOperands(f.klOps, u, n)
 	f.krOps = appendRightOperands(f.krOps, u, n)
-	kl, kr := planOrCompute(opts, p, ws, t, ar, f.klOps, f.krOps, il, ir, c)
+	kl := planOrForm(opts, p, ws, t, "core.2s.kl", f.klOps)
+	kr := planOrForm(opts, p, ws, t, "core.2s.kr", f.krOps)
 	bd.add(PhaseLRKRP, sw.elapsed())
 
 	// Step 1: X_(0:n-1) is column-major I^L_n × (I_n⋯I_{N-1}); its

@@ -735,10 +735,10 @@ func (s *Server) runFused(b *batch, lease *parallel.Lease, seed *item) (saved fl
 	defer plan.Detach()
 	served0 := plan.ServedRows()
 	fillPaid := int64(0)
-	if core.PlanCovers(plan, ws, xd, req.Factors, req.Mode) {
+	if core.PlanCovers(plan, ws, req.Method, xd, req.Factors, req.Mode) {
 		cacheHit = true
 	} else {
-		core.FillPlan(plan, lease, ws, 0, xd, req.Factors, req.Mode)
+		core.FillPlan(plan, lease, ws, 0, req.Method, xd, req.Factors, req.Mode)
 		fillPaid = int64(plan.FilledRows())
 	}
 	for _, it := range b.items {

@@ -47,7 +47,7 @@ type MTTKRPRequest struct {
 	Factors []mat.View
 	// Mode is the MTTKRP mode n.
 	Mode int
-	// Method selects the algorithm (zero value = the paper's hybrid).
+	// Method selects the algorithm (zero value = MethodAuto).
 	Method Method
 	// Dst, when non-zero, receives the I_n × C result (contiguous
 	// row-major, caller-retained for steady-state reuse); a zero Dst lets

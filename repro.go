@@ -85,8 +85,11 @@ type Method = core.Method
 // MTTKRP algorithm choices.
 const (
 	// MethodAuto uses the paper's hybrid for one MTTKRP: 1-step for
-	// external modes, 2-step for internal modes (the default). In CP it
-	// selects the dimension-tree sweep.
+	// external modes, 2-step for internal modes (the default). An external
+	// mode whose tensor splits into two halves of two or more modes each
+	// (order 4 and up, core.SplitPoint) runs one half of the
+	// dimension-tree sweep instead, with no tensor-sized Khatri-Rao
+	// product. In CP it selects the dimension-tree sweep.
 	MethodAuto = core.MethodAuto
 	// MethodOneStep is the paper's 1-step algorithm (Algorithm 3).
 	MethodOneStep = core.MethodOneStep
@@ -263,8 +266,8 @@ func NewClient(baseURL string) *Client { return transport.NewClient(baseURL) }
 // MTTKRP computes M = X_(n) · (U_{N-1} ⊙ ⋯ ⊙ U_{n+1} ⊙ U_{n-1} ⊙ ⋯ ⊙ U₀)
 // for a tensor of either layout, returning the I_n × C row-major result.
 // Factor k must be I_k × C row-major. Dense tensors run the method
-// selected in opts (MethodAuto — the paper's hybrid — by default); sparse
-// tensors run the compressed-fiber kernel.
+// selected in opts (MethodAuto by default); sparse tensors run the
+// compressed-fiber kernel.
 func MTTKRP(x AnyTensor, factors []Matrix, n int, opts MTTKRPOptions) Matrix {
 	return core.Run(core.Request{X: x, Factors: factors, Mode: n, Opts: opts})
 }
