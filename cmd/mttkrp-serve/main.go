@@ -24,8 +24,8 @@
 // finish, new submissions see 503, then the process exits 0. With
 // -tensor-root DIR, clients may additionally POST by-reference requests
 // (/v1/mttkrp-ref) naming a mappable tensor file inside DIR instead of
-// shipping the tensor payload; the server maps the file and streams the
-// kernel through row tiles, so the referenced tensor may exceed RAM.
+// shipping the tensor payload; the server maps the file and the kernels
+// read the mapping in place, so its pages stay file-backed.
 //
 // Usage:
 //

@@ -38,17 +38,6 @@ func GemmBlocked(t int, alpha float64, a, b mat.View, beta float64, c mat.View, 
 // own a per-worker arena: calling it never touches a pool, so it is safe
 // (and allocation-free) inside dispatched code.
 func GemmArena(ar *parallel.Arena, alpha float64, a, b mat.View, beta float64, c mat.View) {
-	GemmArenaClass(ar, 0, alpha, a, b, beta, c)
-}
-
-// GemmArenaClass is GemmArena with the small-vs-blocked path decision pinned
-// to classM logical rows instead of a.R (classM <= 0 keeps the natural
-// choice). The tiled MTTKRP kernels call it when a GEMM computes a row
-// slice of a larger logical product: within either path the accumulation
-// order of an output element never depends on the row count, but which
-// path runs is chosen by problem volume, so a tile must inherit the full
-// problem's choice for its output bits to match the untiled kernel's.
-func GemmArenaClass(ar *parallel.Arena, classM int, alpha float64, a, b mat.View, beta float64, c mat.View) {
 	m, n, k := checkGemmDims(a, b, c)
 	if m == 0 || n == 0 {
 		return
@@ -57,21 +46,11 @@ func GemmArenaClass(ar *parallel.Arena, classM int, alpha float64, a, b mat.View
 	if alpha == 0 || k == 0 {
 		return
 	}
-	if classM <= 0 {
-		classM = m
-	}
-	if int64(classM)*int64(n)*int64(k) <= smallGemmFlops {
+	if int64(m)*int64(n)*int64(k) <= smallGemmFlops {
 		gemmSmallAcc(alpha, a, b, c)
 		return
 	}
 	gemmStripe(alpha, a, b, c, Blocking{}.orDefault(), ar)
-}
-
-// GemmOnClass is GemmOn with the small-vs-blocked path decision pinned to
-// classM logical rows instead of a.R (classM <= 0 keeps the natural
-// choice); see GemmArenaClass for why tiled callers need the pin.
-func GemmOnClass(p parallel.Executor, t, classM int, alpha float64, a, b mat.View, beta float64, c mat.View) {
-	gemmBlockedOnClass(p, t, classM, alpha, a, b, beta, c, Blocking{})
 }
 
 // GemmBlockedOn is the full GEMM entry point: explicit executor, worker
@@ -79,19 +58,19 @@ func GemmOnClass(p parallel.Executor, t, classM int, alpha float64, a, b mat.Vie
 // default pool, resolved only when pack buffers or a dispatch are actually
 // needed.
 func GemmBlockedOn(p parallel.Executor, t int, alpha float64, a, b mat.View, beta float64, c mat.View, bl Blocking) {
-	gemmBlockedOnClass(p, t, 0, alpha, a, b, beta, c, bl)
+	m, n, k := checkGemmDims(a, b, c)
+	gemmOn(p, t, int64(m)*int64(n)*int64(k) <= smallGemmFlops, alpha, a, b, beta, c, bl)
 }
 
-func gemmBlockedOnClass(p parallel.Executor, t, classM int, alpha float64, a, b mat.View, beta float64, c mat.View, bl Blocking) {
-	m, n, k := checkGemmDims(a, b, c)
+// gemmOn is GemmBlockedOn on checked operands with the small-vs-packed
+// path chosen by the caller, so tests can run the packed path on tiny
+// shapes.
+func gemmOn(p parallel.Executor, t int, small bool, alpha float64, a, b mat.View, beta float64, c mat.View, bl Blocking) {
+	m, n, k := a.R, b.C, a.C
 	if m == 0 || n == 0 {
 		return
 	}
-	if classM <= 0 {
-		classM = m
-	}
 	t = parallel.EffectiveOn(p, t) // one resolution rule everywhere; leases cap at their budget
-	small := int64(classM)*int64(n)*int64(k) <= smallGemmFlops
 	if t <= 1 || (small && m < 2*t) {
 		scaleRows(beta, c)
 		if alpha == 0 || k == 0 {

@@ -316,7 +316,6 @@ func TestGemmDeterministicAcrossThreads(t *testing.T) {
 // between groups, leftover panels and stripes, so its bits must not move.
 func TestGemmRowGroupingBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	const forceBlocked = 1 << 30
 	const n, k = 25, 257
 	b := mat.RandomDense(k, n, rng)
 	for _, m := range []int{8, 12, 13, 16, 24, 25, 113} {
@@ -326,11 +325,11 @@ func TestGemmRowGroupingBitIdentical(t *testing.T) {
 			for _, cColMajor := range []bool{false, true} {
 				for _, bl := range []Blocking{{}, {MC: 20, KC: 64, NC: 8}} {
 					ref := newMatrix(cColMajor, m, n)
-					gemmBlockedOnClass(nil, 1, forceBlocked, 1, a, b, 0, ref, bl)
+					gemmOn(nil, 1, false, 1, a, b, 0, ref, bl)
 					for _, threads := range []int{1, 2, 3} {
 						for _, off := range []int{0, 4, 8} {
 							got := newMatrix(cColMajor, m-off, n)
-							gemmBlockedOnClass(nil, threads, forceBlocked, 1, a.Slice(off, m, 0, k), b, 0, got, bl)
+							gemmOn(nil, threads, false, 1, a.Slice(off, m, 0, k), b, 0, got, bl)
 							for i := 0; i < m-off; i++ {
 								for j := 0; j < n; j++ {
 									if g, w := got.At(i, j), ref.At(off+i, j); math.Float64bits(g) != math.Float64bits(w) {

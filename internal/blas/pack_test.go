@@ -29,11 +29,10 @@ func newMatrix(colMajor bool, r, c int) mat.View {
 // TestGemmPackingBitIdentical pins the unit-stride packing and write-back
 // paths to the generic strided ones: packing is a pure copy and the
 // micro-kernel's accumulation order does not depend on the source layout,
-// so every MTTKRP-shaped product must match bit for bit. The size class is
-// pinned high so even tiny shapes run the blocked (packed) GEMM.
+// so every MTTKRP-shaped product must match bit for bit. Even tiny shapes
+// run the blocked (packed) GEMM.
 func TestGemmPackingBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	const forceBlocked = 1 << 30
 	for _, m := range []int{1, 3, 4, 5, 8, 12, 13, 24, 113} {
 		for _, n := range []int{1, 4, 25} {
 			for _, k := range []int{1, 255, 256, 257, 1000} {
@@ -49,11 +48,11 @@ func TestGemmPackingBitIdentical(t *testing.T) {
 						for _, alpha := range []float64{1, 1.5} {
 							for _, bl := range []Blocking{{}, {MC: 8, KC: 64, NC: 8}} {
 								want := stridedCopy(c0)
-								gemmBlockedOnClass(nil, 1, forceBlocked, alpha, aRef, bRef, 1, want, bl)
+								gemmOn(nil, 1, false, alpha, aRef, bRef, 1, want, bl)
 								for _, threads := range []int{1, 2} {
 									got := newMatrix(cColMajor, m, n)
 									got.CopyFrom(c0)
-									gemmBlockedOnClass(nil, threads, forceBlocked, alpha, a, b, 1, got, bl)
+									gemmOn(nil, threads, false, alpha, a, b, 1, got, bl)
 									for i := 0; i < m; i++ {
 										for j := 0; j < n; j++ {
 											if g, w := got.At(i, j), want.At(i, j); math.Float64bits(g) != math.Float64bits(w) {

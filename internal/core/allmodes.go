@@ -66,7 +66,7 @@ func SweepAll(x *tensor.Dense, u []mat.View, dsts []mat.View, opts Options, upda
 	totalW := startWatch()
 
 	// Phase 1: contract the right half once; derive modes 0..s-1.
-	r := halfStep(opts, p, ws, t, x, u, s, true, 0)
+	r := halfStep(opts, p, ws, t, x, u, s, true)
 	for mode := 0; mode < s; mode++ {
 		opts.notifyPhase() // per-mode phase boundary: budget changes land here
 		sw := startWatch()
@@ -80,7 +80,7 @@ func SweepAll(x *tensor.Dense, u []mat.View, dsts []mat.View, opts Options, upda
 	// Phase 2: contract the (updated) left half once; derive s..N-1. The
 	// intermediate reuses phase 1's buffer: R is dead once its modes are
 	// derived.
-	l := halfStep(opts, p, ws, t, x, u, s, false, 0)
+	l := halfStep(opts, p, ws, t, x, u, s, false)
 	for mode := s; mode < n; mode++ {
 		opts.notifyPhase()
 		sw := startWatch()
@@ -141,11 +141,10 @@ func arenaDims(ws *parallel.Workspace, x *tensor.Dense) []int {
 // modes {s..N-1}, (I_0⋯I_{s-1}) × C; otherwise L = X_(0:s-1)ᵀ·K_L over the
 // left modes {0..s-1}, (I_s⋯I_{N-1}) × C. The partial KRP comes from
 // opts.plan when it holds that operand list, and is formed by
-// krp.ParallelOn otherwise. classRows pins the GEMM size class (0 keeps
-// the intermediate's own row count). The KRP splits rows and the GEMM
-// splits output rows, so the bits do not depend on t. Both buffers are
+// krp.ParallelOn otherwise. The KRP splits rows and the GEMM splits output
+// rows, so the bits do not depend on t. Both buffers are
 // leased under one tag each, so consecutive half steps reuse them.
-func halfStep(opts Options, p parallel.Executor, ws *parallel.Workspace, t int, x *tensor.Dense, u []mat.View, s int, keepLeft bool, classRows int) mat.View {
+func halfStep(opts Options, p parallel.Executor, ws *parallel.Workspace, t int, x *tensor.Dense, u []mat.View, s int, keepLeft bool) mat.View {
 	bd := opts.Breakdown
 	vf := viewList(ws)
 	a := x.MatricizeRowModes(s - 1)
@@ -160,7 +159,7 @@ func halfStep(opts Options, p parallel.Executor, ws *parallel.Workspace, t int, 
 	k := planOrForm(opts, p, ws, t, "core.half.k", vf.ops)
 	bd.add(PhaseLRKRP, sw.elapsed())
 	sw = startWatch()
-	blas.GemmOnClass(p, t, classRows, 1, a, k, 0, inter)
+	blas.GemmOn(p, t, 1, a, k, 0, inter)
 	bd.add(PhaseGEMM, sw.elapsed())
 	vf.ops = clearViews(vf.ops)
 	return inter

@@ -95,39 +95,18 @@ type Options struct {
 	// the computing goroutine and must not dispatch on opts.Pool.
 	PhaseNotify func()
 
-	// TileRows, when positive, streams dense 1-step/2-step computations
-	// (and MethodAuto, its split path included) through mode-n row-block
-	// tiles of at most this many rows: each tile of the mode-n
-	// matricization is gathered into a bounded workspace buffer (or
-	// aliased in place when it is contiguous) and run through the untiled
-	// kernel, so the resident working set is the tile, not the tensor —
-	// the out-of-core path for mmap-backed tensors. Output bits are
-	// identical to the untiled kernels (the GEMM size class, and the split
-	// path's split point, are pinned to the full extent; see
-	// blas.GemmArenaClass). AutoTileRows derives a value from a byte
-	// budget. Zero disables tiling; MethodReorder and MethodNaive ignore
-	// it.
+	// TileRows has no effect: every tensor, heap or mapped, computes
+	// untiled, its kernels reading the tensor where it lies through
+	// strided views.
+	//
+	// Deprecated: ignored. It remains only while the benchmark ledger's
+	// by-reference probe still sets it.
 	TileRows int
 
 	// plan, when non-nil, is a prebuilt shared Khatri-Rao intermediate the
 	// kernels may consume instead of recomputing their partial KRPs (batch
 	// fusion; set via ComputeIntoWithPlan, which documents the contract).
 	plan *krp.Plan
-
-	// tileClass, when positive, marks this call as a row tile of a logical
-	// computation whose full mode-n extent is tileClass rows; kernels pin
-	// their GEMM size-class decisions to it so tiles reproduce the untiled
-	// bit patterns. Set by the tiled driver only.
-	tileClass int
-}
-
-// classRows resolves the GEMM size-class row count: the full mode-n extent
-// when executing a tile, the natural extent otherwise.
-func (o Options) classRows(natural int) int {
-	if o.tileClass > 0 {
-		return o.tileClass
-	}
-	return natural
 }
 
 // notifyPhase invokes the phase-boundary hook, if any.
@@ -141,6 +120,38 @@ func (o Options) notifyPhase() {
 // historical typed-nil *Pool) selects the process-wide default pool.
 func (o Options) pool() parallel.Executor {
 	return parallel.OrDefault(o.Pool)
+}
+
+// DefaultTileBytes is the byte budget AutoTileRows assumes when the caller
+// does not pick one.
+//
+// Deprecated: no kernel tiles any more; see Options.TileRows.
+const DefaultTileBytes = 8 << 20
+
+// AutoTileRows returns max(2, budget / (8·I_{≠n})) for a tensor with the
+// given dims and mode n, with budgetBytes ≤ 0 selecting DefaultTileBytes,
+// or 0 when the whole tensor fits the budget. It sizes nothing: the
+// benchmark ledger reports the value as its tensor.tile_rows row.
+//
+// Deprecated: no kernel tiles any more; see Options.TileRows.
+func AutoTileRows(dims []int, n int, budgetBytes int64) int {
+	if budgetBytes <= 0 {
+		budgetBytes = DefaultTileBytes
+	}
+	rowElems := int64(1)
+	for k, d := range dims {
+		if k != n {
+			rowElems *= int64(d)
+		}
+	}
+	if rowElems <= 0 {
+		return 0
+	}
+	rows := budgetBytes / (8 * rowElems)
+	if rows >= int64(dims[n]) {
+		return 0
+	}
+	return int(max(rows, 2))
 }
 
 // Compute runs the selected MTTKRP method for mode n and returns the
@@ -170,9 +181,6 @@ func ComputeInto(dst mat.View, method Method, x *tensor.Dense, u []mat.View, n i
 	if method == MethodAuto {
 		switch autoKernel(x.Order(), x.Dim, n) {
 		case autoSplit:
-			if tiled(x, n, opts) {
-				return tiledInto(dst, x, u, n, opts, splitExternal)
-			}
 			return splitExternal(dst, x, u, n, opts)
 		case autoOneStep:
 			method = MethodOneStep
@@ -182,14 +190,8 @@ func ComputeInto(dst mat.View, method Method, x *tensor.Dense, u []mat.View, n i
 	}
 	switch method {
 	case MethodOneStep:
-		if tiled(x, n, opts) {
-			return OneStepTiledInto(dst, x, u, n, opts)
-		}
 		return OneStepInto(dst, x, u, n, opts)
 	case MethodTwoStep:
-		if tiled(x, n, opts) {
-			return TwoStepTiledInto(dst, x, u, n, opts)
-		}
 		return TwoStepInto(dst, x, u, n, opts)
 	case MethodReorder:
 		return ReorderInto(dst, x, u, n, opts)

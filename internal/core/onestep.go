@@ -78,7 +78,6 @@ type oneStepExtFrame struct {
 	xn       mat.View
 	planK    mat.View // prebuilt full KRP (batch fusion); zero = form rows locally
 	in, c    int
-	classIn  int // GEMM size-class rows: the full mode-n extent when tiled
 	t, other int
 	kBufs    []mat.View
 	mBufs    []mat.View
@@ -117,7 +116,7 @@ func (f *oneStepExtFrame) runWorker(w int) {
 	}
 	sw := startWatch()
 	// beta = 0: the GEMM overwrites the private accumulator.
-	blas.GemmArenaClass(f.ws.Arena(w), f.classIn, 1, f.xn.Slice(0, f.in, lo, hi), kt, 0, f.mBufs[w])
+	blas.GemmArena(f.ws.Arena(w), 1, f.xn.Slice(0, f.in, lo, hi), kt, 0, f.mBufs[w])
 	f.bd.addMax(PhaseFullKRP, f.baseKRP, dKRP)
 	f.bd.addMax(PhaseGEMM, f.baseGEMM, sw.elapsed())
 }
@@ -152,7 +151,6 @@ func oneStepExternal(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts Op
 	f.ops = appendOperands(f.ops, u, n)
 	f.xn = x.Matricize(n)
 	f.in, f.c, f.t, f.other = in, c, t, other
-	f.classIn = opts.classRows(in)
 	if pl := opts.plan; pl != nil {
 		// External modes have a one-sided operand set, so the plan's
 		// partial KRP for that side is the full K.
@@ -205,7 +203,6 @@ func oneStepExternal(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts Op
 type oneStepIntFrame struct {
 	x        *tensor.Dense
 	n        int
-	classIn  int // GEMM size-class rows: the full mode-n extent when tiled
 	rightOps []mat.View
 	leftOps  []mat.View
 	kl       mat.View
@@ -246,7 +243,7 @@ func (f *oneStepIntFrame) runWorker(w, lo, hi int) {
 		dKRP += sw.elapsed()
 
 		sw = startWatch()
-		blas.GemmArenaClass(ar, f.classIn, 1, f.x.ModeBlock(f.n, j), f.kBufs[w], 1, f.mBufs[w])
+		blas.GemmArena(ar, 1, f.x.ModeBlock(f.n, j), f.kBufs[w], 1, f.mBufs[w])
 		dGEMM += sw.elapsed()
 	}
 	f.bd.addMax(PhaseLRKRP, f.baseKRP, dKRP)
@@ -284,7 +281,6 @@ func oneStepInternal(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts Op
 	f := ws.Frame("core.onestep.int", newOneStepIntFrame).(*oneStepIntFrame)
 
 	f.x, f.n = x, n
-	f.classIn = opts.classRows(in)
 	f.leftOps = appendLeftOperands(f.leftOps, u, n)
 	f.rightOps = appendRightOperands(f.rightOps, u, n)
 	var planKL mat.View

@@ -38,10 +38,6 @@ func autoKernel(order int, dim func(k int) int, n int) autoKind {
 // private outputs are reduced: the KRP splits rows, the GEMM splits output
 // rows and the derivation splits columns, so the bits do not depend on the
 // worker count. With a no-op update they equal SweepAll's for that mode.
-//
-// As a tiledInto inner kernel it sees a row tile of mode n; s and the GEMM
-// size class are pinned to the full extent (opts.classRows), so tiles
-// reproduce the untiled bits.
 func splitExternal(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts Options) mat.View {
 	opts.notifyPhase() // kernel entry is a phase boundary: budget changes land here
 	bd := opts.Breakdown
@@ -49,20 +45,16 @@ func splitExternal(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts Opti
 	t := p.Effective(opts.Threads)
 	ws := p.Acquire()
 	dims := arenaDims(ws, x)
-	in := dims[n]
-	full := opts.classRows(in)
-	dims[n] = full
 	s := SplitPoint(dims)
-	dims[n] = in
 
-	// The kept half [lo, hi) holds mode n; its intermediate has rows rows.
+	// The kept half [lo, hi) holds mode n.
 	keepLeft := n < s
-	lo, hi, rows := 0, s, x.SizeLeft(s)
+	lo, hi := 0, s
 	if !keepLeft {
-		lo, hi, rows = s, len(dims), x.Size()/x.SizeLeft(s)
+		lo, hi = s, len(dims)
 	}
 	totalW := startWatch()
-	inter := halfStep(opts, p, ws, t, x, u, s, keepLeft, rows/in*full)
+	inter := halfStep(opts, p, ws, t, x, u, s, keepLeft)
 	sw := startWatch()
 	deriveFromIntermediate(p, ws, t, inter, dims[lo:hi], u[lo:hi], n-lo, dst)
 	bd.add(PhaseGEMV, sw.elapsed())

@@ -151,10 +151,9 @@ func twoStepRightFirst(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts 
 	bd.add(PhaseLRKRP, sw.elapsed())
 
 	// Step 1: partial MTTKRP — a single (logical) BLAS call on the
-	// column-major generalized matricization. The size class is pinned to
-	// the full mode-n extent so a row tile takes the same GEMM path.
+	// column-major generalized matricization.
 	sw = startWatch()
-	blas.GemmOnClass(p, t, il*opts.classRows(in), 1, x.MatricizeRowModes(n), kr, 0, r)
+	blas.GemmOn(p, t, 1, x.MatricizeRowModes(n), kr, 0, r)
 	bd.add(PhaseGEMM, sw.elapsed())
 
 	// Step 2: multi-TTV over the C independent columns.
@@ -196,10 +195,9 @@ func twoStepLeftFirst(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts O
 	bd.add(PhaseLRKRP, sw.elapsed())
 
 	// Step 1: X_(0:n-1) is column-major I^L_n × (I_n⋯I_{N-1}); its
-	// transpose view is row-major, so the GEMM reads contiguous rows. The
-	// size class is pinned to the full mode-n extent for row tiles.
+	// transpose view is row-major, so the GEMM reads contiguous rows.
 	sw = startWatch()
-	blas.GemmOnClass(p, t, opts.classRows(in)*ir, 1, x.MatricizeRowModes(n-1).T(), kl, 0, l)
+	blas.GemmOn(p, t, 1, x.MatricizeRowModes(n-1).T(), kl, 0, l)
 	bd.add(PhaseGEMM, sw.elapsed())
 
 	// Step 2: multi-TTV over the C independent columns.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -316,17 +317,18 @@ func TestCostModel(t *testing.T) {
 		t.Fatalf("weightOf default = %g, want 1", got)
 	}
 
-	// The mapped model prices the resident working set, not the file
-	// extent: with a bounded tile budget it undercuts the dense model on a
-	// big shape, and degenerate budgets (0, or larger than the tensor)
-	// collapse to the dense estimate exactly.
-	dims := []int{256, 256, 256}
-	dense := m.MTTKRP(dims, 8)
-	mapped := m.MTTKRPMapped(dims, 8, 1<<20)
-	if mapped <= 0 || mapped >= dense {
-		t.Fatalf("MTTKRPMapped = %g, want 0 < mapped < dense %g (resident bytes, not file extent)", mapped, dense)
+	// A mapped tensor computes as its dense shape, so it prices exactly as
+	// one.
+	path := filepath.Join(t.TempDir(), "x.dsnt")
+	if err := tensor.WriteDenseFile(path, tensor.Random(rand.New(rand.NewSource(3)), 20, 16, 12)); err != nil {
+		t.Fatal(err)
 	}
-	if m.MTTKRPMapped(dims, 8, 0) != dense || m.MTTKRPMapped(dims, 8, 1<<62) != dense {
-		t.Fatal("MTTKRPMapped degenerate budgets must collapse to the dense estimate")
+	mapped, err := tensor.OpenDense(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	if got, want := m.MTTKRPFor(mapped.Dense, 8), m.MTTKRP(mapped.Dims(), 8); got != want {
+		t.Fatalf("MTTKRPFor(mapped) = %g, want the dense estimate %g", got, want)
 	}
 }

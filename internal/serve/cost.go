@@ -69,29 +69,6 @@ func (m CostModel) SparseMTTKRP(nnz int64, dims []int, rank int) float64 {
 	return m.combine(2*nz*r*(order-1), 12*nz+8*(nz*r+2*rows*r))
 }
 
-// MTTKRPMapped estimates the cost of one MTTKRP over a file-backed
-// (mmap'd) dense tensor streamed through row tiles. The flop term is the
-// dense model's — every element is still touched once per mode — but the
-// byte term prices the resident working set (one tile plus the factor and
-// output matrices) instead of the full file extent: a tensor far larger
-// than RAM does not hoard worker budget the way an equally-shaped
-// heap-resident request would, because its cache/memory pressure is
-// bounded by the tile budget. residentBytes ≤ 0 (or larger than the
-// tensor itself) falls back to the full dense estimate.
-func (m CostModel) MTTKRPMapped(dims []int, rank int, residentBytes int64) float64 {
-	entries, rows := 1.0, 0.0
-	for _, d := range dims {
-		entries *= float64(d)
-		rows += float64(d)
-	}
-	r := float64(rank)
-	resident := float64(residentBytes)
-	if resident <= 0 || resident > 8*entries {
-		resident = 8 * entries
-	}
-	return m.combine(2*entries*r, resident+8*2*rows*r)
-}
-
 // costTensor is the tensor surface the model dispatches on.
 type costTensor interface {
 	Dims() []int
@@ -100,17 +77,13 @@ type costTensor interface {
 }
 
 // MTTKRPFor estimates one MTTKRP request's cost by the tensor's layout:
-// the dense shape model for heap-resident dense tensors, the nnz-keyed
-// model for sparse ones, and the resident-byte model for mapped dense
-// tensors (which the scheduler streams through tiles of at most
-// core.DefaultTileBytes). This is the dispatch point SubmitMTTKRP prices
-// through.
+// the nnz-keyed model for sparse tensors, the dense shape model for dense
+// ones. A mapped tensor is dense: its kernels read every entry of the
+// mapping in place, as they read a heap slab. This is the dispatch point
+// SubmitMTTKRP prices through.
 func (m CostModel) MTTKRPFor(x costTensor, rank int) float64 {
 	if x.Layout() == tensor.LayoutCOO {
 		return m.SparseMTTKRP(x.NNZ(), x.Dims(), rank)
-	}
-	if d, ok := x.(interface{ Mapped() bool }); ok && d.Mapped() {
-		return m.MTTKRPMapped(x.Dims(), rank, core.DefaultTileBytes)
 	}
 	return m.MTTKRP(x.Dims(), rank)
 }

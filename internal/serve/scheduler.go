@@ -72,7 +72,9 @@ type Config struct {
 // Stats is a snapshot of scheduler counters.
 type Stats struct {
 	// Submitted counts accepted requests; Completed counts finished ones
-	// (Failed of those completed with an error).
+	// (Failed of those completed with an error). A request is counted
+	// before its ticket resolves, so once a caller holds a result,
+	// Completed already includes it.
 	Submitted, Completed, Failed int
 	// Batches counts executed batches; Coalesced counts requests that
 	// joined an existing same-shape batch instead of opening their own.
@@ -301,7 +303,7 @@ func msBetween(from, to time.Time) float64 {
 // Same-shape requests submitted while a batch for that shape is still
 // waiting for admission coalesce onto it.
 func (s *Server) SubmitMTTKRP(req MTTKRPRequest) *Ticket {
-	req.X = tensor.Unwrap(req.X) // a mapped tensor runs, and tiles, as its Dense
+	req.X = tensor.Unwrap(req.X) // a mapped tensor runs as its Dense, read in place
 	if err := validateMTTKRP(req); err != nil {
 		return failedTicket(err)
 	}
@@ -574,7 +576,7 @@ func (s *Server) run(b *batch, g *grant) {
 	}
 	if !fused {
 		for _, it := range b.items {
-			it.execute(lease, nil)
+			s.execute(it, lease, nil)
 		}
 	}
 	dur := time.Since(g.started)
@@ -595,12 +597,6 @@ func (s *Server) run(b *batch, g *grant) {
 	if b.kind == "mttkrp" && b.key != "" && s.fusion {
 		if fp := batchFP(b, seed); fp != 0 {
 			s.recordPlanLocked(b.key, fp)
-		}
-	}
-	for _, it := range b.items {
-		s.stats.Completed++
-		if it.tk.err != nil {
-			s.stats.Failed++
 		}
 	}
 	s.rebalanceLocked()
@@ -742,7 +738,7 @@ func (s *Server) runFused(b *batch, lease *parallel.Lease, seed *item) (saved fl
 		fillPaid = int64(plan.FilledRows())
 	}
 	for _, it := range b.items {
-		it.execute(lease, plan)
+		s.execute(it, lease, plan)
 	}
 	savedRows := plan.ServedRows() - served0 - fillPaid
 	if savedRows > 0 {
@@ -799,12 +795,20 @@ func (s *Server) Drain() {
 // scheduler mid-request lands at the next safe point. A non-nil plan is
 // the batch's shared KRP intermediate: MTTKRP members consume it
 // read-only (falling back per-side on a mismatch), other kinds ignore it.
-func (it *item) execute(ex parallel.Executor, plan *krp.Plan) {
+// The request counts as Completed (and Failed, on error) before its
+// ticket resolves, so a caller holding a result never reads it uncounted.
+func (s *Server) execute(it *item, ex parallel.Executor, plan *krp.Plan) {
 	tk := it.tk
 	defer func() {
 		if r := recover(); r != nil {
 			tk.err = fmt.Errorf("serve: request failed: %v", r)
 		}
+		s.mu.Lock()
+		s.stats.Completed++
+		if tk.err != nil {
+			s.stats.Failed++
+		}
+		s.mu.Unlock()
 		close(tk.done)
 	}()
 	switch {
@@ -819,13 +823,6 @@ func (it *item) execute(ex parallel.Executor, plan *krp.Plan) {
 		cr.Opts = core.Options{
 			Pool:        ex,
 			PhaseNotify: func() { parallel.Reconcile(ex) },
-		}
-		if xd, isDense := cr.X.(*tensor.Dense); isDense && xd.Mapped() {
-			// A file-backed tensor streams through bounded row tiles so
-			// its resident working set stays within the tile budget
-			// regardless of the file's extent (bit-identical to the
-			// untiled kernel; see core's tiled drivers).
-			cr.Opts.TileRows = core.AutoTileRows(xd.Dims(), cr.Mode, 0)
 		}
 		tk.m = core.RunWithPlan(cr, plan)
 	case it.cp != nil:

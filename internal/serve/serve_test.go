@@ -87,6 +87,51 @@ func TestServeMTTKRPMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestServeCompletedCountedBeforeTicketResolves pins that Stats counts a
+// request before its ticket resolves, not when its whole batch ends: two
+// coalesced members share one batch, the second blocks, and once the
+// first has resolved Completed already includes it.
+func TestServeCompletedCountedBeforeTicketResolves(t *testing.T) {
+	s := New(Config{Workers: 2, MaxActive: 1})
+	defer s.Close()
+
+	release := make(chan struct{})
+	started := make(chan struct{})
+	blocker := s.submitFunc("", 0, 0, func(parallel.Executor) {
+		close(started)
+		<-release
+	})
+	<-started // the scheduler's only slot is occupied, so "k" members coalesce
+
+	gate := make(chan struct{})
+	first := s.submitFunc("k", 1, 0, func(parallel.Executor) {})
+	second := s.submitFunc("k", 1, 0, func(parallel.Executor) { <-gate })
+	if st := s.Stats(); st.Coalesced != 1 {
+		t.Fatalf("coalesced = %d, want 1: both members must share one batch", st.Coalesced)
+	}
+	close(release)
+	if err := blocker.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Err(); err != nil {
+		t.Fatal(err)
+	}
+	// The blocker and the first member have resolved; the second is still
+	// running in the same batch. Errorf, not Fatalf: the gate below must
+	// open, or Close would wait on the blocked member forever.
+	if st := s.Stats(); st.Completed < 2 {
+		t.Errorf("after the first member resolved: completed = %d, want >= 2 (blocker and first member)", st.Completed)
+	}
+	close(gate)
+	if err := second.Err(); err != nil {
+		t.Fatal(err)
+	}
+	s.Drain()
+	if st := s.Stats(); st.Completed != 3 || st.Submitted != 3 || st.Failed != 0 {
+		t.Fatalf("stats %+v: want 3 submitted, 3 completed, 0 failed", st)
+	}
+}
+
 // TestServeBatchingCoalesces blocks the scheduler with a sentinel request
 // so that same-shape submissions pile into one open batch, then checks the
 // batch executed them all correctly on a shared lease.

@@ -26,49 +26,15 @@ type Dense struct {
 	data    []float64
 
 	// mapped marks data as a read-only file mapping (set by OpenDense);
-	// mutating methods must not be called on a mapped tensor. advise is
-	// the mapping's readahead hook, nil for heap tensors.
+	// mutating methods must not be called on a mapped tensor.
 	mapped bool
-	advise func(lo, hi int)
 }
 
 // Mapped reports whether the data slab is a read-only mapped file region
-// (an OpenDense tensor). Mapped tensors must not be mutated, and the
-// serving cost model prices them by resident working set rather than slab
-// size.
+// (an OpenDense tensor). Mapped tensors must not be mutated. They compute
+// exactly as heap tensors do: the kernels read the mapping in place, and
+// the serving cost model prices them by their dense shape.
 func (d *Dense) Mapped() bool { return d.mapped }
-
-// AdviseWillNeed hints the OS that elements [lo, hi) of the slab are about
-// to be read, starting readahead for the backing pages. No-op for heap
-// tensors; never required for correctness.
-func (d *Dense) AdviseWillNeed(lo, hi int) {
-	if d.advise != nil {
-		d.advise(lo, hi)
-	}
-}
-
-// Reslice re-points d at data viewed with the given dims, reusing the
-// receiver's dims/strides storage when capacities allow. It exists for
-// kernel frames that stream tile subtensors through reused buffers with no
-// steady-state allocation; general callers should use FromData.
-func (d *Dense) Reslice(data []float64, dims []int) {
-	d.dims = append(d.dims[:0], dims...)
-	d.strides = d.strides[:0]
-	size := 1
-	for n, dim := range dims {
-		if dim <= 0 {
-			panic(fmt.Sprintf("tensor: dimension %d is %d, must be positive", n, dim))
-		}
-		d.strides = append(d.strides, size)
-		size *= dim
-	}
-	if len(data) != size {
-		panic(fmt.Sprintf("tensor: data length %d does not match dims (need %d)", len(data), size))
-	}
-	d.data = data
-	d.mapped = false
-	d.advise = nil
-}
 
 // New allocates a zero tensor with the given dimensions. Every dimension
 // must be positive.

@@ -86,7 +86,6 @@ func (m *Map) Close() error {
 	m.closed = true
 	m.Dense.data = nil
 	m.Dense.mapped = false
-	m.Dense.advise = nil
 	if m.raw == nil {
 		return nil
 	}
@@ -284,9 +283,6 @@ func OpenDense(path string) (*Map, error) {
 	m.Dense = FromData(data, h.dims...)
 	if raw != nil {
 		m.Dense.mapped = true
-		m.Dense.advise = func(lo, hi int) {
-			adviseWillNeedRange(raw, h.dataOffset, lo, hi)
-		}
 		adviseSequential(raw)
 	}
 	return m, nil
@@ -328,21 +324,4 @@ func StatDense(path string) (*DenseFileInfo, error) {
 		Size:     fi.Size(),
 		Checksum: h.checksum,
 	}, nil
-}
-
-// adviseWillNeedRange issues MADV_WILLNEED for the pages backing elements
-// [lo, hi) of a mapping whose data section starts at dataOffset.
-func adviseWillNeedRange(raw []byte, dataOffset int64, lo, hi int) {
-	if lo < 0 {
-		lo = 0
-	}
-	b0 := dataOffset + 8*int64(lo)
-	b1 := dataOffset + 8*int64(hi)
-	if b1 > int64(len(raw)) {
-		b1 = int64(len(raw))
-	}
-	if b0 >= b1 {
-		return
-	}
-	adviseWillNeed(raw[b0:b1])
 }

@@ -13,7 +13,7 @@ import (
 
 // Fallback loader for hosts without a gated mmap path: the data section is
 // read into the heap, so the tensor behaves like a regular Dense (Mapped()
-// reports false and advice hooks are no-ops). Correct everywhere, out-of-core
+// reports false and advice is a no-op). Correct everywhere, out-of-core
 // nowhere.
 
 func mapData(f *os.File, dataOffset int64, n int) ([]float64, []byte, error) {
@@ -35,5 +35,3 @@ func mapData(f *os.File, dataOffset int64, n int) ([]float64, []byte, error) {
 func unmapFile([]byte) error { return nil }
 
 func adviseSequential([]byte) {}
-
-func adviseWillNeed([]byte) {}

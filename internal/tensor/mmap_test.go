@@ -43,20 +43,6 @@ func TestMapRoundTrip(t *testing.T) {
 	if m.Stale() {
 		t.Fatal("freshly opened map reports stale")
 	}
-	// Advice must be safe on any element range, and a no-op on heap tensors.
-	m.AdviseWillNeed(0, m.Size())
-	m.AdviseWillNeed(7, 9)
-	m.AdviseWillNeed(-5, m.Size()+100)
-	want.AdviseWillNeed(0, want.Size())
-
-	// A reslice re-points the slab: the hook is detached rather than left
-	// aimed at the mapping.
-	m.Dense.Reslice(want.Data(), want.Dims())
-	if m.Mapped() || m.Dense.advise != nil {
-		t.Fatal("resliced tensor keeps the mapping's advice hook")
-	}
-	m.AdviseWillNeed(0, want.Size())
-
 	if err := m.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -228,26 +214,5 @@ func TestMapChecksumIdentifiesHeader(t *testing.T) {
 	}
 	if ma.Checksum() == mc.Checksum() {
 		t.Fatal("different shapes must hash to different header checksums")
-	}
-}
-
-func TestResliceReusesStorage(t *testing.T) {
-	d := New(4, 3)
-	buf := make([]float64, 6)
-	for i := range buf {
-		buf[i] = float64(i)
-	}
-	d.Reslice(buf, []int{2, 3})
-	if d.Order() != 2 || d.Dim(0) != 2 || d.Dim(1) != 3 || d.Size() != 6 {
-		t.Fatalf("resliced dims = %v size=%d", d.Dims(), d.Size())
-	}
-	if d.Stride(1) != 2 {
-		t.Fatalf("stride(1) = %d, want 2", d.Stride(1))
-	}
-	if &d.Data()[0] != &buf[0] {
-		t.Fatal("Reslice copied the buffer")
-	}
-	if testing.AllocsPerRun(100, func() { d.Reslice(buf, []int{3, 2}); d.Reslice(buf, []int{2, 3}) }) != 0 {
-		t.Fatal("Reslice allocates in steady state")
 	}
 }

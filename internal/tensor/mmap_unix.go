@@ -40,19 +40,3 @@ func adviseSequential(raw []byte) {
 		_ = syscall.Madvise(raw, syscall.MADV_SEQUENTIAL)
 	}
 }
-
-// adviseWillNeed hints that the given byte range is about to be read (start
-// readahead now). Madvise wants page-aligned starts; round down, best effort.
-func adviseWillNeed(b []byte) {
-	if len(b) == 0 {
-		return
-	}
-	page := uintptr(os.Getpagesize())
-	p := unsafe.Pointer(&b[0])
-	if back := uintptr(p) % page; back != 0 {
-		// Grow the range backwards to the page boundary; the extra bytes are
-		// part of the same mapping (the data section is page-aligned).
-		b = unsafe.Slice((*byte)(unsafe.Add(p, -int(back))), len(b)+int(back))
-	}
-	_ = syscall.Madvise(b, syscall.MADV_WILLNEED)
-}

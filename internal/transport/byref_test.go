@@ -81,10 +81,10 @@ func TestWireByRefHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHTTPMTTKRPByRefRoundTrip is the tentpole's transport acceptance: a
-// by-reference request maps the server-resident file, computes through the
-// tiled kernel path and matches the local untiled kernel exactly, while
-// only the factor matrices cross the wire.
+// TestHTTPMTTKRPByRefRoundTrip is the by-reference transport acceptance: a
+// request maps the server-resident file, computes on the mapping in place
+// and matches the local kernel on a heap tensor exactly, while only the
+// factor matrices cross the wire.
 func TestHTTPMTTKRPByRefRoundTrip(t *testing.T) {
 	root := t.TempDir()
 	x, ref := writeTensorFile(t, root, "sub/x.dsnt", 31, 12, 10, 8)

@@ -18,7 +18,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/cpd"
 	"repro/internal/mat"
 	"repro/internal/serve"
@@ -355,11 +354,9 @@ func (s *Server) admission(w http.ResponseWriter, r *http.Request, h *Header) (c
 		// so a sparse request's admission cost scales with its stored
 		// entries, not its dense shape.
 		estimate = model.SparseMTTKRP(h.NNZ, h.Dims, h.Rank)
-	case OpMTTKRPByRef:
-		// A mapped tensor streams through bounded tiles: the byte term
-		// prices the resident working set, not the full file extent.
-		estimate = model.MTTKRPMapped(h.Dims, h.Rank, core.DefaultTileBytes)
 	default:
+		// Dense MTTKRP, shipped or by reference: a mapped tensor computes
+		// as its dense shape.
 		estimate = model.MTTKRP(h.Dims, h.Rank)
 	}
 	switch {

@@ -52,8 +52,7 @@ const (
 	// payload, the header carries a path (relative to the server's tensor
 	// root) plus the file identity the client observed — mtime, size and
 	// header checksum. The server maps the file, revalidates the identity
-	// (409 on mismatch) and streams the kernel through row tiles of the
-	// mapping.
+	// (409 on mismatch) and runs the kernel on the mapping in place.
 	OpMTTKRPByRef Op = 4
 )
 

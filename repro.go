@@ -335,8 +335,8 @@ func NVecsInit(t int, x *Dense, rank int, seed int64) *KTensor {
 
 // MappedTensor is a file-backed dense tensor: its data slab is a read-only
 // mapping of a mappable tensor file (see OpenDenseFile), valid until Close.
-// The MTTKRP kernels stream a mapped tensor through bounded row tiles, so
-// tensors far larger than RAM compute with bit-identical results.
+// The kernels read a mapped tensor in place, through the same strided views
+// as a heap tensor, so it computes with the heap tensor's bits.
 type MappedTensor = tensor.Map
 
 // DenseFileInfo is the identity of a mappable tensor file (shape, mtime,
@@ -356,21 +356,9 @@ func WriteDenseFile(path string, d *Dense) error { return tensor.WriteDenseFile(
 func CreateDenseFile(path string, dims []int) error { return tensor.CreateDenseFile(path, dims) }
 
 // OpenDenseFile maps a mappable tensor file read-only and returns the
-// file-backed tensor. Close it when done.
+// file-backed tensor. MTTKRP, CP and the Server accept it wherever they
+// accept a Dense and read the mapping in place. Close it when done.
 func OpenDenseFile(path string) (*MappedTensor, error) { return tensor.OpenDense(path) }
-
-// AutoTileRows returns the MTTKRPOptions.TileRows value that keeps a
-// mode-n MTTKRP's resident tensor working set within budgetBytes
-// (DefaultTileBytes when ≤ 0), or 0 — untiled — when the whole tensor
-// already fits. Pair it with OpenDenseFile to stream tensors larger
-// than RAM with bit-identical results.
-func AutoTileRows(dims []int, n int, budgetBytes int64) int {
-	return core.AutoTileRows(dims, n, budgetBytes)
-}
-
-// DefaultTileBytes is the tile byte budget AutoTileRows assumes when the
-// caller does not pick one.
-const DefaultTileBytes = core.DefaultTileBytes
 
 // StatDenseFile reads a mappable tensor file's shape and identity without
 // touching its data section — the cheap way to build a TensorRef.
