@@ -2,17 +2,24 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/transport"
 )
 
 // assertClose fails t unless got matches want in shape and, element by
@@ -31,25 +38,52 @@ func assertClose(t *testing.T, what string, got, want repro.Matrix) {
 	}
 }
 
-// TestE2EHTTPListenerDrain is the end-to-end exercise the CI listener job
-// runs: build the real binary, start it with -listen on a random port,
-// drive it with repro.Client — one dense and one sparse MTTKRP (each
-// checked against the local kernel), one CP, one quota-rejected request —
-// then SIGTERM it and assert a clean drain (exit status 0, drain summary
-// on stderr).
-func TestE2EHTTPListenerDrain(t *testing.T) {
+// The daemon binary is built once per test run, into a directory TestMain
+// removes afterwards.
+var (
+	buildOnce sync.Once
+	buildDir  string
+	binPath   string
+	buildErr  error
+)
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if buildDir != "" {
+		os.RemoveAll(buildDir)
+	}
+	os.Exit(code)
+}
+
+// newRNG is the tests' deterministic generator: one seed fully determines
+// a problem.
+func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// startDaemon runs the real binary on a random loopback port with args,
+// and env appended to the test's environment. It returns the daemon's base
+// URL and a stop that sends SIGTERM, requires a clean exit within 30 s and
+// returns everything the daemon wrote to stderr. A test that fails before
+// calling stop leaves the process to a cleanup that kills it.
+func startDaemon(t *testing.T, env []string, args ...string) (baseURL string, stop func() string) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds and runs the daemon binary")
 	}
-	bin := filepath.Join(t.TempDir(), "mttkrp-serve")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	buildOnce.Do(func() {
+		if buildDir, buildErr = os.MkdirTemp("", "mttkrp-serve-e2e"); buildErr != nil {
+			return
+		}
+		binPath = filepath.Join(buildDir, "mttkrp-serve")
+		if out, err := exec.Command("go", "build", "-o", binPath, ".").CombinedOutput(); err != nil {
+			buildErr = fmt.Errorf("go build: %v\n%s", err, out)
+		}
+	})
+	if buildErr != nil {
+		t.Fatal(buildErr)
 	}
 
-	// A 64 KiB in-flight byte cap: the small workload requests sail
-	// through; the deliberately large one is quota-rejected — no timing
-	// dependence, unlike a rate-bucket refill.
-	cmd := exec.Command(bin, "-listen", "127.0.0.1:0", "-workers", "2", "-maxinflight", "65536")
+	cmd := exec.Command(binPath, append([]string{"-listen", "127.0.0.1:0"}, args...)...)
+	cmd.Env = append(os.Environ(), env...)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -57,17 +91,20 @@ func TestE2EHTTPListenerDrain(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer cmd.Process.Kill() // no-op after a clean Wait
+	t.Cleanup(func() {
+		if cmd.ProcessState == nil { // stop never waited: the test failed first
+			cmd.Process.Kill()
+			cmd.Wait()
+		}
+	})
 
 	// The daemon prints the resolved address before serving.
-	sc := bufio.NewScanner(stderr)
-	var baseURL string
 	addrRE := regexp.MustCompile(`listening on (http://\S+)`)
-	deadline := time.After(30 * time.Second)
 	addrCh := make(chan string, 1)
 	tail := make(chan string, 1)
 	go func() {
 		var lines []string
+		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
 			lines = append(lines, line)
@@ -79,9 +116,44 @@ func TestE2EHTTPListenerDrain(t *testing.T) {
 	}()
 	select {
 	case baseURL = <-addrCh:
-	case <-deadline:
+	case text := <-tail:
+		t.Fatalf("daemon exited before listening:\n%s", text)
+	case <-time.After(30 * time.Second):
 		t.Fatal("daemon never reported its listen address")
 	}
+
+	stop = func() string {
+		t.Helper()
+		// Read stderr to EOF before Wait — Wait closes the pipe, which can
+		// race the scanner out of the daemon's final lines.
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		var text string
+		select {
+		case text = <-tail:
+		case <-time.After(30 * time.Second):
+			t.Fatal("daemon did not drain within 30s of SIGTERM")
+		}
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("daemon exited uncleanly after SIGTERM: %v", err)
+		}
+		return text
+	}
+	return baseURL, stop
+}
+
+// TestE2EHTTPListenerDrain is the end-to-end exercise the CI listener job
+// runs: build the real binary, start it with -listen on a random port,
+// drive it with repro.Client — one dense and one sparse MTTKRP (each
+// checked against the local kernel), one CP, one quota-rejected request,
+// one CP header above the sweep cap — then SIGTERM it and assert a clean
+// drain (exit status 0, drain summary on stderr).
+func TestE2EHTTPListenerDrain(t *testing.T) {
+	// A 64 KiB in-flight byte cap: the small workload requests sail
+	// through; the deliberately large one is quota-rejected — no timing
+	// dependence, unlike a rate-bucket refill.
+	baseURL, stop := startDaemon(t, nil, "-workers", "2", "-maxinflight", "65536")
 
 	c := repro.NewClient(baseURL)
 	c.APIKey = "e2e"
@@ -102,8 +174,9 @@ func TestE2EHTTPListenerDrain(t *testing.T) {
 		t.Fatalf("missing server timing: %+v", tm)
 	}
 
-	// One sparse MTTKRP over the v2 wire format (~5 KiB of coordinates,
-	// values and factors), checked against the local sparse kernel.
+	// One sparse MTTKRP, op 3 of the one wire format (~5 KiB of
+	// coordinates, values and factors), checked against the local sparse
+	// kernel.
 	sx := repro.RandomSparseTensor(newRNG(11), 0.1, 14, 12, 10)
 	sgot, _, err := c.SparseMTTKRP(repro.Matrix{}, sx, u, 2, repro.MethodAuto)
 	if err != nil {
@@ -134,26 +207,32 @@ func TestE2EHTTPListenerDrain(t *testing.T) {
 		t.Fatalf("oversized request: %v, want HTTP 429", err)
 	}
 
-	// Clean SIGTERM drain: exit 0 and a drain summary. Read stderr to EOF
-	// before Wait — Wait closes the pipe, which can race the scanner out
-	// of the daemon's final lines.
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	// One CP asking for more sweeps than the serving cap. Client.CP
+	// refuses to send such a header, so write it raw: WriteHeader does not
+	// validate. The daemon must refuse it from the header alone.
+	var body bytes.Buffer
+	h := &transport.Header{Op: transport.OpCP, Rank: 2, Iters: transport.MaxIters + 1, Dims: []int{4, 3, 2}}
+	if err := transport.WriteHeader(&body, h); err != nil {
 		t.Fatal(err)
 	}
-	var stderrText string
-	select {
-	case stderrText = <-tail:
-	case <-time.After(30 * time.Second):
-		t.Fatal("daemon did not drain within 30s of SIGTERM")
+	resp, err := http.Post(baseURL+"/v1/cp", "application/octet-stream", &body)
+	if err != nil {
+		t.Fatalf("raw CP post: %v", err)
 	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("daemon exited uncleanly after SIGTERM: %v", err)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("CP with %d sweeps: HTTP %d, want 400", h.Iters, resp.StatusCode)
 	}
+
+	stderrText := stop()
 	if !strings.Contains(stderrText, "drained —") {
 		t.Fatalf("missing drain summary on stderr:\n%s", stderrText)
 	}
 	if !strings.Contains(stderrText, "quota-rejected") {
 		t.Fatalf("drain summary lacks quota counters:\n%s", stderrText)
+	}
+	if !strings.Contains(stderrText, " 1 bad,") {
+		t.Fatalf("drain summary does not count the over-cap CP as the one bad request:\n%s", stderrText)
 	}
 	// A post-drain request must fail — the listener is gone.
 	if err := c.Healthy(); err == nil {
@@ -167,14 +246,6 @@ func TestE2EHTTPListenerDrain(t *testing.T) {
 // file) checked against the local kernel, one sandbox rejection, then a
 // clean SIGTERM drain.
 func TestE2EHTTPByRefDrain(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the daemon binary")
-	}
-	bin := filepath.Join(t.TempDir(), "mttkrp-serve")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-
 	root := t.TempDir()
 	x := repro.RandomTensor(newRNG(21), 24, 20, 16)
 	if err := repro.WriteDenseFile(filepath.Join(root, "x.dsnt"), x); err != nil {
@@ -185,38 +256,7 @@ func TestE2EHTTPByRefDrain(t *testing.T) {
 		t.Fatalf("StatDenseFile: %v", err)
 	}
 
-	cmd := exec.Command(bin, "-listen", "127.0.0.1:0", "-workers", "2", "-tensor-root", root)
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cmd.Process.Kill()
-
-	sc := bufio.NewScanner(stderr)
-	var baseURL string
-	addrRE := regexp.MustCompile(`listening on (http://\S+)`)
-	addrCh := make(chan string, 1)
-	tail := make(chan string, 1)
-	go func() {
-		var lines []string
-		for sc.Scan() {
-			line := sc.Text()
-			lines = append(lines, line)
-			if m := addrRE.FindStringSubmatch(line); m != nil {
-				addrCh <- m[1]
-			}
-		}
-		tail <- strings.Join(lines, "\n")
-	}()
-	select {
-	case baseURL = <-addrCh:
-	case <-time.After(30 * time.Second):
-		t.Fatal("daemon never reported its listen address")
-	}
-
+	baseURL, stop := startDaemon(t, nil, "-workers", "2", "-tensor-root", root)
 	c := repro.NewClient(baseURL)
 	c.APIKey = "e2e-byref"
 
@@ -244,21 +284,46 @@ func TestE2EHTTPByRefDrain(t *testing.T) {
 		t.Fatalf("escaping ref: %v, want HTTP 400", err)
 	}
 
-	// Read stderr to EOF before Wait — Wait closes the pipe, which can
-	// race the scanner out of the daemon's final lines.
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
+	if stderrText := stop(); !strings.Contains(stderrText, "drained —") {
+		t.Fatalf("missing drain summary on stderr:\n%s", stderrText)
 	}
-	var stderrText string
-	select {
-	case stderrText = <-tail:
-	case <-time.After(30 * time.Second):
-		t.Fatal("daemon did not drain within 30s of SIGTERM")
+}
+
+// TestE2EHTTPNoSIMD pins the daemon-level face of the simd bit-identity
+// contract: a daemon started with MTTKRP_NOSIMD=1 (the scalar dispatch,
+// selected at startup) serves an internal-mode MTTKRP whose every element
+// is bit-identical to the local computation under this process's default,
+// possibly vectorized, dispatch. An internal mode runs the 2-step kernel,
+// which gives the same bits at every width, so the daemon's lease width
+// does not enter the comparison.
+func TestE2EHTTPNoSIMD(t *testing.T) {
+	baseURL, stop := startDaemon(t, []string{"MTTKRP_NOSIMD=1"}, "-workers", "2")
+	c := repro.NewClient(baseURL)
+	c.APIKey = "e2e-nosimd"
+
+	rng := newRNG(3)
+	x := repro.RandomTensor(rng, 12, 10, 8)
+	u := make([]repro.Matrix, x.Order())
+	for k := range u {
+		u[k] = repro.RandomMatrix(x.Dim(k), 5, rng)
 	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("daemon exited uncleanly after SIGTERM: %v", err)
+	got, _, err := c.MTTKRP(repro.Matrix{}, x, u, 1, repro.MethodAuto)
+	if err != nil {
+		t.Fatalf("served MTTKRP: %v", err)
 	}
-	if !strings.Contains(stderrText, "drained —") {
+	want := repro.MTTKRP(x, u, 1, repro.MTTKRPOptions{})
+	if got.R != want.R || got.C != want.C {
+		t.Fatalf("served %dx%d, want %dx%d", got.R, got.C, want.R, want.C)
+	}
+	for i := 0; i < want.R; i++ {
+		for j := 0; j < want.C; j++ {
+			if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
+				t.Fatalf("scalar-dispatch element (%d,%d) = %v, default-dispatch %v", i, j, got.At(i, j), want.At(i, j))
+			}
+		}
+	}
+
+	if stderrText := stop(); !strings.Contains(stderrText, "drained —") {
 		t.Fatalf("missing drain summary on stderr:\n%s", stderrText)
 	}
 }

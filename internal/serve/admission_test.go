@@ -104,20 +104,12 @@ func TestAdmissionMaxShareAndFloor(t *testing.T) {
 // the next admission slot, and the reorder is counted.
 func TestAdmissionAgingPreventsConvoy(t *testing.T) {
 	s := New(Config{Workers: 2, MaxActive: 1})
-	defer s.Close()
-
-	release := make(chan struct{})
-	started := make(chan struct{})
-	blocker := s.submitFunc("", 0, 0, func(parallel.Executor) {
-		close(started)
-		<-release
-	})
-	<-started
+	blocker, release := park(t, s, 0)
 
 	order := make(chan string, 2)
 	s.submitFunc("", 1e9, 0, func(parallel.Executor) { order <- "large" })
 	small := s.submitFunc("", 1, 0, func(parallel.Executor) { order <- "small" })
-	close(release)
+	release()
 	if err := blocker.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -142,22 +134,14 @@ func TestAdmissionAgingPreventsConvoy(t *testing.T) {
 // exceeds ~k·b.
 func TestAdmissionAgingBoundsStarvation(t *testing.T) {
 	s := New(Config{Workers: 2, MaxActive: 1, AgeBias: time.Millisecond})
-	defer s.Close()
-
-	release := make(chan struct{})
-	started := make(chan struct{})
-	blocker := s.submitFunc("", 0, 0, func(parallel.Executor) {
-		close(started)
-		<-release
-	})
-	<-started
+	blocker, release := park(t, s, 0)
 
 	order := make(chan string, 2)
 	large := s.submitFunc("", 4, 0, func(parallel.Executor) { order <- "large" })
 	// Let the large request age well past costRatio·AgeBias = 4 ms.
 	time.Sleep(40 * time.Millisecond)
 	s.submitFunc("", 1, 0, func(parallel.Executor) { order <- "small" })
-	close(release)
+	release()
 	if err := blocker.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -175,15 +159,7 @@ func TestAdmissionAgingBoundsStarvation(t *testing.T) {
 // budgets, queue ages and the max-wait high-water mark.
 func TestAdmissionStatsQueueVisibility(t *testing.T) {
 	s := New(Config{Workers: 2, MaxActive: 1})
-	defer s.Close()
-
-	release := make(chan struct{})
-	started := make(chan struct{})
-	blocker := s.submitFunc("", 5, 0, func(parallel.Executor) {
-		close(started)
-		<-release
-	})
-	<-started
+	blocker, release := park(t, s, 5)
 	q1 := s.submitFunc("", 1, 0, func(parallel.Executor) {})
 	q2 := s.submitFunc("", 2, 0, func(parallel.Executor) {})
 	time.Sleep(5 * time.Millisecond) // let the queued requests age measurably
@@ -219,7 +195,7 @@ func TestAdmissionStatsQueueVisibility(t *testing.T) {
 		t.Fatalf("requests: %d active, %d queued, want 1 and 2 (%+v)", activeSeen, queuedSeen, st.Requests)
 	}
 
-	close(release)
+	release()
 	blocker.Err()
 	q1.Err()
 	q2.Err()
@@ -234,7 +210,7 @@ func TestAdmissionStatsQueueVisibility(t *testing.T) {
 // overtake more of the queue).
 func TestAdmissionProjectedWait(t *testing.T) {
 	s := New(Config{Workers: 2, MaxActive: 1})
-	defer s.Close()
+	t.Cleanup(s.Close)
 
 	if d := s.ProjectedWait(100); d != 0 {
 		t.Fatalf("ProjectedWait with no history = %v, want 0", d)
@@ -247,13 +223,7 @@ func TestAdmissionProjectedWait(t *testing.T) {
 		t.Fatalf("ProjectedWait on an idle server = %v, want 0", d)
 	}
 
-	release := make(chan struct{})
-	started := make(chan struct{})
-	blocker := s.submitFunc("", 100, 0, func(parallel.Executor) {
-		close(started)
-		<-release
-	})
-	<-started
+	blocker, release := park(t, s, 100)
 	queued := s.submitFunc("", 100, 0, func(parallel.Executor) {})
 
 	small := s.ProjectedWait(1)
@@ -264,9 +234,51 @@ func TestAdmissionProjectedWait(t *testing.T) {
 	if big < small {
 		t.Fatalf("ProjectedWait(200) = %v < ProjectedWait(1) = %v; costlier requests cannot wait less", big, small)
 	}
-	close(release)
+	release()
 	blocker.Err()
 	queued.Err()
+}
+
+// TestAdmissionProjectedWaitAfterResolve pins that a batch stops counting
+// toward ProjectedWait the moment its last ticket resolves, before run
+// retires it, and that its service rate is recorded by then: a client that
+// holds its answer and submits again at once is priced against an idle
+// scheduler, never behind its own finished request. That window is too
+// short to hit from outside, so the test holds a batch in it: it admits
+// the batch by hand and executes its only member as run does, with no run
+// goroutine to retire it.
+func TestAdmissionProjectedWaitAfterResolve(t *testing.T) {
+	s := New(Config{Workers: 1, MaxActive: 1})
+	t.Cleanup(s.Close)
+	admit := func() *batch {
+		b := &batch{kind: "func", items: []*item{{fn: func(parallel.Executor) {}, tk: newTicket()}}, cost: 1e12}
+		s.mu.Lock()
+		s.active[b] = &grant{started: time.Now()}
+		s.mu.Unlock()
+		return b
+	}
+	done := admit()
+	s.execute(done, done.items[0], nil, nil)
+	if err := done.items[0].tk.Err(); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	rate := s.rate
+	s.mu.Unlock()
+	if rate <= 0 {
+		t.Fatal("no service rate recorded when the batch's last ticket resolved")
+	}
+	if d := s.ProjectedWait(1); d != 0 {
+		t.Fatalf("ProjectedWait = %v behind a batch whose last ticket resolved, want 0", d)
+	}
+	live := admit()
+	if d := s.ProjectedWait(1); d <= 0 {
+		t.Fatalf("ProjectedWait = %v behind a running 1e12-cost batch, want > 0", d)
+	}
+	s.mu.Lock()
+	delete(s.active, done)
+	delete(s.active, live)
+	s.mu.Unlock()
 }
 
 // TestCostModel pins the model's ordering properties (the policy only

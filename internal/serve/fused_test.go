@@ -31,18 +31,12 @@ func bitsEqual(t *testing.T, got, want mat.View, label string) {
 // for every ticket. It returns the per-request result matrices.
 func fusedBatchRound(t *testing.T, s *Server, reqs []MTTKRPRequest) []mat.View {
 	t.Helper()
-	release := make(chan struct{})
-	started := make(chan struct{})
-	blocker := s.submitFunc("", 0, 0, func(parallel.Executor) {
-		close(started)
-		<-release
-	})
-	<-started
+	blocker, release := park(t, s, 0)
 	tickets := make([]*Ticket, len(reqs))
 	for i, r := range reqs {
 		tickets[i] = s.SubmitMTTKRP(r)
 	}
-	close(release)
+	release()
 	if err := blocker.Err(); err != nil {
 		t.Fatalf("blocker: %v", err)
 	}
@@ -196,7 +190,6 @@ func TestFusedAcrossBatches(t *testing.T) {
 
 	s := New(Config{Workers: width, MaxActive: 1})
 	defer s.Close()
-	completed := 0
 	round := func(i int) mat.View {
 		t.Helper()
 		// Fresh factor buffers each round: the network path decodes each
@@ -211,10 +204,10 @@ func TestFusedAcrossBatches(t *testing.T) {
 			t.Fatalf("round %d: %v", i, err)
 		}
 		// The ticket resolves inside batch execution, before the executor
-		// folds counters into stats; wait for the fold so the next round's
+		// folds its fusion counters into stats and leaves the active set
+		// (Completed already counts it); wait for that, so the next round's
 		// assertions (and its plan-LRU lookup) see this batch recorded.
-		completed++
-		for deadline := time.Now().Add(5 * time.Second); s.Stats().Completed < completed; {
+		for deadline := time.Now().Add(5 * time.Second); s.Stats().Active != 0; {
 			if time.Now().After(deadline) {
 				t.Fatalf("round %d: batch never completed", i)
 			}
@@ -260,8 +253,7 @@ func TestFusedAcrossBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	completed++
-	for deadline := time.Now().Add(5 * time.Second); s.Stats().Completed < completed; {
+	for deadline := time.Now().Add(5 * time.Second); s.Stats().Active != 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("changed-factor batch never completed")
 		}
@@ -283,18 +275,10 @@ func TestFusedFallbackCounted(t *testing.T) {
 	x, _ := problem(26, 4, 9, 8, 7)
 	bad := []mat.View{mat.NewDense(3, 4), mat.NewDense(3, 4), mat.NewDense(3, 4)} // rows mismatch x dims
 	s := New(Config{Workers: 2, MaxActive: 1})
-	defer s.Close()
-
-	release := make(chan struct{})
-	started := make(chan struct{})
-	blocker := s.submitFunc("", 0, 0, func(parallel.Executor) {
-		close(started)
-		<-release
-	})
-	<-started
+	blocker, release := park(t, s, 0)
 	t1 := s.SubmitMTTKRP(MTTKRPRequest{X: x, Factors: bad, Mode: 1})
 	t2 := s.SubmitMTTKRP(MTTKRPRequest{X: x, Factors: bad, Mode: 1})
-	close(release)
+	release()
 	if err := blocker.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -317,17 +301,9 @@ func TestFusedFallbackCounted(t *testing.T) {
 // append to the executing one.
 func TestJoinWindowClosesAtAdmission(t *testing.T) {
 	s := New(Config{Workers: 2, MaxActive: 1})
-	defer s.Close()
+	blocker, release := park(t, s, 0)
 
-	release := make(chan struct{})
-	started := make(chan struct{})
-	blocker := s.submitFunc("", 0, 0, func(parallel.Executor) {
-		close(started)
-		<-release
-	})
-	<-started
-
-	gate := make(chan struct{})
+	gate, openGate := newGate(t)
 	entered := make(chan struct{})
 	a1 := s.submitFunc("k", 1, 0, func(parallel.Executor) {
 		close(entered)
@@ -338,13 +314,13 @@ func TestJoinWindowClosesAtAdmission(t *testing.T) {
 		t.Fatalf("coalesced = %d, want 1 (join while queued)", st.Coalesced)
 	}
 
-	close(release)
+	release()
 	if err := blocker.Err(); err != nil {
 		t.Fatal(err)
 	}
 	<-entered // batch "k" has been popped and is executing
 	a3 := s.submitFunc("k", 1, 0, func(parallel.Executor) {})
-	close(gate)
+	openGate()
 	for i, tk := range []*Ticket{a1, a2, a3} {
 		if err := tk.Err(); err != nil {
 			t.Fatalf("ticket %d: %v", i, err)
@@ -367,15 +343,7 @@ func TestJoinWindowClosesAtAdmission(t *testing.T) {
 // batch keep jumping the queue.
 func TestJoinWindowRaisesBatchCost(t *testing.T) {
 	s := New(Config{Workers: 2, MaxActive: 1, AgeBias: 10 * time.Millisecond})
-	defer s.Close()
-
-	release := make(chan struct{})
-	started := make(chan struct{})
-	blocker := s.submitFunc("", 0, 0, func(parallel.Executor) {
-		close(started)
-		<-release
-	})
-	<-started
+	blocker, release := park(t, s, 0)
 
 	order := make(chan string, 4)
 	var tickets []*Ticket
@@ -384,7 +352,7 @@ func TestJoinWindowRaisesBatchCost(t *testing.T) {
 	}
 	tickets = append(tickets, s.submitFunc("b", 1.5, 0, func(parallel.Executor) { order <- "b" }))
 
-	close(release)
+	release()
 	if err := blocker.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -404,20 +372,12 @@ func TestJoinWindowRaisesBatchCost(t *testing.T) {
 // forever), and the next same-key arrival opens a fresh batch.
 func TestJoinWindowCapClosesBatch(t *testing.T) {
 	s := New(Config{Workers: 2, MaxActive: 1, MaxBatch: 2})
-	defer s.Close()
-
-	release := make(chan struct{})
-	started := make(chan struct{})
-	blocker := s.submitFunc("", 0, 0, func(parallel.Executor) {
-		close(started)
-		<-release
-	})
-	<-started
+	blocker, release := park(t, s, 0)
 	var tickets []*Ticket
 	for i := 0; i < 5; i++ {
 		tickets = append(tickets, s.submitFunc("k", 1, 0, func(parallel.Executor) {}))
 	}
-	close(release)
+	release()
 	if err := blocker.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -437,17 +397,10 @@ func TestJoinWindowCapClosesBatch(t *testing.T) {
 	// The boundary configuration: MaxBatch=1 must never coalesce — a
 	// fresh batch already holds one item, so no join window opens.
 	s1 := New(Config{Workers: 2, MaxActive: 1, MaxBatch: 1})
-	defer s1.Close()
-	release1 := make(chan struct{})
-	started1 := make(chan struct{})
-	blocker1 := s1.submitFunc("", 0, 0, func(parallel.Executor) {
-		close(started1)
-		<-release1
-	})
-	<-started1
+	blocker1, release1 := park(t, s1, 0)
 	t1 := s1.submitFunc("k", 1, 0, func(parallel.Executor) {})
 	t2 := s1.submitFunc("k", 1, 0, func(parallel.Executor) {})
-	close(release1)
+	release1()
 	for i, tk := range []*Ticket{blocker1, t1, t2} {
 		if err := tk.Err(); err != nil {
 			t.Fatalf("MaxBatch=1 ticket %d: %v", i, err)
@@ -465,17 +418,9 @@ func TestJoinWindowCapClosesBatch(t *testing.T) {
 // same-key arrival while A executes still joins B.
 func TestJoinWindowSurvivesCapCloseAdmission(t *testing.T) {
 	s := New(Config{Workers: 2, MaxActive: 1, MaxBatch: 2})
-	defer s.Close()
+	blocker, release := park(t, s, 0)
 
-	release := make(chan struct{})
-	started := make(chan struct{})
-	blocker := s.submitFunc("", 0, 0, func(parallel.Executor) {
-		close(started)
-		<-release
-	})
-	<-started
-
-	gate := make(chan struct{})
+	gate, openGate := newGate(t)
 	entered := make(chan struct{})
 	// Aging weight 8 on A's first member: A (older, two members) outscores
 	// B under any wait, so A pops first.
@@ -489,13 +434,13 @@ func TestJoinWindowSurvivesCapCloseAdmission(t *testing.T) {
 		t.Fatalf("coalesced = %d, want 1 (A filled to its cap)", st.Coalesced)
 	}
 
-	close(release)
+	release()
 	if err := blocker.Err(); err != nil {
 		t.Fatal(err)
 	}
 	<-entered // A popped and executing; B still queued and must stay joinable
 	b2 := s.submitFunc("k", 1, 0, func(parallel.Executor) {})
-	close(gate)
+	openGate()
 	for i, tk := range []*Ticket{a1, a2, b1, b2} {
 		if err := tk.Err(); err != nil {
 			t.Fatalf("ticket %d: %v", i, err)

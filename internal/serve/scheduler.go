@@ -178,11 +178,17 @@ type batch struct {
 	cost     float64   // per-item admission cost (max over joined items)
 	weight   float64   // aging priority weight (max over joined items)
 	enqueued time.Time // when the batch entered the admission queue
+	resolved int       // members whose tickets have resolved (under s.mu)
 }
 
 // totalCost is the batch's full service estimate: every coalesced item
 // runs back-to-back on the lease.
 func (b *batch) totalCost() float64 { return b.cost * float64(len(b.items)) }
+
+// served reports whether every member's ticket has resolved. A served
+// batch stays in s.active until run retires it, but it is finished work:
+// ProjectedWait no longer counts it. Callers hold s.mu.
+func (b *batch) served() bool { return b.resolved == len(b.items) }
 
 // grant is one active batch's execution state: its lease and the budget
 // the policy most recently assigned it.
@@ -509,6 +515,9 @@ func (s *Server) rebalanceLocked() {
 // deliberately coarse — its consumer is the transport's 429-versus-queue
 // decision, which only needs the right order of magnitude. With no
 // completed work yet (rate unknown) it reports 0: admit optimistically.
+// A batch counts until its last ticket resolves, not until run retires
+// it, so a caller holding its answer is never priced behind its own
+// finished request.
 func (s *Server) ProjectedWait(cost float64) time.Duration {
 	if cost <= 0 {
 		cost = 1
@@ -527,15 +536,20 @@ func (s *Server) ProjectedWait(cost float64) time.Duration {
 			ahead += b.totalCost()
 		}
 	}
-	if len(s.active) >= s.maxActive {
-		for b := range s.active {
-			ahead += 0.5 * b.totalCost()
+	live, running := 0, 0.0
+	for b := range s.active {
+		if !b.served() {
+			live++
+			running += 0.5 * b.totalCost()
 		}
+	}
+	if live >= s.maxActive {
+		ahead += running
 	}
 	if ahead == 0 {
 		return 0
 	}
-	slots := len(s.active)
+	slots := live
 	if slots < 1 {
 		slots = 1
 	}
@@ -576,14 +590,12 @@ func (s *Server) run(b *batch, g *grant) {
 	}
 	if !fused {
 		for _, it := range b.items {
-			s.execute(it, lease, nil)
+			s.execute(b, it, lease, nil)
 		}
 	}
-	dur := time.Since(g.started)
 	lease.Close()
 	s.mu.Lock()
 	delete(s.active, b)
-	s.observeRateLocked(b.totalCost(), dur)
 	if fused {
 		s.stats.Fused++
 		s.stats.FusedSavedFlops += fusedSaved
@@ -738,7 +750,7 @@ func (s *Server) runFused(b *batch, lease *parallel.Lease, seed *item) (saved fl
 		fillPaid = int64(plan.FilledRows())
 	}
 	for _, it := range b.items {
-		s.execute(it, lease, plan)
+		s.execute(b, it, lease, plan)
 	}
 	savedRows := plan.ServedRows() - served0 - fillPaid
 	if savedRows > 0 {
@@ -796,8 +808,10 @@ func (s *Server) Drain() {
 // the batch's shared KRP intermediate: MTTKRP members consume it
 // read-only (falling back per-side on a mismatch), other kinds ignore it.
 // The request counts as Completed (and Failed, on error) before its
-// ticket resolves, so a caller holding a result never reads it uncounted.
-func (s *Server) execute(it *item, ex parallel.Executor, plan *krp.Plan) {
+// ticket resolves, so a caller holding a result never reads it uncounted;
+// the batch's last member also records the batch's service time then, so
+// that caller's next ProjectedWait reads the rate the batch contributed.
+func (s *Server) execute(b *batch, it *item, ex parallel.Executor, plan *krp.Plan) {
 	tk := it.tk
 	defer func() {
 		if r := recover(); r != nil {
@@ -807,6 +821,9 @@ func (s *Server) execute(it *item, ex parallel.Executor, plan *krp.Plan) {
 		s.stats.Completed++
 		if tk.err != nil {
 			s.stats.Failed++
+		}
+		if b.resolved++; b.served() {
+			s.observeRateLocked(b.totalCost(), time.Since(s.active[b].started))
 		}
 		s.mu.Unlock()
 		close(tk.done)

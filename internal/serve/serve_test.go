@@ -41,6 +41,36 @@ func matsEqual(t *testing.T, got, want mat.View, label string) {
 	}
 }
 
+// newGate returns a channel for func requests to wait on and an idempotent
+// open for it, which t.Cleanup also runs. Cleanups run last in, first out:
+// a test registers its server's Close before any gate (park does both), so
+// a test that fails while a request still waits opens the gate before
+// Close waits for that request's batch, and fails instead of hanging.
+func newGate(t *testing.T) (<-chan struct{}, func()) {
+	ch := make(chan struct{})
+	var once sync.Once
+	open := func() { once.Do(func() { close(ch) }) }
+	t.Cleanup(open)
+	return ch, open
+}
+
+// park occupies s's only admission slot with a blocker of the given cost
+// and returns once the blocker runs, with its ticket and an idempotent
+// release. It registers s.Close with t.Cleanup and then the release, so
+// the release runs first; gates a test makes after park open before both.
+func park(t *testing.T, s *Server, cost float64) (*Ticket, func()) {
+	t.Helper()
+	t.Cleanup(s.Close)
+	wait, release := newGate(t)
+	started := make(chan struct{})
+	blocker := s.submitFunc("", cost, 0, func(parallel.Executor) {
+		close(started)
+		<-wait
+	})
+	<-started
+	return blocker, release
+}
+
 // TestServeMTTKRPMatchesDirect floods the scheduler with concurrent
 // requests over mixed shapes, modes and methods and checks every result
 // against the direct single-caller API.
@@ -93,23 +123,15 @@ func TestServeMTTKRPMatchesDirect(t *testing.T) {
 // first has resolved Completed already includes it.
 func TestServeCompletedCountedBeforeTicketResolves(t *testing.T) {
 	s := New(Config{Workers: 2, MaxActive: 1})
-	defer s.Close()
+	blocker, release := park(t, s, 0) // the only slot is occupied, so "k" members coalesce
 
-	release := make(chan struct{})
-	started := make(chan struct{})
-	blocker := s.submitFunc("", 0, 0, func(parallel.Executor) {
-		close(started)
-		<-release
-	})
-	<-started // the scheduler's only slot is occupied, so "k" members coalesce
-
-	gate := make(chan struct{})
+	gate, openGate := newGate(t)
 	first := s.submitFunc("k", 1, 0, func(parallel.Executor) {})
 	second := s.submitFunc("k", 1, 0, func(parallel.Executor) { <-gate })
 	if st := s.Stats(); st.Coalesced != 1 {
 		t.Fatalf("coalesced = %d, want 1: both members must share one batch", st.Coalesced)
 	}
-	close(release)
+	release()
 	if err := blocker.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +139,11 @@ func TestServeCompletedCountedBeforeTicketResolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The blocker and the first member have resolved; the second is still
-	// running in the same batch. Errorf, not Fatalf: the gate below must
-	// open, or Close would wait on the blocked member forever.
+	// running in the same batch.
 	if st := s.Stats(); st.Completed < 2 {
 		t.Errorf("after the first member resolved: completed = %d, want >= 2 (blocker and first member)", st.Completed)
 	}
-	close(gate)
+	openGate()
 	if err := second.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -137,15 +158,7 @@ func TestServeCompletedCountedBeforeTicketResolves(t *testing.T) {
 // batch executed them all correctly on a shared lease.
 func TestServeBatchingCoalesces(t *testing.T) {
 	s := New(Config{Workers: 4, MaxActive: 1})
-	defer s.Close()
-
-	release := make(chan struct{})
-	started := make(chan struct{})
-	blocker := s.submitFunc("", 0, 0, func(parallel.Executor) {
-		close(started)
-		<-release
-	})
-	<-started // the scheduler's only slot is now occupied
+	blocker, release := park(t, s, 0) // the scheduler's only slot is now occupied
 
 	x, u := problem(3, 6, 14, 11, 9)
 	want := core.Compute(core.MethodAuto, x, u, 1, core.Options{Threads: 2})
@@ -157,7 +170,7 @@ func TestServeBatchingCoalesces(t *testing.T) {
 	if st := s.Stats(); st.Coalesced != k-1 {
 		t.Fatalf("coalesced %d, want %d", st.Coalesced, k-1)
 	}
-	close(release)
+	release()
 	if err := blocker.Err(); err != nil {
 		t.Fatalf("blocker: %v", err)
 	}
@@ -183,19 +196,11 @@ func TestServeBatchingCoalesces(t *testing.T) {
 // its own batch even under an occupied scheduler.
 func TestServeDisableBatching(t *testing.T) {
 	s := New(Config{Workers: 2, MaxActive: 1, DisableBatching: true})
-	defer s.Close()
-
-	release := make(chan struct{})
-	started := make(chan struct{})
-	blocker := s.submitFunc("", 0, 0, func(parallel.Executor) {
-		close(started)
-		<-release
-	})
-	<-started
+	blocker, release := park(t, s, 0)
 	x, u := problem(4, 4, 10, 8, 6)
 	t1 := s.SubmitMTTKRP(MTTKRPRequest{X: x, Factors: u, Mode: 0})
 	t2 := s.SubmitMTTKRP(MTTKRPRequest{X: x, Factors: u, Mode: 0})
-	close(release)
+	release()
 	if err := blocker.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +297,7 @@ func TestServeAdmissionControl(t *testing.T) {
 // active each holds width/4.
 func TestServeLeaseBudgets(t *testing.T) {
 	s := New(Config{Workers: 8})
-	defer s.Close()
+	t.Cleanup(s.Close)
 
 	solo := make(chan int, 1)
 	s.submitFunc("", 0, 0, func(ex parallel.Executor) { solo <- ex.Workers() }).Err()
@@ -307,7 +312,7 @@ func TestServeLeaseBudgets(t *testing.T) {
 	var entered sync.WaitGroup
 	entered.Add(4)
 	measure := make(chan struct{})
-	release := make(chan struct{})
+	release, openRelease := newGate(t)
 	widths := make(chan int, 4)
 	for i := 0; i < 4; i++ {
 		s.submitFunc("", 0, 0, func(ex parallel.Executor) {
@@ -324,7 +329,7 @@ func TestServeLeaseBudgets(t *testing.T) {
 			t.Fatalf("granted width %d with 4 active on 8 workers, want 2", w)
 		}
 	}
-	close(release)
+	openRelease()
 }
 
 // TestServeErrors covers synchronous validation, panic recovery, and
@@ -362,13 +367,7 @@ func TestServeErrors(t *testing.T) {
 // and a Close afterwards fails nothing.
 func TestServeDrain(t *testing.T) {
 	s := New(Config{Workers: 2, MaxActive: 1})
-	release := make(chan struct{})
-	started := make(chan struct{})
-	blocker := s.submitFunc("", 0, 0, func(parallel.Executor) {
-		close(started)
-		<-release
-	})
-	<-started
+	blocker, release := park(t, s, 0)
 	x, u := problem(7, 3, 6, 5, 4)
 	queued := s.SubmitMTTKRP(MTTKRPRequest{X: x, Factors: u, Mode: 0})
 	drained := make(chan struct{})
@@ -397,7 +396,7 @@ func TestServeDrain(t *testing.T) {
 		t.Fatal("Drain returned while admitted work still running")
 	default:
 	}
-	close(release)
+	release()
 	<-drained
 	if err := blocker.Err(); err != nil {
 		t.Fatalf("running request after drain: %v", err)
@@ -418,13 +417,7 @@ func TestServeDrain(t *testing.T) {
 // for admission rather than abandoning them.
 func TestServeCloseFailsQueued(t *testing.T) {
 	s := New(Config{Workers: 2, MaxActive: 1})
-	release := make(chan struct{})
-	started := make(chan struct{})
-	blocker := s.submitFunc("", 0, 0, func(parallel.Executor) {
-		close(started)
-		<-release
-	})
-	<-started
+	blocker, release := park(t, s, 0)
 	x, u := problem(7, 3, 6, 5, 4)
 	queued := s.SubmitMTTKRP(MTTKRPRequest{X: x, Factors: u, Mode: 0})
 	done := make(chan struct{})
@@ -435,7 +428,7 @@ func TestServeCloseFailsQueued(t *testing.T) {
 	if err := queued.Err(); err != ErrClosed {
 		t.Fatalf("queued request: %v, want ErrClosed", err)
 	}
-	close(release)
+	release()
 	if err := blocker.Err(); err != nil {
 		t.Fatalf("running request: %v", err)
 	}

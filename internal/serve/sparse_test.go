@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpd"
 	"repro/internal/mat"
-	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -69,17 +68,9 @@ func TestServeSparseCostByNNZ(t *testing.T) {
 	}
 
 	s := New(Config{Workers: 2, MaxActive: 1})
-	defer s.Close()
-
 	// Occupy the only slot so the sparse submission stays observable in
 	// the queue with its model cost.
-	release := make(chan struct{})
-	started := make(chan struct{})
-	s.submitFunc("hold", 1, 1, func(parallel.Executor) {
-		close(started)
-		<-release
-	})
-	<-started
+	_, release := park(t, s, 1)
 
 	_, us := sparseProblem(3, 0.01, 8, 40, 30, 20)
 	tk := s.SubmitMTTKRP(MTTKRPRequest{X: xs, Factors: us, Mode: 0})
@@ -97,7 +88,7 @@ func TestServeSparseCostByNNZ(t *testing.T) {
 	if !found {
 		t.Fatalf("no coo-keyed mttkrp request in grant table: %+v", st.Requests)
 	}
-	close(release)
+	release()
 	if _, err := tk.MTTKRP(); err != nil {
 		t.Fatal(err)
 	}
@@ -142,22 +133,14 @@ func TestServeSparseCP(t *testing.T) {
 // a dense-only optimization.
 func TestServeSparseDoesNotFuse(t *testing.T) {
 	s := New(Config{Workers: 2, MaxActive: 1})
-	defer s.Close()
 	xs, us := sparseProblem(5, 0.05, 4, 10, 9, 8)
-
-	release := make(chan struct{})
-	started := make(chan struct{})
-	s.submitFunc("hold", 1, 1, func(parallel.Executor) {
-		close(started)
-		<-release
-	})
-	<-started
+	_, release := park(t, s, 1)
 
 	var tickets []*Ticket
 	for i := 0; i < 4; i++ {
 		tickets = append(tickets, s.SubmitMTTKRP(MTTKRPRequest{X: xs, Factors: us, Mode: 1}))
 	}
-	close(release)
+	release()
 	want := core.SparseCompute(xs, us, 1, core.Options{})
 	for _, tk := range tickets {
 		m, err := tk.MTTKRP()

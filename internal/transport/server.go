@@ -83,8 +83,8 @@ type Stats struct {
 
 // Server is the HTTP front end: quota checks, streaming wire decode into
 // pooled buffers, submission to the scheduler, and graceful drain. Create
-// with NewServer, attach with Serve/ListenAndServe, stop with Shutdown
-// (graceful) or Close (hard).
+// with NewServer, attach a listener with Serve (or ServeUntilSignal), stop
+// with Shutdown (graceful) or Close (hard).
 type Server struct {
 	cfg    Config
 	sched  *serve.Server
@@ -107,7 +107,7 @@ type Server struct {
 }
 
 // NewServer builds the transport server and its scheduler. The caller owns
-// the listener lifecycle (Serve / ListenAndServe / Shutdown).
+// the listener lifecycle (Serve / Shutdown, or ServeUntilSignal).
 func NewServer(cfg Config) *Server {
 	if cfg.MaxPayloadBytes <= 0 {
 		cfg.MaxPayloadBytes = 1 << 30
@@ -179,16 +179,6 @@ func (s *Server) Serve(l net.Listener) error {
 	return err
 }
 
-// ListenAndServe listens on addr (":8080", "127.0.0.1:0", …) and serves
-// until Shutdown or Close.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
 // Shutdown drains gracefully: new submissions are refused with 503,
 // in-flight requests (and their admitted tickets) run to completion, then
 // the scheduler and worker pool are released. Safe to call while Serve is
@@ -230,19 +220,6 @@ func (s *Server) Close() error {
 		s.refs.drain()
 	}
 	return err
-}
-
-// ListenAndServe runs a transport server on addr until the process
-// receives SIGINT or SIGTERM, then drains gracefully (admitted tickets
-// finish; new submissions see 503) and returns. It is the
-// repro.ListenAndServe entry point.
-func ListenAndServe(addr string, cfg Config) error {
-	s := NewServer(cfg)
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return ServeUntilSignal(s, l, nil)
 }
 
 // drainTimeout bounds the graceful drain ServeUntilSignal runs on a signal.

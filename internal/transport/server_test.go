@@ -315,6 +315,15 @@ func TestHTTPShedMaxQueueDelay(t *testing.T) {
 	if _, _, err := c.MTTKRP(mat.View{}, x, u, 1, core.MethodAuto); err != nil {
 		t.Fatalf("warmup: %v", err)
 	}
+	// A ticket resolves before its batch leaves the active set: wait for
+	// the warmup batch to retire, so the saturation loop below sees the
+	// blocker and not the warmup.
+	for deadline := time.Now().Add(5 * time.Second); s.sched.Stats().Active != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("warmup batch never left the active set")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 
 	// Saturate the only admission slot with a long CP run whose declared
 	// cost dwarfs the service rate, so any request's projected delay is

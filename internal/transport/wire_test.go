@@ -165,11 +165,16 @@ func TestWireHeaderRejection(t *testing.T) {
 	if _, err := ReadHeader(bytes.NewReader(wire)); err == nil {
 		t.Fatal("oversized ndims accepted")
 	}
+	wire[7] = 1 // an order-1 tensor has no MTTKRP
+	if _, err := ReadHeader(bytes.NewReader(wire)); err == nil {
+		t.Fatal("ndims 1 accepted")
+	}
 
 	cases := []struct {
 		name string
 		h    *Header
 	}{
+		{"order 1", &Header{Op: OpMTTKRP, Rank: 2, Dims: []int{3}}},
 		{"zero dim", &Header{Op: OpMTTKRP, Rank: 2, Dims: []int{0, 3}}},
 		{"huge dim", &Header{Op: OpMTTKRP, Rank: 2, Dims: []int{MaxDim + 1, 3}}},
 		{"zero rank", &Header{Op: OpMTTKRP, Dims: []int{3, 3}}},

@@ -214,9 +214,8 @@ var ErrDraining = serve.ErrDraining
 // speaking a compact binary wire format, one request header for every op
 // (dense and sparse tensors, CP, and by-reference requests that name a
 // server-resident DSNT file), with per-client token-bucket quotas and
-// graceful drain. Create with
-// NewTransport; attach a listener with its Serve/ListenAndServe methods
-// or ServeTransport.
+// graceful drain. Create with NewTransport; serve a listener with
+// ServeTransport, or with its Serve method and a Shutdown of your own.
 type Transport = transport.Server
 
 // TransportConfig sizes a Transport: the scheduler underneath, quotas,
@@ -244,13 +243,6 @@ type TransportTiming = transport.Timing
 
 // NewTransport builds a network serving front end and its scheduler.
 func NewTransport(cfg TransportConfig) *Transport { return transport.NewServer(cfg) }
-
-// ListenAndServe runs a Transport on addr until SIGINT/SIGTERM, then
-// drains gracefully (admitted tickets finish, new submissions see 503)
-// and returns.
-func ListenAndServe(addr string, cfg TransportConfig) error {
-	return transport.ListenAndServe(addr, cfg)
-}
 
 // ServeTransport serves t on l until SIGINT/SIGTERM, then drains. notify,
 // when non-nil, receives the resolved listen address before serving
