@@ -1,9 +1,9 @@
 // Package blas implements the dense linear-algebra kernels that the paper
-// obtains from Intel MKL: a cache-blocked, packed, goroutine-parallel GEMM,
-// a strided GEMV, and the level-1 routines the higher layers need. All
-// routines operate on mat.View strided windows, so the tensor
-// matricizations of the paper (column-major X_(0:n), row-major X_(n)
-// blocks) are multiplied in place without reordering tensor entries.
+// obtains from Intel MKL: a cache-blocked, packed, goroutine-parallel GEMM
+// and the level-1 routines the higher layers need. All routines operate on
+// mat.View strided windows, so the tensor matricizations of the paper
+// (column-major X_(0:n), row-major X_(n) blocks) are multiplied in place
+// without reordering tensor entries.
 //
 // Parallel GEMM splits only the M dimension across workers, one
 // contiguous stripe of rows each, and never splits N or K. Not splitting

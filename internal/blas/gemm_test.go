@@ -213,79 +213,6 @@ func abs(x float64) float64 {
 	return x
 }
 
-func TestGemvAgainstReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, sh := range [][2]int{{1, 1}, {5, 3}, {3, 5}, {64, 100}, {101, 7}} {
-		m, n := sh[0], sh[1]
-		for layout := 0; layout < 3; layout++ {
-			a := randomView(rng, m, n, layout)
-			x := make([]float64, n)
-			y := make([]float64, m)
-			for i := range x {
-				x[i] = rng.NormFloat64()
-			}
-			for i := range y {
-				y[i] = rng.NormFloat64()
-			}
-			want := make([]float64, m)
-			for i := 0; i < m; i++ {
-				s := 0.0
-				for j := 0; j < n; j++ {
-					s += a.At(i, j) * x[j]
-				}
-				want[i] = 2*s + 0.5*y[i]
-			}
-			got := append([]float64(nil), y...)
-			Gemv(2, a, mat.FromSlice(x), 0.5, mat.FromSlice(got))
-			for i := range want {
-				if d := got[i] - want[i]; d > 1e-10 || d < -1e-10 {
-					t.Fatalf("gemv m=%d n=%d layout=%d: y[%d]=%v want %v",
-						m, n, layout, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestGemvBetaZero(t *testing.T) {
-	a := mat.FromRowMajor([]float64{1, 2, 3, 4}, 2, 2)
-	y := []float64{1e300, 1e300}
-	Gemv(1, a, mat.FromSlice([]float64{1, 1}), 0, mat.FromSlice(y))
-	if y[0] != 3 || y[1] != 7 {
-		t.Errorf("gemv beta=0 wrong: %v", y)
-	}
-}
-
-func TestGemvMismatchPanics(t *testing.T) {
-	for i, fn := range []func(){
-		func() {
-			Gemv(1, mat.NewDense(2, 3), mat.FromSlice(make([]float64, 2)), 0, mat.FromSlice(make([]float64, 2)))
-		},
-		func() {
-			Gemv(1, mat.NewDense(2, 3), mat.FromSlice(make([]float64, 3)), 0, mat.FromSlice(make([]float64, 3)))
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestGemvStridedY(t *testing.T) {
-	a := mat.FromRowMajor([]float64{1, 2, 3, 4}, 2, 2)
-	yBuf := make([]float64, 4)
-	y := mat.Vec{Data: yBuf, N: 2, Inc: 2}
-	Gemv(1, a, mat.FromSlice([]float64{1, 2}), 0, y)
-	if yBuf[0] != 5 || yBuf[2] != 11 {
-		t.Errorf("strided-y gemv wrong: %v", yBuf)
-	}
-}
-
 // TestGemmDeterministicAcrossThreads documents the no-K-split design: each
 // output element is accumulated by exactly one worker in a fixed order, so
 // results are bitwise identical for every thread count (unlike K-split

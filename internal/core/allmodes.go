@@ -133,7 +133,8 @@ func arenaDims(ws *parallel.Workspace, x *tensor.Dense) []int {
 }
 
 // halfStep is one step of the split-s dimension tree, called once per
-// half by SweepAll and once by MethodAuto's split path (splitExternal).
+// half by SweepAll and once by halfStepInto (2-step and MethodAuto's split
+// path).
 // It contracts the tensor against the partial KRP of one half and returns
 // the intermediate that keeps the other half's modes, column-major with C
 // columns, so column c is that half's natural-layout subtensor for
@@ -156,7 +157,7 @@ func halfStep(opts Options, p parallel.Executor, ws *parallel.Workspace, t int, 
 	}
 	inter := arenaColMajor(ws.Arena(0), "core.half.inter", a.R, rank(u))
 	sw := startWatch()
-	k := planOrForm(opts, p, ws, t, "core.half.k", vf.ops)
+	k := planOrForm(opts, p, ws, t, vf.ops)
 	bd.add(PhaseLRKRP, sw.elapsed())
 	sw = startWatch()
 	blas.GemmOn(p, t, 1, a, k, 0, inter)
@@ -221,6 +222,20 @@ func ttvInto(dst, src []float64, dims []int, k, mode int, v []float64) []float64
 	ir := 1
 	if mode > k {
 		ir = dims[mode]
+	}
+	if il == 1 {
+		// Contracting mode 0: each output is a dot product of v with one
+		// contiguous run of src, in the general loop's order.
+		for j := range dst[:ir] {
+			s := 0.0
+			for i, x := range src[j*in : (j+1)*in] {
+				if vi := v[i]; vi != 0 {
+					s += vi * x
+				}
+			}
+			dst[j] = s
+		}
+		return dst
 	}
 	clear(dst)
 	for j := 0; j < ir; j++ {

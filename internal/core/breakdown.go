@@ -13,16 +13,17 @@ type Phase int
 const (
 	// PhaseGEMM is matrix-matrix multiplication time (all methods).
 	PhaseGEMM Phase = iota
-	// PhaseGEMV is matrix-vector multiplication time (2-step multi-TTV,
-	// and the derivations of SweepAll and MethodAuto's split path).
+	// PhaseGEMV is multi-TTV time: the derivations of 2-step, MethodAuto's
+	// split path and SweepAll, which contract an intermediate one mode at
+	// a time.
 	PhaseGEMV
 	// PhaseFullKRP is full-KRP formation time (1-step external modes,
 	// reorder baseline).
 	PhaseFullKRP
 	// PhaseLRKRP is left/right partial KRP time: forming K_L (and
-	// expanding per-block KRP rows) in internal-mode 1-step, forming K_L
-	// and K_R in 2-step, or forming one half's partial KRP in SweepAll
-	// and MethodAuto's split path.
+	// expanding per-block KRP rows) in internal-mode 1-step, or forming
+	// the one partial KRP of the contracted half in 2-step, MethodAuto's
+	// split path and each half of SweepAll.
 	PhaseLRKRP
 	// PhaseReduce is the parallel reduction of private outputs (1-step).
 	PhaseReduce

@@ -30,15 +30,17 @@ const (
 	// tensor whose balanced split s = SplitPoint(dims) leaves at least two
 	// modes on each side (2 ≤ s ≤ N−2, so order 4 and up) runs one half of
 	// SweepAll's dimension tree instead, contracting the other half against
-	// a KRP of about √|X| rows rather than forming a tensor-sized one. Those
-	// modes have the same bits at every worker count.
+	// a KRP of about √|X| rows rather than forming a tensor-sized one. Both
+	// are one half step of a dimension tree (2-step's is split at mode n),
+	// and every mode that runs one has the same bits at every worker count.
 	MethodAuto Method = iota
 	// MethodOneStep is the paper's 1-step algorithm: form KRP rows and
 	// multiply tensor blocks in place (Algorithm 3; Algorithm 2 is the
 	// sequential full-KRP variant, available as OneStepSequential).
 	MethodOneStep
 	// MethodTwoStep is the partial-MTTKRP + multi-TTV algorithm of Phan et
-	// al. (Algorithm 4). For external modes it degenerates to 1-step.
+	// al. (Algorithm 4), run as one half step of a dimension tree split at
+	// mode n (see TwoStep). For external modes it degenerates to 1-step.
 	MethodTwoStep
 	// MethodReorder is the Bader–Kolda baseline: explicitly reorder the
 	// tensor into a column-major X_(n), form the full KRP, one GEMM.
@@ -173,26 +175,19 @@ func ComputeInto(dst mat.View, method Method, x *tensor.Dense, u []mat.View, n i
 	validate(x, u, n)
 	validateDst(dst, x.Dim(n), rank(u))
 	// Phase notification happens in the leaf kernels (oneStepExternal,
-	// oneStepInternal, twoStepLeftFirst, twoStepRightFirst, splitExternal,
-	// ReorderInto), so direct entry through OneStepInto/TwoStepInto/
-	// ReorderInto reaches the same safe point as entry through here —
-	// exactly once per computation either way. mttkrp-lint's phasehook
-	// analyzer enforces this for every exported *Into entry point.
-	if method == MethodAuto {
-		switch autoKernel(x.Order(), x.Dim, n) {
-		case autoSplit:
-			return splitExternal(dst, x, u, n, opts)
-		case autoOneStep:
-			method = MethodOneStep
-		default:
-			method = MethodTwoStep
-		}
-	}
+	// oneStepInternal, halfStepInto, ReorderInto), so direct entry through
+	// OneStepInto/TwoStepInto/ReorderInto reaches the same safe point as
+	// entry through here — exactly once per computation either way.
+	// mttkrp-lint's phasehook analyzer enforces this for every exported
+	// *Into entry point.
 	switch method {
+	case MethodAuto, MethodTwoStep:
+		if s := halfSplit(method, x.Order(), x.Dim, n); s > 0 {
+			return halfStepInto(dst, x, u, n, s, opts)
+		}
+		return OneStepInto(dst, x, u, n, opts)
 	case MethodOneStep:
 		return OneStepInto(dst, x, u, n, opts)
-	case MethodTwoStep:
-		return TwoStepInto(dst, x, u, n, opts)
 	case MethodReorder:
 		return ReorderInto(dst, x, u, n, opts)
 	case MethodNaive:
@@ -271,12 +266,8 @@ func appendOperands(dst []mat.View, u []mat.View, n int) []mat.View {
 	return dst
 }
 
-// leftOperands returns [U_{n-1}, …, U₀]: the left partial KRP K_L, whose
-// rows are indexed by the linearization of modes 0..n-1.
-func leftOperands(u []mat.View, n int) []mat.View {
-	return appendLeftOperands(make([]mat.View, 0, n), u, n)
-}
-
+// appendLeftOperands appends [U_{n-1}, …, U₀]: the left partial KRP K_L,
+// whose rows are indexed by the linearization of modes 0..n-1.
 func appendLeftOperands(dst []mat.View, u []mat.View, n int) []mat.View {
 	for k := n - 1; k >= 0; k-- {
 		dst = append(dst, u[k])
@@ -284,12 +275,8 @@ func appendLeftOperands(dst []mat.View, u []mat.View, n int) []mat.View {
 	return dst
 }
 
-// rightOperands returns [U_{N-1}, …, U_{n+1}]: the right partial KRP K_R,
-// whose rows are indexed by the linearization of modes n+1..N-1.
-func rightOperands(u []mat.View, n int) []mat.View {
-	return appendRightOperands(make([]mat.View, 0, len(u)-n-1), u, n)
-}
-
+// appendRightOperands appends [U_{N-1}, …, U_{n+1}]: the right partial KRP
+// K_R, whose rows are indexed by the linearization of modes n+1..N-1.
 func appendRightOperands(dst []mat.View, u []mat.View, n int) []mat.View {
 	for k := len(u) - 1; k > n; k-- {
 		dst = append(dst, u[k])

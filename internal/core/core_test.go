@@ -91,8 +91,8 @@ func TestTwoStepBothOrderings(t *testing.T) {
 	x, u := randomProblem(rng, []int{2, 3, 4, 5}, 4)
 	for n := 1; n <= 2; n++ {
 		want := Naive(x, u, n)
-		left := twoStepLeftFirst(mat.NewDense(x.Dim(n), 4), x, u, n, Options{Threads: 2})
-		right := twoStepRightFirst(mat.NewDense(x.Dim(n), 4), x, u, n, Options{Threads: 2})
+		left := TwoStepLeftFirst(x, u, n, Options{Threads: 2})
+		right := TwoStepRightFirst(x, u, n, Options{Threads: 2})
 		if !mat.ApproxEqual(left, want, 1e-11) {
 			t.Errorf("n=%d: left-first wrong", n)
 		}

@@ -10,18 +10,17 @@ import (
 // This file is the batch-level kernel fusion entry: a coalesced batch of
 // same-shape MTTKRP requests whose factor sets are identical except the
 // target-mode operand recomputes an identical Khatri-Rao intermediate per
-// member. A krp.Plan filled once per batch (FillPlan) carries the left and
-// right partial KRPs; ComputeIntoWithPlan threads it to the kernels, which
-// consume it read-only:
+// member. A krp.Plan filled once per batch (FillPlan) carries the partial
+// KRPs that the mode's kernel (halfSplit) looks up; ComputeIntoWithPlan
+// threads it to the kernels, which consume it read-only:
 //
 //   - 1-step external modes GEMM directly against the plan's one-sided
 //     full KRP instead of streaming per-worker row blocks;
-//   - MethodAuto's split-path external modes (splitExternal) take the
-//     partial KRP of the half that does not hold mode n;
 //   - 1-step internal modes take K_L whole and read K_R rows from the plan
 //     instead of recomputing both;
-//   - 2-step (either ordering) takes K_L and K_R and skips its entire
-//     PhaseLRKRP;
+//   - half-step modes (2-step's internal modes, either ordering, and
+//     MethodAuto's split-path external modes) take the one partial KRP of
+//     the half that does not hold mode n and skip their entire PhaseLRKRP;
 //   - the reorder baseline and the naive reference ignore plans
 //     (PlanFusable reports them unfusable).
 //
@@ -43,23 +42,22 @@ type planOpsFrame struct{ left, right []mat.View }
 func newPlanOpsFrame() any { return &planOpsFrame{} }
 
 // planOps returns ws's operand-list frame holding the lists method's
-// kernel looks up for mode n: the one partial KRP of the half that does
-// not hold n for a split-path mode (autoKernel), the left and right
-// partial KRPs of mode n otherwise (one of them empty for an external
+// kernel looks up for mode n: for a half-step mode (halfSplit), the one
+// partial KRP of the half that does not hold n; for a 1-step mode, the
+// left and right partial KRPs of mode n (one of them empty for an external
 // mode, whose other side is then the full KRP).
 func planOps(ws *parallel.Workspace, method Method, x *tensor.Dense, u []mat.View, n int) *planOpsFrame {
 	validate(x, u, n)
 	f := ws.Frame("core.planops", newPlanOpsFrame).(*planOpsFrame)
-	if method == MethodAuto && autoKernel(x.Order(), x.Dim, n) == autoSplit {
-		if s := splitOver(x.Order(), x.Dim); n < s {
-			f.right = appendRightOperands(f.right, u, s-1)
-		} else {
-			f.left = appendLeftOperands(f.left, u, s)
-		}
-		return f
+	switch s := halfSplit(method, x.Order(), x.Dim, n); {
+	case s == 0:
+		f.left = appendLeftOperands(f.left, u, n)
+		f.right = appendRightOperands(f.right, u, n)
+	case n < s:
+		f.right = appendRightOperands(f.right, u, s-1)
+	default:
+		f.left = appendLeftOperands(f.left, u, s)
 	}
-	f.left = appendLeftOperands(f.left, u, n)
-	f.right = appendRightOperands(f.right, u, n)
 	return f
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -22,11 +23,15 @@ func relFrobErr(got, want mat.View) float64 {
 	return math.Sqrt(num / den)
 }
 
-// TestAutoSplitBitIdenticalAcrossWidths pins MethodAuto's split path on
-// the external modes of order-4+ tensors: the result matches Naive, has
-// the same bits at every explicit worker count on a 4-worker pool and
-// across a lease resized between calls, and equals SweepAll's result for
-// that mode (no-op update) bit for bit.
+// TestAutoSplitBitIdenticalAcrossWidths pins every mode that runs a half
+// step (halfSplit): MethodAuto's and MethodTwoStep's internal modes, the
+// forced left-first and right-first orderings, and MethodAuto's split
+// path on the external modes of order-4+ tensors, on orders 3 to 6. Each
+// result matches Naive and has the same bits at every explicit worker
+// count on a 4-worker pool and across a lease resized between calls.
+// MethodAuto and MethodTwoStep run the ordering halfSplit picks, and a
+// split-path mode equals SweepAll's result for that mode (no-op update)
+// bit for bit.
 func TestAutoSplitBitIdenticalAcrossWidths(t *testing.T) {
 	pool := parallel.NewPool(4)
 	defer pool.Close()
@@ -35,6 +40,8 @@ func TestAutoSplitBitIdenticalAcrossWidths(t *testing.T) {
 		dims []int
 		c    int
 	}{
+		{[]int{3, 4, 5}, 6}, // mode 1 right-first
+		{[]int{5, 4, 3}, 6}, // mode 1 left-first
 		{[]int{3, 5, 4, 6}, 7},
 		{[]int{3, 2, 4, 2, 3}, 5},
 		{[]int{2, 3, 3, 3, 3, 2}, 9},
@@ -43,64 +50,106 @@ func TestAutoSplitBitIdenticalAcrossWidths(t *testing.T) {
 		order := len(tc.dims)
 		sweep := newDsts(x, tc.c)
 		SweepAll(x, u, sweep, Options{Threads: 4, Pool: pool}, func(int, mat.View) {})
-		for _, n := range []int{0, order - 1} {
-			if k := autoKernel(order, x.Dim, n); k != autoSplit {
-				t.Fatalf("dims %v mode %d: MethodAuto runs kernel %d, want the split path", tc.dims, n, k)
+		for n := 0; n < order; n++ {
+			type kernel struct {
+				name string
+				run  func(Options) mat.View
 			}
-			want := ComputeInto(mat.NewDense(x.Dim(n), tc.c), MethodAuto, x, u, n, Options{Threads: 1, Pool: pool})
-			if err := relFrobErr(want, Naive(x, u, n)); err > 1e-12 {
-				t.Fatalf("dims %v mode %d: relative error %g against Naive", tc.dims, n, err)
-			}
-			bitsEqual(t, want, sweep[n], "split path vs SweepAll")
-			for threads := 2; threads <= 4; threads++ {
-				got := ComputeInto(mat.NewDense(x.Dim(n), tc.c), MethodAuto, x, u, n, Options{Threads: threads, Pool: pool})
-				bitsEqual(t, got, want, "Threads 1 vs wider")
-			}
-
-			// A lease resized between calls: the resize lands at the next
-			// call's entry.
-			lease := pool.Lease(4)
-			opts := Options{Pool: lease, PhaseNotify: func() { parallel.Reconcile(lease) }}
-			for _, width := range []int{4, 2, 3, 1} {
-				lease.Resize(width)
-				got := ComputeInto(mat.NewDense(x.Dim(n), tc.c), MethodAuto, x, u, n, opts)
-				if w := lease.Width(); w != width {
-					t.Fatalf("lease width %d after resize to %d", w, width)
+			into := func(m Method) func(Options) mat.View {
+				return func(opts Options) mat.View {
+					return ComputeInto(mat.NewDense(x.Dim(n), tc.c), m, x, u, n, opts)
 				}
-				bitsEqual(t, got, want, "resized lease vs Threads 1")
 			}
-			lease.Close()
+			kernels := []kernel{{"auto", into(MethodAuto)}}
+			internal := n != 0 && n != order-1
+			if internal {
+				kernels = append(kernels,
+					kernel{"2-step", into(MethodTwoStep)},
+					kernel{"left-first", func(opts Options) mat.View { return TwoStepLeftFirst(x, u, n, opts) }},
+					kernel{"right-first", func(opts Options) mat.View { return TwoStepRightFirst(x, u, n, opts) }})
+			} else if order < 4 {
+				continue // 1-step
+			} else if halfSplit(MethodAuto, order, x.Dim, n) == 0 {
+				t.Fatalf("dims %v mode %d: MethodAuto runs 1-step, want the split path", tc.dims, n)
+			}
+			want := map[string]mat.View{}
+			for _, k := range kernels {
+				label := fmt.Sprintf("dims %v mode %d %s", tc.dims, n, k.name)
+				ref := k.run(Options{Threads: 1, Pool: pool})
+				want[k.name] = ref
+				if err := relFrobErr(ref, Naive(x, u, n)); err > 1e-12 {
+					t.Fatalf("%s: relative error %g against Naive", label, err)
+				}
+				for threads := 2; threads <= 4; threads++ {
+					bitsEqual(t, k.run(Options{Threads: threads, Pool: pool}), ref, label+": Threads 1 vs wider")
+				}
+
+				// A lease resized between calls: the resize lands at the
+				// next call's entry.
+				lease := pool.Lease(4)
+				opts := Options{Pool: lease, PhaseNotify: func() { parallel.Reconcile(lease) }}
+				for _, width := range []int{4, 2, 3, 1} {
+					lease.Resize(width)
+					got := k.run(opts)
+					if w := lease.Width(); w != width {
+						t.Fatalf("lease width %d after resize to %d", w, width)
+					}
+					bitsEqual(t, got, ref, label+": resized lease vs Threads 1")
+				}
+				lease.Close()
+			}
+			if !internal {
+				bitsEqual(t, want["auto"], sweep[n], "split path vs SweepAll")
+				continue
+			}
+			picked := "left-first"
+			if halfSplit(MethodTwoStep, order, x.Dim, n) == n+1 {
+				picked = "right-first"
+			}
+			bitsEqual(t, want["2-step"], want[picked], fmt.Sprintf("dims %v mode %d: 2-step vs %s", tc.dims, n, picked))
+			bitsEqual(t, want["auto"], want["2-step"], fmt.Sprintf("dims %v mode %d: auto vs 2-step", tc.dims, n))
 		}
 	}
 }
 
-// TestAutoKernelChoice pins MethodAuto's rule: the split path for an
+// TestAutoKernelChoice pins halfSplit, the rule that picks each mode's
+// kernel: under MethodAuto, 2-step for internal modes (s = n+1 when
+// I^L_n ≤ I^R_n, s = n otherwise), the split path at SplitPoint for an
 // external mode whose balanced split leaves two or more modes on each
-// side, 1-step for the other external modes, 2-step for internal modes.
+// side, and 1-step (0) for the other external modes. MethodTwoStep picks
+// the same split on internal modes and 1-step on external ones;
+// MethodOneStep always runs 1-step.
 func TestAutoKernelChoice(t *testing.T) {
 	for _, tc := range []struct {
-		dims     []int
-		external autoKind
+		dims []int
+		auto []int // MethodAuto's split per mode; 0 = 1-step
 	}{
-		{[]int{8, 20, 20, 20, 20, 8}, autoSplit},
-		{[]int{32, 32, 32, 40}, autoSplit},
-		{[]int{113, 30, 100, 100}, autoSplit},
-		{[]int{48, 40, 36}, autoOneStep},
-		{[]int{96, 80, 72}, autoOneStep},
-		{[]int{128, 128, 80}, autoOneStep},
-		{[]int{200, 200, 8}, autoOneStep},
-		{[]int{30, 40}, autoOneStep},
-		{[]int{1000, 4, 4, 4}, autoOneStep}, // s = 1
+		{[]int{8, 20, 20, 20, 20, 8}, []int{3, 2, 3, 3, 4, 3}},
+		{[]int{32, 32, 32, 40}, []int{2, 2, 2, 2}},
+		{[]int{113, 30, 100, 100}, []int{2, 2, 2, 2}},
+		{[]int{48, 40, 36}, []int{0, 1, 0}},
+		{[]int{96, 80, 72}, []int{0, 1, 0}},
+		{[]int{128, 128, 80}, []int{0, 1, 0}},
+		{[]int{200, 200, 8}, []int{0, 1, 0}},
+		{[]int{36, 40, 48}, []int{0, 2, 0}},
+		{[]int{40, 40, 40}, []int{0, 2, 0}}, // I^L_n = I^R_n: right-first
+		{[]int{30, 40}, []int{0, 0}},
+		{[]int{1000, 4, 4, 4}, []int{0, 1, 2, 0}}, // SplitPoint 1
 	} {
 		dim := func(k int) int { return tc.dims[k] }
 		order := len(tc.dims)
 		for n := 0; n < order; n++ {
-			want := autoTwoStep
+			twoStep := tc.auto[n]
 			if n == 0 || n == order-1 {
-				want = tc.external
+				twoStep = 0
 			}
-			if got := autoKernel(order, dim, n); got != want {
-				t.Errorf("dims %v (split %d) mode %d: kernel %d, want %d", tc.dims, SplitPoint(tc.dims), n, got, want)
+			for _, want := range []struct {
+				method Method
+				s      int
+			}{{MethodAuto, tc.auto[n]}, {MethodTwoStep, twoStep}, {MethodOneStep, 0}} {
+				if got := halfSplit(want.method, order, dim, n); got != want.s {
+					t.Errorf("dims %v (split %d) mode %d %v: s = %d, want %d", tc.dims, SplitPoint(tc.dims), n, want.method, got, want.s)
+				}
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/blas"
 	"repro/internal/krp"
 	"repro/internal/mat"
 	"repro/internal/parallel"
@@ -9,19 +8,25 @@ import (
 )
 
 // TwoStep is Algorithm 4, the 2-step MTTKRP of Phan et al.: a partial
-// MTTKRP (one large GEMM between a column-major generalized matricization
-// and a partial KRP) followed by a multi-TTV (C independent GEMVs on
-// strided subtensor views). The step order — contract left modes first or
-// right modes first — is chosen to minimize the flops of the second step,
-// exactly as in the paper: left-first when I^L_n > I^R_n.
+// MTTKRP (one GEMM between a generalized matricization and a partial KRP)
+// followed by a multi-TTV over the small intermediate. That is a depth-one
+// dimension tree split at mode n, and it runs as one (halfStepInto): the
+// right-first ordering is the half step at s = n+1, which contracts modes
+// n+1..N-1 and keeps 0..n; the left-first ordering is the half step at
+// s = n, which contracts 0..n-1 and keeps n..N-1. The order is chosen to
+// minimize the flops of the second step, exactly as in the paper:
+// left-first when I^L_n > I^R_n. The second step contracts the kept modes
+// other than n one TTV at a time, so unlike Algorithm 4 no KRP of those
+// modes is formed.
 //
 // For external modes the 2-step algorithm degenerates to the 1-step
 // algorithm (the partial MTTKRP already is the full MTTKRP), so this
 // function delegates to OneStep, mirroring the paper's benchmarks, which
 // only report 2-step results for internal modes.
 //
-// Parallelism lives in the BLAS calls (the GEMM splits rows across
-// workers) and across the C columns of the multi-TTV.
+// Parallelism lives in the partial KRP and the GEMM (both split rows
+// across workers) and across the C columns of the multi-TTV, so the bits
+// do not depend on the worker count.
 func TwoStep(x *tensor.Dense, u []mat.View, n int, opts Options) mat.View {
 	validate(x, u, n)
 	return TwoStepInto(mat.NewDense(x.Dim(n), rank(u)), x, u, n, opts)
@@ -30,15 +35,7 @@ func TwoStep(x *tensor.Dense, u []mat.View, n int, opts Options) mat.View {
 // TwoStepInto is TwoStep writing into a caller-owned contiguous row-major
 // result matrix; all intermediates live in the pool's reusable workspaces.
 func TwoStepInto(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts Options) mat.View {
-	validate(x, u, n)
-	validateDst(dst, x.Dim(n), rank(u))
-	if isExternal(x, n) {
-		return OneStepInto(dst, x, u, n, opts)
-	}
-	if x.SizeLeft(n) > x.SizeRight(n) {
-		return twoStepLeftFirst(dst, x, u, n, opts)
-	}
-	return twoStepRightFirst(dst, x, u, n, opts)
+	return ComputeInto(dst, MethodTwoStep, x, u, n, opts)
 }
 
 // TwoStepLeftFirst forces the left-first ordering regardless of the
@@ -49,7 +46,7 @@ func TwoStepLeftFirst(x *tensor.Dense, u []mat.View, n int, opts Options) mat.Vi
 	if isExternal(x, n) {
 		panic("core: TwoStepLeftFirst requires an internal mode")
 	}
-	return twoStepLeftFirst(mat.NewDense(x.Dim(n), rank(u)), x, u, n, opts)
+	return halfStepInto(mat.NewDense(x.Dim(n), rank(u)), x, u, n, n, opts)
 }
 
 // TwoStepRightFirst forces the right-first ordering regardless of the
@@ -60,154 +57,93 @@ func TwoStepRightFirst(x *tensor.Dense, u []mat.View, n int, opts Options) mat.V
 	if isExternal(x, n) {
 		panic("core: TwoStepRightFirst requires an internal mode")
 	}
-	return twoStepRightFirst(mat.NewDense(x.Dim(n), rank(u)), x, u, n, opts)
+	return halfStepInto(mat.NewDense(x.Dim(n), rank(u)), x, u, n, n+1, opts)
 }
 
-// twoStepFrame is the workspace-cached state of the multi-TTV step: the
-// intermediate, the contracted KRP factor and the pre-bound column-loop
-// bodies for both orderings.
-type twoStepFrame struct {
-	inter        mat.View // column-major intermediate (R or L)
-	kv           mat.View // KRP factor contracted in step 2 (K_L or K_R)
-	m            mat.View // result
-	in, sub      int      // mode-n dimension; per-column subtensor size
-	klOps, krOps []mat.View
-	ttvRight     func(w, lo, hi int)
-	ttvLeft      func(w, lo, hi int)
+// halfSplit is the one rule that picks mode n's kernel under method, for
+// an order-N tensor whose k-th extent is dim(k). It returns the split s of
+// the dimension-tree half step (halfStepInto) that computes the mode, or 0
+// when the mode runs 1-step:
+//
+//   - an internal mode under MethodTwoStep or MethodAuto runs 2-step:
+//     s = n+1 (right-first) when I^L_n ≤ I^R_n, s = n (left-first)
+//     otherwise;
+//   - an external mode under MethodAuto runs the split path at
+//     s = SplitPoint(dims) when that leaves at least two modes on each
+//     side, 2 ≤ s ≤ N−2: for order 2 and 3 one half is always a single
+//     mode, and the split's GEMM and derivation then cost about what the
+//     KRP they replace does;
+//   - every other mode runs 1-step.
+func halfSplit(method Method, order int, dim func(k int) int, n int) int {
+	if method != MethodTwoStep && method != MethodAuto {
+		return 0
+	}
+	if n != 0 && n != order-1 {
+		left, right := 1, 1
+		for k := 0; k < order; k++ {
+			if k < n {
+				left *= dim(k)
+			} else if k > n {
+				right *= dim(k)
+			}
+		}
+		if left <= right {
+			return n + 1
+		}
+		return n
+	}
+	if method == MethodAuto {
+		if s := splitOver(order, dim); s >= 2 && s <= order-2 {
+			return s
+		}
+	}
+	return 0
 }
 
-func newTwoStepFrame() any {
-	f := &twoStepFrame{}
-	// Right-first step 2: R_(n)[j] is the row-major I_n × I^L_n
-	// matricization of subtensor j; columns are independent.
-	f.ttvRight = func(_, lo, hi int) {
-		il := f.sub / f.in
-		for j := lo; j < hi; j++ {
-			sub := f.inter.Data[j*f.sub : (j+1)*f.sub]
-			rj := mat.FromRowMajor(sub, f.in, il)
-			blas.Gemv(1, rj, f.kv.Col(j), 0, f.m.Col(j))
-		}
+// halfStepInto computes mode n's MTTKRP into dst with one step of the
+// split-s dimension tree, 1 ≤ s ≤ N−1: halfStep contracts the half that
+// does not hold n against its partial KRP, and deriveFromIntermediate
+// yields mode n from the intermediate. It is 2-step's kernel (s = n or
+// n+1) and MethodAuto's split path (s = SplitPoint on an external mode,
+// where no KRP of the tensor's size is formed and no private outputs are
+// reduced). The KRP splits rows, the GEMM splits output rows and the
+// derivation splits columns, so the bits do not depend on the worker
+// count; at s = SplitPoint and with a no-op update they equal SweepAll's
+// for that mode.
+func halfStepInto(dst mat.View, x *tensor.Dense, u []mat.View, n, s int, opts Options) mat.View {
+	opts.notifyPhase() // kernel entry is a phase boundary: budget changes land here
+	bd := opts.Breakdown
+	p := opts.pool()
+	t := p.Effective(opts.Threads)
+	ws := p.Acquire()
+	dims := arenaDims(ws, x)
+
+	// The kept half [lo, hi) holds mode n.
+	keepLeft := n < s
+	lo, hi := 0, s
+	if !keepLeft {
+		lo, hi = s, len(dims)
 	}
-	// Left-first step 2: L_(0)[j] is the column-major I_n × I^R_n
-	// mode-0 matricization of subtensor j.
-	f.ttvLeft = func(_, lo, hi int) {
-		ir := f.sub / f.in
-		for j := lo; j < hi; j++ {
-			sub := f.inter.Data[j*f.sub : (j+1)*f.sub]
-			lj := mat.FromColMajor(sub, f.in, ir)
-			blas.Gemv(1, lj, f.kv.Col(j), 0, f.m.Col(j))
-		}
-	}
-	return f
+	totalW := startWatch()
+	inter := halfStep(opts, p, ws, t, x, u, s, keepLeft)
+	sw := startWatch()
+	deriveFromIntermediate(p, ws, t, inter, dims[lo:hi], u[lo:hi], n-lo, dst)
+	bd.add(PhaseGEMV, sw.elapsed())
+	bd.addTotal(totalW.elapsed())
+	ws.Release()
+	return dst
 }
 
 // planOrForm returns the partial KRP of ops: from the batch plan when its
 // operand list matches (batch fusion skips the formation), formed into
-// arena scratch under tag otherwise. A plan can make a KRP cheaper, never
-// wrong.
-func planOrForm(opts Options, p parallel.Executor, ws *parallel.Workspace, t int, tag string, ops []mat.View) mat.View {
+// arena scratch otherwise. A plan can make a KRP cheaper, never wrong.
+func planOrForm(opts Options, p parallel.Executor, ws *parallel.Workspace, t int, ops []mat.View) mat.View {
 	if pl := opts.plan; pl != nil {
 		if k, ok := pl.Lookup(ops); ok {
 			return k
 		}
 	}
-	k := arenaMat(ws.Arena(0), tag, krp.NumRows(ops), rank(ops))
+	k := arenaMat(ws.Arena(0), "core.half.k", krp.NumRows(ops), rank(ops))
 	krp.ParallelOn(p, ws, t, ops, k)
 	return k
-}
-
-func (f *twoStepFrame) release() {
-	f.inter = mat.View{}
-	f.kv = mat.View{}
-	f.m = mat.View{}
-	f.klOps = clearViews(f.klOps)
-	f.krOps = clearViews(f.krOps)
-}
-
-// twoStepRightFirst computes R_(0:n) = X_(0:n)·K_R, then
-// M(:, j) = R_(n)[j]·K_L(:, j) for each column j (Figures 3a and 3b).
-func twoStepRightFirst(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts Options) mat.View {
-	opts.notifyPhase() // kernel entry is a phase boundary: budget changes land here
-	c := rank(u)
-	in := x.Dim(n)
-	il := x.SizeLeft(n)
-	bd := opts.Breakdown
-	p := opts.pool()
-	t := p.Effective(opts.Threads)
-	ws := p.Acquire()
-	ar := ws.Arena(0)
-	f := ws.Frame("core.twostep", newTwoStepFrame).(*twoStepFrame)
-
-	// R is the (I₀⋯I_n) × C intermediate, column-major so that column j is
-	// the j-th subtensor of the order-(n+2) tensor R in natural layout.
-	r := arenaColMajor(ar, "core.2s.inter", il*in, c)
-
-	totalW := startWatch()
-	sw := startWatch()
-	f.klOps = appendLeftOperands(f.klOps, u, n)
-	f.krOps = appendRightOperands(f.krOps, u, n)
-	kl := planOrForm(opts, p, ws, t, "core.2s.kl", f.klOps)
-	kr := planOrForm(opts, p, ws, t, "core.2s.kr", f.krOps)
-	bd.add(PhaseLRKRP, sw.elapsed())
-
-	// Step 1: partial MTTKRP — a single (logical) BLAS call on the
-	// column-major generalized matricization.
-	sw = startWatch()
-	blas.GemmOn(p, t, 1, x.MatricizeRowModes(n), kr, 0, r)
-	bd.add(PhaseGEMM, sw.elapsed())
-
-	// Step 2: multi-TTV over the C independent columns.
-	sw = startWatch()
-	f.inter, f.kv, f.m = r, kl, dst
-	f.in, f.sub = in, il*in
-	p.For(t, c, f.ttvRight)
-	bd.add(PhaseGEMV, sw.elapsed())
-	bd.addTotal(totalW.elapsed())
-	f.release()
-	ws.Release()
-	return dst
-}
-
-// twoStepLeftFirst computes L_(0:N-n-1) = X_(0:n-1)ᵀ·K_L, then
-// M(:, j) = L_(0)[j]·K_R(:, j) for each column j (Figures 3c and 3d).
-func twoStepLeftFirst(dst mat.View, x *tensor.Dense, u []mat.View, n int, opts Options) mat.View {
-	opts.notifyPhase() // kernel entry is a phase boundary: budget changes land here
-	c := rank(u)
-	in := x.Dim(n)
-	ir := x.SizeRight(n)
-	bd := opts.Breakdown
-	p := opts.pool()
-	t := p.Effective(opts.Threads)
-	ws := p.Acquire()
-	ar := ws.Arena(0)
-	f := ws.Frame("core.twostep", newTwoStepFrame).(*twoStepFrame)
-
-	// L is (I_n⋯I_{N-1}) × C, column-major: column j is subtensor j of the
-	// order-(N-n+1) tensor L in natural layout.
-	l := arenaColMajor(ar, "core.2s.inter", in*ir, c)
-
-	totalW := startWatch()
-	sw := startWatch()
-	f.klOps = appendLeftOperands(f.klOps, u, n)
-	f.krOps = appendRightOperands(f.krOps, u, n)
-	kl := planOrForm(opts, p, ws, t, "core.2s.kl", f.klOps)
-	kr := planOrForm(opts, p, ws, t, "core.2s.kr", f.krOps)
-	bd.add(PhaseLRKRP, sw.elapsed())
-
-	// Step 1: X_(0:n-1) is column-major I^L_n × (I_n⋯I_{N-1}); its
-	// transpose view is row-major, so the GEMM reads contiguous rows.
-	sw = startWatch()
-	blas.GemmOn(p, t, 1, x.MatricizeRowModes(n-1).T(), kl, 0, l)
-	bd.add(PhaseGEMM, sw.elapsed())
-
-	// Step 2: multi-TTV over the C independent columns.
-	sw = startWatch()
-	f.inter, f.kv, f.m = l, kr, dst
-	f.in, f.sub = in, in*ir
-	p.For(t, c, f.ttvLeft)
-	bd.add(PhaseGEMV, sw.elapsed())
-	bd.addTotal(totalW.elapsed())
-	f.release()
-	ws.Release()
-	return dst
 }

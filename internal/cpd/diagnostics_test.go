@@ -92,17 +92,17 @@ func TestNVecsEigenvectorProperty(t *testing.T) {
 		g := mat.NewDense(x.Dim(n), x.Dim(n))
 		xn := x.Unfold(nil, 1, n)
 		blas.Gemm(1, 1, xn, xn.T(), 0, g)
+		gv := mat.NewDense(v.R, v.C)
+		blas.Gemm(1, 1, g, v, 0, gv)
 		for c := 0; c < 3; c++ {
 			col := v.Col(c)
 			if d := math.Abs(blas.Nrm2(col) - 1); d > 1e-10 {
 				t.Errorf("mode %d col %d not unit norm", n, c)
 			}
 			// G·v = λ·v for some λ: check collinearity of G·v with v.
-			gv := make([]float64, v.R)
-			blas.Gemv(1, g, col, 0, mat.FromSlice(gv))
-			lam := blas.Dot(mat.FromSlice(gv), col)
+			lam := blas.Dot(gv.Col(c), col)
 			for i := 0; i < v.R; i++ {
-				if diff := math.Abs(gv[i] - lam*col.At(i)); diff > 1e-8*(1+math.Abs(lam)) {
+				if diff := math.Abs(gv.At(i, c) - lam*col.At(i)); diff > 1e-8*(1+math.Abs(lam)) {
 					t.Errorf("mode %d col %d not an eigenvector (residual %g)", n, c, diff)
 				}
 			}
@@ -117,12 +117,11 @@ func TestNVecsEigenvaluesDescending(t *testing.T) {
 	g := mat.NewDense(6, 6)
 	xn := x.Unfold(nil, 1, 0)
 	blas.Gemm(1, 1, xn, xn.T(), 0, g)
+	gv := mat.NewDense(6, v.C)
+	blas.Gemm(1, 1, g, v, 0, gv)
 	prev := math.Inf(1)
 	for c := 0; c < 3; c++ {
-		col := v.Col(c)
-		gv := make([]float64, 6)
-		blas.Gemv(1, g, col, 0, mat.FromSlice(gv))
-		lam := blas.Dot(mat.FromSlice(gv), col)
+		lam := blas.Dot(gv.Col(c), v.Col(c))
 		if lam > prev+1e-9 {
 			t.Errorf("eigenvalues not descending: %v after %v", lam, prev)
 		}

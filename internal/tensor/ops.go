@@ -7,9 +7,8 @@ import (
 // TTV computes the tensor-times-vector product Y = X ×n v, contracting
 // mode n against v (length I_n). The result has order N-1. This reference
 // implementation exists for validation; the performance-critical
-// multi-TTVs inside the 2-step MTTKRP are expressed as GEMV calls on
-// stride views instead, and core.SweepAll's derivations contract in place
-// in this loop order, pinned to its bits.
+// multi-TTVs (the derivations of core.SweepAll and of the 2-step MTTKRP)
+// contract in place in this loop order, pinned to its bits.
 func (d *Dense) TTV(n int, v []float64) *Dense {
 	if len(v) != d.dims[n] {
 		panic(fmt.Sprintf("tensor: ttv vector length %d != dim %d of mode %d", len(v), d.dims[n], n))
