@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/csv"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -130,6 +131,60 @@ func TestFig6Tiny(t *testing.T) {
 	if !strings.Contains(out, "DGEMM") || !strings.Contains(out, "REDUCE") {
 		t.Error("missing phase columns")
 	}
+	checkBreakdownCells(t, tables)
+}
+
+// checkBreakdownCells pins that a breakdown table shows every phase that
+// ran. A phase that did not run renders as the literal "0", so any other
+// cell that reads as zero is a nonzero time rounded away. And the phases
+// a method always runs must read above zero: DGEMM and the total on every
+// row, and on 2-step rows the partial KRP and the DGEMV derivation, whose
+// sub-millisecond times a seconds column used to print as 0.0000.
+func checkBreakdownCells(t *testing.T, tables []*Table) {
+	t.Helper()
+	for _, tbl := range tables {
+		if !strings.Contains(tbl.Title, "milliseconds") {
+			t.Errorf("%q: breakdowns print milliseconds", tbl.Title)
+		}
+		for _, row := range tbl.Rows {
+			mustRun := map[string]bool{"DGEMM": true, "TOTAL": true}
+			if strings.HasSuffix(row[0], " 2S") {
+				mustRun["DGEMV"], mustRun["L&R KRP"] = true, true
+			}
+			for i, cell := range row[1:] {
+				col := tbl.Columns[i+1]
+				v, err := strconv.ParseFloat(cell, 64)
+				switch {
+				case err != nil || v < 0:
+					t.Errorf("%q row %q: %s cell %q is not a time", tbl.Title, row[0], col, cell)
+				case v == 0 && cell != "0":
+					t.Errorf("%q row %q: %s renders as %q, which reads as zero but is not the literal 0 of a phase that did not run", tbl.Title, row[0], col, cell)
+				case v == 0 && mustRun[col]:
+					t.Errorf("%q row %q: %s always runs but reads 0", tbl.Title, row[0], col)
+				}
+			}
+		}
+	}
+}
+
+// TestFormatMs pins the breakdown cell format: exactly zero reads "0",
+// anything above it keeps three significant digits however small, and
+// no time renders with an exponent.
+func TestFormatMs(t *testing.T) {
+	for d, want := range map[time.Duration]string{
+		0:                          "0",
+		20 * time.Nanosecond:       "0.0000200",
+		30 * time.Microsecond:      "0.0300",
+		150 * time.Microsecond:     "0.150",
+		time.Millisecond:           "1.00",
+		12345 * time.Microsecond:   "12.3",
+		1234567 * time.Microsecond: "1235",
+		90 * time.Second:           "90000",
+	} {
+		if got := formatMs(d); got != want {
+			t.Errorf("formatMs(%v) = %q, want %q", d, got, want)
+		}
+	}
 }
 
 func TestFig7Tiny(t *testing.T) {
@@ -165,6 +220,7 @@ func TestFig8Tiny(t *testing.T) {
 	if got := len(tables[2].Rows); got != 10 {
 		t.Errorf("fig8 4D has %d rows, want 10", got)
 	}
+	checkBreakdownCells(t, tables)
 }
 
 func TestTableWriteCSV(t *testing.T) {

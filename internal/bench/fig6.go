@@ -2,7 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strconv"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/mat"
@@ -38,7 +41,7 @@ func fig6ForOrder(cfg Config, order, t int) *Table {
 		label = fmt.Sprintf("Par. T=%d", t)
 	}
 	table := breakdownTable(
-		fmt.Sprintf("Figure 6 (%s, N=%d: %d^%d): MTTKRP time breakdown in seconds", label, order, dims[0], order))
+		fmt.Sprintf("Figure 6 (%s, N=%d: %d^%d): MTTKRP time breakdown in milliseconds", label, order, dims[0], order))
 
 	g := core.NewGemmBaselineFor(x, 0, fig5Rank)
 	for n := 0; n < order; n++ {
@@ -69,7 +72,7 @@ func breakdownTable(title string) *Table {
 }
 
 // addBreakdownRow runs fn trials times accumulating a Breakdown, averages
-// it, and appends a row of per-phase seconds.
+// it, and appends a row of per-phase milliseconds.
 func addBreakdownRow(table *Table, label string, trials int, fn func(*core.Breakdown)) {
 	var bd core.Breakdown
 	fn(&bd) // warmup
@@ -78,10 +81,21 @@ func addBreakdownRow(table *Table, label string, trials int, fn func(*core.Break
 		fn(&bd)
 	}
 	bd.Scale(trials)
-	vals := make([]float64, 0, len(core.Phases())+1)
+	row := []string{label}
 	for _, p := range core.Phases() {
-		vals = append(vals, bd.Get(p).Seconds())
+		row = append(row, formatMs(bd.Get(p)))
 	}
-	vals = append(vals, bd.Total().Seconds())
-	table.Addf(label, "%.4f", vals...)
+	table.Add(append(row, formatMs(bd.Total()))...)
+}
+
+// formatMs renders a phase time in milliseconds with three significant
+// digits and no exponent: a phase that did not run reads "0", and one
+// that ran never rounds to zero, however short (0.03 ms reads 0.0300,
+// 20 ns 0.0000200), while long phases keep every integer digit.
+func formatMs(d time.Duration) string {
+	if d == 0 {
+		return "0"
+	}
+	ms := float64(d) / float64(time.Millisecond)
+	return strconv.FormatFloat(ms, 'f', max(0, 2-int(math.Floor(math.Log10(ms)))), 64)
 }

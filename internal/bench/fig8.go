@@ -47,7 +47,7 @@ func fig8ForTensor(cfg Config, name string, x *tensor.Dense, t int) *Table {
 	if t > 1 {
 		label = fmt.Sprintf("Par. T=%d", t)
 	}
-	table := breakdownTable(fmt.Sprintf("Figure 8 (%s fMRI tensor %v, %s): MTTKRP breakdown in seconds",
+	table := breakdownTable(fmt.Sprintf("Figure 8 (%s fMRI tensor %v, %s): MTTKRP breakdown in milliseconds",
 		name, x.Dims(), label))
 	for n := 0; n < x.Order(); n++ {
 		g := core.NewGemmBaselineFor(x, n, fig8Rank)

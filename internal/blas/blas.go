@@ -13,9 +13,12 @@
 // reduction — the exact optimization the paper's 1-step algorithm
 // performs at a higher level.
 //
-// Packing A reads the tensor itself, once per GEMM, so the packers have
-// unit-stride paths for column-major and row-major sources (DESIGN §12).
-// Every path is a pure copy: the output bits never depend on the layout.
+// The blocked GEMM reads a unit-stride A (the tensor itself, in every
+// MTTKRP GEMM) in place, 12 rows at a time, and packs A only for strided
+// views, stripes of fewer than 12 rows and the rows left after the last
+// whole group (DESIGN §12). Every path gives each C element the same FMA
+// chains added in the same order: the output bits never depend on the
+// layout or the path.
 package blas
 
 import (
@@ -24,15 +27,15 @@ import (
 	"repro/internal/mat"
 )
 
-// Blocking parameters for the packed GEMM. MC×KC float64 ≈ 256 KiB fits
-// comfortably in a typical L2 cache; the KC×NR B micro-panels stream
-// through L1.
+// Blocking parameters for the blocked GEMM. MC×KC float64 ≈ 256 KiB fits
+// comfortably in a typical L2 cache, and it bounds the B super-block of
+// the in-place path too; the KC×NR B micro-panels stream through L1.
 const (
 	mcDefault = 128
 	kcDefault = 256
 	ncDefault = 2048
 
-	mr = 4 // rows per packed A panel: Gemm4x4 takes one panel, Gemm12x4 three
+	mr = 4 // rows per packed A panel: Gemm4x4 takes one panel, Gemm12x4 three, the in-place tiles 3·mr rows
 	nr = 4 // micro-kernel cols
 )
 

@@ -105,11 +105,12 @@ func gemmOn(p parallel.Executor, t int, small bool, alpha float64, a, b mat.View
 	default:
 		// Worker split: divide the M dimension into contiguous stripes, one
 		// per worker. Each worker runs the full blocked loop nest on its
-		// stripe, packing its own A panels. B panels are packed redundantly
-		// per worker; for the tall-and-skinny shapes MTTKRP produces (huge
-		// M, small N) the duplicated packing cost is negligible and avoiding
-		// cross-worker synchronization keeps the scaling clean. The K
-		// dimension is never split (see package comment).
+		// stripe, reading its A rows in place (or packing them). B panels
+		// are packed redundantly per worker; for the tall-and-skinny
+		// shapes MTTKRP produces (huge M, small N) the duplicated packing
+		// cost is negligible and avoiding cross-worker synchronization
+		// keeps the scaling clean. The K dimension is never split (see
+		// package comment).
 		f.tm = parallel.Clamp(t, (m+mr-1)/mr)
 		if f.tm == 1 {
 			gemmStripe(alpha, a, b, c, f.bl, ws.Arena(0))
@@ -226,48 +227,105 @@ func gemmNaiveAcc(alpha float64, a, b, c mat.View) {
 	}
 }
 
-// gemmStripe runs the five-loop blocked GEMM (BLIS structure) on one
-// contiguous stripe of rows, sequentially: C += alpha*A*B. Packing
-// buffers are sized to the actual block extents and leased from the
-// worker's arena, so same-shaped stripes reuse one pair of panels.
+// gemmStripe runs the blocked GEMM (BLIS structure) on one contiguous
+// stripe of rows, sequentially: C += alpha*A*B. Scratch is leased from
+// the worker's arena, so same-shaped stripes reuse one pair of buffers.
 //
-// The micro-kernel runs on every group of three A panels (simd.Gemm12x4)
-// and on the one or two panels an mc block leaves over (simd.Gemm4x4).
-// Both compute each C element as one FMA chain in k order, so which tile,
-// group or worker stripe a row lands in never changes its bits.
+// A unit-stride A (RS == 1 or CS == 1, the tensor itself in every MTTKRP
+// GEMM) is read in place: each whole group of 12 rows goes through
+// simd.Gemm12x4ColA or simd.Gemm12x4RowA straight from the tensor, and
+// only the m mod 12 rows left over are packed. B is packed one
+// super-block of kb whole KC blocks at a time, and each 12-row group walks
+// the super-block's KC blocks against every B panel before the next group
+// starts: A streams through once per super-block, and each in-place
+// micro-panel meets every B panel while it is still in L1. The B
+// super-block takes the room a packed A block would, so the stripe's
+// scratch never exceeds the packed path's packA + packB.
+//
+// Strided A, m < 12 and the leftover rows take the packed path: each
+// mc×kc block of A is copied into panels, whole groups of three panels go
+// through simd.Gemm12x4 and the one or two left over through
+// simd.Gemm4x4. Every tile computes each C element as one FMA chain over
+// its KC block in k order, and every C element gets its blocks' chains
+// added in pc order, so which tile, group, path or worker stripe a row
+// lands in never changes its bits.
 func gemmStripe(alpha float64, a, b, c mat.View, bl Blocking, ar *parallel.Arena) {
 	m, n, k := a.R, b.C, a.C
-	ap := ar.Float64("blas.packA", min(bl.MC, roundUp(m, mr))*min(bl.KC, k))
-	bp := ar.Float64("blas.packB", min(bl.KC, k)*min(bl.NC, roundUp(n, nr)))
+	kcMax := min(bl.KC, k)
+	ncMax := min(bl.NC, roundUp(n, nr))
+	mcMax := min(bl.MC, roundUp(m, mr))
+	grouped := 0 // rows [0, grouped) run in place
+	if a.RS == 1 || a.CS == 1 {
+		grouped = m - m%(3*mr)
+	}
+	packed, kb := mcMax, 1 // rows of A packed at once, KC blocks per B super-block
+	if grouped > 0 {
+		packed = min(mcMax, roundUp(m-grouped, mr))
+		kb = max(1, min(mcMax, mcMax+ncMax-packed)/ncMax)
+		kb = min(kb, (k+bl.KC-1)/bl.KC)
+	}
+	ap := ar.Float64("blas.packA", packed*kcMax)
+	bp := ar.Float64("blas.packB", kb*kcMax*ncMax)
 	// The tile accumulators live in the arena rather than on the stack:
 	// escape analysis cannot see through the simd dispatch pointer, so a
 	// stack local would be moved to the heap on every stripe. The 4×4
 	// tile reuses the first 16 entries of the 12×4 one.
 	acc := (*[3 * mr * nr]float64)(ar.Float64("blas.acc", 3*mr*nr))
-	acc4 := (*[mr * nr]float64)(acc[:mr*nr])
 	for jc := 0; jc < n; jc += bl.NC {
 		nc := min(bl.NC, n-jc)
-		for pc := 0; pc < k; pc += bl.KC {
-			kc := min(bl.KC, k-pc)
-			packB(b.Slice(pc, pc+kc, jc, jc+nc), bp)
-			for ic := 0; ic < m; ic += bl.MC {
-				mc := min(bl.MC, m-ic)
-				packA(a.Slice(ic, ic+mc, pc, pc+kc), ap)
-				cBlk := c.Slice(ic, ic+mc, jc, jc+nc)
-				for jr := 0; jr < nc; jr += nr {
-					nrr := min(nr, nc-jr)
-					bPanel := bp[(jr/nr)*nr*kc:]
-					ir := 0
-					for ; ir+2*mr < mc; ir += 3 * mr { // a third panel starts below mc
-						simd.Gemm12x4(kc, ap[ir*kc:], bPanel, acc)
-						writeBack(alpha, acc[:], 1, 3*mr, cBlk, ir, jr, min(3*mr, mc-ir), nrr)
-					}
-					for ; ir < mc; ir += mr {
-						simd.Gemm4x4(kc, ap[ir*kc:], bPanel, acc4)
-						writeBack(alpha, acc4[:], nr, 1, cBlk, ir, jr, min(mr, mc-ir), nrr)
+		nc4 := roundUp(nc, nr)
+		cBlk := c.Slice(0, m, jc, jc+nc)
+		for ps := 0; ps < k; ps += kb * bl.KC {
+			pe := min(ps+kb*bl.KC, k)
+			for pc := ps; pc < pe; pc += bl.KC {
+				packB(b.Slice(pc, min(pc+bl.KC, pe), jc, jc+nc), bp[(pc-ps)*nc4:])
+			}
+			for ir := 0; ir < grouped; ir += 3 * mr {
+				for pc := ps; pc < pe; pc += bl.KC {
+					kc := min(bl.KC, pe-pc)
+					bBlk := bp[(pc-ps)*nc4:]
+					for jr := 0; jr < nc; jr += nr {
+						nrr := min(nr, nc-jr)
+						if a.RS == 1 {
+							simd.Gemm12x4ColA(kc, a.Data[pc*a.CS+ir:], a.CS, bBlk[jr*kc:], acc)
+							writeBack(alpha, acc[:], 1, 3*mr, cBlk, ir, jr, 3*mr, nrr)
+						} else {
+							simd.Gemm12x4RowA(kc, a.Data[ir*a.RS+pc:], a.RS, bBlk[jr*kc:], acc)
+							writeBack(alpha, acc[:], nr, 1, cBlk, ir, jr, 3*mr, nrr)
+						}
 					}
 				}
 			}
+			for ic := grouped; ic < m; ic += bl.MC {
+				mc := min(bl.MC, m-ic)
+				for pc := ps; pc < pe; pc += bl.KC {
+					kc := min(bl.KC, pe-pc)
+					packA(a.Slice(ic, ic+mc, pc, pc+kc), ap)
+					gemmPanels(alpha, kc, ap, bp[(pc-ps)*nc4:], acc, cBlk.Slice(ic, ic+mc, 0, nc))
+				}
+			}
+		}
+	}
+}
+
+// gemmPanels multiplies one packed mc×kc block of A (ap) by every packed
+// B panel of a KC block (bp) and adds alpha times the product into the
+// mc×nc block cBlk: whole groups of three A panels through simd.Gemm12x4,
+// the one or two panels left over through simd.Gemm4x4.
+func gemmPanels(alpha float64, kc int, ap, bp []float64, acc *[3 * mr * nr]float64, cBlk mat.View) {
+	mc, nc := cBlk.R, cBlk.C
+	acc4 := (*[mr * nr]float64)(acc[:mr*nr])
+	for jr := 0; jr < nc; jr += nr {
+		nrr := min(nr, nc-jr)
+		bPanel := bp[jr*kc:]
+		ir := 0
+		for ; ir+2*mr < mc; ir += 3 * mr { // a third panel starts below mc
+			simd.Gemm12x4(kc, ap[ir*kc:], bPanel, acc)
+			writeBack(alpha, acc[:], 1, 3*mr, cBlk, ir, jr, min(3*mr, mc-ir), nrr)
+		}
+		for ; ir < mc; ir += mr {
+			simd.Gemm4x4(kc, ap[ir*kc:], bPanel, acc4)
+			writeBack(alpha, acc4[:], nr, 1, cBlk, ir, jr, min(mr, mc-ir), nrr)
 		}
 	}
 }

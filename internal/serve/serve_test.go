@@ -494,48 +494,59 @@ func TestServeSteadyStateDst(t *testing.T) {
 // workers alike) while the server keeps serving. Every kind of ticket that
 // reads the tensor is covered: each MTTKRP mode, the reorder baseline
 // (whose unfold copies the whole tensor) and a CP run (whose ‖X‖ reads
-// every entry), all on the lease.
+// every entry), all on the lease. Two shapes place the first faulting
+// read in different code: 30×24×20 at rank 4 keeps every GEMM on the
+// small path (Go loops), and 64×48×40 at rank 8 sends them through the
+// blocked GEMM's in-place assembly tiles, whose faults must stay inside
+// one ticket too.
 func TestServeTruncatedMappingFailsTicket(t *testing.T) {
-	x, u := problem(10, 4, 30, 24, 20)
-	path := filepath.Join(t.TempDir(), "x.dsnt")
-	if err := tensor.WriteDenseFile(path, x); err != nil {
-		t.Fatal(err)
-	}
-	m, err := tensor.OpenDense(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if !m.Mapped() {
-		t.Skip("no mmap on this host: the tensor is a heap copy")
-	}
-	// Keep the header page only: every data page now lies past EOF.
-	if err := os.Truncate(path, 4096); err != nil {
-		t.Fatal(err)
-	}
-	for _, width := range []int{1, 2, 4} {
-		s := New(Config{Workers: width, MinWorkers: width})
-		for mode := 0; mode < x.Order(); mode++ {
-			// The by-reference transport submits the mapping's Dense.
-			_, err := s.SubmitMTTKRP(MTTKRPRequest{X: m.Dense, Factors: u, Mode: mode}).MTTKRP()
-			if err == nil {
-				t.Fatalf("width %d mode %d: MTTKRP over a truncated mapping succeeded", width, mode)
+	for _, sh := range []struct {
+		rank int
+		dims []int
+	}{{4, []int{30, 24, 20}}, {8, []int{64, 48, 40}}} {
+		t.Run(fmt.Sprint(sh.dims), func(t *testing.T) {
+			x, u := problem(10, sh.rank, sh.dims...)
+			path := filepath.Join(t.TempDir(), "x.dsnt")
+			if err := tensor.WriteDenseFile(path, x); err != nil {
+				t.Fatal(err)
 			}
-		}
-		reorder := MTTKRPRequest{X: m.Dense, Factors: u, Mode: 1, Method: core.MethodReorder}
-		if _, err := s.SubmitMTTKRP(reorder).MTTKRP(); err == nil {
-			t.Fatalf("width %d: reorder MTTKRP over a truncated mapping succeeded", width)
-		}
-		cp := CPRequest{X: m.Dense, Config: cpd.Config{Rank: 3, MaxIters: 2, Tol: -1}}
-		if _, err := s.SubmitCP(cp).CP(); err == nil {
-			t.Fatalf("width %d: CP over a truncated mapping succeeded", width)
-		}
-		want := core.Compute(core.MethodAuto, x, u, 1, core.Options{Threads: width})
-		got, err := s.SubmitMTTKRP(MTTKRPRequest{X: x, Factors: u, Mode: 1}).MTTKRP()
-		if err != nil {
-			t.Fatalf("width %d: request after the faults: %v", width, err)
-		}
-		matsEqual(t, got, want, fmt.Sprintf("width %d, after the faults", width))
-		s.Close()
+			m, err := tensor.OpenDense(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			if !m.Mapped() {
+				t.Skip("no mmap on this host: the tensor is a heap copy")
+			}
+			// Keep the header page only: every data page now lies past EOF.
+			if err := os.Truncate(path, 4096); err != nil {
+				t.Fatal(err)
+			}
+			for _, width := range []int{1, 2, 4} {
+				s := New(Config{Workers: width, MinWorkers: width})
+				for mode := 0; mode < x.Order(); mode++ {
+					// The by-reference transport submits the mapping's Dense.
+					_, err := s.SubmitMTTKRP(MTTKRPRequest{X: m.Dense, Factors: u, Mode: mode}).MTTKRP()
+					if err == nil {
+						t.Fatalf("width %d mode %d: MTTKRP over a truncated mapping succeeded", width, mode)
+					}
+				}
+				reorder := MTTKRPRequest{X: m.Dense, Factors: u, Mode: 1, Method: core.MethodReorder}
+				if _, err := s.SubmitMTTKRP(reorder).MTTKRP(); err == nil {
+					t.Fatalf("width %d: reorder MTTKRP over a truncated mapping succeeded", width)
+				}
+				cp := CPRequest{X: m.Dense, Config: cpd.Config{Rank: 3, MaxIters: 2, Tol: -1}}
+				if _, err := s.SubmitCP(cp).CP(); err == nil {
+					t.Fatalf("width %d: CP over a truncated mapping succeeded", width)
+				}
+				want := core.Compute(core.MethodAuto, x, u, 1, core.Options{Threads: width})
+				got, err := s.SubmitMTTKRP(MTTKRPRequest{X: x, Factors: u, Mode: 1}).MTTKRP()
+				if err != nil {
+					t.Fatalf("width %d: request after the faults: %v", width, err)
+				}
+				matsEqual(t, got, want, fmt.Sprintf("width %d, after the faults", width))
+				s.Close()
+			}
+		})
 	}
 }

@@ -43,17 +43,19 @@ func detectAVX2() *Impl {
 		return nil
 	}
 	return &Impl{
-		Name:      "avx2",
-		Dot:       dotVec,
-		Axpy:      axpyVec,
-		Scale:     scaleAVX2,
-		Had:       hadVec,
-		HadAcc:    hadAccVec,
-		Add:       addVec,
-		SumAbs:    sumAbsAVX2,
-		Gemm4x4:   gemm4x4Vec,
-		Gemm12x4:  gemm12x4Vec,
-		HadExpand: hadExpandVec,
+		Name:         "avx2",
+		Dot:          dotVec,
+		Axpy:         axpyVec,
+		Scale:        scaleAVX2,
+		Had:          hadVec,
+		HadAcc:       hadAccVec,
+		Add:          addVec,
+		SumAbs:       sumAbsAVX2,
+		Gemm4x4:      gemm4x4Vec,
+		Gemm12x4:     gemm12x4Vec,
+		Gemm12x4ColA: gemm12x4ColAVec,
+		Gemm12x4RowA: gemm12x4RowAVec,
+		HadExpand:    hadExpandVec,
 	}
 }
 
@@ -95,6 +97,16 @@ func gemm12x4Vec(kc int, ap, bp []float64, acc *[48]float64) {
 }
 
 //mttkrp:noalloc
+func gemm12x4ColAVec(kc int, a []float64, lda int, bp []float64, acc *[48]float64) {
+	gemm12x4ColAAVX2(kc, a[:colALen(kc, lda)], lda, bp[:kc*4:kc*4], acc)
+}
+
+//mttkrp:noalloc
+func gemm12x4RowAVec(kc int, a []float64, lda int, bp []float64, acc *[48]float64) {
+	gemm12x4RowAAVX2(kc, a[:rowALen(kc, lda)], lda, bp[:kc*4:kc*4], acc)
+}
+
+//mttkrp:noalloc
 func hadExpandVec(row, kl, out []float64) {
 	if len(row) == 0 {
 		return
@@ -104,8 +116,8 @@ func hadExpandVec(row, kl, out []float64) {
 
 // Assembly kernels (kernels_amd64.s). Their element counts come from the
 // same operand as the scalar references: len(x) for dot/axpy/add, len(z)
-// for the Hadamard pair, len(kl) and len(row) for the expansion, kc for
-// the GEMM tiles.
+// for the Hadamard pair, len(kl) and len(row) for the expansion, kc (and
+// lda for the in-place tiles) for the GEMM tiles.
 
 //go:noescape
 func dotAVX2(x, y []float64) float64
@@ -133,6 +145,12 @@ func gemm4x4AVX2(kc int, ap, bp []float64, acc *[16]float64)
 
 //go:noescape
 func gemm12x4AVX2(kc int, ap, bp []float64, acc *[48]float64)
+
+//go:noescape
+func gemm12x4ColAAVX2(kc int, a []float64, lda int, bp []float64, acc *[48]float64)
+
+//go:noescape
+func gemm12x4RowAAVX2(kc int, a []float64, lda int, bp []float64, acc *[48]float64)
 
 //go:noescape
 func hadExpandAVX2(row, kl, out []float64)

@@ -3,7 +3,7 @@
 #include "textflag.h"
 
 // AVX2 float64 kernels. Every kernel is bit-identical to its scalar
-// reference in scalar.go. The two GEMM tiles accumulate every element as
+// reference in scalar.go. The GEMM tiles accumulate every element as
 // one VFMADD231PD chain in k order (math.FMA in the reference); every
 // other kernel uses separate VMULPD/VADDPD (a*b + c in the reference), and
 // reductions keep exactly the reference's partial-sum grouping, folded in
@@ -417,6 +417,232 @@ g12loop:
 	JLT          g12loop
 
 g12done:
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	VMOVUPD Y4, 128(DX)
+	VMOVUPD Y5, 160(DX)
+	VMOVUPD Y6, 192(DX)
+	VMOVUPD Y7, 224(DX)
+	VMOVUPD Y8, 256(DX)
+	VMOVUPD Y9, 288(DX)
+	VMOVUPD Y10, 320(DX)
+	VMOVUPD Y11, 352(DX)
+	VZEROUPPER
+	RET
+
+// func gemm12x4ColAAVX2(kc int, a []float64, lda int, bp []float64, acc *[48]float64)
+//
+// gemm12x4AVX2 reading a column-major A in place: k step q loads the 12
+// contiguous rows of column q at a[q*lda:] instead of a packed column,
+// then runs the same four broadcasts and twelve FMA chains into the same
+// column-major tile. Each step also prefetches the next 12 rows of the
+// column (bytes 96–191: the lines holding bytes 128 and 184 are the ones
+// the current rows' loads have not already brought in) into L2, the next
+// group of the blocked GEMM. The column stride defeats the hardware
+// prefetchers, and without this the next group's pass waits on memory
+// for every column; prefetching into L1 instead evicts the current
+// micro-panel, which the tile re-reads for every B panel. A prefetch
+// never faults, so the last group of a slice or mapping may run here too.
+TEXT ·gemm12x4ColAAVX2(SB), NOSPLIT, $0-72
+	MOVQ kc+0(FP), CX
+	MOVQ a_base+8(FP), SI
+	MOVQ lda+32(FP), BX
+	MOVQ bp_base+40(FP), DI
+	MOVQ acc+64(FP), DX
+	SHLQ $3, BX          // column stride in bytes
+	SHLQ $5, CX
+	LEAQ (DI)(CX*1), R11 // end of the B panel
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+	CMPQ DI, R11
+	JGE  g12cdone
+
+g12cloop:
+	PREFETCHT1   128(SI)
+	PREFETCHT1   184(SI)
+	VMOVUPD      (SI), Y12
+	VMOVUPD      32(SI), Y13
+	VMOVUPD      64(SI), Y14
+	VBROADCASTSD (DI), Y15
+	VFMADD231PD  Y15, Y12, Y0
+	VFMADD231PD  Y15, Y13, Y1
+	VFMADD231PD  Y15, Y14, Y2
+	VBROADCASTSD 8(DI), Y15
+	VFMADD231PD  Y15, Y12, Y3
+	VFMADD231PD  Y15, Y13, Y4
+	VFMADD231PD  Y15, Y14, Y5
+	VBROADCASTSD 16(DI), Y15
+	VFMADD231PD  Y15, Y12, Y6
+	VFMADD231PD  Y15, Y13, Y7
+	VFMADD231PD  Y15, Y14, Y8
+	VBROADCASTSD 24(DI), Y15
+	VFMADD231PD  Y15, Y12, Y9
+	VFMADD231PD  Y15, Y13, Y10
+	VFMADD231PD  Y15, Y14, Y11
+	ADDQ         BX, SI
+	ADDQ         $32, DI
+	CMPQ         DI, R11
+	JLT          g12cloop
+
+g12cdone:
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	VMOVUPD Y4, 128(DX)
+	VMOVUPD Y5, 160(DX)
+	VMOVUPD Y6, 192(DX)
+	VMOVUPD Y7, 224(DX)
+	VMOVUPD Y8, 256(DX)
+	VMOVUPD Y9, 288(DX)
+	VMOVUPD Y10, 320(DX)
+	VMOVUPD Y11, 352(DX)
+	VZEROUPPER
+	RET
+
+// func gemm12x4RowAAVX2(kc int, a []float64, lda int, bp []float64, acc *[48]float64)
+//
+// The in-place 12×4 tile over a row-major A, lanes along N: Y(r) holds
+// row r's four columns. Per k step one load of B's row q and, for each of
+// the 12 row streams, one broadcast of a[r*lda+q] and one FMA — per lane
+// the scalar kernel's c = math.FMA(a, b, c) in k order. Rows are
+// addressed from four bases three rows apart (SI, R8, R9, R10) plus 0,
+// 1 or 2 times the row stride in BX. Thirteen loads feed twelve FMAs, so
+// the loop runs two k steps per pass to keep the pointer updates off the
+// critical front end; an odd kc ends with one step. The tile is stored
+// row-major, row r at byte offset 32r.
+TEXT ·gemm12x4RowAAVX2(SB), NOSPLIT, $0-72
+	MOVQ kc+0(FP), CX
+	MOVQ a_base+8(FP), SI
+	MOVQ lda+32(FP), BX
+	MOVQ bp_base+40(FP), DI
+	MOVQ acc+64(FP), DX
+	SHLQ $3, BX          // row stride in bytes
+	LEAQ (SI)(BX*2), R8
+	ADDQ BX, R8          // row 3
+	LEAQ (R8)(BX*2), R9
+	ADDQ BX, R9          // row 6
+	LEAQ (R9)(BX*2), R10
+	ADDQ BX, R10         // row 9
+	SHLQ $5, CX
+	LEAQ (DI)(CX*1), R11 // end of the B panel
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	VXORPD Y10, Y10, Y10
+	VXORPD Y11, Y11, Y11
+	LEAQ -32(R11), R12   // pairs of k steps run while DI < R12
+	CMPQ DI, R12
+	JGE  g12rtail
+
+g12rloop:
+	VMOVUPD      (DI), Y12
+	VBROADCASTSD (SI), Y13
+	VFMADD231PD  Y12, Y13, Y0
+	VBROADCASTSD (SI)(BX*1), Y14
+	VFMADD231PD  Y12, Y14, Y1
+	VBROADCASTSD (SI)(BX*2), Y15
+	VFMADD231PD  Y12, Y15, Y2
+	VBROADCASTSD (R8), Y13
+	VFMADD231PD  Y12, Y13, Y3
+	VBROADCASTSD (R8)(BX*1), Y14
+	VFMADD231PD  Y12, Y14, Y4
+	VBROADCASTSD (R8)(BX*2), Y15
+	VFMADD231PD  Y12, Y15, Y5
+	VBROADCASTSD (R9), Y13
+	VFMADD231PD  Y12, Y13, Y6
+	VBROADCASTSD (R9)(BX*1), Y14
+	VFMADD231PD  Y12, Y14, Y7
+	VBROADCASTSD (R9)(BX*2), Y15
+	VFMADD231PD  Y12, Y15, Y8
+	VBROADCASTSD (R10), Y13
+	VFMADD231PD  Y12, Y13, Y9
+	VBROADCASTSD (R10)(BX*1), Y14
+	VFMADD231PD  Y12, Y14, Y10
+	VBROADCASTSD (R10)(BX*2), Y15
+	VFMADD231PD  Y12, Y15, Y11
+	VMOVUPD      32(DI), Y12
+	VBROADCASTSD 8(SI), Y13
+	VFMADD231PD  Y12, Y13, Y0
+	VBROADCASTSD 8(SI)(BX*1), Y14
+	VFMADD231PD  Y12, Y14, Y1
+	VBROADCASTSD 8(SI)(BX*2), Y15
+	VFMADD231PD  Y12, Y15, Y2
+	VBROADCASTSD 8(R8), Y13
+	VFMADD231PD  Y12, Y13, Y3
+	VBROADCASTSD 8(R8)(BX*1), Y14
+	VFMADD231PD  Y12, Y14, Y4
+	VBROADCASTSD 8(R8)(BX*2), Y15
+	VFMADD231PD  Y12, Y15, Y5
+	VBROADCASTSD 8(R9), Y13
+	VFMADD231PD  Y12, Y13, Y6
+	VBROADCASTSD 8(R9)(BX*1), Y14
+	VFMADD231PD  Y12, Y14, Y7
+	VBROADCASTSD 8(R9)(BX*2), Y15
+	VFMADD231PD  Y12, Y15, Y8
+	VBROADCASTSD 8(R10), Y13
+	VFMADD231PD  Y12, Y13, Y9
+	VBROADCASTSD 8(R10)(BX*1), Y14
+	VFMADD231PD  Y12, Y14, Y10
+	VBROADCASTSD 8(R10)(BX*2), Y15
+	VFMADD231PD  Y12, Y15, Y11
+	ADDQ         $16, SI
+	ADDQ         $16, R8
+	ADDQ         $16, R9
+	ADDQ         $16, R10
+	ADDQ         $64, DI
+	CMPQ         DI, R12
+	JLT          g12rloop
+
+g12rtail:
+	CMPQ DI, R11
+	JGE  g12rdone
+	VMOVUPD      (DI), Y12
+	VBROADCASTSD (SI), Y13
+	VFMADD231PD  Y12, Y13, Y0
+	VBROADCASTSD (SI)(BX*1), Y14
+	VFMADD231PD  Y12, Y14, Y1
+	VBROADCASTSD (SI)(BX*2), Y15
+	VFMADD231PD  Y12, Y15, Y2
+	VBROADCASTSD (R8), Y13
+	VFMADD231PD  Y12, Y13, Y3
+	VBROADCASTSD (R8)(BX*1), Y14
+	VFMADD231PD  Y12, Y14, Y4
+	VBROADCASTSD (R8)(BX*2), Y15
+	VFMADD231PD  Y12, Y15, Y5
+	VBROADCASTSD (R9), Y13
+	VFMADD231PD  Y12, Y13, Y6
+	VBROADCASTSD (R9)(BX*1), Y14
+	VFMADD231PD  Y12, Y14, Y7
+	VBROADCASTSD (R9)(BX*2), Y15
+	VFMADD231PD  Y12, Y15, Y8
+	VBROADCASTSD (R10), Y13
+	VFMADD231PD  Y12, Y13, Y9
+	VBROADCASTSD (R10)(BX*1), Y14
+	VFMADD231PD  Y12, Y14, Y10
+	VBROADCASTSD (R10)(BX*2), Y15
+	VFMADD231PD  Y12, Y15, Y11
+
+g12rdone:
 	VMOVUPD Y0, (DX)
 	VMOVUPD Y1, 32(DX)
 	VMOVUPD Y2, 64(DX)

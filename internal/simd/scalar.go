@@ -118,49 +118,58 @@ func sumAbsScalar(x []float64) float64 {
 	return s
 }
 
-// gemm4x4Scalar is the reference 4×4 micro-kernel: sixteen accumulators,
-// one math.FMA per (row, column) pair per k step, in k order. The AVX2
-// kernel holds each row's four accumulators in one register; per lane the
-// operation sequence is identical.
+// gemm4x4Strided computes a 4×4 tile over a 4-row block of A held at any
+// strides, element (r, q) at a[r*rs+q*cs]: sixteen accumulators, one
+// math.FMA per (row, column) pair per k step, in k order, stored
+// row-major into t. Every scalar GEMM tile is built from it, so an
+// element's chain is the same whichever tile or layout computes it. The
+// caller has checked a's length.
 //
 //mttkrp:noalloc
-func gemm4x4Scalar(kc int, ap, bp []float64, acc *[16]float64) {
+func gemm4x4Strided(kc int, a []float64, rs, cs int, bp []float64, t *[16]float64) {
 	var c00, c01, c02, c03 float64
 	var c10, c11, c12, c13 float64
 	var c20, c21, c22, c23 float64
 	var c30, c31, c32, c33 float64
-	ap = ap[: kc*4 : kc*4]
 	bp = bp[: kc*4 : kc*4]
 	for p := 0; p < kc; p++ {
-		a0 := ap[p*4]
-		a1 := ap[p*4+1]
-		a2 := ap[p*4+2]
-		a3 := ap[p*4+3]
-		b0 := bp[p*4]
-		b1 := bp[p*4+1]
-		b2 := bp[p*4+2]
-		b3 := bp[p*4+3]
-		c00 = math.FMA(a0, b0, c00)
-		c01 = math.FMA(a0, b1, c01)
-		c02 = math.FMA(a0, b2, c02)
-		c03 = math.FMA(a0, b3, c03)
-		c10 = math.FMA(a1, b0, c10)
-		c11 = math.FMA(a1, b1, c11)
-		c12 = math.FMA(a1, b2, c12)
-		c13 = math.FMA(a1, b3, c13)
-		c20 = math.FMA(a2, b0, c20)
-		c21 = math.FMA(a2, b1, c21)
-		c22 = math.FMA(a2, b2, c22)
-		c23 = math.FMA(a2, b3, c23)
-		c30 = math.FMA(a3, b0, c30)
-		c31 = math.FMA(a3, b1, c31)
-		c32 = math.FMA(a3, b2, c32)
-		c33 = math.FMA(a3, b3, c33)
+		i := p * cs
+		a0 := a[i]
+		a1 := a[i+rs]
+		a2 := a[i+2*rs]
+		a3 := a[i+3*rs]
+		b := bp[p*4 : p*4+4 : p*4+4]
+		c00 = math.FMA(a0, b[0], c00)
+		c01 = math.FMA(a0, b[1], c01)
+		c02 = math.FMA(a0, b[2], c02)
+		c03 = math.FMA(a0, b[3], c03)
+		c10 = math.FMA(a1, b[0], c10)
+		c11 = math.FMA(a1, b[1], c11)
+		c12 = math.FMA(a1, b[2], c12)
+		c13 = math.FMA(a1, b[3], c13)
+		c20 = math.FMA(a2, b[0], c20)
+		c21 = math.FMA(a2, b[1], c21)
+		c22 = math.FMA(a2, b[2], c22)
+		c23 = math.FMA(a2, b[3], c23)
+		c30 = math.FMA(a3, b[0], c30)
+		c31 = math.FMA(a3, b[1], c31)
+		c32 = math.FMA(a3, b[2], c32)
+		c33 = math.FMA(a3, b[3], c33)
 	}
-	acc[0], acc[1], acc[2], acc[3] = c00, c01, c02, c03
-	acc[4], acc[5], acc[6], acc[7] = c10, c11, c12, c13
-	acc[8], acc[9], acc[10], acc[11] = c20, c21, c22, c23
-	acc[12], acc[13], acc[14], acc[15] = c30, c31, c32, c33
+	t[0], t[1], t[2], t[3] = c00, c01, c02, c03
+	t[4], t[5], t[6], t[7] = c10, c11, c12, c13
+	t[8], t[9], t[10], t[11] = c20, c21, c22, c23
+	t[12], t[13], t[14], t[15] = c30, c31, c32, c33
+}
+
+// gemm4x4Scalar is the reference 4×4 micro-kernel on one packed panel
+// (A(r, q) at ap[q*4+r]): gemm4x4Strided above. The AVX2 kernel holds each
+// row's four accumulators in one register; per lane the operation
+// sequence is identical.
+//
+//mttkrp:noalloc
+func gemm4x4Scalar(kc int, ap, bp []float64, acc *[16]float64) {
+	gemm4x4Strided(kc, ap[:kc*4:kc*4], 1, 4, bp, acc)
 }
 
 // gemm12x4Scalar is the reference 12×4 micro-kernel. An element's FMA
@@ -180,6 +189,76 @@ func gemm12x4Scalar(kc int, ap, bp []float64, acc *[48]float64) {
 				acc[c*12+q*4+r] = t[r*4+c]
 			}
 		}
+	}
+}
+
+// colALen is the number of elements Gemm12x4ColA reads from a: kc
+// columns lda apart, 12 contiguous rows each. rowALen is the same for
+// Gemm12x4RowA: 12 rows lda apart, kc contiguous columns each. Both
+// references and the vector wrappers reslice a to this length, so a
+// short operand panics alike under every implementation.
+//
+//mttkrp:noalloc
+func colALen(kc, lda int) int {
+	if lda < 0 {
+		panic("simd: negative lda")
+	}
+	if kc == 0 {
+		return 0
+	}
+	return (kc-1)*lda + 12
+}
+
+//mttkrp:noalloc
+func rowALen(kc, lda int) int {
+	if lda < 0 {
+		panic("simd: negative lda")
+	}
+	if kc == 0 {
+		return 0
+	}
+	return 11*lda + kc
+}
+
+// gemm12x4ColAScalar is the reference for the in-place 12×4 tile over a
+// column-major A: row r of column q is a[q*lda+r]. Each element is the
+// FMA chain gemm12x4Scalar computes from the packed copy of those rows,
+// stored in the same column-major tile (acc[c*12+r]).
+//
+//mttkrp:noalloc
+func gemm12x4ColAScalar(kc int, a []float64, lda int, bp []float64, acc *[48]float64) {
+	a = a[:colALen(kc, lda)]
+	bp = bp[: kc*4 : kc*4]
+	if kc == 0 {
+		*acc = [48]float64{}
+		return
+	}
+	var t [16]float64
+	for q := 0; q < 3; q++ {
+		gemm4x4Strided(kc, a[q*4:], 1, lda, bp, &t)
+		for r := 0; r < 4; r++ {
+			for c := 0; c < 4; c++ {
+				acc[c*12+q*4+r] = t[r*4+c]
+			}
+		}
+	}
+}
+
+// gemm12x4RowAScalar is the reference for the in-place 12×4 tile over a
+// row-major A: row r of column q is a[r*lda+q]. The tile is row-major
+// (acc[r*4+c]), the layout of a tile whose lanes run along N; each
+// element is the same FMA chain as in the packed tiles.
+//
+//mttkrp:noalloc
+func gemm12x4RowAScalar(kc int, a []float64, lda int, bp []float64, acc *[48]float64) {
+	a = a[:rowALen(kc, lda)]
+	bp = bp[: kc*4 : kc*4]
+	if kc == 0 {
+		*acc = [48]float64{}
+		return
+	}
+	for q := 0; q < 3; q++ {
+		gemm4x4Strided(kc, a[q*4*lda:], lda, 1, bp, (*[16]float64)(acc[q*16:]))
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package simd provides the vectorized micro-kernels behind the library's
 // flop core: the unit-stride level-1 loops (dot, axpy, Hadamard products),
-// the 12×4 and 4×4 GEMM micro-kernels, the Khatri-Rao row expansion, and
+// the GEMM micro-kernels (12×4 and 4×4 on packed panels, and two 12×4
+// tiles that read A where it lies), the Khatri-Rao row expansion, and
 // the elementwise accumulation used by the parallel reduction. Every
 // kernel exists twice — a portable scalar reference implementation
 // (unrolled, bounds-check-eliminated Go) and, on amd64 with AVX2 and FMA,
@@ -15,12 +16,13 @@
 // of its response. Concretely that means the vector kernels preserve the
 // scalar's rounding sequence and its accumulation grouping. The GEMM tiles
 // compute every output element as one fused multiply-add chain in k order
-// (VFMADD231PD, mirrored by math.FMA in the reference), so the 12×4 and
-// the 4×4 tile give an element the same bits; every other kernel rounds
-// each product before its add (separate VMULPD and VADDPD, mirrored by
-// a*b + c in Go, which the compiler does not contract on amd64). A
-// reduction kernel's scalar reference carries exactly as many independent
-// partial sums as the vector version has lanes, folded in the same order.
+// (VFMADD231PD, mirrored by math.FMA in the reference), so every tile,
+// packed or in place, gives an element the same bits; every other kernel
+// rounds each product before its add (separate VMULPD and VADDPD,
+// mirrored by a*b + c in Go, which the compiler does not contract on
+// amd64). A reduction kernel's scalar reference carries exactly as many
+// independent partial sums as the vector version has lanes, folded in
+// the same order.
 // The property is pinned by TestKernelsBitIdentical and the per-tile tests
 // across random sizes, tails and aliasing patterns, and at the MTTKRP
 // level by the core and serve dispatch tests.
@@ -106,6 +108,22 @@ type Impl struct {
 	// fused multiply-add chain Gemm4x4 computes for it.
 	Gemm12x4 func(kc int, ap, bp []float64, acc *[48]float64)
 
+	// Gemm12x4ColA is Gemm12x4 reading 12 rows of a column-major A in
+	// place: A(r, q) is a[q*lda+r], so column q's 12 rows are contiguous.
+	// bp and the column-major tile are as in Gemm12x4, and each element is
+	// the same FMA chain, so the tile equals Gemm12x4's on a packed copy
+	// of the rows. The AVX2 kernel prefetches the next 12 rows of every
+	// column it reads (the next group of a blocked GEMM); a prefetch never
+	// faults, so a may end at the group's last row.
+	Gemm12x4ColA func(kc int, a []float64, lda int, bp []float64, acc *[48]float64)
+
+	// Gemm12x4RowA is the in-place tile over a row-major A: A(r, q) is
+	// a[r*lda+q], 12 contiguous row streams. Lanes run along N: per k step
+	// the tile broadcasts each row's entry against B's row q, so the tile
+	// is row-major (acc[r*4+c] is C(r, c)). Each element is the same FMA
+	// chain as in Gemm12x4.
+	Gemm12x4RowA func(kc int, a []float64, lda int, bp []float64, acc *[48]float64)
+
 	// HadExpand computes out(l, :) = row ∗ kl(l, :) over flat row-major
 	// kl and out of len(kl) = rows·len(row) — the 1-step internal-mode
 	// KRP block expansion. out must not overlap row; out == kl exactly
@@ -126,21 +144,25 @@ var (
 	sumAbs    func(x []float64) float64
 	gemm4x4   func(kc int, ap, bp []float64, acc *[16]float64)
 	gemm12x4  func(kc int, ap, bp []float64, acc *[48]float64)
+	gemmColA  func(kc int, a []float64, lda int, bp []float64, acc *[48]float64)
+	gemmRowA  func(kc int, a []float64, lda int, bp []float64, acc *[48]float64)
 	hadExpand func(row, kl, out []float64)
 )
 
 var scalarImpl = Impl{
-	Name:      "scalar",
-	Dot:       dotScalar,
-	Axpy:      axpyScalar,
-	Scale:     scaleScalar,
-	Had:       hadScalar,
-	HadAcc:    hadAccScalar,
-	Add:       addScalar,
-	SumAbs:    sumAbsScalar,
-	Gemm4x4:   gemm4x4Scalar,
-	Gemm12x4:  gemm12x4Scalar,
-	HadExpand: hadExpandScalar,
+	Name:         "scalar",
+	Dot:          dotScalar,
+	Axpy:         axpyScalar,
+	Scale:        scaleScalar,
+	Had:          hadScalar,
+	HadAcc:       hadAccScalar,
+	Add:          addScalar,
+	SumAbs:       sumAbsScalar,
+	Gemm4x4:      gemm4x4Scalar,
+	Gemm12x4:     gemm12x4Scalar,
+	Gemm12x4ColA: gemm12x4ColAScalar,
+	Gemm12x4RowA: gemm12x4RowAScalar,
+	HadExpand:    hadExpandScalar,
 }
 
 // Scalar returns the portable reference implementation.
@@ -181,6 +203,8 @@ func Use(impl *Impl) {
 	sumAbs = impl.SumAbs
 	gemm4x4 = impl.Gemm4x4
 	gemm12x4 = impl.Gemm12x4
+	gemmColA = impl.Gemm12x4ColA
+	gemmRowA = impl.Gemm12x4RowA
 	hadExpand = impl.HadExpand
 }
 
@@ -239,6 +263,24 @@ func Gemm4x4(kc int, ap, bp []float64, acc *[16]float64) { gemm4x4(kc, ap, bp, a
 //
 //mttkrp:noalloc
 func Gemm12x4(kc int, ap, bp []float64, acc *[48]float64) { gemm12x4(kc, ap, bp, acc) }
+
+// Gemm12x4ColA runs the in-place 12×4 tile over a column-major A via the
+// active kernel: A(r, q) is a[q*lda+r]. a must hold (kc-1)·lda+12
+// elements when kc > 0, bp at least 4·kc; the tile is column-major.
+//
+//mttkrp:noalloc
+func Gemm12x4ColA(kc int, a []float64, lda int, bp []float64, acc *[48]float64) {
+	gemmColA(kc, a, lda, bp, acc)
+}
+
+// Gemm12x4RowA runs the in-place 12×4 tile over a row-major A via the
+// active kernel: A(r, q) is a[r*lda+q]. a must hold 11·lda+kc elements
+// when kc > 0, bp at least 4·kc; the tile is row-major.
+//
+//mttkrp:noalloc
+func Gemm12x4RowA(kc int, a []float64, lda int, bp []float64, acc *[48]float64) {
+	gemmRowA(kc, a, lda, bp, acc)
+}
 
 // HadExpand computes out(l, :) = row ∗ kl(l, :) over flat row-major
 // buffers via the active kernel. len(kl) and len(out) must equal

@@ -224,6 +224,91 @@ func TestGemm12x4BitIdentical(t *testing.T) {
 	}
 }
 
+// inPlaceTile describes one of the in-place 12×4 tiles for
+// testInPlaceTile: its entry point, how many elements of a it reads, where
+// A(r, q) lives in a, and where C(r, c) lives in the tile.
+type inPlaceTile struct {
+	name string
+	fn   func(impl *Impl) func(kc int, a []float64, lda int, bp []float64, acc *[48]float64)
+	alen func(kc, lda int) int
+	at   func(a []float64, lda, r, q int) float64
+	tile func(r, c int) int
+}
+
+// testInPlaceTile sweeps an in-place tile over k depths 0–80 and across
+// the blocked GEMM's KC boundary (255–257), over strides from the
+// tightest to cp-fmri's 3390 and unaligned bases: scalar against vector,
+// and every tile element against its explicit FMA chain, which is also
+// what the packed tiles compute for that element.
+func testInPlaceTile(t *testing.T, tc inPlaceTile) {
+	v := vectorOrSkip(t)
+	s := Scalar()
+	rng := rand.New(rand.NewSource(29))
+	kcs := []int{255, 256, 257}
+	for kc := 0; kc <= 80; kc++ {
+		kcs = append(kcs, kc)
+	}
+	for _, lda := range []int{12, 13, 113, 3390} {
+		buf := make([]float64, tc.alen(257, lda)+4)
+		fill(rng, buf)
+		for _, kc := range kcs {
+			off := rng.Intn(4)
+			a := buf[off : off+tc.alen(kc, lda)]
+			bp := make([]float64, 4*kc)
+			fill(rng, bp)
+			var as, av [48]float64
+			tc.fn(s)(kc, a, lda, bp, &as)
+			tc.fn(v)(kc, a, lda, bp, &av)
+			for r := 0; r < 12; r++ {
+				for c := 0; c < 4; c++ {
+					i := tc.tile(r, c)
+					if !bitsEq(as[i], av[i]) {
+						t.Fatalf("%s kc=%d lda=%d off=%d: C(%d,%d) scalar %x vector %x",
+							tc.name, kc, lda, off, r, c, math.Float64bits(as[i]), math.Float64bits(av[i]))
+					}
+					want := 0.0
+					for q := 0; q < kc; q++ {
+						want = math.FMA(tc.at(a, lda, r, q), bp[q*4+c], want)
+					}
+					if !bitsEq(as[i], want) {
+						t.Fatalf("%s kc=%d lda=%d off=%d: C(%d,%d) = %x, FMA chain %x",
+							tc.name, kc, lda, off, r, c, math.Float64bits(as[i]), math.Float64bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGemm12x4ColABitIdentical pins the in-place tile over a column-major
+// A (A(r, q) at a[q*lda+r], column-major tile).
+func TestGemm12x4ColABitIdentical(t *testing.T) {
+	testInPlaceTile(t, inPlaceTile{
+		name: "Gemm12x4ColA",
+		fn: func(impl *Impl) func(int, []float64, int, []float64, *[48]float64) {
+			return impl.Gemm12x4ColA
+		},
+		alen: colALen,
+		at:   func(a []float64, lda, r, q int) float64 { return a[q*lda+r] },
+		tile: func(r, c int) int { return c*12 + r },
+	})
+}
+
+// TestGemm12x4RowABitIdentical pins the in-place tile over a row-major A
+// (A(r, q) at a[r*lda+q], row-major tile). Strides below kc make the row
+// streams overlap, which a read-only kernel must tolerate.
+func TestGemm12x4RowABitIdentical(t *testing.T) {
+	testInPlaceTile(t, inPlaceTile{
+		name: "Gemm12x4RowA",
+		fn: func(impl *Impl) func(int, []float64, int, []float64, *[48]float64) {
+			return impl.Gemm12x4RowA
+		},
+		alen: rowALen,
+		at:   func(a []float64, lda, r, q int) float64 { return a[r*lda+q] },
+		tile: func(r, c int) int { return r*4 + c },
+	})
+}
+
 // TestKernelsShortOperandsPanic pins the length contract: a kernel handed
 // an operand shorter than its reference requires must panic, with the
 // same runtime error under every implementation. Each short operand is a
@@ -231,7 +316,7 @@ func TestGemm12x4BitIdentical(t *testing.T) {
 // into memory the test owns and the failure reads "did not panic" rather
 // than corrupting the heap.
 func TestKernelsShortOperandsPanic(t *testing.T) {
-	const n, kc = 8, 8
+	const n, kc, lda = 8, 8, 13
 	short := func(m int) []float64 { b := make([]float64, 2*m); return b[: m-1 : m-1] }
 	full := func(m int) []float64 { return make([]float64, m) }
 	var acc4 [16]float64
@@ -252,6 +337,10 @@ func TestKernelsShortOperandsPanic(t *testing.T) {
 		{"Gemm4x4/bp", func(impl *Impl) { impl.Gemm4x4(kc, full(4*kc), short(4*kc), &acc4) }},
 		{"Gemm12x4/ap", func(impl *Impl) { impl.Gemm12x4(kc, short(12*kc), full(4*kc), &acc12) }},
 		{"Gemm12x4/bp", func(impl *Impl) { impl.Gemm12x4(kc, full(12*kc), short(4*kc), &acc12) }},
+		{"Gemm12x4ColA/a", func(impl *Impl) { impl.Gemm12x4ColA(kc, short(colALen(kc, lda)), lda, full(4*kc), &acc12) }},
+		{"Gemm12x4ColA/bp", func(impl *Impl) { impl.Gemm12x4ColA(kc, full(colALen(kc, lda)), lda, short(4*kc), &acc12) }},
+		{"Gemm12x4RowA/a", func(impl *Impl) { impl.Gemm12x4RowA(kc, short(rowALen(kc, lda)), lda, full(4*kc), &acc12) }},
+		{"Gemm12x4RowA/bp", func(impl *Impl) { impl.Gemm12x4RowA(kc, full(rowALen(kc, lda)), lda, short(4*kc), &acc12) }},
 	}
 	panicOf := func(f func()) (msg string) {
 		defer func() {
