@@ -1,24 +1,24 @@
-// Benchmark families, one per figure of the paper's evaluation, plus the
-// ablation benches called out in DESIGN.md. Problem sizes here are small
-// enough for `go test -bench=.` on a laptop; use cmd/mttkrp-bench for the
-// full thread-sweep tables and -paper for paper-sized runs.
+// Go-test benchmarks beside the figure harness: the pool runtime on the
+// Figures 5–6 shapes, and the ablation and extension benches called out in
+// DESIGN.md. The paper's figures themselves come from one harness,
+// internal/bench, driven by cmd/mttkrp-bench; the benchmarks here take
+// their tensors from its constructors and time only what the figures do
+// not: steady-state allocation, the allocating API, ablations and the
+// extensions.
 package repro_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/blas"
 	"repro/internal/core"
 	"repro/internal/cpd"
-	"repro/internal/fmri"
-	"repro/internal/krp"
 	"repro/internal/mat"
 	"repro/internal/parallel"
-	"repro/internal/stream"
 	"repro/internal/tensor"
 	"repro/internal/ttm"
 	"repro/internal/tucker"
@@ -27,99 +27,14 @@ import (
 var benchThreads = runtime.GOMAXPROCS(0)
 
 // ---------------------------------------------------------------------
-// Figure 4: Khatri-Rao product — Reuse (Alg. 1) vs Naive vs STREAM.
-// ---------------------------------------------------------------------
-
-func BenchmarkFig4KRP(b *testing.B) {
-	const c = 25
-	const j = 1 << 20 // ~1M output rows
-	pool := parallel.NewPool(benchThreads)
-	defer pool.Close()
-	ws := pool.Acquire()
-	defer ws.Release()
-	for _, z := range []int{2, 3, 4} {
-		per := int(math.Round(math.Pow(float64(j), 1/float64(z))))
-		rng := rand.New(rand.NewSource(int64(z)))
-		mats := make([]mat.View, z)
-		rows := 1
-		for i := range mats {
-			mats[i] = mat.RandomDense(per, c, rng)
-			rows *= per
-		}
-		out := mat.NewDense(rows, c)
-		b.Run(fmt.Sprintf("Z=%d/reuse", z), func(b *testing.B) {
-			b.SetBytes(int64(rows) * c * 8)
-			for i := 0; i < b.N; i++ {
-				krp.ParallelOn(pool, ws, benchThreads, mats, out)
-			}
-		})
-		b.Run(fmt.Sprintf("Z=%d/naive", z), func(b *testing.B) {
-			b.SetBytes(int64(rows) * c * 8)
-			for i := 0; i < b.N; i++ {
-				krp.NaiveParallel(pool, benchThreads, mats, out)
-			}
-		})
-	}
-	sb := stream.New(j * c)
-	b.Run("STREAM", func(b *testing.B) {
-		b.SetBytes(sb.Bytes())
-		for i := 0; i < b.N; i++ {
-			sb.RunOn(pool, benchThreads)
-		}
-	})
-}
-
-// ---------------------------------------------------------------------
-// Figure 5: MTTKRP time across methods, modes and orders.
-// ---------------------------------------------------------------------
-
-func fig5Problem(order, c int) (*tensor.Dense, []mat.View) {
-	total := 2e6 // entries
-	d := int(math.Round(math.Pow(total, 1/float64(order))))
-	dims := make([]int, order)
-	for i := range dims {
-		dims[i] = d
-	}
-	rng := rand.New(rand.NewSource(int64(order)))
-	x := tensor.Random(rng, dims...)
-	u := make([]mat.View, order)
-	for k, dd := range dims {
-		u[k] = mat.RandomDense(dd, c, rng)
-	}
-	return x, u
-}
-
-func BenchmarkFig5MTTKRP(b *testing.B) {
-	const c = 25
-	for _, order := range []int{3, 4, 5, 6} {
-		x, u := fig5Problem(order, c)
-		for n := 0; n < order; n++ {
-			b.Run(fmt.Sprintf("N=%d/n=%d/1-step", order, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					core.OneStep(x, u, n, core.Options{Threads: benchThreads})
-				}
-			})
-			if n > 0 && n < order-1 {
-				b.Run(fmt.Sprintf("N=%d/n=%d/2-step", order, n), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						core.TwoStep(x, u, n, core.Options{Threads: benchThreads})
-					}
-				})
-			}
-		}
-		g := core.NewGemmBaselineFor(x, 0, c)
-		b.Run(fmt.Sprintf("N=%d/baseline", order), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				g.Run(benchThreads, nil)
-			}
-		})
-	}
-}
-
-// ---------------------------------------------------------------------
 // Pool runtime: persistent workers + reusable workspaces on the
-// Figure 4/5 shapes.
+// Figures 5–6 tensors.
 // ---------------------------------------------------------------------
+
+// benchEntries is the entry count of the Figures 5–6 tensors that the
+// runtime and sweep benchmarks time: small enough for `go test -bench=.`
+// on a laptop.
+const benchEntries = 2e6
 
 // benchPoolThreads is the worker count for the runtime-comparison
 // benchmarks: at least 4, so the dispatch machinery is exercised even on
@@ -135,7 +50,7 @@ var benchPoolThreads = max(benchThreads, 4)
 func BenchmarkMTTKRPRuntime(b *testing.B) {
 	const c = 25
 	for _, order := range []int{3, 4, 5, 6} {
-		x, u := fig5Problem(order, c)
+		x, u := bench.EqualDimsProblem(order, benchEntries, c)
 		modes := []int{0, order / 2, order - 1} // external, internal, external
 		for _, n := range modes {
 			b.Run(fmt.Sprintf("N=%d/n=%d/pooled", order, n), func(b *testing.B) {
@@ -158,7 +73,7 @@ func BenchmarkMTTKRPRuntime(b *testing.B) {
 // API costs relative to the zero-alloc steady-state entry point.
 func BenchmarkMTTKRPAllocVsInto(b *testing.B) {
 	const c = 25
-	x, u := fig5Problem(4, c)
+	x, u := bench.EqualDimsProblem(4, benchEntries, c)
 	pool := parallel.NewPool(benchThreads)
 	defer pool.Close()
 	opts := core.Options{Threads: benchThreads, Pool: pool}
@@ -177,140 +92,6 @@ func BenchmarkMTTKRPAllocVsInto(b *testing.B) {
 			core.ComputeInto(dst, core.MethodAuto, x, u, 0, opts)
 		}
 	})
-}
-
-// BenchmarkMTTKRPKRPRuntime is the Figure 4 KRP kernel on the persistent
-// pool: the paper's reuse algorithm streaming ~1M output rows.
-func BenchmarkMTTKRPKRPRuntime(b *testing.B) {
-	const c = 25
-	const j = 1 << 20
-	for _, z := range []int{2, 3, 4} {
-		per := int(math.Round(math.Pow(float64(j), 1/float64(z))))
-		rng := rand.New(rand.NewSource(int64(z)))
-		mats := make([]mat.View, z)
-		rows := 1
-		for i := range mats {
-			mats[i] = mat.RandomDense(per, c, rng)
-			rows *= per
-		}
-		out := mat.NewDense(rows, c)
-		b.Run(fmt.Sprintf("Z=%d/pooled", z), func(b *testing.B) {
-			pool := parallel.NewPool(benchPoolThreads)
-			defer pool.Close()
-			ws := pool.Acquire()
-			defer ws.Release()
-			krp.ParallelOn(pool, ws, benchPoolThreads, mats, out)
-			b.ReportAllocs()
-			b.SetBytes(int64(rows) * c * 8)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				krp.ParallelOn(pool, ws, benchPoolThreads, mats, out)
-			}
-		})
-	}
-}
-
-// ---------------------------------------------------------------------
-// Figure 6: breakdown instrumentation (the breakdown adds timers inside
-// the kernels; this measures the instrumented path the figure uses).
-// ---------------------------------------------------------------------
-
-func BenchmarkFig6Breakdown(b *testing.B) {
-	const c = 25
-	x, u := fig5Problem(4, c)
-	for _, tc := range []struct {
-		name string
-		run  func(bd *core.Breakdown)
-	}{
-		{"1-step/external", func(bd *core.Breakdown) {
-			core.OneStep(x, u, 0, core.Options{Threads: benchThreads, Breakdown: bd})
-		}},
-		{"1-step/internal", func(bd *core.Breakdown) {
-			core.OneStep(x, u, 1, core.Options{Threads: benchThreads, Breakdown: bd})
-		}},
-		{"2-step/internal", func(bd *core.Breakdown) {
-			core.TwoStep(x, u, 2, core.Options{Threads: benchThreads, Breakdown: bd})
-		}},
-		{"reorder", func(bd *core.Breakdown) {
-			core.Reorder(x, u, 1, core.Options{Threads: benchThreads, Breakdown: bd})
-		}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var bd core.Breakdown
-			for i := 0; i < b.N; i++ {
-				tc.run(&bd)
-			}
-		})
-	}
-}
-
-// ---------------------------------------------------------------------
-// Figure 7: CP-ALS per-iteration time, ours vs the TTB substitute.
-// ---------------------------------------------------------------------
-
-func BenchmarkFig7CPALS(b *testing.B) {
-	p := fmri.PaperParams().Scaled(0.12)
-	p.Seed = 99
-	ds := fmri.GenerateOn(nil, p)
-	tensors := []struct {
-		name string
-		x    *tensor.Dense
-	}{{"3D", ds.Linearize3()}, {"4D", ds.Tensor4}}
-	for _, tc := range tensors {
-		for _, c := range []int{10, 25} {
-			b.Run(fmt.Sprintf("%s/C=%d/ours", tc.name, c), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					_, err := cpd.ALS(tc.x, cpd.Config{Rank: c, MaxIters: 1, Tol: -1, Seed: 7, Threads: benchThreads, Method: core.MethodTwoStep})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.Run(fmt.Sprintf("%s/C=%d/ttb", tc.name, c), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					_, err := cpd.ReferenceALS(tc.x, cpd.Config{Rank: c, MaxIters: 1, Tol: -1, Seed: 7, Threads: benchThreads})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// ---------------------------------------------------------------------
-// Figure 8: MTTKRP on the application (fMRI-shaped) tensors.
-// ---------------------------------------------------------------------
-
-func BenchmarkFig8FMRI(b *testing.B) {
-	const c = 25
-	p := fmri.PaperParams().Scaled(0.12)
-	p.Seed = 99
-	ds := fmri.GenerateOn(nil, p)
-	for _, tc := range []struct {
-		name string
-		x    *tensor.Dense
-	}{{"3D", ds.Linearize3()}, {"4D", ds.Tensor4}} {
-		rng := rand.New(rand.NewSource(5))
-		u := make([]mat.View, tc.x.Order())
-		for k := 0; k < tc.x.Order(); k++ {
-			u[k] = mat.RandomDense(tc.x.Dim(k), c, rng)
-		}
-		for n := 0; n < tc.x.Order(); n++ {
-			b.Run(fmt.Sprintf("%s/n=%d/1-step", tc.name, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					core.OneStep(tc.x, u, n, core.Options{Threads: benchThreads})
-				}
-			})
-			if n > 0 && n < tc.x.Order()-1 {
-				b.Run(fmt.Sprintf("%s/n=%d/2-step", tc.name, n), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						core.TwoStep(tc.x, u, n, core.Options{Threads: benchThreads})
-					}
-				})
-			}
-		}
-	}
 }
 
 // ---------------------------------------------------------------------
@@ -412,7 +193,7 @@ func BenchmarkAblationGemmBlocking(b *testing.B) {
 // tensors; the sweep does 2 tensor passes instead of N).
 func BenchmarkExtMultiSweep(b *testing.B) {
 	for _, order := range []int{3, 4, 5} {
-		x, u := fig5Problem(order, 16)
+		x, u := bench.EqualDimsProblem(order, benchEntries, 16)
 		dsts := make([]mat.View, order)
 		for n := range dsts {
 			dsts[n] = mat.NewDense(x.Dim(n), 16)

@@ -6,13 +6,17 @@
 //	mttkrp-bench -fig 5 -scale 0.05        # Figure 5 at 5% of paper size
 //	mttkrp-bench -fig 4a -maxthreads 12    # Figure 4a with a 1..12 sweep
 //	mttkrp-bench -fig 7 -paper             # paper-sized (needs a big server)
-//	mttkrp-bench -kernels                  # per-kernel GFLOP/s table, scalar vs vectorized
 //	mttkrp-bench -diff-base BENCH_a.json -diff-head BENCH_b.json  # delta table between two CI bench artifacts
 //
 // Each figure prints one table per subfigure with the same series the
 // paper plots, followed by OBS lines summarizing the shape claims
-// (speedups, ratios) recorded in EXPERIMENTS.md. The serving stack is
-// measured by cmd/mttkrp-ledger and the go-test serving benchmarks.
+// (speedups, ratios) recorded in EXPERIMENTS.md. Figure 6's breakdowns
+// also give every mode an R row, the reorder baseline (explicit unfold,
+// full KRP, one GEMM), so its REORDER column shows what the paper's
+// GEMM-only baseline leaves out. This is the figures' one harness; the
+// per-kernel GFLOP/s come from BenchmarkKernels (internal/simd), and the
+// serving stack is measured by cmd/mttkrp-ledger and the go-test serving
+// benchmarks.
 package main
 
 import (
@@ -51,8 +55,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	maxThreads := fs.Int("maxthreads", parallel.DefaultThreads(), "top of the thread sweep")
 	trials := fs.Int("trials", 3, "timed repetitions per point (median reported)")
 	csvDir := fs.String("csvdir", "", "also write every table as a CSV file into this directory")
-	kernelsMode := fs.Bool("kernels", false, "print the per-kernel GFLOP/s table (scalar vs vectorized) instead of figure regeneration")
-	kernelTime := fs.Duration("kernel-mintime", 20*time.Millisecond, "kernels: minimum measured time per cell (larger = steadier numbers)")
 	diffBase := fs.String("diff-base", "", "base go-test-json benchmark artifact (BENCH_<sha>.json); with -diff-head, print the per-benchmark delta table and exit")
 	diffHead := fs.String("diff-head", "", "head go-test-json benchmark artifact to compare against -diff-base")
 	if err := fs.Parse(args); err != nil {
@@ -66,9 +68,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return cli.UsageError{Msg: "-diff-base and -diff-head must be given together"}
 	}
 	if *diffBase != "" {
-		if *kernelsMode {
-			return cli.UsageError{Msg: "-diff-base/-diff-head is a standalone mode; drop -kernels"}
-		}
 		t, err := bench.DiffFiles(*diffBase, *diffHead)
 		if err != nil {
 			return err
@@ -79,26 +78,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 				return fmt.Errorf("csv: %w", err)
 			}
 		}
-		return nil
-	}
-	if *kernelsMode {
-		fmt.Fprintf(stdout, "# MTTKRP kernel micro-benchmarks — GOMAXPROCS=%d\n\n", procs)
-		start := time.Now()
-		t, err := bench.Kernels(bench.KernelsConfig{
-			MinTime: *kernelTime,
-			Out:     func(format string, a ...any) { fmt.Fprintf(stdout, format, a...) },
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout)
-		t.Fprint(stdout)
-		if *csvDir != "" {
-			if err := writeCSVs(*csvDir, []*bench.Table{t}); err != nil {
-				return fmt.Errorf("csv: %w", err)
-			}
-		}
-		fmt.Fprintf(stdout, "# done in %v\n", time.Since(start).Round(time.Millisecond))
 		return nil
 	}
 

@@ -48,22 +48,3 @@ func TestRunUnknownFigure(t *testing.T) {
 		t.Fatal("run with unknown figure succeeded, want error")
 	}
 }
-
-// TestRunKernelsTiny drives the per-kernel GFLOP/s table end to end: one
-// row per (kernel, size) with a scalar column, a vector column and the
-// speedup ratio the acceptance criteria gate on.
-func TestRunKernelsTiny(t *testing.T) {
-	var out, errOut bytes.Buffer
-	err := run([]string{"-kernels", "-kernel-mintime", "1ms"}, &out, &errOut)
-	if err != nil {
-		t.Fatalf("run: %v (stderr: %s)", err, errOut.String())
-	}
-	s := out.String()
-	for _, want := range []string{
-		"Kernel micro-benchmarks", "scalar GFLOP/s", "gemm4x4", "gemm12x4", "hadexpand", "# done in",
-	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %q:\n%s", want, s)
-		}
-	}
-}

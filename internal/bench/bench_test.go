@@ -78,9 +78,11 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Scale != 0.01 || c.Trials != 3 || c.MaxThreads < 1 {
 		t.Errorf("defaults = %+v", c)
 	}
-	dims := Config{Scale: 1}.WithDefaults().EqualDims(3)
-	if dims[0] < 890 || dims[0] > 920 {
+	if dims := equalDims(3, paperEntries); dims[0] < 890 || dims[0] > 920 {
 		t.Errorf("paper-scale N=3 dims = %v, want ≈ 908 (900 in paper)", dims)
+	}
+	if dims := equalDims(6, 1); dims[0] != 2 {
+		t.Errorf("tiny N=6 dims = %v, want the floor of 2", dims)
 	}
 	if rows := (Config{Scale: 1}.WithDefaults()).KRPRows(); rows != 2e7 {
 		t.Errorf("paper-scale KRP rows = %d", rows)
@@ -123,13 +125,24 @@ func TestFig6Tiny(t *testing.T) {
 	if len(tables) != 8 {
 		t.Fatalf("fig6 produced %d tables, want 8 (N=3..6 × seq/par)", len(tables))
 	}
-	// N=3 table: per mode {B, 1S} + internal 2S = 3*2+1 = 7 rows.
-	if got := len(tables[0].Rows); got != 7 {
-		t.Errorf("fig6 N=3 has %d rows, want 7", got)
+	// N=3 table: per mode {B, R, 1S} + internal 2S = 3*3+1 = 10 rows.
+	if got := len(tables[0].Rows); got != 10 {
+		t.Errorf("fig6 N=3 has %d rows, want 10", got)
 	}
 	out := buf.String()
 	if !strings.Contains(out, "DGEMM") || !strings.Contains(out, "REDUCE") {
 		t.Error("missing phase columns")
+	}
+	for i, tbl := range tables {
+		order, r := 3+i/2, 0
+		for _, row := range tbl.Rows {
+			if strings.HasSuffix(row[0], " R") {
+				r++
+			}
+		}
+		if r != order {
+			t.Errorf("%q has %d reorder rows, want one per mode (%d)", tbl.Title, r, order)
+		}
 	}
 	checkBreakdownCells(t, tables)
 }
@@ -138,8 +151,9 @@ func TestFig6Tiny(t *testing.T) {
 // ran. A phase that did not run renders as the literal "0", so any other
 // cell that reads as zero is a nonzero time rounded away. And the phases
 // a method always runs must read above zero: DGEMM and the total on every
-// row, and on 2-step rows the partial KRP and the DGEMV derivation, whose
-// sub-millisecond times a seconds column used to print as 0.0000.
+// row, on 2-step rows the partial KRP and the DGEMV derivation, whose
+// sub-millisecond times a seconds column used to print as 0.0000, and on
+// reorder-baseline rows the reorder and the full KRP.
 func checkBreakdownCells(t *testing.T, tables []*Table) {
 	t.Helper()
 	for _, tbl := range tables {
@@ -148,8 +162,11 @@ func checkBreakdownCells(t *testing.T, tables []*Table) {
 		}
 		for _, row := range tbl.Rows {
 			mustRun := map[string]bool{"DGEMM": true, "TOTAL": true}
-			if strings.HasSuffix(row[0], " 2S") {
+			switch {
+			case strings.HasSuffix(row[0], " 2S"):
 				mustRun["DGEMV"], mustRun["L&R KRP"] = true, true
+			case strings.HasSuffix(row[0], " R"):
+				mustRun["REORDER"], mustRun["Full KRP"] = true, true
 			}
 			for i, cell := range row[1:] {
 				col := tbl.Columns[i+1]

@@ -36,22 +36,6 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// EqualDims returns N equal dimensions whose product approximates the
-// paper's ~750M tensor entries times Scale (Figure 5 tensors: 900³, 165⁴,
-// 60⁵, 30⁶ at full scale).
-func (c Config) EqualDims(n int) []int {
-	total := 750e6 * c.Scale
-	d := int(math.Round(math.Pow(total, 1/float64(n))))
-	if d < 2 {
-		d = 2
-	}
-	dims := make([]int, n)
-	for i := range dims {
-		dims[i] = d
-	}
-	return dims
-}
-
 // KRPRows returns the Figure 4 output row count J ≈ 2e7 scaled.
 func (c Config) KRPRows() int {
 	j := int(math.Round(2e7 * c.Scale))

@@ -2,11 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/mat"
-	"repro/internal/tensor"
 )
 
 // fig5Rank is the factor column count used throughout Figures 5 and 6.
@@ -27,21 +24,15 @@ func Fig5(cfg Config) []*Table {
 }
 
 func fig5ForOrder(cfg Config, order int) *Table {
-	dims := cfg.EqualDims(order)
 	threads := ThreadCounts(cfg.MaxThreads)
-	rng := rand.New(rand.NewSource(int64(order)))
-	x := tensor.Random(rng, dims...)
-	u := make([]mat.View, order)
-	for k, d := range dims {
-		u[k] = mat.RandomDense(d, fig5Rank, rng)
-	}
+	x, u := EqualDimsProblem(order, paperEntries*cfg.Scale, fig5Rank)
 
-	cols := []string{fmt.Sprintf("series (N=%d, dims=%v, C=%d)", order, dims[0], fig5Rank)}
+	cols := []string{fmt.Sprintf("series (N=%d, dims=%v, C=%d)", order, x.Dim(0), fig5Rank)}
 	for _, t := range threads {
 		cols = append(cols, fmt.Sprintf("T=%d", t))
 	}
 	table := NewTable(fmt.Sprintf("Figure 5 (N=%d: %d^%d ≈ %d entries): MTTKRP seconds vs threads",
-		order, dims[0], order, x.Size()), cols...)
+		order, x.Dim(0), order, x.Size()), cols...)
 
 	seq1 := make([]float64, order) // 1-step T=1 per mode, for observations
 	var seqBL, parBL float64

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strconv"
 	"time"
 
@@ -15,38 +14,39 @@ import (
 // Fig6 regenerates Figure 6: the time breakdown of baseline, 1-step and
 // 2-step MTTKRP across modes for N = 3..6, sequential (T=1) and parallel
 // (T=MaxThreads). Phase categories match the paper's legend: DGEMM, DGEMV,
-// Full KRP, L&R KRP, REDUCE (plus REORDER for context, which the paper's
-// baseline ignores).
+// Full KRP, L&R KRP, REDUCE, plus REORDER, which the paper's GEMM-only
+// baseline leaves out: each mode's R row runs the reorder baseline
+// (core.Reorder: explicit unfold, full KRP, one GEMM), whose breakdown
+// shows what that exclusion hides. Each order's problem is built once and
+// timed at both widths.
 func Fig6(cfg Config) []*Table {
 	cfg = cfg.WithDefaults()
 	var tables []*Table
-	for _, n := range []int{3, 4, 5, 6} {
+	for _, order := range []int{3, 4, 5, 6} {
+		x, u := EqualDimsProblem(order, paperEntries*cfg.Scale, fig5Rank)
+		g := core.NewGemmBaselineFor(x, 0, fig5Rank)
 		for _, t := range []int{1, cfg.MaxThreads} {
-			tables = append(tables, fig6ForOrder(cfg, n, t))
+			tables = append(tables, fig6ForOrder(cfg, x, u, g, t))
 		}
 	}
 	return tables
 }
 
-func fig6ForOrder(cfg Config, order, t int) *Table {
-	dims := cfg.EqualDims(order)
-	rng := rand.New(rand.NewSource(int64(order)))
-	x := tensor.Random(rng, dims...)
-	u := make([]mat.View, order)
-	for k, d := range dims {
-		u[k] = mat.RandomDense(d, fig5Rank, rng)
-	}
+func fig6ForOrder(cfg Config, x *tensor.Dense, u []mat.View, g *core.GemmBaseline, t int) *Table {
+	order := x.Order()
 	label := "Seq."
 	if t > 1 {
 		label = fmt.Sprintf("Par. T=%d", t)
 	}
 	table := breakdownTable(
-		fmt.Sprintf("Figure 6 (%s, N=%d: %d^%d): MTTKRP time breakdown in milliseconds", label, order, dims[0], order))
+		fmt.Sprintf("Figure 6 (%s, N=%d: %d^%d): MTTKRP time breakdown in milliseconds", label, order, x.Dim(0), order))
 
-	g := core.NewGemmBaselineFor(x, 0, fig5Rank)
 	for n := 0; n < order; n++ {
 		addBreakdownRow(table, fmt.Sprintf("n=%d B", n), cfg.Trials, func(bd *core.Breakdown) {
 			g.Run(t, bd)
+		})
+		addBreakdownRow(table, fmt.Sprintf("n=%d R", n), cfg.Trials, func(bd *core.Breakdown) {
+			core.Reorder(x, u, n, core.Options{Threads: t, Breakdown: bd})
 		})
 		addBreakdownRow(table, fmt.Sprintf("n=%d 1S", n), cfg.Trials, func(bd *core.Breakdown) {
 			core.OneStep(x, u, n, core.Options{Threads: t, Breakdown: bd})

@@ -2,11 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/cpd"
-	"repro/internal/fmri"
 	"repro/internal/tensor"
 )
 
@@ -23,17 +21,10 @@ var fig7Ranks = []int{10, 15, 20, 25, 30}
 // paper's per-mode algorithm, not CP-ALS's default dimension-tree sweep.
 func Fig7(cfg Config) []*Table {
 	cfg = cfg.WithDefaults()
-	// Scale the 4-way fMRI dimensions so the entry count scales like the
-	// other figures: linear dims shrink by Scale^(1/4).
-	p := fmri.PaperParams().Scaled(math.Pow(cfg.Scale, 0.25))
-	p.Seed = 99
-	ds := fmri.GenerateOn(nil, p)
-	x4 := ds.Tensor4
-	x3 := ds.Linearize3()
-
 	var tables []*Table
-	tables = append(tables, fig7ForTensor(cfg, "3D", x3))
-	tables = append(tables, fig7ForTensor(cfg, "4D", x4))
+	for _, ft := range fmriTensors(cfg.Scale) {
+		tables = append(tables, fig7ForTensor(cfg, ft.name, ft.x))
+	}
 	return tables
 }
 

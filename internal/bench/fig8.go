@@ -2,11 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/fmri"
 	"repro/internal/mat"
 	"repro/internal/tensor"
 )
@@ -19,30 +17,21 @@ const fig8Rank = 25
 // Figure 6 tensors — sequential and parallel.
 func Fig8(cfg Config) []*Table {
 	cfg = cfg.WithDefaults()
-	p := fmri.PaperParams().Scaled(math.Pow(cfg.Scale, 0.25))
-	p.Seed = 99
-	ds := fmri.GenerateOn(nil, p)
-	x4 := ds.Tensor4
-	x3 := ds.Linearize3()
-
 	var tables []*Table
-	for _, tc := range []struct {
-		name string
-		x    *tensor.Dense
-	}{{"3D", x3}, {"4D", x4}} {
+	for _, ft := range fmriTensors(cfg.Scale) {
+		rng := rand.New(rand.NewSource(42))
+		u := make([]mat.View, ft.x.Order())
+		for k := range u {
+			u[k] = mat.RandomDense(ft.x.Dim(k), fig8Rank, rng)
+		}
 		for _, t := range []int{1, cfg.MaxThreads} {
-			tables = append(tables, fig8ForTensor(cfg, tc.name, tc.x, t))
+			tables = append(tables, fig8ForTensor(cfg, ft.name, ft.x, u, t))
 		}
 	}
 	return tables
 }
 
-func fig8ForTensor(cfg Config, name string, x *tensor.Dense, t int) *Table {
-	rng := rand.New(rand.NewSource(42))
-	u := make([]mat.View, x.Order())
-	for k := 0; k < x.Order(); k++ {
-		u[k] = mat.RandomDense(x.Dim(k), fig8Rank, rng)
-	}
+func fig8ForTensor(cfg Config, name string, x *tensor.Dense, u []mat.View, t int) *Table {
 	label := "Seq."
 	if t > 1 {
 		label = fmt.Sprintf("Par. T=%d", t)

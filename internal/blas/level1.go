@@ -27,23 +27,6 @@ func Dot(x, y mat.Vec) float64 {
 	return s
 }
 
-// Axpy computes y += alpha*x.
-func Axpy(alpha float64, x, y mat.Vec) {
-	if x.N != y.N {
-		panic("blas: axpy length mismatch")
-	}
-	if alpha == 0 {
-		return
-	}
-	if x.Inc == 1 && y.Inc == 1 {
-		simd.Axpy(alpha, x.Data[:x.N], y.Data[:x.N])
-		return
-	}
-	for i := 0; i < x.N; i++ {
-		y.Set(i, y.At(i)+alpha*x.At(i))
-	}
-}
-
 // Scal computes x *= alpha.
 func Scal(alpha float64, x mat.Vec) {
 	if x.Inc == 1 {
@@ -100,18 +83,6 @@ func nrm2Step(scale, ssq, v float64) (float64, float64) {
 	return scale, ssq + r*r
 }
 
-// Asum returns the sum of absolute values of x.
-func Asum(x mat.Vec) float64 {
-	if x.Inc == 1 {
-		return simd.SumAbs(x.Data[:x.N])
-	}
-	s := 0.0
-	for i := 0; i < x.N; i++ {
-		s += math.Abs(x.At(i))
-	}
-	return s
-}
-
 // IAmax returns the index of the element of largest magnitude, or -1 for an
 // empty vector. Ties keep the earliest index, so the scan stays scalar and
 // sequential; the unit-stride path only drops the per-element stride
@@ -165,15 +136,4 @@ func Had(x, y, z []float64) {
 		panic("blas: hadamard length mismatch")
 	}
 	simd.Had(x, y, z)
-}
-
-// HadAccum computes z += x ∗ y, the accumulating Hadamard product, for
-// unit-stride slices. Same aliasing contract as Had.
-//
-//mttkrp:noalloc
-func HadAccum(x, y, z []float64) {
-	if len(x) != len(y) || len(x) != len(z) {
-		panic("blas: hadamard length mismatch")
-	}
-	simd.HadAcc(x, y, z)
 }

@@ -115,6 +115,26 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestParallelOnSteadyStateAllocFree pins ParallelOn's steady state at
+// 0 allocs per call: once a pool workspace holds the dispatch frame and
+// the per-worker iterators, repeated KRPs of Z = 1–4 operands at the
+// figures' rank allocate nothing.
+func TestParallelOnSteadyStateAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	p := parallel.NewPool(4)
+	defer p.Close()
+	ws := p.Acquire()
+	defer ws.Release()
+	for _, rowsList := range [][]int{{40}, {8, 9}, {5, 4, 6}, {3, 4, 2, 5}} {
+		mats := randomMats(rng, rowsList, 25)
+		out := mat.NewDense(NumRows(mats), 25)
+		ParallelOn(p, ws, 4, mats, out) // warm the workspace
+		if a := testing.AllocsPerRun(20, func() { ParallelOn(p, ws, 4, mats, out) }); a > 0 {
+			t.Errorf("Z=%d: ParallelOn allocates %v per call in steady state, want 0", len(mats), a)
+		}
+	}
+}
+
 func TestRowsArbitraryRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	mats := randomMats(rng, []int{3, 4, 2}, 4)

@@ -58,24 +58,10 @@ func BenchmarkKernels(b *testing.B) {
 				}
 				gflops(b, n)
 			})
-			b.Run(fmt.Sprintf("hadacc/impl=%s/n=%d", impl.Name, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					impl.HadAcc(x, y, z)
-				}
-				gflops(b, 2*n)
-			})
 			b.Run(fmt.Sprintf("add/impl=%s/n=%d", impl.Name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					impl.Add(x, y)
 				}
-				gflops(b, n)
-			})
-			b.Run(fmt.Sprintf("sumabs/impl=%s/n=%d", impl.Name, n), func(b *testing.B) {
-				var s float64
-				for i := 0; i < b.N; i++ {
-					s += impl.SumAbs(x)
-				}
-				sink = s
 				gflops(b, n)
 			})
 		}

@@ -48,9 +48,7 @@ func detectAVX2() *Impl {
 		Axpy:         axpyVec,
 		Scale:        scaleAVX2,
 		Had:          hadVec,
-		HadAcc:       hadAccVec,
 		Add:          addVec,
-		SumAbs:       sumAbsAVX2,
 		Gemm4x4:      gemm4x4Vec,
 		Gemm12x4:     gemm12x4Vec,
 		Gemm12x4ColA: gemm12x4ColAVec,
@@ -62,8 +60,8 @@ func detectAVX2() *Impl {
 // The vector entries below apply their scalar reference's length checks
 // (the same reslices, so the same runtime panic) before the assembly
 // runs: the assembly trusts its lengths and would otherwise read or
-// write past a short operand. Scale and SumAbs have one operand and need
-// no wrapper.
+// write past a short operand. Scale has one operand and needs no
+// wrapper.
 
 //mttkrp:noalloc
 func dotVec(x, y []float64) float64 { return dotAVX2(x, y[:len(x)]) }
@@ -75,12 +73,6 @@ func axpyVec(alpha float64, x, y []float64) { axpyAVX2(alpha, x, y[:len(x)]) }
 func hadVec(x, y, z []float64) {
 	n := len(z)
 	hadAVX2(x[:n], y[:n], z)
-}
-
-//mttkrp:noalloc
-func hadAccVec(x, y, z []float64) {
-	n := len(z)
-	hadAccAVX2(x[:n], y[:n], z)
 }
 
 //mttkrp:noalloc
@@ -116,8 +108,8 @@ func hadExpandVec(row, kl, out []float64) {
 
 // Assembly kernels (kernels_amd64.s). Their element counts come from the
 // same operand as the scalar references: len(x) for dot/axpy/add, len(z)
-// for the Hadamard pair, len(kl) and len(row) for the expansion, kc (and
-// lda for the in-place tiles) for the GEMM tiles.
+// for had, len(kl) and len(row) for the expansion, kc (and lda for the
+// in-place tiles) for the GEMM tiles.
 
 //go:noescape
 func dotAVX2(x, y []float64) float64
@@ -132,13 +124,7 @@ func scaleAVX2(alpha float64, x []float64)
 func hadAVX2(x, y, z []float64)
 
 //go:noescape
-func hadAccAVX2(x, y, z []float64)
-
-//go:noescape
 func addAVX2(x, y []float64)
-
-//go:noescape
-func sumAbsAVX2(x []float64) float64
 
 //go:noescape
 func gemm4x4AVX2(kc int, ap, bp []float64, acc *[16]float64)

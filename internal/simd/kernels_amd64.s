@@ -18,10 +18,6 @@
 // the scalar loops; partially overlapping slices are unsupported (as in
 // the scalar reference, whose 4-wide groups would also diverge).
 
-// absMask clears the float64 sign bit.
-DATA absMask<>+0(SB)/8, $0x7FFFFFFFFFFFFFFF
-GLOBL absMask<>(SB), RODATA, $8
-
 // func dotAVX2(x, y []float64) float64
 //
 // Eight partial sums in two 4-lane accumulators, matching dotScalar's
@@ -194,46 +190,6 @@ haddone:
 	VZEROUPPER
 	RET
 
-// func hadAccAVX2(x, y, z []float64)
-//
-// z[i] += x[i]*y[i] over len(z) elements.
-TEXT ·hadAccAVX2(SB), NOSPLIT, $0-72
-	MOVQ x_base+0(FP), SI
-	MOVQ y_base+24(FP), DI
-	MOVQ z_base+48(FP), DX
-	MOVQ z_len+56(FP), CX
-	XORQ AX, AX
-	MOVQ CX, BX
-	SUBQ $8, BX
-
-hacloop:
-	CMPQ AX, BX
-	JGT  hactail
-	VMOVUPD (SI)(AX*8), Y1
-	VMOVUPD 32(SI)(AX*8), Y2
-	VMULPD  (DI)(AX*8), Y1, Y1
-	VMULPD  32(DI)(AX*8), Y2, Y2
-	VADDPD  (DX)(AX*8), Y1, Y1
-	VADDPD  32(DX)(AX*8), Y2, Y2
-	VMOVUPD Y1, (DX)(AX*8)
-	VMOVUPD Y2, 32(DX)(AX*8)
-	ADDQ    $8, AX
-	JMP     hacloop
-
-hactail:
-	CMPQ AX, CX
-	JGE  hacdone
-	VMOVSD (SI)(AX*8), X1
-	VMULSD (DI)(AX*8), X1, X1
-	VADDSD (DX)(AX*8), X1, X1
-	VMOVSD X1, (DX)(AX*8)
-	INCQ   AX
-	JMP    hactail
-
-hacdone:
-	VZEROUPPER
-	RET
-
 // func addAVX2(x, y []float64)
 //
 // y[i] += x[i] over len(x) elements — the reduction inner loop.
@@ -267,50 +223,6 @@ addtail:
 	JMP    addtail
 
 adddone:
-	VZEROUPPER
-	RET
-
-// func sumAbsAVX2(x []float64) float64
-//
-// Four partial sums in one accumulator, matching sumAbsScalar's s0..s3;
-// folded ((s0+s1)+s2)+s3, then a scalar tail.
-TEXT ·sumAbsAVX2(SB), NOSPLIT, $0-32
-	MOVQ x_base+0(FP), SI
-	MOVQ x_len+8(FP), CX
-	VBROADCASTSD absMask<>(SB), Y3
-	VXORPD Y0, Y0, Y0
-	XORQ AX, AX
-	MOVQ CX, BX
-	SUBQ $4, BX
-
-sumloop:
-	CMPQ AX, BX
-	JGT  sumreduce
-	VMOVUPD (SI)(AX*8), Y1
-	VANDPD  Y3, Y1, Y1
-	VADDPD  Y1, Y0, Y0
-	ADDQ    $4, AX
-	JMP     sumloop
-
-sumreduce:
-	VUNPCKHPD    X0, X0, X2 // {s1, s1}
-	VEXTRACTF128 $1, Y0, X1 // {s2, s3}
-	VADDSD       X2, X0, X0 // s0+s1
-	VADDSD       X1, X0, X0 // +s2
-	VUNPCKHPD    X1, X1, X1 // {s3, s3}
-	VADDSD       X1, X0, X0 // +s3
-
-sumtail:
-	CMPQ AX, CX
-	JGE  sumdone
-	VMOVSD (SI)(AX*8), X1
-	VANDPD X3, X1, X1
-	VADDSD X1, X0, X0
-	INCQ   AX
-	JMP    sumtail
-
-sumdone:
-	VMOVSD X0, ret+24(FP)
 	VZEROUPPER
 	RET
 

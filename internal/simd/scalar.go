@@ -75,18 +75,6 @@ func hadScalar(x, y, z []float64) {
 	}
 }
 
-// hadAccScalar computes z += x ∗ y. Safe under exact aliasing of z with x
-// or y.
-//
-//mttkrp:noalloc
-func hadAccScalar(x, y, z []float64) {
-	n := len(z)
-	x, y = x[:n], y[:n]
-	for i := range z {
-		z[i] += x[i] * y[i]
-	}
-}
-
 // addScalar computes y += x — the parallel-reduction inner loop.
 //
 //mttkrp:noalloc
@@ -95,27 +83,6 @@ func addScalar(x, y []float64) {
 	for i, v := range x {
 		y[i] += v
 	}
-}
-
-// sumAbsScalar keeps four independent partial sums (one vector register's
-// worth of lanes), folds them left to right, then drains the tail.
-//
-//mttkrp:noalloc
-func sumAbsScalar(x []float64) float64 {
-	n := len(x)
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += math.Abs(x[i])
-		s1 += math.Abs(x[i+1])
-		s2 += math.Abs(x[i+2])
-		s3 += math.Abs(x[i+3])
-	}
-	s := ((s0 + s1) + s2) + s3
-	for ; i < n; i++ {
-		s += math.Abs(x[i])
-	}
-	return s
 }
 
 // gemm4x4Strided computes a 4×4 tile over a 4-row block of A held at any

@@ -20,9 +20,8 @@
 // packed or in place, gives an element the same bits; every other kernel
 // rounds each product before its add (separate VMULPD and VADDPD,
 // mirrored by a*b + c in Go, which the compiler does not contract on
-// amd64). A reduction kernel's scalar reference carries exactly as many
-// independent partial sums as the vector version has lanes, folded in
-// the same order.
+// amd64). Dot's scalar reference carries exactly as many independent
+// partial sums as the vector version has lanes, folded in the same order.
 // The property is pinned by TestKernelsBitIdentical and the per-tile tests
 // across random sizes, tails and aliasing patterns, and at the MTTKRP
 // level by the core and serve dispatch tests.
@@ -37,9 +36,9 @@
 // # Aliasing
 //
 // Kernels tolerate exact aliasing between their operands (z == x or
-// z == y for the Hadamard family — krp.Row computes out = out ∗ row in
-// place), because every vector group is fully loaded before its store.
-// Partially overlapping slices are not supported.
+// z == y for Had — krp.Row computes out = out ∗ row in place), because
+// every vector group is fully loaded before its store. Partially
+// overlapping slices are not supported.
 //
 // # Dispatch
 //
@@ -82,17 +81,9 @@ type Impl struct {
 	// Had computes z[i] = x[i]·y[i]. z may alias x or y exactly.
 	Had func(x, y, z []float64)
 
-	// HadAcc computes z[i] += x[i]·y[i]. z may alias x or y exactly.
-	HadAcc func(x, y, z []float64)
-
 	// Add computes y[i] += x[i] — the inner loop of the parallel
 	// reduction over per-worker partial outputs.
 	Add func(x, y []float64)
-
-	// SumAbs returns Σ |x[i]|. The reference keeps four independent
-	// partial sums over stride-4 groups (one vector register), folds them
-	// left-to-right, then accumulates the tail.
-	SumAbs func(x []float64) float64
 
 	// Gemm4x4 is the GEMM micro-kernel for one 4-row panel: acc =
 	// (4×kc packed panel ap) · (kc×4 packed panel bp), accumulators zeroed
@@ -139,9 +130,7 @@ var (
 	axpy      func(alpha float64, x, y []float64)
 	scale     func(alpha float64, x []float64)
 	had       func(x, y, z []float64)
-	hadAcc    func(x, y, z []float64)
 	add       func(x, y []float64)
-	sumAbs    func(x []float64) float64
 	gemm4x4   func(kc int, ap, bp []float64, acc *[16]float64)
 	gemm12x4  func(kc int, ap, bp []float64, acc *[48]float64)
 	gemmColA  func(kc int, a []float64, lda int, bp []float64, acc *[48]float64)
@@ -155,9 +144,7 @@ var scalarImpl = Impl{
 	Axpy:         axpyScalar,
 	Scale:        scaleScalar,
 	Had:          hadScalar,
-	HadAcc:       hadAccScalar,
 	Add:          addScalar,
-	SumAbs:       sumAbsScalar,
 	Gemm4x4:      gemm4x4Scalar,
 	Gemm12x4:     gemm12x4Scalar,
 	Gemm12x4ColA: gemm12x4ColAScalar,
@@ -198,9 +185,7 @@ func Use(impl *Impl) {
 	axpy = impl.Axpy
 	scale = impl.Scale
 	had = impl.Had
-	hadAcc = impl.HadAcc
 	add = impl.Add
-	sumAbs = impl.SumAbs
 	gemm4x4 = impl.Gemm4x4
 	gemm12x4 = impl.Gemm12x4
 	gemmColA = impl.Gemm12x4ColA
@@ -235,21 +220,10 @@ func Scale(alpha float64, x []float64) { scale(alpha, x) }
 //mttkrp:noalloc
 func Had(x, y, z []float64) { had(x, y, z) }
 
-// HadAcc computes z += x ∗ y via the active kernel. Lengths must match; z
-// may alias x or y exactly.
-//
-//mttkrp:noalloc
-func HadAcc(x, y, z []float64) { hadAcc(x, y, z) }
-
 // Add computes y += x via the active kernel. len(y) must be ≥ len(x).
 //
 //mttkrp:noalloc
 func Add(x, y []float64) { add(x, y) }
-
-// SumAbs returns Σ |x[i]| via the active kernel.
-//
-//mttkrp:noalloc
-func SumAbs(x []float64) float64 { return sumAbs(x) }
 
 // Gemm4x4 runs the 4×4 micro-kernel via the active kernel. ap and bp must
 // hold at least 4·kc packed elements each.

@@ -82,9 +82,6 @@ func TestKernelsBitIdentical(t *testing.T) {
 		if got, want := v.Dot(x, y), s.Dot(x, y); !bitsEq(got, want) {
 			t.Fatalf("Dot n=%d: scalar %x vector %x", n, math.Float64bits(want), math.Float64bits(got))
 		}
-		if got, want := v.SumAbs(x), s.SumAbs(x); !bitsEq(got, want) {
-			t.Fatalf("SumAbs n=%d: scalar %x vector %x", n, math.Float64bits(want), math.Float64bits(got))
-		}
 
 		ys, yv := append([]float64(nil), y...), append([]float64(nil), y...)
 		s.Axpy(alpha, x, ys)
@@ -100,12 +97,6 @@ func TestKernelsBitIdentical(t *testing.T) {
 		s.Had(x, y, zs)
 		v.Had(x, y, zv)
 		sliceBitsEq(t, "Had", n, zs, zv)
-
-		copy(zs, z)
-		copy(zv, z)
-		s.HadAcc(x, y, zs)
-		v.HadAcc(x, y, zv)
-		sliceBitsEq(t, "HadAcc", n, zs, zv)
 
 		copy(ys, y)
 		copy(yv, y)
@@ -142,11 +133,6 @@ func TestKernelsAliasing(t *testing.T) {
 			xv, yv := run(v, v.Had)
 			sliceBitsEq(t, "Had/"+mode, n, xs, xv)
 			sliceBitsEq(t, "Had/"+mode, n, ys, yv)
-
-			xs, ys = run(s, s.HadAcc)
-			xv, yv = run(v, v.HadAcc)
-			sliceBitsEq(t, "HadAcc/"+mode, n, xs, xv)
-			sliceBitsEq(t, "HadAcc/"+mode, n, ys, yv)
 		}
 	}
 }
@@ -329,8 +315,6 @@ func TestKernelsShortOperandsPanic(t *testing.T) {
 		{"Axpy/y", func(impl *Impl) { impl.Axpy(2, full(n), short(n)) }},
 		{"Had/x", func(impl *Impl) { impl.Had(short(n), full(n), full(n)) }},
 		{"Had/y", func(impl *Impl) { impl.Had(full(n), short(n), full(n)) }},
-		{"HadAcc/x", func(impl *Impl) { impl.HadAcc(short(n), full(n), full(n)) }},
-		{"HadAcc/y", func(impl *Impl) { impl.HadAcc(full(n), short(n), full(n)) }},
 		{"Add/y", func(impl *Impl) { impl.Add(full(n), short(n)) }},
 		{"HadExpand/out", func(impl *Impl) { impl.HadExpand(full(4), full(4*n), short(4*n)) }},
 		{"Gemm4x4/ap", func(impl *Impl) { impl.Gemm4x4(kc, short(4*kc), full(4*kc), &acc4) }},
