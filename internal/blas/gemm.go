@@ -6,10 +6,12 @@ import (
 	"repro/internal/simd"
 )
 
-// smallGemmFlops is the threshold below which the packed path is not worth
-// its setup cost and a direct loop is used instead. The 1-step algorithm's
-// internal modes issue many GEMMs of exactly this size class (I_n × I^L_n
-// blocks times I^L_n × C), so the small path matters.
+// smallGemmFlops is the product size (m·n·k) at or below which
+// GemmBlockedOn runs a direct loop instead of the blocked stripes.
+// GemmArena has no such branch: on the block products measured for its
+// callers (1-step's internal-mode blocks from 78·78·25 down to 8·8·8,
+// and ttm's blocks at 8 and 16 rows, single-column ones included) the
+// stripe ran as fast as the direct loop or faster.
 const smallGemmFlops = 256 * 1024
 
 // Gemm computes C = alpha*A*B + beta*C using t workers and default
@@ -44,10 +46,6 @@ func GemmArena(ar *parallel.Arena, alpha float64, a, b mat.View, beta float64, c
 	}
 	scaleRows(beta, c)
 	if alpha == 0 || k == 0 {
-		return
-	}
-	if int64(m)*int64(n)*int64(k) <= smallGemmFlops {
-		gemmSmallAcc(alpha, a, b, c)
 		return
 	}
 	gemmStripe(alpha, a, b, c, Blocking{}.orDefault(), ar)

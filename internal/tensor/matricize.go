@@ -54,7 +54,7 @@ func (d *Dense) MatricizeRowModes(n int) mat.View {
 // Unfold explicitly reorders tensor entries into a freshly allocated
 // column-major X_(n) (I_n × I_{≠n}). This is the memory-bound operation the
 // paper's algorithms exist to avoid; it is provided as the baseline
-// (Bader–Kolda) path and for tests. Work is split by block across t
+// (Bader–Kolda) path and for tests. Work is split by column across t
 // workers of p (a nil p selects the default pool).
 func (d *Dense) Unfold(p parallel.Executor, t, n int) mat.View {
 	in := d.dims[n]
@@ -72,17 +72,23 @@ func (d *Dense) Unfold(p parallel.Executor, t, n int) mat.View {
 	}
 	// Column col = l + j·I^L_n of X_(n) holds fiber X(…, :, …) with left
 	// index l and right index j; source entry i lives at l + i·I^L_n +
-	// j·I^L_n·I_n, destination at i + col·I_n (column-major).
-	p.For(t, ir, func(_, jLo, jHi int) {
-		for j := jLo; j < jHi; j++ {
+	// j·I^L_n·I_n, destination at i + col·I_n (column-major). Workers
+	// split the I^L_n·I^R_n columns, so every mode uses all t, the last
+	// (I^R_n = 1) included; each walks its columns one right index j at a
+	// time, reading its l range of every row contiguously.
+	p.For(t, il*ir, func(_, lo, hi int) {
+		for col := lo; col < hi; {
+			j, l0 := col/il, col%il
+			l1 := min(il, l0+hi-col)
 			src := d.data[j*il*in : (j+1)*il*in]
 			for i := 0; i < in; i++ {
-				row := src[i*il : (i+1)*il]
-				base := (j*il)*in + i
+				row := src[i*il+l0 : i*il+l1]
+				base := (j*il+l0)*in + i
 				for l, v := range row {
 					out[base+l*in] = v
 				}
 			}
+			col += l1 - l0
 		}
 	})
 	return mat.FromColMajor(out, in, il*ir)

@@ -52,20 +52,3 @@ func (p *int32Pool) put(b []int32) {
 	b = b[:0]
 	p.pool.Put(&b)
 }
-
-// bytePool recycles the small chunk buffers the streaming codec converts
-// through.
-type bytePool struct {
-	pool sync.Pool // of *[]byte
-}
-
-func (p *bytePool) get() []byte {
-	if v := p.pool.Get(); v != nil {
-		return *(v.(*[]byte))
-	}
-	return make([]byte, scratchBytes)
-}
-
-func (p *bytePool) put(b []byte) {
-	p.pool.Put(&b)
-}

@@ -97,7 +97,7 @@ func TestClientRejectsWrongResultShape(t *testing.T) {
 func TestClientRejectsWrongCPShape(t *testing.T) {
 	k := cpd.RandomKTensor(rand.New(rand.NewSource(4)), []int{4, 3, 2 + 1}, 2)
 	var body bytes.Buffer
-	if err := WriteKTensor(&body, k, nil); err != nil {
+	if err := WriteKTensor(&body, k); err != nil {
 		t.Fatal(err)
 	}
 	c := cannedServer(t, body.Bytes())

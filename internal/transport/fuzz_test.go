@@ -32,7 +32,7 @@ func decodeWire(data []byte) (*decoded, error) {
 	if err := h.Validate(1 << 20); err != nil {
 		return nil, err
 	}
-	x, factors, err := DecodeRequest(r, h, make([]int32, h.IndexInts()), make([]float64, h.PayloadFloats()), make([]byte, scratchBytes))
+	x, factors, err := DecodeRequest(r, h, make([]int32, h.IndexInts()), make([]float64, h.PayloadFloats()))
 	if err != nil {
 		return nil, err
 	}

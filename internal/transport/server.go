@@ -81,7 +81,7 @@ type Stats struct {
 	Serve serve.Stats `json:"serve"`
 }
 
-// Server is the HTTP front end: quota checks, streaming wire decode into
+// Server is the HTTP front end: quota checks, wire decode straight into
 // pooled buffers, submission to the scheduler, and graceful drain. Create
 // with NewServer, attach a listener with Serve (or ServeUntilSignal), stop
 // with Shutdown (graceful) or Close (hard).
@@ -95,7 +95,6 @@ type Server struct {
 	bufs     floatPool // request payload slabs
 	idxs     int32Pool // sparse coordinate slabs
 	dsts     floatPool // MTTKRP result buffers
-	scratch  bytePool  // streaming-codec chunk buffers
 	draining atomic.Bool
 
 	requests, quotaRejected, drainRejected atomic.Int64
@@ -421,20 +420,18 @@ func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request, wantOp Op
 	}
 	defer s.quotas.releaseBytes(key, payload, now)
 
-	// Stream-decode the payload into pooled slabs: the request's floats
+	// Read the payload straight into pooled slabs: the request's floats
 	// (and the int32 coordinates a sparse header promises) materialize
 	// exactly once, and the slabs go back to their pools when the
 	// response has been written.
 	buf := s.bufs.get(h.PayloadFloats())
 	defer s.bufs.put(buf)
-	scratch := s.scratch.get()
-	defer s.scratch.put(scratch)
 	var idx []int32
 	if n := h.IndexInts(); n > 0 {
 		idx = s.idxs.get(n)
 		defer s.idxs.put(idx)
 	}
-	x, factors, err := DecodeRequest(r.Body, h, idx, buf, scratch)
+	x, factors, err := DecodeRequest(r.Body, h, idx, buf)
 	if err != nil {
 		s.badRequests.Add(1)
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -480,7 +477,7 @@ func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request, wantOp Op
 		hdr.Set("Content-Length", strconv.FormatInt(MatrixWireSize(m.R, m.C), 10))
 		hdr.Set(headerDecodeNs, strconv.FormatInt(decode.Nanoseconds(), 10))
 		hdr.Set(headerComputeNs, strconv.FormatInt(compute.Nanoseconds(), 10))
-		if err := WriteMatrix(w, m, scratch); err != nil {
+		if err := WriteMatrix(w, m); err != nil {
 			return // client went away mid-response; nothing to report
 		}
 		s.bytesOut.Add(MatrixWireSize(m.R, m.C))
@@ -501,7 +498,7 @@ func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request, wantOp Op
 		hdr.Set(headerComputeNs, strconv.FormatInt(compute.Nanoseconds(), 10))
 		hdr.Set("X-CP-Fit", strconv.FormatFloat(res.Fit, 'g', -1, 64))
 		hdr.Set("X-CP-Iters", strconv.Itoa(res.Iters))
-		if err := WriteKTensor(w, res.K, scratch); err != nil {
+		if err := WriteKTensor(w, res.K); err != nil {
 			return
 		}
 	}

@@ -16,6 +16,12 @@
 // Responses are equally lean: an I_n × C matrix is (rows, cols, data); a
 // CP result is (nfactors, rank, lambda, factors...). See DESIGN.md §8 for
 // the byte-level specification.
+//
+// On a little-endian host every payload slab — tensor entries, sparse
+// coordinates, factors, results — moves between the connection and its
+// buffer in place, one Write or io.ReadFull over the slab's bytes. Other
+// hosts convert each value through a chunked codec; the host's byte
+// order (hostCodec) picks between the two.
 package transport
 
 import (
@@ -26,6 +32,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/cpd"
@@ -431,23 +438,70 @@ func ReadHeader(r io.Reader) (*Header, error) {
 	return h, nil
 }
 
-// scratchBytes is the chunk size of the streaming codec: payloads stream
-// through a buffer this large, so a 1 GB tensor materializes once (as
-// float64s) rather than twice (raw bytes plus floats).
-const scratchBytes = 32 << 10
+// codec names how payload slabs cross the wire. Both write and read the
+// same bytes, each value's little-endian encoding: direct moves a slab's
+// memory as it lies, one Write or io.ReadFull per slab, which is that
+// encoding only on a little-endian host; chunked converts through a chunk
+// buffer and is right on every host. hostCodec is the one the host's byte
+// order selects; both compile everywhere, so tests hold each against the
+// other.
+type codec uint8
 
-// writeFloats streams data to w in little-endian chunks through scratch
-// (≥ 8 bytes; nil allocates a default chunk).
-func writeFloats(w io.Writer, data []float64, scratch []byte) error {
-	if len(scratch) < 8 {
-		scratch = make([]byte, scratchBytes)
+const (
+	chunked codec = iota
+	direct
+)
+
+// hostCodec is direct where the host stores values in the wire's
+// little-endian order, chunked elsewhere.
+var hostCodec = func() codec {
+	if binary.NativeEndian.Uint16([]byte{1, 0}) == 1 {
+		return direct
 	}
-	for len(data) > 0 {
-		n := min(len(data), len(scratch)/8)
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(scratch[8*i:], math.Float64bits(data[i]))
+	return chunked
+}()
+
+// chunkBytes bounds the chunked codec's conversion buffer, allocated once
+// per slab.
+const chunkBytes = 32 << 10
+
+// floatBytes and intBytes view a slab's memory as bytes.
+func floatBytes(s []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 8*len(s))
+}
+
+func intBytes(s []int32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 4*len(s))
+}
+
+// readFull fills b from r; a short read is io.ErrUnexpectedEOF, so a
+// truncated payload is a decode error, never a silent short tensor.
+func readFull(r io.Reader, b []byte, what string) error {
+	if _, err := io.ReadFull(r, b); err != nil {
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
 		}
-		if _, err := w.Write(scratch[:8*n]); err != nil {
+		return fmt.Errorf("transport: short %s: %w", what, err)
+	}
+	return nil
+}
+
+// writeFloats writes data to w as little-endian float64s.
+func (c codec) writeFloats(w io.Writer, data []float64) error {
+	if len(data) == 0 {
+		return nil // an empty Write still costs the client's io.Pipe a handoff
+	}
+	if c == direct {
+		_, err := w.Write(floatBytes(data))
+		return err
+	}
+	chunk := make([]byte, min(chunkBytes, 8*len(data)))
+	for len(data) > 0 {
+		n := min(len(data), len(chunk)/8)
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint64(chunk[8*i:], math.Float64bits(data[i]))
+		}
+		if _, err := w.Write(chunk[:8*n]); err != nil {
 			return err
 		}
 		data = data[n:]
@@ -455,40 +509,41 @@ func writeFloats(w io.Writer, data []float64, scratch []byte) error {
 	return nil
 }
 
-// readFloats fills dst from r, decoding little-endian float64s in chunks
-// through scratch. A short read returns io.ErrUnexpectedEOF.
-func readFloats(r io.Reader, dst []float64, scratch []byte) error {
-	if len(scratch) < 8 {
-		scratch = make([]byte, scratchBytes)
+// readFloats fills dst from r with little-endian float64s.
+func (c codec) readFloats(r io.Reader, dst []float64) error {
+	if c == direct {
+		return readFull(r, floatBytes(dst), "payload")
 	}
+	chunk := make([]byte, min(chunkBytes, 8*len(dst)))
 	for len(dst) > 0 {
-		n := min(len(dst), len(scratch)/8)
-		if _, err := io.ReadFull(r, scratch[:8*n]); err != nil {
-			if errors.Is(err, io.EOF) {
-				err = io.ErrUnexpectedEOF
-			}
-			return fmt.Errorf("transport: short payload: %w", err)
+		n := min(len(dst), len(chunk)/8)
+		if err := readFull(r, chunk[:8*n], "payload"); err != nil {
+			return err
 		}
 		for i := 0; i < n; i++ {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(scratch[8*i:]))
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(chunk[8*i:]))
 		}
 		dst = dst[n:]
 	}
 	return nil
 }
 
-// writeInts streams data to w as little-endian int32s in chunks through
-// scratch (≥ 4 bytes; nil allocates a default chunk).
-func writeInts(w io.Writer, data []int32, scratch []byte) error {
-	if len(scratch) < 4 {
-		scratch = make([]byte, scratchBytes)
+// writeInts writes data to w as little-endian int32s.
+func (c codec) writeInts(w io.Writer, data []int32) error {
+	if len(data) == 0 {
+		return nil // as in writeFloats
 	}
+	if c == direct {
+		_, err := w.Write(intBytes(data))
+		return err
+	}
+	chunk := make([]byte, min(chunkBytes, 4*len(data)))
 	for len(data) > 0 {
-		n := min(len(data), len(scratch)/4)
+		n := min(len(data), len(chunk)/4)
 		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(scratch[4*i:], uint32(data[i]))
+			binary.LittleEndian.PutUint32(chunk[4*i:], uint32(data[i]))
 		}
-		if _, err := w.Write(scratch[:4*n]); err != nil {
+		if _, err := w.Write(chunk[:4*n]); err != nil {
 			return err
 		}
 		data = data[n:]
@@ -496,49 +551,44 @@ func writeInts(w io.Writer, data []int32, scratch []byte) error {
 	return nil
 }
 
-// readInts fills dst from r, decoding little-endian int32s in chunks
-// through scratch. A short read returns io.ErrUnexpectedEOF, so a
-// truncated coordinate block is a decode error, never a silent
-// short tensor.
-func readInts(r io.Reader, dst []int32, scratch []byte) error {
-	if len(scratch) < 4 {
-		scratch = make([]byte, scratchBytes)
+// readInts fills dst from r with little-endian int32s.
+func (c codec) readInts(r io.Reader, dst []int32) error {
+	if c == direct {
+		return readFull(r, intBytes(dst), "index payload")
 	}
+	chunk := make([]byte, min(chunkBytes, 4*len(dst)))
 	for len(dst) > 0 {
-		n := min(len(dst), len(scratch)/4)
-		if _, err := io.ReadFull(r, scratch[:4*n]); err != nil {
-			if errors.Is(err, io.EOF) {
-				err = io.ErrUnexpectedEOF
-			}
-			return fmt.Errorf("transport: short index payload: %w", err)
+		n := min(len(dst), len(chunk)/4)
+		if err := readFull(r, chunk[:4*n], "index payload"); err != nil {
+			return err
 		}
 		for i := 0; i < n; i++ {
-			dst[i] = int32(binary.LittleEndian.Uint32(scratch[4*i:]))
+			dst[i] = int32(binary.LittleEndian.Uint32(chunk[4*i:]))
 		}
 		dst = dst[n:]
 	}
 	return nil
 }
 
-// writeView streams m row by row in row-major order: one slab when m is
-// row-major, a row at a time otherwise.
-func writeView(w io.Writer, m mat.View, scratch []byte) error {
+// writeView writes m in row-major order: one slab when m is row-major, a
+// row at a time otherwise.
+func (c codec) writeView(w io.Writer, m mat.View) error {
 	if m.IsRowMajor() {
-		return writeFloats(w, m.Data[:m.R*m.C], scratch)
+		return c.writeFloats(w, m.Data[:m.R*m.C])
 	}
 	row := make([]float64, m.C)
 	for i := 0; i < m.R; i++ {
 		for j := range row {
 			row[j] = m.At(i, j)
 		}
-		if err := writeFloats(w, row, scratch); err != nil {
+		if err := c.writeFloats(w, row); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// WriteRequest streams one complete request to w: the header, the tensor
+// WriteRequest writes one complete request to w: the header, the tensor
 // body h.Op selects — the dense entries for OpMTTKRP and OpCP, the COO
 // coordinate slabs (mode-major) and values for OpSparseMTTKRP, nothing
 // for OpMTTKRPByRef, which takes a nil x — then, for every op except CP,
@@ -546,6 +596,11 @@ func writeView(w io.Writer, m mat.View, scratch []byte) error {
 // NNZ); factor k must be I_k × C, and strided views are serialized
 // row-contiguously.
 func WriteRequest(w io.Writer, h *Header, x tensor.Interface, factors []mat.View) error {
+	return hostCodec.writeRequest(w, h, x, factors)
+}
+
+// writeRequest is WriteRequest through codec c.
+func (c codec) writeRequest(w io.Writer, h *Header, x tensor.Interface, factors []mat.View) error {
 	if err := h.Validate(0); err != nil {
 		return err
 	}
@@ -574,24 +629,23 @@ func WriteRequest(w io.Writer, h *Header, x tensor.Interface, factors []mat.View
 	if err := WriteHeader(w, h); err != nil {
 		return err
 	}
-	scratch := make([]byte, scratchBytes)
 	switch x := x.(type) {
 	case *tensor.Dense:
-		if err := writeFloats(w, x.Data(), scratch); err != nil {
+		if err := c.writeFloats(w, x.Data()); err != nil {
 			return err
 		}
 	case *tensor.Sparse:
 		for k := 0; k < x.Order(); k++ {
-			if err := writeInts(w, x.Index(k), scratch); err != nil {
+			if err := c.writeInts(w, x.Index(k)); err != nil {
 				return err
 			}
 		}
-		if err := writeFloats(w, x.Values(), scratch); err != nil {
+		if err := c.writeFloats(w, x.Values()); err != nil {
 			return err
 		}
 	}
 	for _, u := range factors {
-		if err := writeView(w, u, scratch); err != nil {
+		if err := c.writeView(w, u); err != nil {
 			return err
 		}
 	}
@@ -611,17 +665,28 @@ func WriteRequest(w io.Writer, h *Header, x tensor.Interface, factors []mat.View
 // matrices, and re-canonicalizes unsorted or duplicated input. A by-ref
 // request carries no tensor: the returned one is nil, and the caller
 // resolves h.Ref against its tensor root instead.
-func DecodeRequest(r io.Reader, h *Header, ints []int32, floats []float64, scratch []byte) (tensor.Interface, []mat.View, error) {
+func DecodeRequest(r io.Reader, h *Header, ints []int32, floats []float64) (tensor.Interface, []mat.View, error) {
+	return hostCodec.decodeRequest(r, h, ints, floats)
+}
+
+// decodeRequest is DecodeRequest through codec c.
+func (c codec) decodeRequest(r io.Reader, h *Header, ints []int32, floats []float64) (tensor.Interface, []mat.View, error) {
 	needI, needF := h.IndexInts(), h.PayloadFloats()
 	if len(ints) < needI || len(floats) < needF {
 		return nil, nil, fmt.Errorf("transport: decode buffers hold %d ints and %d floats, need %d and %d", len(ints), len(floats), needI, needF)
 	}
-	if err := readInts(r, ints[:needI], scratch); err != nil {
+	if err := c.readInts(r, ints[:needI]); err != nil {
 		return nil, nil, err
 	}
-	if err := readFloats(r, floats[:needF], scratch); err != nil {
+	if err := c.readFloats(r, floats[:needF]); err != nil {
 		return nil, nil, err
 	}
+	return requestViews(h, ints, floats)
+}
+
+// requestViews builds the tensor and factor views of a decoded request
+// over its slabs: everything DecodeRequest allocates.
+func requestViews(h *Header, ints []int32, floats []float64) (tensor.Interface, []mat.View, error) {
 	var x tensor.Interface
 	off := 0
 	switch {
@@ -655,43 +720,58 @@ func DecodeRequest(r io.Reader, h *Header, ints []int32, floats []float64, scrat
 func MatrixWireSize(r, c int) int64 { return 8 + 8*int64(r)*int64(c) }
 
 // WriteMatrix encodes a matrix response: rows, cols (uint32 LE), then the
-// row-major float64 data. scratch is the streaming-codec chunk buffer
-// (nil allocates one; servers pass their pooled buffer).
-func WriteMatrix(w io.Writer, m mat.View, scratch []byte) error {
+// row-major float64 data.
+func WriteMatrix(w io.Writer, m mat.View) error {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(m.R))
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(m.C))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	if len(scratch) < 8 {
-		scratch = make([]byte, scratchBytes)
-	}
-	return writeView(w, m, scratch)
+	return hostCodec.writeView(w, m)
 }
 
 // ReadMatrixInto decodes a matrix response that must be rows × cols — the
 // shape the caller asked for — into dst when it matches (the steady-state
 // client path, no allocation); a zero dst allocates. A response declaring
 // any other shape is refused before anything is allocated, so a
-// misbehaving server cannot size the reader's memory.
+// misbehaving server cannot size the reader's memory. A refused or short
+// header leaves dst as it was; a short payload leaves it partly
+// overwritten.
 func ReadMatrixInto(r io.Reader, dst mat.View, rows, cols int) (mat.View, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return mat.View{}, fmt.Errorf("transport: short matrix header: %w", err)
+	if dst.Data != nil && (dst.R != rows || dst.C != cols || !dst.IsRowMajor()) {
+		return mat.View{}, fmt.Errorf("transport: dst is %dx%d (row-major=%v), want %dx%d",
+			dst.R, dst.C, dst.IsRowMajor(), rows, cols)
 	}
+	// A retained dst takes the 8-byte header in its first entry, which the
+	// payload then overwrites, so the steady-state read allocates nothing;
+	// a rejected header puts the entry back.
+	inDst := dst.Data != nil && rows*cols > 0
+	var first float64
+	var hdr []byte
+	if inDst {
+		first, hdr = dst.Data[0], floatBytes(dst.Data[:1])
+	} else {
+		hdr = make([]byte, 8)
+	}
+	_, err := io.ReadFull(r, hdr)
 	gotRows, gotCols := int(binary.LittleEndian.Uint32(hdr[0:])), int(binary.LittleEndian.Uint32(hdr[4:]))
-	if gotRows != rows || gotCols != cols {
-		return mat.View{}, fmt.Errorf("transport: %dx%d matrix response, want %dx%d", gotRows, gotCols, rows, cols)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("transport: short matrix header: %w", err)
+	case gotRows != rows || gotCols != cols:
+		err = fmt.Errorf("transport: %dx%d matrix response, want %dx%d", gotRows, gotCols, rows, cols)
+	}
+	if err != nil {
+		if inDst {
+			dst.Data[0] = first
+		}
+		return mat.View{}, err
 	}
 	if dst.Data == nil {
 		dst = mat.NewDense(rows, cols)
 	}
-	if dst.R != rows || dst.C != cols || !dst.IsRowMajor() {
-		return mat.View{}, fmt.Errorf("transport: dst is %dx%d (row-major=%v), want %dx%d",
-			dst.R, dst.C, dst.IsRowMajor(), rows, cols)
-	}
-	if err := readFloats(r, dst.Data[:rows*cols], nil); err != nil {
+	if err := hostCodec.readFloats(r, dst.Data[:rows*cols]); err != nil {
 		return mat.View{}, err
 	}
 	return dst, nil
@@ -699,18 +779,15 @@ func ReadMatrixInto(r io.Reader, dst mat.View, rows, cols int) (mat.View, error)
 
 // WriteKTensor encodes a CP result body: nfactors, rank (uint32 LE),
 // lambda, then each factor as rows (uint32) + row-major data (cols =
-// rank). scratch as in WriteMatrix.
-func WriteKTensor(w io.Writer, k *cpd.KTensor, scratch []byte) error {
+// rank).
+func WriteKTensor(w io.Writer, k *cpd.KTensor) error {
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(k.Factors)))
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(k.Rank()))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	if len(scratch) < 8 {
-		scratch = make([]byte, scratchBytes)
-	}
-	if err := writeFloats(w, k.Lambda, scratch); err != nil {
+	if err := hostCodec.writeFloats(w, k.Lambda); err != nil {
 		return err
 	}
 	for _, u := range k.Factors {
@@ -722,7 +799,7 @@ func WriteKTensor(w io.Writer, k *cpd.KTensor, scratch []byte) error {
 		if !u.IsRowMajor() {
 			return errors.New("transport: non-row-major factor in CP result")
 		}
-		if err := writeFloats(w, u.Data[:u.R*u.C], scratch); err != nil {
+		if err := hostCodec.writeFloats(w, u.Data[:u.R*u.C]); err != nil {
 			return err
 		}
 	}
@@ -742,7 +819,7 @@ func ReadKTensor(r io.Reader, dims []int, rank int) (*cpd.KTensor, error) {
 		return nil, fmt.Errorf("transport: ktensor response with %d factors of rank %d, want %d of rank %d", gotFactors, gotRank, len(dims), rank)
 	}
 	k := &cpd.KTensor{Lambda: make([]float64, rank), Factors: make([]mat.View, len(dims))}
-	if err := readFloats(r, k.Lambda, nil); err != nil {
+	if err := hostCodec.readFloats(r, k.Lambda); err != nil {
 		return nil, err
 	}
 	for i := range k.Factors {
@@ -754,7 +831,7 @@ func ReadKTensor(r io.Reader, dims []int, rank int) (*cpd.KTensor, error) {
 			return nil, fmt.Errorf("transport: factor %d has %d rows, want %d", i, rows, dims[i])
 		}
 		k.Factors[i] = mat.NewDense(dims[i], rank)
-		if err := readFloats(r, k.Factors[i].Data, nil); err != nil {
+		if err := hostCodec.readFloats(r, k.Factors[i].Data); err != nil {
 			return nil, err
 		}
 	}

@@ -59,7 +59,7 @@ func TestSparseWireRoundTrip(t *testing.T) {
 	}
 	ints := make([]int32, h2.IndexInts())
 	floats := make([]float64, h2.PayloadFloats())
-	gx, u2, err := DecodeRequest(&buf, h2, ints, floats, nil)
+	gx, u2, err := DecodeRequest(&buf, h2, ints, floats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestSparseWireTruncation(t *testing.T) {
 		}
 		ints := make([]int32, h2.IndexInts())
 		floats := make([]float64, h2.PayloadFloats())
-		if _, _, err := DecodeRequest(r, h2, ints, floats, nil); err == nil {
+		if _, _, err := DecodeRequest(r, h2, ints, floats); err == nil {
 			t.Fatalf("cut %d: truncated payload decoded without error", cut)
 		}
 	}
@@ -182,7 +182,7 @@ func TestSparseWireRejection(t *testing.T) {
 		}
 		ints := make([]int32, h2.IndexInts())
 		floats := make([]float64, h2.PayloadFloats())
-		if _, _, err := DecodeRequest(r, h2, ints, floats, nil); err == nil {
+		if _, _, err := DecodeRequest(r, h2, ints, floats); err == nil {
 			t.Fatal("out-of-range coordinate decoded without error")
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -79,7 +80,7 @@ func TestWireRoundTripProperty(t *testing.T) {
 		if err := got.Validate(0); err != nil {
 			t.Fatalf("trial %d: validate: %v", trial, err)
 		}
-		gx, gu, err := DecodeRequest(&buf, got, make([]int32, got.IndexInts()), make([]float64, got.PayloadFloats()), nil)
+		gx, gu, err := DecodeRequest(&buf, got, make([]int32, got.IndexInts()), make([]float64, got.PayloadFloats()))
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
@@ -116,7 +117,7 @@ func TestWireTruncatedPayload(t *testing.T) {
 			continue // truncated inside the header: rejected there
 		}
 		slab := make([]float64, gh.PayloadFloats())
-		if _, _, err := DecodeRequest(r, gh, nil, slab, nil); err == nil {
+		if _, _, err := DecodeRequest(r, gh, nil, slab); err == nil {
 			t.Fatalf("truncation at byte %d of %d decoded successfully", cut, len(wire))
 		}
 	}
@@ -230,7 +231,7 @@ func TestWireMatrixRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := mat.RandomDense(5, 4, rng)
 	var b bytes.Buffer
-	if err := WriteMatrix(&b, m, nil); err != nil {
+	if err := WriteMatrix(&b, m); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadMatrixInto(&b, mat.View{}, 5, 4)
@@ -243,7 +244,7 @@ func TestWireMatrixRoundTrip(t *testing.T) {
 
 	// Transposed (strided) source serializes row-contiguously.
 	b.Reset()
-	if err := WriteMatrix(&b, m.T(), nil); err != nil {
+	if err := WriteMatrix(&b, m.T()); err != nil {
 		t.Fatal(err)
 	}
 	dst := mat.NewDense(4, 5)
@@ -256,11 +257,30 @@ func TestWireMatrixRoundTrip(t *testing.T) {
 
 	// Mismatched dst is refused, not silently reshaped.
 	b.Reset()
-	if err := WriteMatrix(&b, m, nil); err != nil {
+	if err := WriteMatrix(&b, m); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadMatrixInto(&b, mat.NewDense(3, 3), 5, 4); err == nil {
 		t.Fatal("mismatched dst accepted")
+	}
+
+	// A refused or short header leaves a retained dst bit for bit as it was.
+	b.Reset()
+	if err := WriteMatrix(&b, m.T()); err != nil {
+		t.Fatal(err)
+	}
+	wrongShape := b.Bytes()
+	kept := mat.RandomDense(5, 4, rng)
+	before := slices.Clone(kept.Data)
+	for name, wire := range map[string][]byte{"wrong shape": wrongShape, "short": wrongShape[:5]} {
+		if _, err := ReadMatrixInto(bytes.NewReader(wire), kept, 5, 4); err == nil {
+			t.Fatalf("%s header accepted", name)
+		}
+		for i, v := range kept.Data {
+			if math.Float64bits(v) != math.Float64bits(before[i]) {
+				t.Fatalf("%s header: dst entry %d changed", name, i)
+			}
+		}
 	}
 }
 
@@ -268,7 +288,7 @@ func TestWireKTensorRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	k := cpd.RandomKTensor(rng, []int{6, 5, 4}, 3)
 	var b bytes.Buffer
-	if err := WriteKTensor(&b, k, nil); err != nil {
+	if err := WriteKTensor(&b, k); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadKTensor(&b, []int{6, 5, 4}, 3)
@@ -304,7 +324,6 @@ func BenchmarkWireDecodeMTTKRP(b *testing.B) {
 	}
 	raw := wire.Bytes()
 	slab := make([]float64, h.PayloadFloats())
-	scratch := make([]byte, scratchBytes)
 	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -313,7 +332,7 @@ func BenchmarkWireDecodeMTTKRP(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := DecodeRequest(r, gh, nil, slab, scratch); err != nil {
+		if _, _, err := DecodeRequest(r, gh, nil, slab); err != nil {
 			b.Fatal(err)
 		}
 	}
