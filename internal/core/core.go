@@ -26,13 +26,14 @@ type Method int
 const (
 	// MethodAuto (the zero value, hence the default everywhere) is the
 	// paper's CP-ALS choice (Section 5.3.3), 1-step for external modes and
-	// 2-step for internal modes, with one exception: an external mode of a
-	// tensor whose balanced split s = SplitPoint(dims) leaves at least two
-	// modes on each side (2 ≤ s ≤ N−2, so order 4 and up) runs one half of
-	// SweepAll's dimension tree instead, contracting the other half against
-	// a KRP of about √|X| rows rather than forming a tensor-sized one. Both
-	// are one half step of a dimension tree (2-step's is split at mode n),
-	// and every mode that runs one has the same bits at every worker count.
+	// 2-step for internal modes, with one exception: on a tensor whose
+	// balanced split s = SplitPoint(dims) leaves at least two modes on
+	// each side (2 ≤ s ≤ N−2, so order 4 and up) every mode runs one half
+	// of SweepAll's dimension tree at s instead, contracting the other half
+	// against a KRP of about √|X| rows rather than forming a tensor-sized
+	// one or 2-step's lopsided partial KRP. Both are one half step of a
+	// dimension tree (2-step's is split at mode n), and every mode that
+	// runs one has the same bits at every worker count.
 	MethodAuto Method = iota
 	// MethodOneStep is the paper's 1-step algorithm: form KRP rows and
 	// multiply tensor blocks in place (Algorithm 3; Algorithm 2 is the

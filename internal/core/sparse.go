@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/mat"
 	"repro/internal/parallel"
@@ -10,15 +9,15 @@ import (
 	"repro/internal/tensor"
 )
 
-// Sparse MTTKRP over the compressed fiber layout (tensor.FiberLayout): the
-// COO entries regrouped by their mode-n coordinate into slices, so each
-// output row is produced by one contiguous run of entries. The parallel
-// schedule partitions the entry range — not the slice list — evenly
-// across workers, so a skewed tensor (one slice holding most of the
-// entries, the power-law shape of recommender data) still balances; the
-// price is that a slice split across two workers is accumulated by both,
-// which is why every worker owns a private I_n × C accumulator merged by
-// the pool's reduce tree afterwards. No write locks anywhere — the same
+// Sparse MTTKRP straight from the tensor's sorted COO arrays: each entry
+// (i_0, …, i_{N-1}) = v adds v · ∗_{k≠n} U_k(i_k, :) to row i_n of the
+// output in one fused update, in COO order. The parallel schedule splits
+// the entry range evenly across workers, so a skewed tensor (one output
+// row holding most of the entries, the power-law shape of recommender
+// data) still balances; the price is that any worker may touch any
+// output row, which is why every worker owns a private I_n × C
+// accumulator, merged in worker order by the pool's ReduceSum afterwards.
+// No write locks and no per-mode copy of the entries — the same
 // private-buffers-plus-reduction structure as the dense 1-step kernel.
 
 // SparseCompute computes the mode-n MTTKRP of a sparse tensor, returning
@@ -29,10 +28,9 @@ func SparseCompute(x *tensor.Sparse, u []mat.View, n int, opts Options) mat.View
 }
 
 // SparseComputeInto computes the mode-n MTTKRP of a sparse tensor into a
-// caller-owned contiguous row-major I_n × C matrix. The fiber layout is
-// built on the first call for each (tensor, mode) and cached on the
-// tensor; with a retained dst and a persistent pool, repeated calls run
-// with zero steady-state allocation.
+// caller-owned contiguous row-major I_n × C matrix. With a retained dst
+// and a persistent pool, repeated calls run with zero steady-state
+// allocation.
 func SparseComputeInto(dst mat.View, x *tensor.Sparse, u []mat.View, n int, opts Options) mat.View {
 	validateSparse(x, u, n)
 	c := rank(u)
@@ -47,36 +45,25 @@ func SparseComputeInto(dst mat.View, x *tensor.Sparse, u []mat.View, n int, opts
 	bd := opts.Breakdown
 	p := opts.pool()
 	t := parallel.Clamp(p.Effective(opts.Threads), nnz)
-	fl := x.Fibers(n)
 	ws := p.Acquire()
 	f := ws.Frame("core.sparse", newSparseFrame).(*sparseFrame)
 
-	f.fl = fl
-	f.u = append(f.u, u...)
+	f.rows = x.Index(n)
+	f.vals = x.Values()
 	for k := range u {
 		if k != n {
-			f.opModes = append(f.opModes, k)
+			f.ops = append(f.ops, sparseOperand{idx: x.Index(k), data: u[k].Data, rs: u[k].RS})
 		}
 	}
-	f.c = c
+	f.c, f.nnz, f.t = c, nnz, t
 
-	// Per-worker entry ranges (even nnz split) and the slice each range
-	// starts inside; per-worker row/product scratch and the private
-	// accumulator, all arena-leased. Worker 0 accumulates into dst.
-	//lint:ignore mttkrp/arenaescape cleared in release() before ws.Release below
-	f.bounds = ws.Arena(0).Ints("core.sp.bounds", t+1)
-	//lint:ignore mttkrp/arenaescape cleared in release() before ws.Release below
-	f.startSl = ws.Arena(0).Ints("core.sp.start", t)
-	f.bounds[t] = nnz
+	// Per-worker product scratch (order ≥ 4 only) and private
+	// accumulator, arena-leased. Worker 0 accumulates into dst.
 	for w := 0; w < t; w++ {
-		lo, _ := parallel.BlockRange(nnz, t, w)
-		f.bounds[w] = lo
-		f.startSl[w] = sort.Search(fl.Slices(), func(s int) bool {
-			return int(fl.SlicePtr[s+1]) > lo
-		})
 		ar := ws.Arena(w)
-		f.rowBufs = append(f.rowBufs, ar.Float64("core.sp.row", c))
-		f.prodBufs = append(f.prodBufs, ar.Float64("core.sp.prod", c))
+		if len(f.ops) > 2 {
+			f.prodBufs = append(f.prodBufs, ar.Float64("core.sp.prod", c))
+		}
 		mb := dst
 		if w > 0 {
 			mb = arenaMatZero(ar, "core.sp.m", in, c)
@@ -98,17 +85,31 @@ func SparseComputeInto(dst mat.View, x *tensor.Sparse, u []mat.View, n int, opts
 	return dst
 }
 
+// sparseOperand is one contracted mode k ≠ n: the entries' mode-k
+// coordinates and the factor U_k they index, row i at data[i*rs:].
+type sparseOperand struct {
+	idx  []int32
+	data []float64
+	rs   int
+}
+
+// row returns U_k's row for entry p.
+//
+//mttkrp:noalloc
+func (o *sparseOperand) row(p, c int) []float64 {
+	off := int(o.idx[p]) * o.rs
+	return o.data[off : off+c]
+}
+
 // sparseFrame is the workspace-cached state of the sparse kernel: per-call
 // parameters, per-worker buffers and the pre-bound worker closure, reused
 // across calls so dispatching allocates nothing.
 type sparseFrame struct {
-	fl       *tensor.FiberLayout
-	u        []mat.View
-	opModes  []int
+	rows     []int32 // the entries' mode-n coordinates (output rows)
+	vals     []float64
+	ops      []sparseOperand // the N−1 contracted modes, ascending
 	c        int
-	bounds   []int // t+1 entry-range boundaries
-	startSl  []int // slice index each worker's range starts inside
-	rowBufs  [][]float64
+	nnz, t   int
 	prodBufs [][]float64
 	parts    [][]float64
 	worker   func(w int)
@@ -120,50 +121,55 @@ func newSparseFrame() any {
 	return f
 }
 
+// runWorker adds worker w's even share of the entries, in COO order, into
+// its accumulator: one Axpy per entry on order 2, one HadAxpy on order 3,
+// and on order N a Had chain over the first N−2 operands followed by one
+// HadAxpy with the last. Each update rounds as the product chain built
+// left to right, scaled by the value, then added to the row.
+//
 //mttkrp:noalloc
 func (f *sparseFrame) runWorker(w int) {
-	lo, hi := f.bounds[w], f.bounds[w+1]
-	if lo >= hi {
-		return
-	}
-	fl := f.fl
+	lo, hi := parallel.BlockRange(f.nnz, f.t, w)
 	c := f.c
 	acc := f.parts[w]
-	row := f.rowBufs[w]
-	prod := f.prodBufs[w]
-	k0 := f.opModes[0]
-	rest := f.opModes[1:]
-	s := f.startSl[w]
-	for p := lo; p < hi; s++ {
-		end := int(fl.SlicePtr[s+1])
-		if end > hi {
-			end = hi
+	rows, vals := f.rows[lo:hi], f.vals[lo:hi]
+	switch ops := f.ops; len(ops) {
+	case 1:
+		a := &ops[0]
+		for q, i := range rows {
+			r := int(i) * c
+			simd.Axpy(vals[q], a.row(lo+q, c), acc[r:r+c])
 		}
-		ri := int(fl.SliceIdx[s])
-		// One output row per slice: accumulate the slice's entries into a
-		// C-length row buffer, then add it to the private accumulator
-		// once — entries touch factors, not the I_n × C output.
-		clear(row)
-		for ; p < end; p++ {
-			copy(prod, f.u[k0].ContiguousRow(int(fl.Idx[k0][p])))
-			for _, k := range rest {
-				simd.Had(prod, f.u[k].ContiguousRow(int(fl.Idx[k][p])), prod)
+	case 2:
+		a, b := &ops[0], &ops[1]
+		for q, i := range rows {
+			r := int(i) * c
+			simd.HadAxpy(vals[q], a.row(lo+q, c), b.row(lo+q, c), acc[r:r+c])
+		}
+	default:
+		prod := f.prodBufs[w]
+		last := &ops[len(ops)-1]
+		mid := ops[2 : len(ops)-1]
+		for q, i := range rows {
+			p := lo + q
+			simd.Had(ops[0].row(p, c), ops[1].row(p, c), prod)
+			for k := range mid {
+				simd.Had(prod, mid[k].row(p, c), prod)
 			}
-			simd.Axpy(fl.Vals[p], prod, row)
+			r := int(i) * c
+			simd.HadAxpy(vals[q], prod, last.row(p, c), acc[r:r+c])
 		}
-		simd.Add(row, acc[ri*c:ri*c+c])
 	}
 }
 
 // release clears caller references so the pooled workspace does not retain
-// factor, layout or result memory between calls.
+// tensor, factor or result memory between calls.
 func (f *sparseFrame) release() {
-	f.u = clearViews(f.u)
-	f.opModes = f.opModes[:0]
-	for i := range f.rowBufs {
-		f.rowBufs[i] = nil
+	for i := range f.ops {
+		f.ops[i] = sparseOperand{}
 	}
-	f.rowBufs = f.rowBufs[:0]
+	f.ops = f.ops[:0]
+	f.rows, f.vals = nil, nil
 	for i := range f.prodBufs {
 		f.prodBufs[i] = nil
 	}
@@ -172,9 +178,6 @@ func (f *sparseFrame) release() {
 		f.parts[i] = nil
 	}
 	f.parts = f.parts[:0]
-	f.bounds = nil
-	f.startSl = nil
-	f.fl = nil
 }
 
 // validateSparse checks the factor matrices against a sparse tensor,

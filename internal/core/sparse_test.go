@@ -124,9 +124,87 @@ func TestSparseZeroAndSkew(t *testing.T) {
 	}
 }
 
+// sparseCOORef is the sparse kernel's rounding spelled out: each worker
+// of t takes its even share of the entries (parallel.BlockRange) and adds
+// every entry's product into its own copy of the output row in COO order
+// — the product built left to right over the modes k ≠ n, scaled by the
+// value, then added — and the shares are summed in worker order, the
+// reduce's order. At t = 1 it is one pass over the entries in COO order.
+func sparseCOORef(x *tensor.Sparse, u []mat.View, n, t int) mat.View {
+	c := u[0].C
+	nnz := int(x.NNZ())
+	out := mat.NewDense(x.Dim(n), c)
+	share := mat.NewDense(x.Dim(n), c)
+	prod := make([]float64, c)
+	for w := 0; w < t; w++ {
+		clear(share.Data)
+		lo, hi := parallel.BlockRange(nnz, t, w)
+		for p := lo; p < hi; p++ {
+			first := true
+			for k := range u {
+				if k == n {
+					continue
+				}
+				row := u[k].ContiguousRow(int(x.Index(k)[p]))
+				for j := range prod {
+					if first {
+						prod[j] = row[j]
+					} else {
+						prod[j] *= row[j]
+					}
+				}
+				first = false
+			}
+			i := int(x.Index(n)[p])
+			for j, v := range prod {
+				share.Data[i*c+j] += x.Values()[p] * v
+			}
+		}
+		for j, v := range share.Data {
+			out.Data[j] += v
+		}
+	}
+	return out
+}
+
+// TestSparseBitIdentical pins the sparse kernel's bits to sparseCOORef:
+// every mode of an order-3 and an order-4 tensor at Threads 1, where the
+// reference is one pass in COO order, and mode 0 at widths 1–4, whose
+// output rows are contiguous runs of the COO order. Ranks 11 and 16
+// cover the vector kernels' tails.
+func TestSparseBitIdentical(t *testing.T) {
+	pool := parallel.NewPool(4)
+	defer pool.Close()
+	rng := rand.New(rand.NewSource(31))
+	for _, tc := range []struct {
+		dims []int
+		c    int
+	}{
+		{[]int{13, 11, 9}, 11},
+		{[]int{7, 6, 5, 8}, 16},
+	} {
+		x := tensor.RandomSparse(rng, 0.3, tc.dims...)
+		u := make([]mat.View, len(tc.dims))
+		for k, d := range tc.dims {
+			u[k] = mat.RandomDense(d, tc.c, rng)
+		}
+		for mode := range tc.dims {
+			widths := []int{1}
+			if mode == 0 {
+				widths = []int{1, 2, 3, 4}
+			}
+			for _, threads := range widths {
+				got := SparseComputeInto(mat.NewDense(x.Dim(mode), tc.c), x, u, mode, Options{Threads: threads, Pool: pool})
+				bitsEqual(t, got, sparseCOORef(x, u, mode, threads),
+					fmt.Sprintf("dims %v mode %d Threads %d", tc.dims, mode, threads))
+			}
+		}
+	}
+}
+
 // TestSparseSteadyStateAllocFree pins the sparse kernel's steady-state
-// guarantee: with the fiber layout cached, a retained dst and a
-// persistent pool, repeated same-shape calls allocate nothing.
+// guarantee: with a retained dst and a persistent pool, repeated
+// same-shape calls allocate nothing.
 func TestSparseSteadyStateAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	x := tensor.RandomSparse(rng, 0.02, 60, 50, 40)
@@ -139,7 +217,7 @@ func TestSparseSteadyStateAllocFree(t *testing.T) {
 	for mode := 0; mode < 3; mode++ {
 		dst := mat.NewDense(x.Dim(mode), 16)
 		opts := Options{Threads: 4, Pool: pool}
-		SparseComputeInto(dst, x, u, mode, opts) // warmup: builds + caches the fiber layout
+		SparseComputeInto(dst, x, u, mode, opts) // warmup: grows the workspace arenas
 		SparseComputeInto(dst, x, u, mode, opts)
 		allocs := testing.AllocsPerRun(20, func() {
 			SparseComputeInto(dst, x, u, mode, opts)
@@ -152,7 +230,10 @@ func TestSparseSteadyStateAllocFree(t *testing.T) {
 }
 
 // BenchmarkSparseMTTKRP measures the sparse kernel at serving-relevant
-// densities (artifacted by the CI bench job).
+// densities (artifacted by the CI bench job): mode 1 on a built tensor,
+// and a one-shot row that copies the COO slabs into retained buffers,
+// builds the tensor with SparseFromCOO and runs mode 1 once, which is what
+// a served request pays after its decode.
 func BenchmarkSparseMTTKRP(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	for _, density := range []float64{0.001, 0.01, 0.1} {
@@ -164,13 +245,33 @@ func BenchmarkSparseMTTKRP(b *testing.B) {
 		pool := parallel.NewPool(4)
 		dst := mat.NewDense(x.Dim(1), 16)
 		opts := Options{Threads: 4, Pool: pool}
-		SparseComputeInto(dst, x, u, 1, opts) // warm the fiber cache
+		SparseComputeInto(dst, x, u, 1, opts) // warm the workspace arenas
 		b.Run(fmt.Sprintf("density=%g", density), func(b *testing.B) {
 			b.SetBytes(8 * x.NNZ())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				SparseComputeInto(dst, x, u, 1, opts)
+			}
+		})
+		idx := make([][]int32, 3)
+		for k := range idx {
+			idx[k] = make([]int32, x.NNZ())
+		}
+		vals := make([]float64, x.NNZ())
+		b.Run(fmt.Sprintf("oneshot/density=%g", density), func(b *testing.B) {
+			b.SetBytes(8 * x.NNZ())
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for k := range idx {
+					copy(idx[k], x.Index(k))
+				}
+				copy(vals, x.Values())
+				y, err := tensor.SparseFromCOO(x.Dims(), idx, vals)
+				if err != nil {
+					b.Fatal(err)
+				}
+				SparseComputeInto(dst, y, u, 1, opts)
 			}
 		})
 		pool.Close()

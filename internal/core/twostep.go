@@ -65,39 +65,37 @@ func TwoStepRightFirst(x *tensor.Dense, u []mat.View, n int, opts Options) mat.V
 // the dimension-tree half step (halfStepInto) that computes the mode, or 0
 // when the mode runs 1-step:
 //
-//   - an internal mode under MethodTwoStep or MethodAuto runs 2-step:
-//     s = n+1 (right-first) when I^L_n ≤ I^R_n, s = n (left-first)
-//     otherwise;
-//   - an external mode under MethodAuto runs the split path at
-//     s = SplitPoint(dims) when that leaves at least two modes on each
-//     side, 2 ≤ s ≤ N−2: for order 2 and 3 one half is always a single
-//     mode, and the split's GEMM and derivation then cost about what the
-//     KRP they replace does;
-//   - every other mode runs 1-step.
+//   - under MethodAuto, when the balanced split s = SplitPoint(dims)
+//     leaves at least two modes on each side, 2 ≤ s ≤ N−2 (order 4 and
+//     up), every mode runs at s, internal modes included: one half of
+//     SweepAll, whose partial KRP has about √|X| rows;
+//   - otherwise an internal mode under MethodTwoStep or MethodAuto runs
+//     2-step: s = n+1 (right-first) when I^L_n ≤ I^R_n, s = n
+//     (left-first) otherwise;
+//   - every other mode runs 1-step. For order 2 and 3 one half of any
+//     split is a single mode, and the split's GEMM and derivation then
+//     cost about what the KRP they replace does.
 func halfSplit(method Method, order int, dim func(k int) int, n int) int {
-	if method != MethodTwoStep && method != MethodAuto {
-		return 0
-	}
-	if n != 0 && n != order-1 {
-		left, right := 1, 1
-		for k := 0; k < order; k++ {
-			if k < n {
-				left *= dim(k)
-			} else if k > n {
-				right *= dim(k)
-			}
-		}
-		if left <= right {
-			return n + 1
-		}
-		return n
-	}
 	if method == MethodAuto {
 		if s := splitOver(order, dim); s >= 2 && s <= order-2 {
 			return s
 		}
 	}
-	return 0
+	if (method != MethodTwoStep && method != MethodAuto) || n == 0 || n == order-1 {
+		return 0
+	}
+	left, right := 1, 1
+	for k := 0; k < order; k++ {
+		if k < n {
+			left *= dim(k)
+		} else if k > n {
+			right *= dim(k)
+		}
+	}
+	if left <= right {
+		return n + 1
+	}
+	return n
 }
 
 // halfStepInto computes mode n's MTTKRP into dst with one step of the

@@ -58,6 +58,12 @@ func BenchmarkKernels(b *testing.B) {
 				}
 				gflops(b, n)
 			})
+			b.Run(fmt.Sprintf("hadaxpy/impl=%s/n=%d", impl.Name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					impl.HadAxpy(1.0000001, x, y, z)
+				}
+				gflops(b, 3*n)
+			})
 			b.Run(fmt.Sprintf("add/impl=%s/n=%d", impl.Name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					impl.Add(x, y)

@@ -48,6 +48,7 @@ func detectAVX2() *Impl {
 		Axpy:         axpyVec,
 		Scale:        scaleAVX2,
 		Had:          hadVec,
+		HadAxpy:      hadAxpyVec,
 		Add:          addVec,
 		Gemm4x4:      gemm4x4Vec,
 		Gemm12x4:     gemm12x4Vec,
@@ -73,6 +74,12 @@ func axpyVec(alpha float64, x, y []float64) { axpyAVX2(alpha, x, y[:len(x)]) }
 func hadVec(x, y, z []float64) {
 	n := len(z)
 	hadAVX2(x[:n], y[:n], z)
+}
+
+//mttkrp:noalloc
+func hadAxpyVec(alpha float64, x, y, z []float64) {
+	n := len(z)
+	hadAxpyAVX2(alpha, x[:n], y[:n], z)
 }
 
 //mttkrp:noalloc
@@ -108,8 +115,8 @@ func hadExpandVec(row, kl, out []float64) {
 
 // Assembly kernels (kernels_amd64.s). Their element counts come from the
 // same operand as the scalar references: len(x) for dot/axpy/add, len(z)
-// for had, len(kl) and len(row) for the expansion, kc (and lda for the
-// in-place tiles) for the GEMM tiles.
+// for had and hadAxpy, len(kl) and len(row) for the expansion, kc (and
+// lda for the in-place tiles) for the GEMM tiles.
 
 //go:noescape
 func dotAVX2(x, y []float64) float64
@@ -122,6 +129,9 @@ func scaleAVX2(alpha float64, x []float64)
 
 //go:noescape
 func hadAVX2(x, y, z []float64)
+
+//go:noescape
+func hadAxpyAVX2(alpha float64, x, y, z []float64)
 
 //go:noescape
 func addAVX2(x, y []float64)

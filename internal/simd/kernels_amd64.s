@@ -190,6 +190,53 @@ haddone:
 	VZEROUPPER
 	RET
 
+// func hadAxpyAVX2(alpha float64, x, y, z []float64)
+//
+// z[i] += alpha*(x[i]*y[i]) over len(z) elements: three roundings in
+// hadAxpyScalar's order (the product, its alpha multiple, the add). Every
+// operand group is loaded before the store, so exact aliasing of z with x
+// or y matches the scalar loop.
+TEXT ·hadAxpyAVX2(SB), NOSPLIT, $0-80
+	VBROADCASTSD alpha+0(FP), Y0
+	MOVQ x_base+8(FP), SI
+	MOVQ y_base+32(FP), DI
+	MOVQ z_base+56(FP), DX
+	MOVQ z_len+64(FP), CX
+	XORQ AX, AX
+	MOVQ CX, BX
+	SUBQ $8, BX
+
+hadaxpyloop:
+	CMPQ AX, BX
+	JGT  hadaxpytail
+	VMOVUPD (SI)(AX*8), Y1
+	VMOVUPD 32(SI)(AX*8), Y2
+	VMULPD  (DI)(AX*8), Y1, Y1
+	VMULPD  32(DI)(AX*8), Y2, Y2
+	VMULPD  Y0, Y1, Y1
+	VMULPD  Y0, Y2, Y2
+	VADDPD  (DX)(AX*8), Y1, Y1
+	VADDPD  32(DX)(AX*8), Y2, Y2
+	VMOVUPD Y1, (DX)(AX*8)
+	VMOVUPD Y2, 32(DX)(AX*8)
+	ADDQ    $8, AX
+	JMP     hadaxpyloop
+
+hadaxpytail:
+	CMPQ AX, CX
+	JGE  hadaxpydone
+	VMOVSD (SI)(AX*8), X1
+	VMULSD (DI)(AX*8), X1, X1
+	VMULSD X0, X1, X1
+	VADDSD (DX)(AX*8), X1, X1
+	VMOVSD X1, (DX)(AX*8)
+	INCQ   AX
+	JMP    hadaxpytail
+
+hadaxpydone:
+	VZEROUPPER
+	RET
+
 // func addAVX2(x, y []float64)
 //
 // y[i] += x[i] over len(x) elements — the reduction inner loop.

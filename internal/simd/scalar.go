@@ -75,6 +75,20 @@ func hadScalar(x, y, z []float64) {
 	}
 }
 
+// hadAxpyScalar computes z += alpha·(x ∗ y): per element the product
+// x[i]·y[i] rounded, its alpha multiple rounded, then one add — the
+// roundings of hadScalar into a buffer followed by axpyScalar. Safe under
+// exact aliasing of z with x or y.
+//
+//mttkrp:noalloc
+func hadAxpyScalar(alpha float64, x, y, z []float64) {
+	n := len(z)
+	x, y = x[:n], y[:n]
+	for i := range z {
+		z[i] += alpha * (x[i] * y[i])
+	}
+}
+
 // addScalar computes y += x — the parallel-reduction inner loop.
 //
 //mttkrp:noalloc

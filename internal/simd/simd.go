@@ -81,6 +81,12 @@ type Impl struct {
 	// Had computes z[i] = x[i]·y[i]. z may alias x or y exactly.
 	Had func(x, y, z []float64)
 
+	// HadAxpy computes z[i] += alpha·(x[i]·y[i]) over len(z) elements,
+	// rounding exactly as Had into a buffer followed by Axpy: the product
+	// x[i]·y[i], then its alpha multiple, then the add. It is the sparse
+	// MTTKRP's per-entry update. z may alias x or y exactly.
+	HadAxpy func(alpha float64, x, y, z []float64)
+
 	// Add computes y[i] += x[i] — the inner loop of the parallel
 	// reduction over per-worker partial outputs.
 	Add func(x, y []float64)
@@ -130,6 +136,7 @@ var (
 	axpy      func(alpha float64, x, y []float64)
 	scale     func(alpha float64, x []float64)
 	had       func(x, y, z []float64)
+	hadAxpy   func(alpha float64, x, y, z []float64)
 	add       func(x, y []float64)
 	gemm4x4   func(kc int, ap, bp []float64, acc *[16]float64)
 	gemm12x4  func(kc int, ap, bp []float64, acc *[48]float64)
@@ -144,6 +151,7 @@ var scalarImpl = Impl{
 	Axpy:         axpyScalar,
 	Scale:        scaleScalar,
 	Had:          hadScalar,
+	HadAxpy:      hadAxpyScalar,
 	Add:          addScalar,
 	Gemm4x4:      gemm4x4Scalar,
 	Gemm12x4:     gemm12x4Scalar,
@@ -185,6 +193,7 @@ func Use(impl *Impl) {
 	axpy = impl.Axpy
 	scale = impl.Scale
 	had = impl.Had
+	hadAxpy = impl.HadAxpy
 	add = impl.Add
 	gemm4x4 = impl.Gemm4x4
 	gemm12x4 = impl.Gemm12x4
@@ -219,6 +228,13 @@ func Scale(alpha float64, x []float64) { scale(alpha, x) }
 //
 //mttkrp:noalloc
 func Had(x, y, z []float64) { had(x, y, z) }
+
+// HadAxpy computes z += alpha·(x ∗ y) via the active kernel, with the
+// roundings of Had followed by Axpy. len(x) and len(y) must be ≥ len(z);
+// z may alias x or y exactly.
+//
+//mttkrp:noalloc
+func HadAxpy(alpha float64, x, y, z []float64) { hadAxpy(alpha, x, y, z) }
 
 // Add computes y += x via the active kernel. len(y) must be ≥ len(x).
 //

@@ -103,6 +103,68 @@ func TestKernelsBitIdentical(t *testing.T) {
 		s.Add(x, ys)
 		v.Add(x, yv)
 		sliceBitsEq(t, "Add", n, ys, yv)
+
+		copy(zs, z)
+		copy(zv, z)
+		s.HadAxpy(alpha, x, y, zs)
+		v.HadAxpy(alpha, x, y, zv)
+		sliceBitsEq(t, "HadAxpy", n, zs, zv)
+	}
+}
+
+// specials are the IEEE values HadAxpy's roundings must agree on beyond
+// ordinary magnitudes: NaN, signed zeros and infinities, subnormals and
+// the extremes whose products overflow or underflow. The NaN is the one
+// the hardware makes for 0·∞, so every NaN in a sweep has the same bits:
+// when two NaN operands meet, which payload survives follows the
+// compiler's operand order, which Go leaves open (it differs under
+// -race).
+var specials = []float64{
+	mulNoInline(0, math.Inf(1)), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	0x1p-1070, -0x1p-1030, 0x1p-540, math.MaxFloat64, -math.MaxFloat64, 1, -1,
+}
+
+// mulNoInline multiplies at run time, where a constant product would be
+// folded with the compiler's own NaN.
+//
+//go:noinline
+func mulNoInline(a, b float64) float64 { return a * b }
+
+// TestHadAxpyBitIdentical pins HadAxpy's roundings over lengths 0–37
+// (every tail of both vector groups) with special values mixed into every
+// operand and alpha: the vector kernel equals the scalar reference, and
+// both equal Had into a buffer followed by Axpy, the two-call sequence
+// the sparse kernel fused.
+func TestHadAxpyBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	mk := func(n int) []float64 {
+		b := make([]float64, n)
+		fill(rng, b)
+		for i := range b {
+			if rng.Intn(3) == 0 {
+				b[i] = specials[rng.Intn(len(specials))]
+			}
+		}
+		return b
+	}
+	for n := 0; n <= 37; n++ {
+		for trial := 0; trial < 20; trial++ {
+			x, y, z := mk(n), mk(n), mk(n)
+			alpha := rng.NormFloat64()
+			if trial%4 == 0 {
+				alpha = specials[rng.Intn(len(specials))]
+			}
+			want := append([]float64(nil), z...)
+			prod := make([]float64, n)
+			Scalar().Had(x, y, prod)
+			Scalar().Axpy(alpha, prod, want)
+			for _, impl := range impls() {
+				got := append([]float64(nil), z...)
+				impl.HadAxpy(alpha, x, y, got)
+				sliceBitsEq(t, "HadAxpy/"+impl.Name+" vs Had+Axpy", n, want, got)
+			}
+		}
 	}
 }
 
@@ -134,6 +196,14 @@ func TestKernelsAliasing(t *testing.T) {
 			sliceBitsEq(t, "Had/"+mode, n, xs, xv)
 			sliceBitsEq(t, "Had/"+mode, n, ys, yv)
 		}
+
+		// HadAxpy with z == x exactly: the sparse kernel's order-N chain
+		// accumulates into a row it also reads.
+		alpha := rng.NormFloat64()
+		xs, xv := append([]float64(nil), x...), append([]float64(nil), x...)
+		s.HadAxpy(alpha, xs, y, xs)
+		v.HadAxpy(alpha, xv, y, xv)
+		sliceBitsEq(t, "HadAxpy/z=x", n, xs, xv)
 	}
 }
 
@@ -315,6 +385,8 @@ func TestKernelsShortOperandsPanic(t *testing.T) {
 		{"Axpy/y", func(impl *Impl) { impl.Axpy(2, full(n), short(n)) }},
 		{"Had/x", func(impl *Impl) { impl.Had(short(n), full(n), full(n)) }},
 		{"Had/y", func(impl *Impl) { impl.Had(full(n), short(n), full(n)) }},
+		{"HadAxpy/x", func(impl *Impl) { impl.HadAxpy(2, short(n), full(n), full(n)) }},
+		{"HadAxpy/y", func(impl *Impl) { impl.HadAxpy(2, full(n), short(n), full(n)) }},
 		{"Add/y", func(impl *Impl) { impl.Add(full(n), short(n)) }},
 		{"HadExpand/out", func(impl *Impl) { impl.HadExpand(full(4), full(4*n), short(4*n)) }},
 		{"Gemm4x4/ap", func(impl *Impl) { impl.Gemm4x4(kc, short(4*kc), full(4*kc), &acc4) }},

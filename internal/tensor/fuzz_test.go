@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"os"
@@ -105,6 +106,132 @@ func FuzzReadSparseFrom(f *testing.F) {
 			if math.Float64bits(back.vals[p]) != math.Float64bits(v) {
 				t.Fatalf("entry %d value %v re-read as %v", p, v, back.vals[p])
 			}
+		}
+	})
+}
+
+// cooBytes encodes one SparseFromCOO input for FuzzSparseFromCOO: a byte
+// holding the order, a byte naming the mode whose index slice loses its
+// last entry (0 for none, m+1 for mode m), the dims as int32s, then per
+// entry its coordinates as int32s and its value as a float64, all
+// little-endian.
+func cooBytes(dims []int32, drop byte, coords [][]int32, vals []float64) []byte {
+	b := []byte{byte(len(dims)), drop}
+	for _, d := range dims {
+		b = binary.LittleEndian.AppendUint32(b, uint32(d))
+	}
+	for p, v := range vals {
+		for _, i := range coords[p] {
+			b = binary.LittleEndian.AppendUint32(b, uint32(i))
+		}
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// decodeCOO is cooBytes' inverse over arbitrary bytes: the order is taken
+// mod 6 and a trailing partial entry is ignored.
+func decodeCOO(data []byte) (dims []int, idx [][]int32, vals []float64) {
+	if len(data) < 2 {
+		return nil, nil, nil
+	}
+	order, drop := int(data[0]%6), int(data[1])
+	data = data[2:]
+	if len(data) < 4*order {
+		return nil, nil, nil
+	}
+	dims = make([]int, order)
+	for n := range dims {
+		dims[n] = int(int32(binary.LittleEndian.Uint32(data[4*n:])))
+	}
+	data = data[4*order:]
+	nnz := len(data) / (4*order + 8)
+	idx = make([][]int32, order)
+	for n := range idx {
+		idx[n] = make([]int32, nnz)
+	}
+	vals = make([]float64, nnz)
+	for p := range vals {
+		e := data[p*(4*order+8):]
+		for n := range idx {
+			idx[n][p] = int32(binary.LittleEndian.Uint32(e[4*n:]))
+		}
+		vals[p] = math.Float64frombits(binary.LittleEndian.Uint64(e[4*order:]))
+	}
+	if drop > 0 && order > 0 && nnz > 0 {
+		m := (drop - 1) % order
+		idx[m] = idx[m][:nnz-1]
+	}
+	return dims, idx, vals
+}
+
+// FuzzSparseFromCOO builds sparse tensors from arbitrary dims, coordinates
+// and values. SparseFromCOO must never panic, and must accept exactly the
+// inputs with at least one mode, dims in 1..MaxInt32, one full-length
+// index slice per mode and every coordinate in range. An accepted tensor
+// is in range, strictly sorted and holds one entry per distinct input
+// coordinate; on its input, the one-pass sortedness check agrees with the
+// pairwise one whenever the linear keys fit.
+func FuzzSparseFromCOO(f *testing.F) {
+	f.Add(cooBytes([]int32{4, 3, 2}, 0, [][]int32{{0, 1, 1}, {1, 0, 0}, {3, 2, 1}}, []float64{1, 2, 3}))
+	f.Add(cooBytes([]int32{4, 3, 2}, 0, [][]int32{{3, 2, 1}, {0, 1, 1}, {3, 2, 1}, {0, 0, 0}}, []float64{1, 2, 3, -0.5}))
+	f.Add(cooBytes([]int32{5, 5}, 2, [][]int32{{0, 1}, {2, 3}}, []float64{1, 2}))
+	f.Add(cooBytes([]int32{5, 5}, 0, [][]int32{{0, 5}}, []float64{1}))
+	f.Add(cooBytes([]int32{5, -1}, 0, [][]int32{{0, -1}}, []float64{math.NaN()}))
+	f.Add(cooBytes([]int32{math.MaxInt32, math.MaxInt32, math.MaxInt32}, 0,
+		[][]int32{{2, 0, 0}, {1, 0, 0}, {1, 0, 0}}, []float64{1, 2, math.Inf(1)}))
+	f.Add(cooBytes([]int32{7}, 0, [][]int32{{6}, {0}, {6}, {3}}, []float64{1, 2, 3, 4}))
+	f.Add(cooBytes(nil, 0, nil, nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dims, idx, vals := decodeCOO(data)
+		if dims == nil {
+			return
+		}
+		valid := len(dims) > 0 && len(idx) == len(dims)
+		for n, d := range dims {
+			valid = valid && d > 0 && d <= math.MaxInt32 && len(idx[n]) == len(vals)
+			for _, i := range idx[n] {
+				valid = valid && i >= 0 && int(i) < d
+			}
+		}
+		in := &Sparse{dims: dims, idx: make([][]int32, len(idx)), vals: slices.Clone(vals)}
+		for n := range idx {
+			in.idx[n] = slices.Clone(idx[n])
+		}
+
+		s, err := SparseFromCOO(dims, idx, vals)
+		if (err == nil) != valid {
+			t.Fatalf("dims %v, %d entries: error %v, want accepted %v", dims, len(vals), err, valid)
+		}
+		if err != nil {
+			return
+		}
+		if in.keyFits() && in.sortedByKey() != in.sortedPairwise() {
+			t.Fatalf("dims %v: sortedByKey %v, sortedPairwise %v", dims, in.sortedByKey(), in.sortedPairwise())
+		}
+		distinct := make(map[string]bool)
+		for p := range in.vals {
+			var key []byte
+			for n := range in.idx {
+				key = binary.LittleEndian.AppendUint32(key, uint32(in.idx[n][p]))
+			}
+			distinct[string(key)] = true
+		}
+		if int(s.NNZ()) != len(distinct) {
+			t.Fatalf("%d entries after dedup, want %d distinct coordinates", s.NNZ(), len(distinct))
+		}
+		for n := range s.idx {
+			if len(s.idx[n]) != len(s.vals) {
+				t.Fatalf("mode %d holds %d coordinates for %d values", n, len(s.idx[n]), len(s.vals))
+			}
+			for p, i := range s.idx[n] {
+				if i < 0 || int(i) >= dims[n] {
+					t.Fatalf("entry %d: mode-%d coordinate %d out of range (dim %d)", p, n, i, dims[n])
+				}
+			}
+		}
+		if !s.sortedPairwise() {
+			t.Fatal("accepted tensor is not strictly sorted")
 		}
 	})
 }

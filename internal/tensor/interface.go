@@ -10,7 +10,7 @@ const (
 	// linearization of package tensor's Dense type.
 	LayoutDense Layout = iota
 	// LayoutCOO is the sorted, deduplicated coordinate format of the
-	// Sparse type (with a cached compressed fiber layout per mode).
+	// Sparse type.
 	LayoutCOO
 )
 

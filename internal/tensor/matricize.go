@@ -72,26 +72,47 @@ func (d *Dense) Unfold(p parallel.Executor, t, n int) mat.View {
 	}
 	// Column col = l + j·I^L_n of X_(n) holds fiber X(…, :, …) with left
 	// index l and right index j; source entry i lives at l + i·I^L_n +
-	// j·I^L_n·I_n, destination at i + col·I_n (column-major). Workers
-	// split the I^L_n·I^R_n columns, so every mode uses all t, the last
-	// (I^R_n = 1) included; each walks its columns one right index j at a
-	// time, reading its l range of every row contiguously.
+	// j·I^L_n·I_n, destination at i + col·I_n (column-major). So right
+	// index j's slab is a transpose: the I_n × I^L_n row-major source
+	// becomes I^L_n × I_n row-major. Workers split the I^L_n·I^R_n
+	// columns, so every mode uses all t, the last (I^R_n = 1) included;
+	// each transposes its columns one right index j at a time.
 	p.For(t, il*ir, func(_, lo, hi int) {
 		for col := lo; col < hi; {
 			j, l0 := col/il, col%il
 			l1 := min(il, l0+hi-col)
-			src := d.data[j*il*in : (j+1)*il*in]
-			for i := 0; i < in; i++ {
-				row := src[i*il+l0 : i*il+l1]
-				base := (j*il+l0)*in + i
-				for l, v := range row {
-					out[base+l*in] = v
-				}
-			}
+			slab := d.data[j*il*in : (j+1)*il*in]
+			transposeCols(out[j*il*in:(j+1)*il*in], slab, in, il, l0, l1)
 			col += l1 - l0
 		}
 	})
 	return mat.FromColMajor(out, in, il*ir)
+}
+
+// Unfold's transpose tile: 16 source rows by 64 source columns, 8 KiB
+// read and 8 KiB written, so a tile's cache lines stay in L1 while it is
+// copied.
+const tileRows, tileCols = 16, 64
+
+// transposeCols copies columns [l0, l1) of the rows × cols row-major src
+// into the cols × rows row-major dst, dst[l·rows+i] = src[i·cols+l], one
+// tile at a time. A 64-column strip of src fills one contiguous stretch
+// of dst, so both sides stream whole cache lines, where a plain scatter
+// writes one line per element once a dst row (rows·8 bytes) outgrows a
+// line.
+func transposeCols(dst, src []float64, rows, cols, l0, l1 int) {
+	for lb := l0; lb < l1; lb += tileCols {
+		le := min(l1, lb+tileCols)
+		for ib := 0; ib < rows; ib += tileRows {
+			ie := min(rows, ib+tileRows)
+			for l := lb; l < le; l++ {
+				d := dst[l*rows+ib : l*rows+ie]
+				for q := range d {
+					d[q] = src[(ib+q)*cols+l]
+				}
+			}
+		}
+	}
 }
 
 // Fold is the inverse of Unfold: it scatters a column-major X_(n) back into

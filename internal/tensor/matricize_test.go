@@ -37,8 +37,10 @@ func unfoldRef(d *Dense, n int) mat.View {
 func TestUnfoldMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	// {9, 8, 7, 5}: the last mode's 504 columns share one right index,
-	// so its split runs inside one j block.
-	for _, dims := range [][]int{{4}, {3, 5}, {2, 3, 4}, {3, 1, 4, 2}, {2, 2, 2, 2, 2}, {9, 8, 7, 5}} {
+	// so its split runs inside one j block. {7, 9, 11, 3} and
+	// {21, 13, 37}: a small I_n against an I^L_n of hundreds, spanning
+	// several transpose tiles and partial ones on both axes.
+	for _, dims := range [][]int{{4}, {3, 5}, {2, 3, 4}, {3, 1, 4, 2}, {2, 2, 2, 2, 2}, {9, 8, 7, 5}, {7, 9, 11, 3}, {21, 13, 37}} {
 		d := Random(rng, dims...)
 		for n := 0; n < d.Order(); n++ {
 			for threads := 1; threads <= 4; threads++ {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/parallel"
 )
@@ -14,20 +13,12 @@ import (
 // per-mode index slices plus a value slice, sorted lexicographically (mode
 // 0 most significant) and deduplicated at construction. The sorted order
 // is a structural invariant every consumer may rely on — the wire codec
-// streams it as-is, and equality of two Sparse tensors is equality of
-// their slices.
-//
-// A compressed fiber layout (FiberLayout, CSF-like) is built lazily per
-// mode on first use and cached on the tensor, the way kernels cache their
-// scratch in pool workspaces: repeated MTTKRPs over the same tensor and
-// mode pay the grouping pass once.
+// streams it as-is, the sparse MTTKRP walks it in place for every mode,
+// and equality of two Sparse tensors is equality of their slices.
 type Sparse struct {
 	dims []int
 	idx  [][]int32 // idx[n][p] is the mode-n coordinate of entry p
 	vals []float64
-
-	mu     sync.Mutex
-	fibers []*FiberLayout // lazily built, one per mode
 }
 
 // NewSparse builds a sparse tensor from per-mode coordinate slices and
@@ -70,15 +61,17 @@ func SparseFromCOO(dims []int, idx [][]int32, vals []float64) (*Sparse, error) {
 		if len(idx[n]) != len(vals) {
 			return nil, fmt.Errorf("sparse mode-%d index slice holds %d entries, want %d", n, len(idx[n]), len(vals))
 		}
+		// One unsigned compare per coordinate: a negative int32 wraps
+		// above every dimension (dims are ≤ MaxInt32).
+		d := uint32(dims[n])
 		for p, i := range idx[n] {
-			if i < 0 || int(i) >= dims[n] {
+			if uint32(i) >= d {
 				return nil, fmt.Errorf("sparse entry %d: coordinate %d out of range for mode %d (dim %d)", p, i, n, dims[n])
 			}
 		}
 	}
 	s := &Sparse{dims: append([]int(nil), dims...), idx: idx, vals: vals}
 	s.sortDedup()
-	s.fibers = make([]*FiberLayout, len(dims))
 	return s, nil
 }
 
@@ -93,22 +86,81 @@ func (s *Sparse) compare(p, q int) int {
 	return 0
 }
 
+// sortedPairwise reports whether the entries are strictly increasing
+// under compare, one pair of neighbours at a time.
+func (s *Sparse) sortedPairwise() bool {
+	for p := 0; p+1 < len(s.vals); p++ {
+		if s.compare(p, p+1) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// keyFits reports whether every in-range coordinate has a linear key
+// Σ_n i_n · Π_{k>n} I_k below 2^63, that is whether Π dims < 2^63.
+func (s *Sparse) keyFits() bool {
+	size := uint64(1)
+	for _, d := range s.dims {
+		if size > math.MaxInt64/uint64(d) {
+			return false
+		}
+		size *= uint64(d)
+	}
+	return true
+}
+
+// sortedByKey reports whether the entries' linear keys (mode 0 most
+// significant, so key order is lexicographic order) strictly increase:
+// one pass that reads every coordinate once. Keys are built a block of
+// entries at a time, one mode's coordinates after another, so each inner
+// loop streams one index slice. It requires in-range coordinates and
+// keyFits.
+func (s *Sparse) sortedByKey() bool {
+	var keys [256]int64
+	prev := int64(-1)
+	nnz := len(s.vals)
+	for lo := 0; lo < nnz; lo += len(keys) {
+		blk := keys[:min(len(keys), nnz-lo)]
+		for q, i := range s.idx[0][lo : lo+len(blk)] {
+			blk[q] = int64(i)
+		}
+		for n := 1; n < len(s.idx); n++ {
+			d := int64(s.dims[n])
+			ix := s.idx[n][lo : lo+len(blk)]
+			for q := range blk {
+				blk[q] = blk[q]*d + int64(ix[q])
+			}
+		}
+		for _, k := range blk {
+			if k <= prev {
+				return false
+			}
+			prev = k
+		}
+	}
+	return true
+}
+
+// sorted reports whether the entries are strictly increasing in
+// lexicographic order: by linear key when keys fit in 63 bits, pairwise
+// otherwise.
+func (s *Sparse) sorted() bool {
+	if s.keyFits() {
+		return s.sortedByKey()
+	}
+	return s.sortedPairwise()
+}
+
 // sortDedup establishes the sorted-unique invariant. Sorted duplicate-free
 // input (the common ingest case: the wire codec and the file loader both
 // stream tensors that were already canonical) is detected in one pass and
 // returned untouched.
 func (s *Sparse) sortDedup() {
-	nnz := len(s.vals)
-	sorted := true
-	for p := 0; p+1 < nnz; p++ {
-		if s.compare(p, p+1) >= 0 {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
+	if s.sorted() {
 		return
 	}
+	nnz := len(s.vals)
 	perm := make([]int, nnz)
 	for p := range perm {
 		perm[p] = p
@@ -162,7 +214,7 @@ func (s *Sparse) NNZ() int64 { return int64(len(s.vals)) }
 func (s *Sparse) Layout() Layout { return LayoutCOO }
 
 // Values exposes the value slice in sorted coordinate order. Read-only by
-// contract: mutating entries would desynchronize the cached fiber layouts.
+// contract.
 func (s *Sparse) Values() []float64 { return s.vals }
 
 // Index exposes the mode-n coordinate slice, parallel to Values.
@@ -239,93 +291,4 @@ func RandomSparse(rng *rand.Rand, density float64, dims ...int) *Sparse {
 		panic("tensor: " + err.Error())
 	}
 	return s
-}
-
-// FiberLayout is the compressed fiber layout of one (tensor, mode) pair —
-// the CSF-style grouping the sparse MTTKRP kernel consumes. Entries are
-// regrouped by their mode-n coordinate into slices: slice s covers entries
-// [SlicePtr[s], SlicePtr[s+1]) of the reordered Idx/Vals arrays and
-// contributes only to output row SliceIdx[s]; empty rows carry no slice.
-// Within a slice, entries keep the tensor's lexicographic order, so factor
-// rows are walked with good locality. The fields are read-only by
-// contract — a layout is shared by every kernel invocation over its
-// tensor.
-type FiberLayout struct {
-	// SlicePtr has len(SliceIdx)+1 entries; slice s spans
-	// [SlicePtr[s], SlicePtr[s+1]).
-	SlicePtr []int32
-	// SliceIdx is the mode-n output row of each slice, strictly
-	// increasing.
-	SliceIdx []int32
-	// Idx holds the reordered coordinate slices; Idx[n] (the grouping
-	// mode) is nil — the coordinate is SliceIdx of the covering slice.
-	Idx [][]int32
-	// Vals holds the reordered values.
-	Vals []float64
-}
-
-// NNZ returns the entry count of the layout.
-func (f *FiberLayout) NNZ() int { return len(f.Vals) }
-
-// Slices returns the number of non-empty mode rows.
-func (f *FiberLayout) Slices() int { return len(f.SliceIdx) }
-
-// Fibers returns the compressed fiber layout for mode n, building it on
-// first use and caching it on the tensor — the once-per-(tensor, mode)
-// cost the serving path amortizes exactly like kernel workspaces. Safe for
-// concurrent use.
-func (s *Sparse) Fibers(n int) *FiberLayout {
-	if n < 0 || n >= len(s.dims) {
-		panic(fmt.Sprintf("tensor: fiber mode %d out of range [0,%d)", n, len(s.dims)))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.fibers[n] == nil {
-		s.fibers[n] = s.buildFibers(n)
-	}
-	return s.fibers[n]
-}
-
-// buildFibers groups the entries by mode-n coordinate with a stable
-// counting pass (O(nnz + I_n)), preserving lexicographic order within each
-// slice.
-func (s *Sparse) buildFibers(n int) *FiberLayout {
-	nnz := len(s.vals)
-	dimN := s.dims[n]
-	start := make([]int32, dimN+1)
-	for _, i := range s.idx[n] {
-		start[i+1]++
-	}
-	for i := 0; i < dimN; i++ {
-		start[i+1] += start[i]
-	}
-	fl := &FiberLayout{
-		Idx:  make([][]int32, len(s.dims)),
-		Vals: make([]float64, nnz),
-	}
-	for k := range s.dims {
-		if k != n {
-			fl.Idx[k] = make([]int32, nnz)
-		}
-	}
-	pos := append([]int32(nil), start[:dimN]...)
-	for p := 0; p < nnz; p++ {
-		i := s.idx[n][p]
-		q := pos[i]
-		pos[i]++
-		fl.Vals[q] = s.vals[p]
-		for k := range s.dims {
-			if k != n {
-				fl.Idx[k][q] = s.idx[k][p]
-			}
-		}
-	}
-	for i := 0; i < dimN; i++ {
-		if start[i+1] > start[i] {
-			fl.SliceIdx = append(fl.SliceIdx, int32(i))
-			fl.SlicePtr = append(fl.SlicePtr, start[i])
-		}
-	}
-	fl.SlicePtr = append(fl.SlicePtr, int32(nnz))
-	return fl
 }

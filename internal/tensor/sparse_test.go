@@ -1,9 +1,11 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -68,37 +70,97 @@ func TestSparseDensifyAndNorm(t *testing.T) {
 	}
 }
 
-func TestSparseFibersGrouping(t *testing.T) {
-	dims := []int{4, 3, 2}
-	idx := [][]int32{{0, 0, 2, 2, 3}, {1, 2, 0, 0, 1}, {0, 1, 0, 1, 1}}
-	vals := []float64{1, 2, 3, 4, 5}
-	s, err := SparseFromCOO(dims, idx, vals)
-	if err != nil {
-		t.Fatal(err)
+// permuted returns a copy of s's entries taken in the order perm lists
+// them, bypassing SparseFromCOO so the result may be unsorted.
+func permuted(s *Sparse, perm []int) *Sparse {
+	out := &Sparse{dims: s.dims, idx: make([][]int32, len(s.idx)), vals: make([]float64, len(perm))}
+	for n := range s.idx {
+		out.idx[n] = make([]int32, len(perm))
+		for q, p := range perm {
+			out.idx[n][q] = s.idx[n][p]
+		}
 	}
-	fl := s.Fibers(1)
-	if fl.NNZ() != 5 {
-		t.Fatalf("fiber layout holds %d entries, want 5", fl.NNZ())
+	for q, p := range perm {
+		out.vals[q] = s.vals[p]
 	}
-	// Mode 1 values used: rows 0 (2 entries), 1 (2 entries), 2 (1 entry).
-	if fl.Slices() != 3 {
-		t.Fatalf("%d slices, want 3", fl.Slices())
-	}
-	seen := make(map[int32]int)
-	for sIdx := 0; sIdx < fl.Slices(); sIdx++ {
-		row := fl.SliceIdx[sIdx]
-		for p := fl.SlicePtr[sIdx]; p < fl.SlicePtr[sIdx+1]; p++ {
-			seen[row]++
-			if fl.Idx[0][p] < 0 || fl.Idx[0][p] >= 4 {
-				t.Fatalf("slice %d entry %d has bad mode-0 coord %d", sIdx, p, fl.Idx[0][p])
+	return out
+}
+
+// TestSparseSortedByKeyMatchesPairwise pins the one-pass sortedness check
+// to the pairwise compare: both agree on sorted input, a swapped pair, a
+// duplicate and two sorted runs in the wrong order, over orders 1–5 and
+// tensors longer than one key block. On a shape whose Π dims overflows
+// 63 bits the linear keys would wrap, so the check falls back to the
+// pairwise compare, and SparseFromCOO still sorts input that wrapped keys
+// would call sorted.
+func TestSparseSortedByKeyMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, dims := range [][]int{{9}, {7, 5}, {4, 3, 6}, {1, 5, 1}, {3, 2, 4, 2, 3}, {40, 30, 20}} {
+		base := RandomSparse(rng, 0.5, dims...)
+		nnz := int(base.NNZ())
+		ident := func() []int {
+			perm := make([]int, nnz)
+			for p := range perm {
+				perm[p] = p
+			}
+			return perm
+		}
+		for _, tc := range []struct {
+			name   string
+			perm   func() []int
+			sorted bool
+		}{
+			{"sorted", ident, true},
+			{"swapped pair", func() []int {
+				perm := ident()
+				p := rng.Intn(nnz - 1)
+				perm[p], perm[p+1] = perm[p+1], perm[p]
+				return perm
+			}, false},
+			{"duplicate", func() []int {
+				perm := ident()
+				p := rng.Intn(nnz - 1)
+				perm[p+1] = perm[p]
+				return perm
+			}, false},
+			{"out-of-order runs", func() []int {
+				k := 1 + rng.Intn(nnz-1)
+				return append(ident()[k:], ident()[:k]...)
+			}, false},
+		} {
+			s := permuted(base, tc.perm())
+			if !s.keyFits() {
+				t.Fatalf("dims %v: keys do not fit", dims)
+			}
+			key, pair := s.sortedByKey(), s.sortedPairwise()
+			if key != pair || key != tc.sorted {
+				t.Errorf("dims %v %s: sortedByKey %v, sortedPairwise %v, want %v", dims, tc.name, key, pair, tc.sorted)
 			}
 		}
 	}
-	if seen[0] != 2 || seen[1] != 2 || seen[2] != 1 {
-		t.Fatalf("per-row counts %v, want {0:2 1:2 2:1}", seen)
+
+	for _, tc := range []struct {
+		dims []int
+		fits bool
+	}{
+		{[]int{1 << 30, 1 << 30, 4}, true}, // Π dims = 2^62
+		{[]int{1 << 30, 1 << 30, 8}, false},
+		{[]int{math.MaxInt32, math.MaxInt32, 2}, true},
+		{[]int{math.MaxInt32, math.MaxInt32, math.MaxInt32}, false},
+	} {
+		if got := (&Sparse{dims: tc.dims}).keyFits(); got != tc.fits {
+			t.Errorf("dims %v: keyFits %v, want %v", tc.dims, got, tc.fits)
+		}
 	}
-	if fl2 := s.Fibers(1); fl2 != fl {
-		t.Fatal("second Fibers(1) did not return the cached layout")
+	// (2,0,0) then (1,0,0): the first key, 2·(2^31−1)^2, wraps negative in
+	// 64 bits, so wrapped keys would increase and skip the sort.
+	dims := []int{math.MaxInt32, math.MaxInt32, math.MaxInt32}
+	x, err := SparseFromCOO(dims, [][]int32{{2, 1}, {0, 0}, {0, 0}}, []float64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(x.Index(0), []int32{1, 2}) || !slices.Equal(x.Values(), []float64{2, 1}) {
+		t.Fatalf("overflowing shape: mode-0 coordinates %v values %v, want [1 2] [2 1]", x.Index(0), x.Values())
 	}
 }
 

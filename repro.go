@@ -9,8 +9,8 @@
 // stored once in the natural generalized column-major linearization and
 // never reordered — the MTTKRP kernels multiply strided views of that
 // buffer directly. Sparse tensors hold sorted, deduplicated COO
-// coordinates and run a compressed-fiber kernel that scales with the
-// stored-entry count. Both implement AnyTensor, and MTTKRP/CP dispatch
+// coordinates and run a kernel straight from those arrays that scales
+// with the stored-entry count. Both implement AnyTensor, and MTTKRP/CP dispatch
 // on the layout.
 //
 // Quick start:
@@ -58,9 +58,8 @@ type AnyTensor = tensor.Interface
 // views and utilities.
 type Dense = tensor.Dense
 
-// Sparse is a sparse N-way tensor in sorted, deduplicated COO form with
-// cached per-mode compressed fiber layouts. See the methods of
-// tensor.Sparse for accessors and conversion.
+// Sparse is a sparse N-way tensor in sorted, deduplicated COO form. See
+// the methods of tensor.Sparse for accessors and conversion.
 type Sparse = tensor.Sparse
 
 // Layout identifies a tensor's storage layout (LayoutDense, LayoutCOO).
@@ -258,8 +257,8 @@ func NewClient(baseURL string) *Client { return transport.NewClient(baseURL) }
 // MTTKRP computes M = X_(n) · (U_{N-1} ⊙ ⋯ ⊙ U_{n+1} ⊙ U_{n-1} ⊙ ⋯ ⊙ U₀)
 // for a tensor of either layout, returning the I_n × C row-major result.
 // Factor k must be I_k × C row-major. Dense tensors run the method
-// selected in opts (MethodAuto by default); sparse tensors run the
-// compressed-fiber kernel.
+// selected in opts (MethodAuto by default); sparse tensors run the COO
+// kernel.
 func MTTKRP(x AnyTensor, factors []Matrix, n int, opts MTTKRPOptions) Matrix {
 	return core.Run(core.Request{X: x, Factors: factors, Mode: n, Opts: opts})
 }
@@ -275,8 +274,7 @@ func MTTKRPWith(method Method, x AnyTensor, factors []Matrix, n int, opts MTTKRP
 // I_n × C matrix and returns it. With a retained dst and opts.Pool set,
 // repeated same-shape calls reuse the pool's workspaces and allocate
 // nothing — the steady-state entry point for serving and ALS-style loops,
-// for both layouts (a sparse tensor's fiber layout is built on the first
-// call per mode and cached).
+// for both layouts.
 func MTTKRPInto(dst Matrix, method Method, x AnyTensor, factors []Matrix, n int, opts MTTKRPOptions) Matrix {
 	return core.Run(core.Request{X: x, Factors: factors, Mode: n, Method: method, Dst: dst, Opts: opts})
 }
@@ -300,7 +298,7 @@ func KhatriRao(threads int, mats ...Matrix) Matrix {
 // tensor passes per sweep instead of N, the same result to rounding, and
 // the same bits at every worker count. A named cfg.Method runs that
 // MTTKRP per mode instead (MethodTwoStep is the paper's hybrid). Sparse
-// tensors run the compressed-fiber kernel per mode. A cfg.Init is checked
+// tensors run the COO kernel per mode. A cfg.Init is checked
 // against x: its rank, its order and each factor's I_k × C shape must
 // fit, or CP returns an error.
 func CP(x AnyTensor, cfg CPConfig) (*CPResult, error) {
