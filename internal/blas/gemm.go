@@ -236,9 +236,13 @@ func gemmNaiveAcc(alpha float64, a, b, c mat.View) {
 // super-block of kb whole KC blocks at a time, and each 12-row group walks
 // the super-block's KC blocks against every B panel before the next group
 // starts: A streams through once per super-block, and each in-place
-// micro-panel meets every B panel while it is still in L1. The B
-// super-block takes the room a packed A block would, so the stripe's
-// scratch never exceeds the packed path's packA + packB.
+// micro-panel meets every B panel while it is still in L1. A column-major
+// micro-panel spans kc columns lda apart, so the column tile packs it
+// into packA as it serves the first B panel, and the other panels run
+// simd.Gemm12x4 on that copy: A is read from memory once per KC block.
+// The row tile's 12 row streams stay in L1 on their own and read A for
+// every panel. The B super-block takes the room a packed A block would,
+// so the stripe's scratch never exceeds the packed path's packA + packB.
 //
 // Strided A, m < 12 and the leftover rows take the packed path: each
 // mc×kc block of A is copied into panels, whole groups of three panels go
@@ -256,9 +260,14 @@ func gemmStripe(alpha float64, a, b, c mat.View, bl Blocking, ar *parallel.Arena
 	if a.RS == 1 || a.CS == 1 {
 		grouped = m - m%(3*mr)
 	}
-	packed, kb := mcMax, 1 // rows of A packed at once, KC blocks per B super-block
+	// packA holds mc packed rows on the packed path. On the in-place path
+	// it holds the column tile's 12-row copy of each micro-panel and,
+	// after the groups, the m mod 12 leftover rows. It is never under 3·mr
+	// rows, so an arena serving both paths never regrows it, and its rows
+	// count against the B super-block's room.
+	packed, kb := max(mcMax, 3*mr), 1 // rows of packA, KC blocks per B super-block
 	if grouped > 0 {
-		packed = min(mcMax, roundUp(m-grouped, mr))
+		packed = 3 * mr
 		kb = max(1, min(mcMax, mcMax+ncMax-packed)/ncMax)
 		kb = min(kb, (k+bl.KC-1)/bl.KC)
 	}
@@ -282,15 +291,20 @@ func gemmStripe(alpha float64, a, b, c mat.View, bl Blocking, ar *parallel.Arena
 				for pc := ps; pc < pe; pc += bl.KC {
 					kc := min(bl.KC, pe-pc)
 					bBlk := bp[(pc-ps)*nc4:]
-					for jr := 0; jr < nc; jr += nr {
-						nrr := min(nr, nc-jr)
-						if a.RS == 1 {
-							simd.Gemm12x4ColA(kc, a.Data[pc*a.CS+ir:], a.CS, bBlk[jr*kc:], acc)
-							writeBack(alpha, acc[:], 1, 3*mr, cBlk, ir, jr, 3*mr, nrr)
-						} else {
-							simd.Gemm12x4RowA(kc, a.Data[ir*a.RS+pc:], a.RS, bBlk[jr*kc:], acc)
-							writeBack(alpha, acc[:], nr, 1, cBlk, ir, jr, 3*mr, nrr)
+					if a.RS == 1 {
+						// The first B panel reads the micro-panel from A
+						// and packs it; the others read that L1 copy.
+						simd.Gemm12x4ColA(kc, a.Data[pc*a.CS+ir:], a.CS, ap, bBlk, acc)
+						writeBack(alpha, acc[:], 1, 3*mr, cBlk, ir, 0, 3*mr, min(nr, nc))
+						for jr := nr; jr < nc; jr += nr {
+							simd.Gemm12x4(kc, ap, bBlk[jr*kc:], acc)
+							writeBack(alpha, acc[:], 1, 3*mr, cBlk, ir, jr, 3*mr, min(nr, nc-jr))
 						}
+						continue
+					}
+					for jr := 0; jr < nc; jr += nr {
+						simd.Gemm12x4RowA(kc, a.Data[ir*a.RS+pc:], a.RS, bBlk[jr*kc:], acc)
+						writeBack(alpha, acc[:], nr, 1, cBlk, ir, jr, 3*mr, min(nr, nc-jr))
 					}
 				}
 			}

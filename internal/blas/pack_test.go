@@ -102,10 +102,11 @@ func TestGemmPackingBitIdentical(t *testing.T) {
 	}
 }
 
-// BenchmarkGemmMTTKRPShapes times single-worker GEMMs with six operand
-// layouts of the cp-fmri CP-ALS problem (113×30×100×100, rank 25). The
-// first four are the per-mode kernels' layouts, each scaled to about 10^8
-// flops (about 10 ms on one AVX2 core):
+// BenchmarkGemmMTTKRPShapes times single-worker GEMMs with the operand
+// layouts of the cp-fmri CP-ALS problem (113×30×100×100, rank 25) and of
+// the served workloads (rank 16). The first four are cp-fmri's per-mode
+// kernels' layouts, each scaled to about 10^8 flops (about 10 ms on one
+// AVX2 core):
 //
 //   - 1step-mode0: X_(0) column-major times a row-major KRP block into
 //     a row-major output;
@@ -116,40 +117,56 @@ func TestGemmPackingBitIdentical(t *testing.T) {
 //   - 2step-left: X_(0:n-1)ᵀ row-major times K_L into the column-major
 //     intermediate.
 //
-// The last two are the two GEMMs each SweepAll sweep issues on cp-fmri,
+// The next two are the two GEMMs each SweepAll sweep issues on cp-fmri,
 // at full size (1.7·10^9 flops each):
 //
 //   - sweep-right: X_(0:1) column-major times K_R (m=3390, k=10000) into
 //     the column-major intermediate;
 //   - sweep-left: X_(0:1)ᵀ row-major times K_L (m=10000, k=3390) into
 //     the column-major intermediate.
+//
+// The last four are GEMMs the served requests issue at rank 16:
+//
+//   - byref-4way-right: the 32×32×32×40 tensor's right half step, X_(0:1)
+//     column-major (m=1024, k=1280, column stride 1024) into the
+//     column-major intermediate;
+//   - byref-1step-mode0: a 1-step worker's X_(0) block of the
+//     128×128×80 tensor (m=128, k=10240, column stride 128) into a
+//     row-major output;
+//   - byref-2step: a row-major X_(0:1)ᵀ of the 128×128×80 tensor
+//     (m=10240, k=128) into the column-major intermediate;
+//   - payload-small-mode1: a row-major A of the 48×40×36 tensor
+//     (m=1440, k=48) into the column-major intermediate.
 func BenchmarkGemmMTTKRPShapes(b *testing.B) {
-	const rank = 25
 	cases := []struct {
 		name                 string
-		m, k                 int
+		m, k, n              int
 		aColMajor, cColMajor bool // else row-major
 	}{
-		{"1step-mode0", 113, 16384, true, false},
-		{"1step-modeN", 100, 20000, false, false},
-		{"2step-right", 3390, 600, true, true},
-		{"2step-left", 600, 3390, false, true},
-		{"sweep-right", 3390, 10000, true, true},
-		{"sweep-left", 10000, 3390, false, true},
+		{"1step-mode0", 113, 16384, 25, true, false},
+		{"1step-modeN", 100, 20000, 25, false, false},
+		{"2step-right", 3390, 600, 25, true, true},
+		{"2step-left", 600, 3390, 25, false, true},
+		{"sweep-right", 3390, 10000, 25, true, true},
+		{"sweep-left", 10000, 3390, 25, false, true},
+		{"byref-4way-right", 1024, 1280, 16, true, true},
+		{"byref-1step-mode0", 128, 10240, 16, true, false},
+		{"byref-2step", 10240, 128, 16, false, true},
+		{"payload-small-mode1", 1440, 48, 16, false, true},
 	}
 	for _, tc := range cases {
 		b.Run(fmt.Sprintf("%s/m=%d/k=%d", tc.name, tc.m, tc.k), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(5))
 			a := newMatrix(tc.aColMajor, tc.m, tc.k)
 			a.Randomize(rng)
-			kr := mat.RandomDense(tc.k, rank, rng)
-			c := newMatrix(tc.cColMajor, tc.m, rank)
+			kr := mat.RandomDense(tc.k, tc.n, rng)
+			c := newMatrix(tc.cColMajor, tc.m, tc.n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				Gemm(1, 1, a, kr, 0, c)
 			}
 			if sec := b.Elapsed().Seconds(); sec > 0 {
-				b.ReportMetric(2*float64(tc.m*tc.k*rank)*float64(b.N)/sec/1e9, "GFLOPS")
+				b.ReportMetric(2*float64(tc.m*tc.k*tc.n)*float64(b.N)/sec/1e9, "GFLOPS")
 			}
 		})
 	}

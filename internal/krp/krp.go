@@ -55,12 +55,10 @@ func checkOperands(mats []mat.View, out mat.View) (rows, cols int) {
 // Full computes the complete KRP of mats into out (∏J_z × C row-major)
 // sequentially using Algorithm 1 (reuse of partial Hadamard products).
 func Full(mats []mat.View, out mat.View) {
-	rows, _ := checkOperands(mats, out)
+	rows, cols := checkOperands(mats, out)
 	var it Iter
 	it.Reset(mats, 0)
-	for j := 0; j < rows; j++ {
-		it.Next(out.ContiguousRow(j))
-	}
+	it.nextRows(out.Data[:rows*cols], rows)
 }
 
 // Rows computes rows [lo, hi) of the KRP of mats into out
@@ -90,9 +88,7 @@ func RowsIter(it *Iter, mats []mat.View, lo, hi int, out mat.View) {
 		panic("krp: output must be contiguous row-major")
 	}
 	it.Reset(mats, lo)
-	for j := 0; j < hi-lo; j++ {
-		it.Next(out.ContiguousRow(j))
-	}
+	it.nextRows(out.Data[:(hi-lo)*out.C], hi-lo)
 }
 
 // parallelFrame is the reusable dispatch state of ParallelOn; it lives in a
@@ -109,9 +105,8 @@ func newParallelFrame() any {
 	f.body = func(w, lo, hi int) {
 		it := &f.its[w]
 		it.Reset(f.mats, lo)
-		for j := lo; j < hi; j++ {
-			it.Next(f.out.ContiguousRow(j))
-		}
+		c := f.out.C
+		it.nextRows(f.out.Data[lo*c:hi*c], hi-lo)
 	}
 	return f
 }
@@ -236,7 +231,9 @@ func incrementMultiIndex(mats []mat.View, l []int) int {
 // Iter streams KRP rows from an arbitrary starting row, maintaining the
 // Z-2 partial Hadamard products P of Algorithm 1. P[w] is the product of
 // rows 0..w+1 of the operand list (the slow indices); each output row is
-// one Hadamard product of P[Z-3] with the fastest operand's row.
+// one Hadamard product of P[Z-3] with the fastest operand's row. Rows
+// between two wraps of the fastest operand share P[Z-3], so RowsIter,
+// ParallelOn and Full form each such run with one simd.HadExpand.
 //
 // The zero Iter is ready for Reset. Its multi-index and partial-product
 // storage grows monotonically and is reused across Resets, so a retained
@@ -311,5 +308,51 @@ func (it *Iter) Next(out []float64) {
 	// of a partial product), and this happens once every J_{Z-1} rows.
 	if z >= 3 && changed <= z-2 {
 		it.rebuildFrom(changed)
+	}
+}
+
+// nextRows writes the next n rows into out (n·C values, row-major) and
+// advances past them. When the fastest operand's rows are one flat run
+// (row stride C), every run of rows up to its next wrap is one
+// simd.HadExpand of the partial product (or operand 0's row when Z = 2)
+// against that operand's rows: the products Next forms, with the same
+// operands in the same order, so the same bits. A fastest operand with a
+// wider row stride takes Next row by row.
+//
+//mttkrp:noalloc
+func (it *Iter) nextRows(out []float64, n int) {
+	c := it.cols
+	z := len(it.mats)
+	last := it.mats[z-1]
+	if last.RS != c {
+		for j := 0; j < n; j++ {
+			it.Next(out[j*c : j*c+c])
+		}
+		return
+	}
+	for j := 0; j < n; {
+		l := it.l[z-1]
+		run := min(n-j, last.R-l)
+		src := last.Data[l*c : (l+run)*c]
+		dst := out[j*c : (j+run)*c]
+		switch z {
+		case 1:
+			copy(dst, src)
+		case 2:
+			simd.HadExpand(it.mats[0].ContiguousRow(it.l[0]), src, dst)
+		default:
+			simd.HadExpand(it.p.ContiguousRow(z-3), src, dst)
+		}
+		j += run
+		if it.l[z-1] = l + run; it.l[z-1] < last.R {
+			continue
+		}
+		// The fastest operand wrapped: advance the slower indices as Next
+		// does, rebuilding the partial products they feed.
+		it.l[z-1] = 0
+		changed := incrementMultiIndex(it.mats[:z-1], it.l[:z-1])
+		if z >= 3 && changed <= z-2 {
+			it.rebuildFrom(changed)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package krp
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -131,6 +132,74 @@ func TestParallelOnSteadyStateAllocFree(t *testing.T) {
 		ParallelOn(p, ws, 4, mats, out) // warm the workspace
 		if a := testing.AllocsPerRun(20, func() { ParallelOn(p, ws, 4, mats, out) }); a > 0 {
 			t.Errorf("Z=%d: ParallelOn allocates %v per call in steady state, want 0", len(mats), a)
+		}
+	}
+}
+
+// nextRowsRef is the per-row reference for the run step: every row of
+// the KRP of mats through Iter.Next, one row at a time.
+func nextRowsRef(mats []mat.View) mat.View {
+	out := mat.NewDense(NumRows(mats), mats[0].C)
+	var it Iter
+	it.Reset(mats, 0)
+	for j := 0; j < out.R; j++ {
+		it.Next(out.ContiguousRow(j))
+	}
+	return out
+}
+
+// TestRowsRunBitIdentical pins the run step: RowsIter and ParallelOn,
+// which form each run of rows between two wraps of the fastest operand
+// with one HadExpand, must equal per-row Next bit for bit. It covers
+// Z = 1–4 (fastest operands of one row among them), every row range, so
+// ranges that start and end mid-run, ParallelOn at widths 1–4, and a
+// fastest operand whose row stride exceeds C (a column window of a wider
+// matrix), which takes Next row by row.
+func TestRowsRunBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	p := parallel.NewPool(4)
+	defer p.Close()
+	ws := p.Acquire()
+	defer ws.Release()
+	bitsEqual := func(got, want mat.View) bool {
+		for i := 0; i < got.R; i++ {
+			for j := 0; j < got.C; j++ {
+				if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for _, rowsList := range [][]int{{7}, {3, 5}, {4, 1}, {2, 3, 6}, {3, 1, 4}, {2, 2, 3, 5}, {2, 3, 1, 1}} {
+		for _, cols := range []int{1, 3, 16} {
+			mats := randomMats(rng, rowsList, cols)
+			fast := rowsList[len(rowsList)-1]
+			strided := append([]mat.View(nil), mats[:len(mats)-1]...)
+			strided = append(strided, mat.RandomDense(fast, cols+3, rng).Slice(0, fast, 2, 2+cols))
+			for _, ops := range [][]mat.View{mats, strided} {
+				rows := NumRows(ops)
+				want := nextRowsRef(ops)
+				var it Iter
+				for lo := 0; lo <= rows; lo++ {
+					for hi := lo; hi <= rows; hi++ {
+						got := mat.NewDense(hi-lo, cols)
+						RowsIter(&it, ops, lo, hi, got)
+						if !bitsEqual(got, want.Slice(lo, hi, 0, cols)) {
+							t.Fatalf("rows=%v cols=%d row stride %d: RowsIter [%d,%d) differs from Next",
+								rowsList, cols, ops[len(ops)-1].RS, lo, hi)
+						}
+					}
+				}
+				for threads := 1; threads <= 4; threads++ {
+					got := mat.NewDense(rows, cols)
+					ParallelOn(p, ws, threads, ops, got)
+					if !bitsEqual(got, want) {
+						t.Fatalf("rows=%v cols=%d row stride %d: ParallelOn at %d workers differs from Next",
+							rowsList, cols, ops[len(ops)-1].RS, threads)
+					}
+				}
+			}
 		}
 	}
 }

@@ -92,21 +92,41 @@ func (v View) ContiguousRow(i int) []float64 {
 	return v.Data[off : off+v.C]
 }
 
-// Zero clears every element of the view.
-func (v View) Zero() {
-	for i := 0; i < v.R; i++ {
+// Zero clears every element of the view to +0, as Set(i, j, 0) does.
+func (v View) Zero() { v.Fill(0) }
+
+// Fill sets every element to x. A view with unit column stride is set one
+// row at a time, one with unit row stride (a column-major GEMM output)
+// one column at a time, each as one run; only a view strided both ways
+// is set element by element.
+func (v View) Fill(x float64) {
+	switch {
+	case v.R == 0 || v.C == 0:
+	case v.CS == 1:
+		for i := 0; i < v.R; i++ {
+			fillRun(v.Data[i*v.RS:i*v.RS+v.C], x)
+		}
+	case v.RS == 1:
 		for j := 0; j < v.C; j++ {
-			v.Set(i, j, 0)
+			fillRun(v.Data[j*v.CS:j*v.CS+v.R], x)
+		}
+	default:
+		for i := 0; i < v.R; i++ {
+			for j := 0; j < v.C; j++ {
+				v.Set(i, j, x)
+			}
 		}
 	}
 }
 
-// Fill sets every element to x.
-func (v View) Fill(x float64) {
-	for i := 0; i < v.R; i++ {
-		for j := 0; j < v.C; j++ {
-			v.Set(i, j, x)
-		}
+// fillRun sets every element of run to x; +0 takes clear.
+func fillRun(run []float64, x float64) {
+	if math.Float64bits(x) == 0 {
+		clear(run)
+		return
+	}
+	for i := range run {
+		run[i] = x
 	}
 }
 

@@ -1,6 +1,8 @@
 package mat
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -135,6 +137,79 @@ func TestZeroFill(t *testing.T) {
 		for j := 0; j < 3; j++ {
 			if a.At(i, j) != 0 {
 				t.Fatal("zero failed")
+			}
+		}
+	}
+}
+
+// TestZeroFillByRunsKeepGuards pins Zero and Fill on every stride
+// pattern they take a different loop for: row-major and column-major
+// views with padding between their runs, views strided both ways, and
+// Slice windows of each. The views sit inside a buffer of guard values
+// (-0 among them): every element inside must be set (Zero to +0, as
+// Set(i, j, 0) writes), and every element outside keep its bits.
+func TestZeroFillByRunsKeepGuards(t *testing.T) {
+	const off, size = 5, 256
+	type layout struct {
+		name   string
+		r, c   int
+		rs, cs int
+		slice  [4]int // r0, r1, c0, c1 of a Slice; zero = whole view
+	}
+	layouts := []layout{
+		{"row-major", 5, 7, 7, 1, [4]int{}},
+		{"row-major padded", 5, 7, 9, 1, [4]int{}},
+		{"column-major", 6, 4, 1, 6, [4]int{}},
+		{"column-major padded", 6, 4, 1, 8, [4]int{}},
+		{"strided", 4, 5, 11, 2, [4]int{}},
+		{"strided transposed", 5, 4, 2, 11, [4]int{}},
+		{"row-major slice", 6, 9, 9, 1, [4]int{1, 5, 2, 6}},
+		{"column-major slice", 9, 6, 1, 9, [4]int{2, 7, 1, 4}},
+		{"strided slice", 6, 7, 15, 2, [4]int{1, 4, 2, 7}},
+		{"single column", 7, 1, 3, 1, [4]int{}},
+		{"single row", 1, 7, 1, 3, [4]int{}},
+		{"empty", 0, 5, 5, 1, [4]int{}},
+	}
+	rng := rand.New(rand.NewSource(8))
+	for _, lay := range layouts {
+		for _, tc := range []struct {
+			op string
+			x  float64
+		}{{"Zero", 0}, {"Fill", 0}, {"Fill", math.Copysign(0, -1)}, {"Fill", 2.5}} {
+			name := fmt.Sprintf("%s/%s(%v)", lay.name, tc.op, tc.x)
+			buf := make([]float64, size)
+			for i := range buf {
+				buf[i] = rng.NormFloat64()
+				if i%7 == 0 {
+					buf[i] = math.Copysign(0, -1)
+				}
+			}
+			guard := append([]float64(nil), buf...)
+			v := View{Data: buf[off:], R: lay.r, C: lay.c, RS: lay.rs, CS: lay.cs}
+			if sl := lay.slice; sl != [4]int{} {
+				v = v.Slice(sl[0], sl[1], sl[2], sl[3])
+			}
+			inside := make(map[int]bool)
+			base := size - len(v.Data)
+			for i := 0; i < v.R; i++ {
+				for j := 0; j < v.C; j++ {
+					inside[base+i*v.RS+j*v.CS] = true
+				}
+			}
+			if tc.op == "Zero" {
+				v.Zero()
+			} else {
+				v.Fill(tc.x)
+			}
+			for i, got := range buf {
+				w := guard[i]
+				if inside[i] {
+					w = tc.x
+				}
+				if math.Float64bits(got) != math.Float64bits(w) {
+					t.Fatalf("%s: buf[%d] (inside %v) = %v (%x), want %v (%x)",
+						name, i, inside[i], got, math.Float64bits(got), w, math.Float64bits(w))
+				}
 			}
 		}
 	}

@@ -90,12 +90,13 @@ func BenchmarkKernels(b *testing.B) {
 				gflops(b, 2*48*kc)
 			})
 			// The in-place tiles at cp-fmri's X_(0:1) stride: 12 rows of a
-			// column-major A, and 12 row streams of a row-major one.
+			// column-major A, packed into ap12 as the tile reads them, and
+			// 12 row streams of a row-major one.
 			const lda = 3390
 			colA := mk(colALen(kc, lda))
 			b.Run(fmt.Sprintf("gemm12x4cola/impl=%s/kc=%d/lda=%d", impl.Name, kc, lda), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					impl.Gemm12x4ColA(kc, colA, lda, bp, &acc12)
+					impl.Gemm12x4ColA(kc, colA, lda, ap12, bp, &acc12)
 				}
 				gflops(b, 2*48*kc)
 			})

@@ -96,8 +96,8 @@ func gemm12x4Vec(kc int, ap, bp []float64, acc *[48]float64) {
 }
 
 //mttkrp:noalloc
-func gemm12x4ColAVec(kc int, a []float64, lda int, bp []float64, acc *[48]float64) {
-	gemm12x4ColAAVX2(kc, a[:colALen(kc, lda)], lda, bp[:kc*4:kc*4], acc)
+func gemm12x4ColAVec(kc int, a []float64, lda int, ap, bp []float64, acc *[48]float64) {
+	gemm12x4ColAAVX2(kc, a[:colALen(kc, lda)], lda, ap[:kc*12:kc*12], bp[:kc*4:kc*4], acc)
 }
 
 //mttkrp:noalloc
@@ -143,7 +143,7 @@ func gemm4x4AVX2(kc int, ap, bp []float64, acc *[16]float64)
 func gemm12x4AVX2(kc int, ap, bp []float64, acc *[48]float64)
 
 //go:noescape
-func gemm12x4ColAAVX2(kc int, a []float64, lda int, bp []float64, acc *[48]float64)
+func gemm12x4ColAAVX2(kc int, a []float64, lda int, ap, bp []float64, acc *[48]float64)
 
 //go:noescape
 func gemm12x4RowAAVX2(kc int, a []float64, lda int, bp []float64, acc *[48]float64)

@@ -391,28 +391,36 @@ g12done:
 	VZEROUPPER
 	RET
 
-// func gemm12x4ColAAVX2(kc int, a []float64, lda int, bp []float64, acc *[48]float64)
+// func gemm12x4ColAAVX2(kc int, a []float64, lda int, ap, bp []float64, acc *[48]float64)
 //
 // gemm12x4AVX2 reading a column-major A in place: k step q loads the 12
 // contiguous rows of column q at a[q*lda:] instead of a packed column,
-// then runs the same four broadcasts and twelve FMA chains into the same
-// column-major tile. Each step also prefetches the next 12 rows of the
-// column (bytes 96–191: the lines holding bytes 128 and 184 are the ones
-// the current rows' loads have not already brought in) into L2, the next
-// group of the blocked GEMM. The column stride defeats the hardware
-// prefetchers, and without this the next group's pass waits on memory
-// for every column; prefetching into L1 instead evicts the current
-// micro-panel, which the tile re-reads for every B panel. A prefetch
-// never faults, so the last group of a slice or mapping may run here too.
-TEXT ·gemm12x4ColAAVX2(SB), NOSPLIT, $0-72
+// stores the three loads into the three packed panels at ap (R8, R9,
+// R10), then runs the same four broadcasts and twelve FMA chains into the
+// same column-major tile. The caller's other B panels run gemm12x4AVX2 on
+// that copy, so A is read from memory once per KC block.
+//
+// Two prefetches per column hide the column stride, which defeats the
+// hardware prefetchers. PREFETCHT1 brings the next 12 rows (bytes 96–191:
+// the lines holding bytes 128 and 184 are the ones the current rows'
+// loads have not already brought in) into L2 for the next group of the
+// blocked GEMM. PREFETCHT0 brings the current rows 16 columns ahead
+// (R12 bytes on) into L1: the lines holding bytes 0, 64 and 88, which are
+// all the lines 96 bytes at any 8-byte offset can touch. A prefetch never
+// faults, so the last group of a slice or mapping may run here too.
+TEXT ·gemm12x4ColAAVX2(SB), NOSPLIT, $0-96
 	MOVQ kc+0(FP), CX
 	MOVQ a_base+8(FP), SI
 	MOVQ lda+32(FP), BX
-	MOVQ bp_base+40(FP), DI
-	MOVQ acc+64(FP), DX
+	MOVQ ap_base+40(FP), R8
+	MOVQ bp_base+64(FP), DI
+	MOVQ acc+88(FP), DX
 	SHLQ $3, BX          // column stride in bytes
-	SHLQ $5, CX
-	LEAQ (DI)(CX*1), R11 // end of the B panel
+	MOVQ BX, R12
+	SHLQ $4, R12         // 16 columns ahead
+	SHLQ $5, CX          // 32 bytes per k step in every panel
+	LEAQ (R8)(CX*1), R9  // packed panel 1
+	LEAQ (R9)(CX*1), R10 // packed panel 2
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -425,34 +433,41 @@ TEXT ·gemm12x4ColAAVX2(SB), NOSPLIT, $0-72
 	VXORPD Y9, Y9, Y9
 	VXORPD Y10, Y10, Y10
 	VXORPD Y11, Y11, Y11
-	CMPQ DI, R11
+	XORQ AX, AX
+	CMPQ AX, CX
 	JGE  g12cdone
 
 g12cloop:
 	PREFETCHT1   128(SI)
 	PREFETCHT1   184(SI)
+	PREFETCHT0   (SI)(R12*1)
+	PREFETCHT0   64(SI)(R12*1)
+	PREFETCHT0   88(SI)(R12*1)
 	VMOVUPD      (SI), Y12
 	VMOVUPD      32(SI), Y13
 	VMOVUPD      64(SI), Y14
-	VBROADCASTSD (DI), Y15
+	VMOVUPD      Y12, (R8)(AX*1)
+	VMOVUPD      Y13, (R9)(AX*1)
+	VMOVUPD      Y14, (R10)(AX*1)
+	VBROADCASTSD (DI)(AX*1), Y15
 	VFMADD231PD  Y15, Y12, Y0
 	VFMADD231PD  Y15, Y13, Y1
 	VFMADD231PD  Y15, Y14, Y2
-	VBROADCASTSD 8(DI), Y15
+	VBROADCASTSD 8(DI)(AX*1), Y15
 	VFMADD231PD  Y15, Y12, Y3
 	VFMADD231PD  Y15, Y13, Y4
 	VFMADD231PD  Y15, Y14, Y5
-	VBROADCASTSD 16(DI), Y15
+	VBROADCASTSD 16(DI)(AX*1), Y15
 	VFMADD231PD  Y15, Y12, Y6
 	VFMADD231PD  Y15, Y13, Y7
 	VFMADD231PD  Y15, Y14, Y8
-	VBROADCASTSD 24(DI), Y15
+	VBROADCASTSD 24(DI)(AX*1), Y15
 	VFMADD231PD  Y15, Y12, Y9
 	VFMADD231PD  Y15, Y13, Y10
 	VFMADD231PD  Y15, Y14, Y11
 	ADDQ         BX, SI
-	ADDQ         $32, DI
-	CMPQ         DI, R11
+	ADDQ         $32, AX
+	CMPQ         AX, CX
 	JLT          g12cloop
 
 g12cdone:

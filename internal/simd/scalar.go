@@ -202,27 +202,23 @@ func rowALen(kc, lda int) int {
 }
 
 // gemm12x4ColAScalar is the reference for the in-place 12×4 tile over a
-// column-major A: row r of column q is a[q*lda+r]. Each element is the
-// FMA chain gemm12x4Scalar computes from the packed copy of those rows,
-// stored in the same column-major tile (acc[c*12+r]).
+// column-major A: row r of column q is a[q*lda+r]. It copies the 12 rows
+// of every column into ap's three-panel layout, then runs gemm12x4Scalar
+// on that copy, so each element is the FMA chain the packed tile computes
+// for it, in the same column-major tile (acc[c*12+r]).
 //
 //mttkrp:noalloc
-func gemm12x4ColAScalar(kc int, a []float64, lda int, bp []float64, acc *[48]float64) {
+func gemm12x4ColAScalar(kc int, a []float64, lda int, ap, bp []float64, acc *[48]float64) {
 	a = a[:colALen(kc, lda)]
+	ap = ap[: kc*12 : kc*12]
 	bp = bp[: kc*4 : kc*4]
-	if kc == 0 {
-		*acc = [48]float64{}
-		return
-	}
-	var t [16]float64
-	for q := 0; q < 3; q++ {
-		gemm4x4Strided(kc, a[q*4:], 1, lda, bp, &t)
-		for r := 0; r < 4; r++ {
-			for c := 0; c < 4; c++ {
-				acc[c*12+q*4+r] = t[r*4+c]
-			}
+	for q := 0; q < kc; q++ {
+		col := a[q*lda : q*lda+12 : q*lda+12]
+		for p := 0; p < 3; p++ {
+			copy(ap[p*4*kc+q*4:p*4*kc+q*4+4], col[p*4:p*4+4])
 		}
 	}
+	gemm12x4Scalar(kc, ap, bp, acc)
 }
 
 // gemm12x4RowAScalar is the reference for the in-place 12×4 tile over a

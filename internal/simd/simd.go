@@ -26,6 +26,18 @@
 // across random sizes, tails and aliasing patterns, and at the MTTKRP
 // level by the core and serve dispatch tests.
 //
+// One exception: NaN payloads. When two NaNs with different payloads meet
+// in one operation (a NaN input and the default NaN of 0·∞, say), the
+// result is a NaN under every implementation, but its sign and payload
+// are those of the operand the instruction takes first, and for the
+// scalar code Go leaves that order to the compiler (it differs under
+// -race). So a response whose inputs carry NaNs may differ in NaN bits
+// between hosts or builds; every result without two differing NaN
+// operands follows the contract. For that reason TestHadAxpyBitIdentical's
+// special values use the hardware's default NaN (made at run time by
+// 0·∞) as their only NaN, so every NaN that meets another in its sweep
+// has the same bits.
+//
 // # Operand lengths
 //
 // Every vector kernel applies its scalar reference's length checks before
@@ -107,12 +119,16 @@ type Impl struct {
 
 	// Gemm12x4ColA is Gemm12x4 reading 12 rows of a column-major A in
 	// place: A(r, q) is a[q*lda+r], so column q's 12 rows are contiguous.
-	// bp and the column-major tile are as in Gemm12x4, and each element is
-	// the same FMA chain, so the tile equals Gemm12x4's on a packed copy
-	// of the rows. The AVX2 kernel prefetches the next 12 rows of every
-	// column it reads (the next group of a blocked GEMM); a prefetch never
-	// faults, so a may end at the group's last row.
-	Gemm12x4ColA func(kc int, a []float64, lda int, bp []float64, acc *[48]float64)
+	// As it reads them it stores them into ap in Gemm12x4's three-panel
+	// layout (A(r, q) at ap[(r/4)*4*kc+q*4+r%4]), so the caller's other B
+	// panels run Gemm12x4 on that copy instead of reading A again. bp and
+	// the column-major tile are as in Gemm12x4, and each element is the
+	// same FMA chain, so the tile equals Gemm12x4's on ap. The AVX2 kernel
+	// prefetches the next 12 rows of every column it reads (the next group
+	// of a blocked GEMM) and the current rows 16 columns ahead; a prefetch
+	// never faults, so a may end at the group's last row. ap must not
+	// overlap a.
+	Gemm12x4ColA func(kc int, a []float64, lda int, ap, bp []float64, acc *[48]float64)
 
 	// Gemm12x4RowA is the in-place tile over a row-major A: A(r, q) is
 	// a[r*lda+q], 12 contiguous row streams. Lanes run along N: per k step
@@ -140,7 +156,7 @@ var (
 	add       func(x, y []float64)
 	gemm4x4   func(kc int, ap, bp []float64, acc *[16]float64)
 	gemm12x4  func(kc int, ap, bp []float64, acc *[48]float64)
-	gemmColA  func(kc int, a []float64, lda int, bp []float64, acc *[48]float64)
+	gemmColA  func(kc int, a []float64, lda int, ap, bp []float64, acc *[48]float64)
 	gemmRowA  func(kc int, a []float64, lda int, bp []float64, acc *[48]float64)
 	hadExpand func(row, kl, out []float64)
 )
@@ -255,12 +271,13 @@ func Gemm4x4(kc int, ap, bp []float64, acc *[16]float64) { gemm4x4(kc, ap, bp, a
 func Gemm12x4(kc int, ap, bp []float64, acc *[48]float64) { gemm12x4(kc, ap, bp, acc) }
 
 // Gemm12x4ColA runs the in-place 12×4 tile over a column-major A via the
-// active kernel: A(r, q) is a[q*lda+r]. a must hold (kc-1)·lda+12
-// elements when kc > 0, bp at least 4·kc; the tile is column-major.
+// active kernel: A(r, q) is a[q*lda+r]. It also packs the 12 rows into ap
+// as Gemm12x4 reads them. a must hold (kc-1)·lda+12 elements when kc > 0,
+// ap at least 12·kc and bp at least 4·kc; the tile is column-major.
 //
 //mttkrp:noalloc
-func Gemm12x4ColA(kc int, a []float64, lda int, bp []float64, acc *[48]float64) {
-	gemmColA(kc, a, lda, bp, acc)
+func Gemm12x4ColA(kc int, a []float64, lda int, ap, bp []float64, acc *[48]float64) {
+	gemmColA(kc, a, lda, ap, bp, acc)
 }
 
 // Gemm12x4RowA runs the in-place 12×4 tile over a row-major A via the

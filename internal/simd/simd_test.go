@@ -110,6 +110,38 @@ func TestKernelsBitIdentical(t *testing.T) {
 		v.HadAxpy(alpha, x, y, zv)
 		sliceBitsEq(t, "HadAxpy", n, zs, zv)
 	}
+
+	// The packing column tile at the column strides of the served and
+	// sweep GEMMs: its tile and its packed copy against the scalar
+	// reference, and the copy against the A sliver it read. Both copies
+	// start as different garbage, so an element the kernel skips shows.
+	for _, lda := range []int{128, 1024, 3390} {
+		buf := make([]float64, colALen(37, lda)+4)
+		fill(rng, buf)
+		for kc := 0; kc <= 37; kc++ {
+			off := rng.Intn(4)
+			a := buf[off : off+colALen(kc, lda)]
+			bp := make([]float64, 4*kc)
+			aps, apv := make([]float64, 12*kc), make([]float64, 12*kc)
+			fill(rng, bp)
+			fill(rng, aps)
+			fill(rng, apv)
+			var as, av [48]float64
+			s.Gemm12x4ColA(kc, a, lda, aps, bp, &as)
+			v.Gemm12x4ColA(kc, a, lda, apv, bp, &av)
+			name := fmt.Sprintf("Gemm12x4ColA lda=%d", lda)
+			sliceBitsEq(t, name+" tile", kc, as[:], av[:])
+			sliceBitsEq(t, name+" packed copy", kc, aps, apv)
+			for q := 0; q < kc; q++ {
+				for r := 0; r < 12; r++ {
+					if got, want := aps[(r/4)*4*kc+q*4+r%4], a[q*lda+r]; !bitsEq(got, want) {
+						t.Fatalf("%s kc=%d: packed A(%d,%d) = %x, A sliver %x",
+							name, kc, r, q, math.Float64bits(got), math.Float64bits(want))
+					}
+				}
+			}
+		}
+	}
 }
 
 // specials are the IEEE values HadAxpy's roundings must agree on beyond
@@ -342,7 +374,9 @@ func TestGemm12x4ColABitIdentical(t *testing.T) {
 	testInPlaceTile(t, inPlaceTile{
 		name: "Gemm12x4ColA",
 		fn: func(impl *Impl) func(int, []float64, int, []float64, *[48]float64) {
-			return impl.Gemm12x4ColA
+			return func(kc int, a []float64, lda int, bp []float64, acc *[48]float64) {
+				impl.Gemm12x4ColA(kc, a, lda, make([]float64, 12*kc), bp, acc)
+			}
 		},
 		alen: colALen,
 		at:   func(a []float64, lda, r, q int) float64 { return a[q*lda+r] },
@@ -393,8 +427,15 @@ func TestKernelsShortOperandsPanic(t *testing.T) {
 		{"Gemm4x4/bp", func(impl *Impl) { impl.Gemm4x4(kc, full(4*kc), short(4*kc), &acc4) }},
 		{"Gemm12x4/ap", func(impl *Impl) { impl.Gemm12x4(kc, short(12*kc), full(4*kc), &acc12) }},
 		{"Gemm12x4/bp", func(impl *Impl) { impl.Gemm12x4(kc, full(12*kc), short(4*kc), &acc12) }},
-		{"Gemm12x4ColA/a", func(impl *Impl) { impl.Gemm12x4ColA(kc, short(colALen(kc, lda)), lda, full(4*kc), &acc12) }},
-		{"Gemm12x4ColA/bp", func(impl *Impl) { impl.Gemm12x4ColA(kc, full(colALen(kc, lda)), lda, short(4*kc), &acc12) }},
+		{"Gemm12x4ColA/a", func(impl *Impl) {
+			impl.Gemm12x4ColA(kc, short(colALen(kc, lda)), lda, full(12*kc), full(4*kc), &acc12)
+		}},
+		{"Gemm12x4ColA/ap", func(impl *Impl) {
+			impl.Gemm12x4ColA(kc, full(colALen(kc, lda)), lda, short(12*kc), full(4*kc), &acc12)
+		}},
+		{"Gemm12x4ColA/bp", func(impl *Impl) {
+			impl.Gemm12x4ColA(kc, full(colALen(kc, lda)), lda, full(12*kc), short(4*kc), &acc12)
+		}},
 		{"Gemm12x4RowA/a", func(impl *Impl) { impl.Gemm12x4RowA(kc, short(rowALen(kc, lda)), lda, full(4*kc), &acc12) }},
 		{"Gemm12x4RowA/bp", func(impl *Impl) { impl.Gemm12x4RowA(kc, full(rowALen(kc, lda)), lda, short(4*kc), &acc12) }},
 	}

@@ -57,22 +57,52 @@ func SparseFromCOO(dims []int, idx [][]int32, vals []float64) (*Sparse, error) {
 	if len(idx) != len(dims) {
 		return nil, fmt.Errorf("sparse has %d index slices for an order-%d tensor", len(idx), len(dims))
 	}
-	for n := range idx {
-		if len(idx[n]) != len(vals) {
-			return nil, fmt.Errorf("sparse mode-%d index slice holds %d entries, want %d", n, len(idx[n]), len(vals))
+	s := &Sparse{dims: append([]int(nil), dims...), idx: idx, vals: vals}
+	// The common ingest case, in-range sorted input whose linear keys fit,
+	// is checked by sortedByKey alone, reading every coordinate once.
+	// Anything else takes the mode-by-mode checks, so an error names the
+	// same slice or entry whichever way the input failed.
+	fits := s.keyFits() && s.lengthsMatch()
+	if fits && s.sortedByKey() {
+		return s, nil
+	}
+	if err := s.checkCoords(); err != nil {
+		return nil, err
+	}
+	if fits || !s.sortedPairwise() {
+		s.sortDedup()
+	}
+	return s, nil
+}
+
+// lengthsMatch reports whether every index slice holds one coordinate
+// per value.
+func (s *Sparse) lengthsMatch() bool {
+	for _, ix := range s.idx {
+		if len(ix) != len(s.vals) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkCoords validates the index slices mode by mode: each must hold
+// one coordinate per value, and every coordinate must be in range.
+func (s *Sparse) checkCoords() error {
+	for n, ix := range s.idx {
+		if len(ix) != len(s.vals) {
+			return fmt.Errorf("sparse mode-%d index slice holds %d entries, want %d", n, len(ix), len(s.vals))
 		}
 		// One unsigned compare per coordinate: a negative int32 wraps
 		// above every dimension (dims are ≤ MaxInt32).
-		d := uint32(dims[n])
-		for p, i := range idx[n] {
+		d := uint32(s.dims[n])
+		for p, i := range ix {
 			if uint32(i) >= d {
-				return nil, fmt.Errorf("sparse entry %d: coordinate %d out of range for mode %d (dim %d)", p, i, n, dims[n])
+				return fmt.Errorf("sparse entry %d: coordinate %d out of range for mode %d (dim %d)", p, i, n, s.dims[n])
 			}
 		}
 	}
-	s := &Sparse{dims: append([]int(nil), dims...), idx: idx, vals: vals}
-	s.sortDedup()
-	return s, nil
+	return nil
 }
 
 // compare orders entries p and q lexicographically, mode 0 most
@@ -110,26 +140,36 @@ func (s *Sparse) keyFits() bool {
 	return true
 }
 
-// sortedByKey reports whether the entries' linear keys (mode 0 most
-// significant, so key order is lexicographic order) strictly increase:
-// one pass that reads every coordinate once. Keys are built a block of
-// entries at a time, one mode's coordinates after another, so each inner
-// loop streams one index slice. It requires in-range coordinates and
-// keyFits.
+// sortedByKey reports whether every coordinate is in range and the
+// entries' linear keys (mode 0 most significant, so key order is
+// lexicographic order) strictly increase: one pass that reads every
+// coordinate once. Keys are built a block of entries at a time, one
+// mode's coordinates after another, so each inner loop streams one index
+// slice and range-checks it with one unsigned compare per coordinate (a
+// negative int32 wraps above every dimension). It returns false at the
+// first out-of-range coordinate. It requires one coordinate per value in
+// every index slice and keyFits.
 func (s *Sparse) sortedByKey() bool {
 	var keys [256]int64
 	prev := int64(-1)
 	nnz := len(s.vals)
 	for lo := 0; lo < nnz; lo += len(keys) {
 		blk := keys[:min(len(keys), nnz-lo)]
+		d0 := uint32(s.dims[0])
 		for q, i := range s.idx[0][lo : lo+len(blk)] {
+			if uint32(i) >= d0 {
+				return false
+			}
 			blk[q] = int64(i)
 		}
 		for n := 1; n < len(s.idx); n++ {
-			d := int64(s.dims[n])
+			d := uint32(s.dims[n])
 			ix := s.idx[n][lo : lo+len(blk)]
-			for q := range blk {
-				blk[q] = blk[q]*d + int64(ix[q])
+			for q, i := range ix {
+				if uint32(i) >= d {
+					return false
+				}
+				blk[q] = blk[q]*int64(d) + int64(i)
 			}
 		}
 		for _, k := range blk {
@@ -142,24 +182,12 @@ func (s *Sparse) sortedByKey() bool {
 	return true
 }
 
-// sorted reports whether the entries are strictly increasing in
-// lexicographic order: by linear key when keys fit in 63 bits, pairwise
-// otherwise.
-func (s *Sparse) sorted() bool {
-	if s.keyFits() {
-		return s.sortedByKey()
-	}
-	return s.sortedPairwise()
-}
-
-// sortDedup establishes the sorted-unique invariant. Sorted duplicate-free
-// input (the common ingest case: the wire codec and the file loader both
-// stream tensors that were already canonical) is detected in one pass and
-// returned untouched.
+// sortDedup establishes the sorted-unique invariant on input that is not
+// already strictly sorted: it sorts the entries and merges duplicate
+// coordinates by summation. Sorted duplicate-free input (the common ingest
+// case: the wire codec and the file loader both stream tensors that were
+// already canonical) never gets here.
 func (s *Sparse) sortDedup() {
-	if s.sorted() {
-		return
-	}
 	nnz := len(s.vals)
 	perm := make([]int, nnz)
 	for p := range perm {
