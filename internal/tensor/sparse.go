@@ -62,7 +62,7 @@ func SparseFromCOO(dims []int, idx [][]int32, vals []float64) (*Sparse, error) {
 	// is checked by sortedByKey alone, reading every coordinate once.
 	// Anything else takes the mode-by-mode checks, so an error names the
 	// same slice or entry whichever way the input failed.
-	fits := s.keyFits() && s.lengthsMatch()
+	fits := s.keyFits()
 	if fits && s.sortedByKey() {
 		return s, nil
 	}
@@ -73,17 +73,6 @@ func SparseFromCOO(dims []int, idx [][]int32, vals []float64) (*Sparse, error) {
 		s.sortDedup()
 	}
 	return s, nil
-}
-
-// lengthsMatch reports whether every index slice holds one coordinate
-// per value.
-func (s *Sparse) lengthsMatch() bool {
-	for _, ix := range s.idx {
-		if len(ix) != len(s.vals) {
-			return false
-		}
-	}
-	return true
 }
 
 // checkCoords validates the index slices mode by mode: each must hold
@@ -147,12 +136,17 @@ func (s *Sparse) keyFits() bool {
 // mode's coordinates after another, so each inner loop streams one index
 // slice and range-checks it with one unsigned compare per coordinate (a
 // negative int32 wraps above every dimension). It returns false at the
-// first out-of-range coordinate. It requires one coordinate per value in
-// every index slice and keyFits.
+// first out-of-range coordinate, and when an index slice does not hold
+// one coordinate per value. It requires keyFits.
 func (s *Sparse) sortedByKey() bool {
 	var keys [256]int64
 	prev := int64(-1)
 	nnz := len(s.vals)
+	for _, ix := range s.idx {
+		if len(ix) != nnz {
+			return false
+		}
+	}
 	for lo := 0; lo < nnz; lo += len(keys) {
 		blk := keys[:min(len(keys), nnz-lo)]
 		d0 := uint32(s.dims[0])
